@@ -85,6 +85,28 @@ def _pullback_integrand(bundle, primitive_shift, pos, direction):
     return val
 
 
+def _action_averages(bundle, mu, grid, primitive_shift=None):
+    """(area average of ``a0 - c_mu``, ``c_mu``) from one radial rule per ray.
+
+    For the pullback integrand ``g`` along a ray, Fubini gives exactly
+    ``int_0^1 2 r a0(r) dr = int_0^1 g(rho) (1 - rho^2) d rho``, and the
+    boundary profile ``a0(1) = int_0^1 g`` is a sum over the same composite
+    Gauss-Legendre nodes (split at the generator's radial kinks).
+    """
+    nr, ntheta = grid
+    breaks = tuple(bundle.field.radial_breakpoints) if bundle.field else ()
+    r, w = composite_gauss_radii(nr, breaks)
+    thetas = (np.arange(ntheta) + 0.5) / ntheta
+    units = np.exp(2j * np.pi * thetas)
+    pos = (r[:, None] * units[None, :]).reshape(-1)
+    direction = np.broadcast_to(units[None, :], (r.size, ntheta)).reshape(-1)
+    g = _pullback_integrand(bundle, primitive_shift, pos, direction).reshape(r.size, ntheta)
+    area_a0 = float(np.sum(w * (1.0 - r * r) * np.mean(g, axis=1)))
+    boundary = w @ g
+    c_mu = float(np.sum(mu.weights * periodic_spectral_interp(boundary, thetas[0], mu.points)))
+    return area_a0 - c_mu, c_mu
+
+
 # ---------------------------------------------------------------------------
 # action function
 
@@ -94,10 +116,10 @@ class ActionFunction:
 
     ``a0`` integrates ``lambda_{f(t z)}(Df . z)`` along the radial path
     ``t -> t z`` by composite Gauss-Legendre (the pure-lambda term along the
-    ray vanishes identically); the normalization constant is the boundary
-    average of ``a0`` against an invariant measure.  An optional primitive
-    shift ``(u, grad u)`` evaluates the same construction for the perturbed
-    Liouville form ``lambda + du``.
+    ray vanishes identically).  ``c_mu``, the mu-average of the boundary
+    profile, comes from the same per-ray rule as ``cal1``.  An optional
+    primitive shift ``(u, grad u)`` evaluates the same construction for the
+    perturbed Liouville form ``lambda + du``.
     """
 
     def __init__(
@@ -116,12 +138,9 @@ class ActionFunction:
         self.radial_nodes = radial_nodes
         self.primitive_shift = primitive_shift
         self._breaks = tuple(bundle.field.radial_breakpoints) if bundle.field else ()
-        thetas = np.arange(boundary_profile_samples) / boundary_profile_samples
-        self._boundary_profile = self.a0(np.exp(2j * np.pi * thetas))
-        self.c_mu = float(np.sum(mu.weights * self._boundary_interp(mu.points)))
-
-    def _boundary_interp(self, x):
-        return periodic_spectral_interp(self._boundary_profile, 0.0, x)
+        _, self.c_mu = _action_averages(
+            bundle, mu, (radial_nodes, boundary_profile_samples), primitive_shift
+        )
 
     def _integrand(self, pos, direction):
         return _pullback_integrand(self.bundle, self.primitive_shift, pos, direction)
@@ -193,64 +212,30 @@ class Cal1Result:
     c_mu: float
 
 
-def _a0_ladder(bundle, grid, seg_nodes=SEGMENT_NODES, primitive_shift=None):
-    """a0 on a polar grid by cumulative per-ray integration.
-
-    Returns (radii, radial weights, a0 values (nr, ntheta), boundary profile).
-    The ladder radii are the area-integral nodes; the line integral between
-    consecutive radii uses its own GL-``seg_nodes`` rule, so radial kinks of
-    the generator split both quadratures at once.
-    """
-    nr, ntheta = grid
-    breaks = tuple(bundle.field.radial_breakpoints) if bundle.field else ()
-    r_lad, w_lad = composite_gauss_radii(nr, breaks)
-    thetas = (np.arange(ntheta) + 0.5) / ntheta
-    units = np.exp(2j * np.pi * thetas)
-    # segment edges: ladder radii plus the generator's radial kinks, so no
-    # line-integral segment straddles a discontinuity of the integrand
-    edges = np.unique(np.concatenate([[0.0, 1.0], r_lad, np.asarray(breaks, dtype=float)]))
-    rho, w = _segment_nodes(edges[:-1], edges[1:], seg_nodes)  # (nseg, m)
-    pos = (rho[:, :, None] * units[None, None, :]).reshape(-1)
-    direction = np.broadcast_to(units[None, None, :], rho.shape + (ntheta,)).reshape(-1)
-    vals = _pullback_integrand(bundle, primitive_shift, pos, direction).reshape(rho.shape + (ntheta,))
-    seg = np.sum(vals * w[:, :, None], axis=1)  # (nseg, ntheta)
-    cum = np.cumsum(seg, axis=0)
-    pick = np.searchsorted(edges[1:], r_lad)
-    a0_grid = cum[pick]  # value at each ladder radius
-    boundary = cum[-1]
-    return r_lad, w_lad, a0_grid, boundary, thetas
-
-
 def cal1(
     bundle: MapBundle,
     mu: Optional[BoundaryMeasure] = None,
     grid=(128, 256),
-    seg_nodes: int = SEGMENT_NODES,
     primitive_shift=None,
     richardson: bool = True,
 ) -> Cal1Result:
     """Area integral of the normalized action function.
 
-    Polar product quadrature (composite Gauss-Legendre radii times uniform
-    angles); ``richardson_delta`` is the difference against the half-resolution
-    value.  Raises NotAreaPreserving when the bundle fails the determinant check.
+    One radial quadrature per ray by Fubini (exact for every map), times
+    uniform angles; ``richardson_delta`` is the difference against the
+    half-resolution value.  Raises NotAreaPreserving when the bundle fails
+    the determinant check.
     """
     res = area_residual(bundle, sample_count=100, seed=11)
     if res > 10.0 * TOL_AREA:
         raise NotAreaPreserving(f"area residual {res:.3e} exceeds {10 * TOL_AREA:.1e}")
     if mu is None:
         mu = invariant_measure(bundle.boundary_lift())
-
-    def evaluate(g):
-        r, w, a0, boundary, thetas = _a0_ladder(bundle, g, seg_nodes, primitive_shift)
-        area_a0 = float(np.sum(w * 2.0 * r * np.mean(a0, axis=1)))
-        c_mu = float(np.sum(mu.weights * periodic_spectral_interp(boundary, thetas[0], mu.points)))
-        return area_a0 - c_mu, c_mu
-
-    value, c_mu = evaluate(grid)
+    value, c_mu = _action_averages(bundle, mu, grid, primitive_shift)
     delta = np.nan
     if richardson:
-        coarse, _ = evaluate((max(16, grid[0] // 2), max(32, grid[1] // 2)))
+        half = (max(16, grid[0] // 2), max(32, grid[1] // 2))
+        coarse, _ = _action_averages(bundle, mu, half, primitive_shift)
         delta = abs(value - coarse)
     return Cal1Result(value=value, richardson_delta=float(delta), c_mu=c_mu)
 
@@ -314,10 +299,7 @@ class PairSampler:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         k = self.n_strata
         cells = [(i, j) for i in range(k) for j in range(k)]
-        base = self.n // (k * k)
-        counts = np.full(len(cells), base, dtype=int)
-        counts[: self.n - base * k * k] += 1
-        counts = np.maximum(counts, 1)
+        counts = self._cell_counts()
         xs, ys, slices = [], [], []
         start = 0
         for (i, j), c in zip(cells, counts):
@@ -331,8 +313,20 @@ class PairSampler:
         masses = np.full(len(cells), 1.0 / (k * k))
         return np.concatenate(xs), np.concatenate(ys), masses, slices, 0
 
-    def redraw(self, rng, size):
-        return self._draw_uniform(rng, size)
+    def _cell_counts(self):
+        k = self.n_strata
+        base = self.n // (k * k)
+        counts = np.full(k * k, base, dtype=int)
+        counts[: self.n - base * k * k] += 1
+        return np.maximum(counts, 1)
+
+    def redraw(self, rng, idx):
+        """Fresh pairs for the sample indices ``idx``, each from its own stratum."""
+        if self.strategy == "uniform":
+            return self._draw_uniform(rng, idx.size)
+        k = self.n_strata
+        cell = np.searchsorted(np.cumsum(self._cell_counts()), idx, side="right")
+        return self._draw_stratum(rng, cell // k, cell % k, idx.size, k)
 
 
 @dataclass(frozen=True)
@@ -350,7 +344,8 @@ def cal2_tilde(bundle: MapBundle, sampler: PairSampler, workers: int = 1) -> Cal
     Deterministic for fixed seed: windings land in a preallocated array in
     sample order, so neither chunking nor thread scheduling affects the result.
     Pairs whose winding stays unresolved after maximal refinement (nearly
-    colliding trajectories) are resampled within a small retry budget.
+    colliding trajectories) are resampled within a small retry budget, each
+    inside its own stratum when the sampler is stratified.
     """
     x, y, masses, slices, resampled = sampler.sample_pairs()
     values = np.empty(x.size)
@@ -375,7 +370,7 @@ def cal2_tilde(bundle: MapBundle, sampler: PairSampler, workers: int = 1) -> Cal
         if bad.size == 0:
             break
         retried += bad.size
-        nx, ny = sampler.redraw(rng, bad.size)
+        nx, ny = sampler.redraw(rng, bad)
         x[bad], y[bad] = nx, ny
         bad = run(bad)
     if bad.size:

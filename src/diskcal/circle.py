@@ -65,16 +65,6 @@ class LiftedCircleMap:
     def translate(self, k: int) -> "LiftedCircleMap":
         return LiftedCircleMap(delta_fn=lambda x: self.delta(x) + k, name=f"{self.name}+{k}")
 
-    def orbit(self, x0: float, n: int) -> np.ndarray:
-        """Lifted orbit x0, phi(x0), ..., phi^n(x0)."""
-        out = np.empty(n + 1)
-        out[0] = x0
-        x = float(x0)
-        for k in range(1, n + 1):
-            x += float(self.delta(x))
-            out[k] = x
-        return out
-
     def monotonicity_margin(self, samples: int = 4096) -> float:
         """min over a grid of the increments of phi; positive for a lift of a homeo."""
         xs = np.linspace(0.0, 1.0, samples + 1)

@@ -80,6 +80,16 @@ def _budget(cfg: dict, key: str, default):
     return budgets.get(key, default)
 
 
+def _count(value, what: str) -> int:
+    """A budget that must be an integer of at least 1."""
+    try:
+        if int(value) >= 1:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigError(f"{what} must be an integer >= 1, got {value!r}")
+
+
 def cmd_compute(cfg: dict, out_dir: str, fmt: str, seed_override, workers_override) -> int:
     if "map" not in cfg:
         raise ConfigError("compute config needs a 'map' entry")
@@ -93,9 +103,12 @@ def cmd_compute(cfg: dict, out_dir: str, fmt: str, seed_override, workers_overri
         raise ConfigError("a seed is mandatory for Monte-Carlo computations")
     seed = int(seed) if seed is not None else 0
     workers = int(workers_override if workers_override is not None else _budget(cfg, "workers", 1))
-    pairs = int(_budget(cfg, "pairs", 20_000))
-    grid = tuple(_budget(cfg, "grid", (128, 256)))
-    rho_iterates = int(_budget(cfg, "rho_iterates", 100_000))
+    pairs = _count(_budget(cfg, "pairs", 20_000), "pairs")
+    grid = _budget(cfg, "grid", (128, 256))
+    if not isinstance(grid, (list, tuple)) or len(grid) != 2:
+        raise ConfigError(f"grid must be a pair [radial, angular], got {grid!r}")
+    grid = tuple(_count(v, "grid entry") for v in grid)
+    rho_iterates = _count(_budget(cfg, "rho_iterates", 100_000), "rho_iterates")
     strategy = _budget(cfg, "strategy", "uniform")
     quad_budget = float(_budget(cfg, "quad_budget", 1e-4))
 

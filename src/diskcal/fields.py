@@ -49,7 +49,6 @@ class HamiltonianField:
         autonomous: bool = False,
         time_breakpoints: Sequence[float] = (),
         radial_breakpoints: Sequence[float] = (),
-        params: Optional[dict] = None,
     ):
         self._h = h
         self._grad = grad
@@ -58,7 +57,6 @@ class HamiltonianField:
         self.autonomous = autonomous
         self.time_breakpoints = tuple(time_breakpoints)
         self.radial_breakpoints = tuple(radial_breakpoints)
-        self.params = dict(params or {})
 
     def value(self, t, z):
         return self._h(t, z)
@@ -84,10 +82,6 @@ class HamiltonianField:
     def boundary_values(self, t, n: int = 64):
         theta = np.arange(n) / n
         return self.value(t, np.exp(2j * np.pi * theta))
-
-    def boundary_variation(self, t, n: int = 64) -> float:
-        vals = self.boundary_values(t, n)
-        return float(np.max(vals) - np.min(vals))
 
 
 def hamiltonian_vector_field(field: HamiltonianField, t: float, z):

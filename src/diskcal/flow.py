@@ -24,6 +24,7 @@ from .errors import StepTooCoarse
 from .fields import ConcatenatedField, ConjugatedField, HamiltonianField, TimeReversedField
 from .geometry import (
     GAP_LIMIT_TURNS,
+    TOL_BOUNDARY,
     Jacobian2,
     project_to_disk,
     uniform_disk_points,
@@ -78,8 +79,9 @@ class Isotopy:
         return np.full(np.size(x), MIN_WINDING_STEPS, dtype=np.int64)
 
     def winding_parts(self, x, y):
-        """Optional exact decomposition of chord windings into sub-windings.
+        """Optional exact decomposition of windings into sub-windings.
 
+        ``y=None`` asks for the position windings of ``x`` around the origin.
         Returns None (default) or a list of ``(isotopy, x_pts, y_pts, sign)``
         whose signed windings sum to the winding of this isotopy; used where
         a conjugation identity makes the direct trajectory needlessly fine.
@@ -311,7 +313,12 @@ class ConcatIsotopy(Isotopy):
 
 
 class ConjugatedIsotopy(Isotopy):
-    """``t -> h . f_t . h^-1`` for the time-1 map ``h`` of a fixed isotopy."""
+    """``t -> h . f_t . h^-1`` for the time-1 map ``h`` of a fixed isotopy.
+
+    Chord windings, and position windings on S^1 (the boundary lift), are
+    sums of windings of ``f_t`` and ``h`` at ``W = h^-1 x`` (``winding_parts``,
+    an exact identity), never tracked along the conjugated trajectory.
+    """
 
     def __init__(self, h_isotopy: Isotopy, inner: Isotopy, name: str = ""):
         self.h_isotopy = h_isotopy
@@ -371,12 +378,16 @@ class ConjugatedIsotopy(Isotopy):
     def winding_parts(self, x, y):
         # Ang_{h f h^-1}(x, y) = Ang_f(W_x, W_y)
         #                      + Ang_h(f W_x, f W_y) - Ang_h(W_x, W_y)
-        # with W = h^-1 applied pointwise; exact because the conjugated isotopy
-        # is homotopic to the concatenation (h) (f_t) (h)^-1 rel endpoints.
+        # with W = h^-1 applied pointwise.  Exact: the square (s, t) -> h_s f_t W
+        # deforms its side s = 1 (the conjugated path) rel endpoints into the
+        # other three, and chords never vanish on it.  Positions (y=None) miss
+        # the origin on it only on S^1, which every h_s and f_t preserve.
+        if y is None and np.any(np.abs(np.abs(x) - 1.0) > TOL_BOUNDARY):
+            return None
         wx = self._h_batched(self.h_inverse_isotopy, _as_points(x))
-        wy = self._h_batched(self.h_inverse_isotopy, _as_points(y))
+        wy = None if y is None else self._h_batched(self.h_inverse_isotopy, _as_points(y))
         fx = self.inner.flow(1.0, wx)
-        fy = self.inner.flow(1.0, wy)
+        fy = None if y is None else self.inner.flow(1.0, wy)
         return [
             (self.inner, wx, wy, 1.0),
             (self.h_isotopy, fx, fy, 1.0),
@@ -450,14 +461,16 @@ def chord_windings(
 ):
     """Winding in turns of ``f_t(x) - f_t(y)`` for arrays of pairs.
 
-    The time grid starts at the per-pair hint of the isotopy and doubles until
+    ``y=None`` winds ``f_t(x)`` around the origin.  An exact ``winding_parts``
+    decomposition of the isotopy replaces the direct trajectory.  Otherwise
+    the time grid starts at the per-pair hint of the isotopy and doubles until
     every consecutive argument gap is below ``gap_limit`` turns, up to
     ``max_doublings``.  Returns ``(turns, ok)``; with ``raise_on_fail`` a
     remaining violation raises StepTooCoarse (nearly colliding trajectories).
     """
     x = _as_points(x)
     y = None if y is None else _as_points(y)
-    parts = isotopy.winding_parts(x, y) if y is not None else None
+    parts = isotopy.winding_parts(x, y)
     if parts is not None:
         total = np.zeros(x.size)
         ok_all = np.ones(x.size, dtype=bool)
@@ -498,6 +511,7 @@ class MapBundle:
     isotopy: Isotopy
     name: str = "map"
     oracle: dict = dc_field(default_factory=dict)
+    _lifts: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def field(self) -> Optional[HamiltonianField]:
@@ -509,9 +523,9 @@ class MapBundle:
     def boundary_lift(self, n_samples: int = 4096):
         from .circle import lift_from_isotopy
 
-        if not hasattr(self, "_lift"):
-            self._lift = lift_from_isotopy(self.isotopy, n_samples=n_samples)
-        return self._lift
+        if n_samples not in self._lifts:
+            self._lifts[n_samples] = lift_from_isotopy(self.isotopy, n_samples=n_samples)
+        return self._lifts[n_samples]
 
 
 def _as_isotopy(obj) -> Isotopy:

@@ -18,8 +18,6 @@ from .errors import BoundaryNotConstant, ConfigError
 from .fields import HamiltonianField, ScaledField
 from .flow import ConcatIsotopy, ConjugatedIsotopy, FieldIsotopy, MapBundle, RadialIsotopy
 
-BUMP_PLATEAU_MASS = 23.0 / 80.0  # int_0^1 psi(x) x dx for the fixed profile
-
 
 class PolyRadialProfile:
     """Autonomous generator ``H(z) = g(|z|^2)`` for a polynomial ``g``.
@@ -36,9 +34,6 @@ class PolyRadialProfile:
         ss = np.linspace(0.0, 1.0, 4097)
         self._max_dw_dr = float(np.max(np.abs(2.0 * np.sqrt(ss) * self.d2g(ss)))) * 1.1 + 1e-12
 
-    def h_of_r(self, r):
-        return self.g(np.asarray(r) ** 2)
-
     def w_of_s(self, s):
         return -self.dg(s)
 
@@ -48,14 +43,8 @@ class PolyRadialProfile:
     def max_abs_dw_dr(self):
         return self._max_dw_dr
 
-    def boundary_speed(self):
-        return float(-self.dg(1.0))
-
     def negated(self):
         return PolyRadialProfile(-self.g, name=f"-{self.name}")
-
-    def radial_breakpoints(self):
-        return ()
 
     def field(self) -> HamiltonianField:
         g, dg, d2g = self.g, self.dg, self.d2g
@@ -165,9 +154,6 @@ class BumpRadialProfile:
 
     def max_abs_dw_dr(self):
         return self._max_dw_dr
-
-    def boundary_speed(self):
-        return 0.0
 
     def negated(self):
         neg = BumpRadialProfile(self.n)
@@ -390,12 +376,20 @@ def identity() -> MapBundle:
 # serialization from configuration trees
 
 
+def _finite(value):
+    """A map parameter as float (or float array); NaN and infinities are rejected."""
+    out = np.asarray(value, dtype=float)
+    if not np.all(np.isfinite(out)):
+        raise ConfigError(f"map parameters must be finite, got {value!r}")
+    return float(out) if out.ndim == 0 else out
+
+
 def _build_conjugator(spec: dict) -> HamiltonianField:
     kind = spec.get("type")
     if kind == "off_center":
-        return off_center_conjugator(float(spec.get("beta", 0.5)))
+        return off_center_conjugator(_finite(spec.get("beta", 0.5)))
     if kind == "radial_twist":
-        bundle = radial_twist(spec["coeffs"])
+        bundle = radial_twist(_finite(spec["coeffs"]))
         return bundle.field
     raise ConfigError(f"unknown conjugator type: {kind!r}")
 
@@ -409,16 +403,16 @@ def from_spec(spec: dict) -> MapBundle:
         if fam == "identity":
             return identity()
         if fam == "rotation":
-            return rotation(float(spec["alpha"]))
+            return rotation(_finite(spec["alpha"]))
         if fam == "radial_twist":
-            return radial_twist(spec["coeffs"])
+            return radial_twist(_finite(spec["coeffs"]))
         if fam == "quadratic_twist":
-            return quadratic_twist(float(spec["beta"]))
+            return quadratic_twist(_finite(spec["beta"]))
         if fam == "bump":
             return bump(int(spec["n"]))
         if fam == "conjugated_rotation":
             conj = _build_conjugator(spec["conjugator"]) if "conjugator" in spec else None
-            return conjugated_rotation(float(spec["alpha"]), conj, float(spec.get("tau", 0.0)))
+            return conjugated_rotation(_finite(spec["alpha"]), conj, _finite(spec.get("tau", 0.0)))
         if fam == "compose":
             maps = [from_spec(m) for m in spec["maps"]]
             if len(maps) < 2:
@@ -433,6 +427,6 @@ def from_spec(spec: dict) -> MapBundle:
             return inverse(from_spec(spec["map"]))
     except KeyError as exc:
         raise ConfigError(f"family {fam!r} is missing parameter {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad parameters for family {fam!r}: {exc}") from exc
     raise ConfigError(f"unknown family: {fam!r}")

@@ -11,6 +11,7 @@ from diskcal.calabi import (
     cal1,
     cal2_tilde,
     cal3_tilde,
+    composite_gauss_radii,
     uniform_disk_measure,
     verify_link,
 )
@@ -139,6 +140,19 @@ class TestCal1:
         with pytest.raises(NotAreaPreserving):
             cal1(broken_bundle, mu=BoundaryMeasure(np.array([0.0]), np.array([1.0])))
 
+    @pytest.mark.parametrize("bundle", [quadratic_twist(0.3), bump(4)], ids=["twist", "bump4"])
+    def test_fubini_matches_polar_average_of_pointwise_primitive(self, bundle):
+        # brute force: the pointwise radial primitive a0 averaged over a polar
+        # product grid, against cal1's single radial rule per ray (Fubini)
+        a = action_function(bundle)
+        res = cal1(bundle, mu=a.mu)
+        r, w = composite_gauss_radii(64, bundle.field.radial_breakpoints)
+        units = np.exp(2j * np.pi * (np.arange(16) + 0.5) / 16)
+        a0 = a.a0((r[:, None] * units[None, :]).ravel()).reshape(r.size, units.size)
+        area_a0 = float(np.sum(w * 2.0 * r * np.mean(a0, axis=1)))
+        assert abs(res.value + res.c_mu - area_a0) <= 1e-10
+        assert abs(res.c_mu - a.c_mu) <= 1e-10
+
 
 class TestAngleFunction:
     def test_rotation_every_chord(self):
@@ -188,6 +202,20 @@ class TestCal2:
     def test_twist_within_three_stderr(self):
         res = cal2_tilde(quadratic_twist(0.3), PairSampler(n=20000, seed=7))
         assert abs(res.value - 0.2) <= 3 * res.stderr
+
+    def test_stratified_redraw_stays_in_stratum(self):
+        k = 4
+        sampler = PairSampler(n=1000, seed=3, strategy="stratified", n_strata=k)
+        _, _, _, slices, _ = sampler.sample_pairs()
+        idx = np.arange(0, 1000, 3)
+        x, y = sampler.redraw(np.random.default_rng(1), idx)
+        for cell, sl in enumerate(slices):
+            i, j = divmod(cell, k)
+            sel = (idx >= sl.start) & (idx < sl.stop)
+            assert np.any(sel)
+            # stratum (i, j) is the annulus pair k|x|^2 in [i, i+1], k|y|^2 in [j, j+1]
+            assert np.all(np.abs(k * np.abs(x[sel]) ** 2 - (i + 0.5)) <= 0.5 + 1e-12)
+            assert np.all(np.abs(k * np.abs(y[sel]) ** 2 - (j + 0.5)) <= 0.5 + 1e-12)
 
     def test_stratified_agrees_and_tightens(self):
         uni = cal2_tilde(quadratic_twist(0.3), PairSampler(n=8000, seed=7))

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from diskcal.cli import main
 
 
@@ -74,6 +76,25 @@ class TestCompute:
 
     def test_missing_config_file(self, tmp_path):
         assert main(["--out", str(tmp_path), "compute", "--config", str(tmp_path / "nope.json")]) == 2
+
+    @pytest.mark.parametrize("budgets, alpha", [
+        ({"grid": [0, 0]}, 0.3),
+        ({"rho_iterates": 0}, 0.3),
+        ({"pairs": 0}, 0.3),
+        ({}, float("nan")),
+    ], ids=["grid0", "rho_iterates0", "pairs0", "alpha_nan"])
+    def test_degenerate_config_is_config_error(self, tmp_path, capsys, budgets, alpha):
+        cfg_dict = {
+            "map": {"family": "compose", "maps": [{"family": "quadratic_twist", "beta": 0.3},
+                                                  {"family": "rotation", "alpha": alpha}]},
+            "compute": ["verify-link"],
+            "budgets": dict(BASE_CFG["budgets"], **budgets),
+        }
+        cfg = write_config(tmp_path, cfg_dict)
+        out = tmp_path / "x"
+        assert main(["--out", str(out), "compute", "--config", cfg]) == 2
+        assert "ConfigError" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
 
     def test_numerical_error_exit_code(self, tmp_path, capsys):
         # twist profile not vanishing on the boundary: a numerical-domain failure

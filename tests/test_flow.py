@@ -3,17 +3,29 @@ import pytest
 
 from diskcal.errors import StepTooCoarse
 from diskcal.fields import HamiltonianField, hamiltonian_vector_field
+from diskcal.circle import lift_from_isotopy
 from diskcal.flow import (
+    MAX_WINDING_DOUBLINGS,
+    MIN_WINDING_STEPS,
     ConcatIsotopy,
     FieldIsotopy,
     MapBundle,
+    _windings_refined,
     area_residual,
     chord_windings,
     flow_jacobian,
     flow_jacobian_fd,
     flow_map,
+    position_windings,
 )
-from diskcal.zoo import off_center_conjugator, quadratic_twist, rotation
+from diskcal.geometry import GAP_LIMIT_TURNS
+from diskcal.zoo import (
+    boundary_shear_conjugator,
+    conjugate,
+    off_center_conjugator,
+    quadratic_twist,
+    rotation,
+)
 
 from conftest import interior_points
 
@@ -189,3 +201,46 @@ class TestChordWindings:
         vals, ok = chord_windings(bundle.isotopy, np.array([r + 0j]), np.array([0.9 + 0j]))
         assert ok.all()
         assert abs(vals[0]) < 0.05
+
+
+def _tracked_positions(iso, pts):
+    vals, ok = _windings_refined(iso, pts, None, MIN_WINDING_STEPS, MAX_WINDING_DOUBLINGS,
+                                 GAP_LIMIT_TURNS)
+    assert ok.all()
+    return vals
+
+
+class TestConjugatedPositionWindings:
+    # the boundary lift of h f h^-1 composed from windings of f and h, against
+    # the conjugated trajectory tracked directly
+    @pytest.mark.parametrize("conjugator, tol", [
+        (off_center_conjugator(0.5), 1e-14),  # h fixes S^1 pointwise
+        (boundary_shear_conjugator(0.3), 1e-10),  # h moves S^1
+    ], ids=["off_center", "shear"])
+    def test_composed_lift_matches_tracking(self, conjugator, tol):
+        iso = conjugate(rotation(0.5), conjugator, 0.4).isotopy
+        pts = np.exp(2j * np.pi * np.arange(256) / 256)
+        vals, ok = position_windings(iso, pts)
+        assert ok.all()
+        assert np.max(np.abs(vals - _tracked_positions(iso, pts))) <= tol
+
+    def test_interior_points_never_take_the_parts_path(self):
+        iso = conjugate(rotation(0.5), boundary_shear_conjugator(0.3), 0.4).isotopy
+        circle = np.exp(2j * np.pi * np.arange(8) / 8)
+        assert iso.winding_parts(circle, None) is not None
+        pts = interior_points(8, seed=21)
+        for x in (pts, np.concatenate([circle, [0.5 + 0j]])):
+            assert iso.winding_parts(x, None) is None
+            vals, _ = position_windings(iso, x)
+            assert np.array_equal(vals, _tracked_positions(iso, x))
+
+
+class TestBoundaryLiftCache:
+    def test_cached_per_sample_count(self):
+        bundle = conjugate(rotation(0.5), boundary_shear_conjugator(0.3), 0.4)
+        coarse = bundle.boundary_lift(256)
+        fine = bundle.boundary_lift(4096)
+        assert fine is not coarse and bundle.boundary_lift(4096) is fine
+        xs = (np.arange(64) + 0.3) / 64
+        direct = lift_from_isotopy(bundle.isotopy, n_samples=4096)
+        assert np.array_equal(fine.delta(xs), direct.delta(xs))
