@@ -52,7 +52,7 @@ from .errors import (
     StepTooCoarse,
     ZeroVector,
 )
-from .fields import HamiltonianField, hamiltonian_vector_field
+from .fields import HamiltonianField
 from .flow import (
     ConcatIsotopy,
     ConjugatedIsotopy,
@@ -61,11 +61,10 @@ from .flow import (
     RadialIsotopy,
     area_residual,
     chord_windings,
-    flow_jacobian,
     flow_jacobian_fd,
     flow_map,
 )
-from .geometry import Jacobian2, area_density, liouville_eval, unwrap_angle
+from .geometry import area_density, liouville_eval, unwrap_angle
 from .experiments import (
     ExperimentResult,
     exp_c0_discontinuity,

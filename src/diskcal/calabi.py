@@ -27,6 +27,7 @@ from .flow import MapBundle, area_residual, chord_windings
 from .geometry import TOL_AREA, liouville_eval, uniform_disk_points, wirtinger_apply
 
 MIN_PAIR_SEPARATION = 1e-6
+STRATEGIES = ("uniform", "stratified")  # PairSampler.strategy
 DIAGONAL_GUARD = 1e-9
 SEGMENT_NODES = 8
 
@@ -147,9 +148,9 @@ class ActionFunction:
 
     def a0(self, z):
         """Radial-path primitive at point(s) ``z``, zero at the origin."""
-        z = np.atleast_1d(np.asarray(z, dtype=complex))
-        r = np.abs(z)
-        unit = np.where(r > 0, z / np.where(r > 0, r, 1.0), 1.0)
+        pts = np.atleast_1d(np.asarray(z, dtype=complex))
+        r = np.abs(pts)
+        unit = np.where(r > 0, pts / np.where(r > 0, r, 1.0), 1.0)
         edges = np.concatenate([[0.0], np.asarray(self._breaks, dtype=float), [1.0]])
         lo = np.minimum(edges[:-1][None, :], r[:, None])
         hi = np.minimum(edges[1:][None, :], r[:, None])
@@ -163,8 +164,7 @@ class ActionFunction:
         return out if np.ndim(z) else float(out[0])
 
     def __call__(self, z):
-        out = self.a0(z) - self.c_mu
-        return out if np.ndim(z) else float(np.atleast_1d(out)[0])
+        return self.a0(z) - self.c_mu
 
     def a0_along_polyline(self, z: complex, nodes_per_leg: int = 48) -> float:
         """Primitive recomputed along 0 -> (u, 0) -> (u, v), for path-independence checks."""

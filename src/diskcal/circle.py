@@ -62,9 +62,6 @@ class LiftedCircleMap:
 
         return LiftedCircleMap(delta_fn=lambda x: delta(x), name=f"{self.name}o{other.name}")
 
-    def translate(self, k: int) -> "LiftedCircleMap":
-        return LiftedCircleMap(delta_fn=lambda x: self.delta(x) + k, name=f"{self.name}+{k}")
-
     def monotonicity_margin(self, samples: int = 4096) -> float:
         """min over a grid of the increments of phi; positive for a lift of a homeo."""
         xs = np.linspace(0.0, 1.0, samples + 1)
@@ -169,7 +166,3 @@ def invariant_measure(
         x += float(lift.delta(x))
     return BoundaryMeasure(points=pts, weights=np.full(samples, 1.0 / samples), periodic=False)
 
-
-def birkhoff_displacement_average(lift: LiftedCircleMap, mu: BoundaryMeasure) -> float:
-    """int delta d(mu), the Birkhoff form of the rotation number."""
-    return mu.integrate(lift.delta)

@@ -15,11 +15,13 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
 from . import arithmetic
 from .calabi import (
+    STRATEGIES,
     CalabiReport,
     PairSampler,
     c_mu_tilde,
@@ -80,14 +82,14 @@ def _budget(cfg: dict, key: str, default):
     return budgets.get(key, default)
 
 
-def _count(value, what: str) -> int:
-    """A budget that must be an integer of at least 1."""
+def _count(value, what: str, minimum: int = 1) -> int:
+    """A budget that must be an integer of at least ``minimum``."""
     try:
-        if int(value) >= 1:
+        if int(value) >= minimum:
             return int(value)
     except (TypeError, ValueError, OverflowError):
         pass
-    raise ConfigError(f"{what} must be an integer >= 1, got {value!r}")
+    raise ConfigError(f"{what} must be an integer >= {minimum}, got {value!r}")
 
 
 def cmd_compute(cfg: dict, out_dir: str, fmt: str, seed_override, workers_override) -> int:
@@ -101,16 +103,26 @@ def cmd_compute(cfg: dict, out_dir: str, fmt: str, seed_override, workers_overri
     needs_seed = any(w in wanted for w in ("cal2", "verify-link", "c-mu"))
     if needs_seed and seed is None:
         raise ConfigError("a seed is mandatory for Monte-Carlo computations")
-    seed = int(seed) if seed is not None else 0
-    workers = int(workers_override if workers_override is not None else _budget(cfg, "workers", 1))
+    seed = _count(seed, "seed", minimum=0) if seed is not None else 0
+    workers = _count(workers_override if workers_override is not None else _budget(cfg, "workers", 1),
+                     "workers")
     pairs = _count(_budget(cfg, "pairs", 20_000), "pairs")
     grid = _budget(cfg, "grid", (128, 256))
     if not isinstance(grid, (list, tuple)) or len(grid) != 2:
         raise ConfigError(f"grid must be a pair [radial, angular], got {grid!r}")
     grid = tuple(_count(v, "grid entry") for v in grid)
     rho_iterates = _count(_budget(cfg, "rho_iterates", 100_000), "rho_iterates")
+    c_mu_points = _count(_budget(cfg, "c_mu_points", 300), "c_mu_points")
     strategy = _budget(cfg, "strategy", "uniform")
-    quad_budget = float(_budget(cfg, "quad_budget", 1e-4))
+    if strategy not in STRATEGIES:
+        raise ConfigError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
+    quad_budget = _budget(cfg, "quad_budget", 1e-4)
+    try:
+        quad_budget = float(quad_budget)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"quad_budget must be a number, got {quad_budget!r}") from exc
+    if not (math.isfinite(quad_budget) and quad_budget >= 0.0):
+        raise ConfigError(f"quad_budget must be finite and >= 0, got {quad_budget!r}")
 
     bundle = from_spec(cfg["map"])
 
@@ -140,10 +152,9 @@ def cmd_compute(cfg: dict, out_dir: str, fmt: str, seed_override, workers_overri
             report.rho_iterates = est.iterates_used
 
     if "c-mu" in wanted:
-        n_pts = int(_budget(cfg, "c_mu_points", 300))
-        measure = uniform_disk_measure(n_pts, seed + 17)
+        measure = uniform_disk_measure(c_mu_points, seed + 17)
         report.diagnostics["c_mu"] = c_mu_tilde(bundle, measure)
-        report.diagnostics["c_mu_points"] = n_pts
+        report.diagnostics["c_mu_points"] = c_mu_points
 
     flat = report.to_flat_dict()
     written = _write_outputs(out_dir, "report", flat, _csv_text(flat), fmt)

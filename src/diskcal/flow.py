@@ -11,6 +11,13 @@ chords ``f_t(x) - f_t(y)`` in turns.  Four realizations cover the package:
                           autonomous radial generator,
 * ``ConcatIsotopy``    -- time-concatenation (reparametrized to [0, 1]),
 * ``ConjugatedIsotopy``-- ``h . f_t . h^-1`` for a fixed symplectic ``h``.
+
+Windings follow one rule: a composite decomposes, a leaf is tracked.  The two
+composites split their windings into windings of their parts by exact
+identities (``winding_parts``); field and radial leaves are tracked on a time
+grid refined until every argument step is resolved.  The one exception is the
+position winding of an interior point under a conjugation, which has no such
+identity and follows the conjugated trajectory.
 """
 
 from __future__ import annotations
@@ -21,11 +28,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import StepTooCoarse
-from .fields import ConcatenatedField, ConjugatedField, HamiltonianField, TimeReversedField
+from .fields import HamiltonianField, concatenated_field, conjugated_field, scaled_field
 from .geometry import (
     GAP_LIMIT_TURNS,
     TOL_BOUNDARY,
-    Jacobian2,
+    central_wirtinger,
     project_to_disk,
     uniform_disk_points,
     unwrap_turns_along,
@@ -79,12 +86,12 @@ class Isotopy:
         return np.full(np.size(x), MIN_WINDING_STEPS, dtype=np.int64)
 
     def winding_parts(self, x, y):
-        """Optional exact decomposition of windings into sub-windings.
+        """Exact decomposition of windings into windings of other isotopies.
 
         ``y=None`` asks for the position windings of ``x`` around the origin.
-        Returns None (default) or a list of ``(isotopy, x_pts, y_pts, sign)``
-        whose signed windings sum to the winding of this isotopy; used where
-        a conjugation identity makes the direct trajectory needlessly fine.
+        Returns a list of ``(isotopy, x_pts, y_pts, sign)`` whose signed
+        windings sum to the winding of this isotopy, or None (the default, for
+        leaves) when the windings are tracked along this isotopy's trajectory.
         """
         return None
 
@@ -184,7 +191,9 @@ class FieldIsotopy(Isotopy):
     def inverse(self):
         if self.field is None:
             raise ValueError("cannot invert an isotopy without a Hamiltonian generator")
-        return FieldIsotopy(TimeReversedField(self.field), base_steps=self.n_steps, tol_ode=self.tol_ode)
+        return FieldIsotopy(
+            scaled_field(self.field, -1.0, reverse=True), base_steps=self.n_steps, tol_ode=self.tol_ode
+        )
 
     def winding_steps_hint(self, x, y):
         n = np.broadcast(x, y).size
@@ -216,7 +225,10 @@ class RadialIsotopy(Isotopy):
         z = _as_points(z)
         times = np.asarray(times, dtype=float)
         w = self.profile.w_of_s(np.abs(z) ** 2)
-        return z[None, :] * np.exp(2j * np.pi * times[:, None] * w[None, :])
+        # phase, exponential and product share one (T, N) buffer
+        out = np.multiply.outer(2j * np.pi * times, w)
+        np.exp(out, out=out)
+        return np.multiply(z, out, out=out)
 
     def flow_wirtinger(self, t, z):
         z = _as_points(z)
@@ -264,7 +276,7 @@ class ConcatIsotopy(Isotopy):
             raise ValueError("need at least one piece")
         self.pieces = list(pieces)
         fields = [p.field for p in self.pieces]
-        self.field = ConcatenatedField(fields) if all(f is not None for f in fields) else None
+        self.field = concatenated_field(fields) if all(f is not None for f in fields) else None
         self.name = name
 
     def trajectory(self, z, times):
@@ -301,15 +313,15 @@ class ConcatIsotopy(Isotopy):
     def inverse(self):
         return ConcatIsotopy([p.inverse() for p in reversed(self.pieces)])
 
-    def winding_steps_hint(self, x, y):
-        m = len(self.pieces)
-        hints = np.stack([p.winding_steps_hint(x, y) for p in self.pieces])
-        return (m * hints.max(axis=0)).astype(np.int64)
-
-    def position_winding_steps_hint(self, x):
-        m = len(self.pieces)
-        hints = np.stack([p.position_winding_steps_hint(x) for p in self.pieces])
-        return (m * hints.max(axis=0)).astype(np.int64)
+    def winding_parts(self, x, y):
+        # windings add along a concatenated path: each piece winds the chord
+        # (or position) from where the previous pieces left it
+        parts = [(self.pieces[0], x, y, 1.0)]
+        for prev, piece in zip(self.pieces, self.pieces[1:]):
+            x = prev.flow(1.0, x)
+            y = None if y is None else prev.flow(1.0, y)
+            parts.append((piece, x, y, 1.0))
+        return parts
 
 
 class ConjugatedIsotopy(Isotopy):
@@ -326,12 +338,11 @@ class ConjugatedIsotopy(Isotopy):
         self.inner = inner
         inner_field = inner.field
         self.field = (
-            ConjugatedField(inner_field, self.h_inverse_isotopy.flow1, name=name)
+            conjugated_field(inner_field, self.h_inverse_isotopy.flow1, name=name)
             if inner_field is not None
             else None
         )
         self.name = name
-        self._kappa = None
 
     def _h_batched(self, iso, pts):
         flat = pts.ravel()
@@ -356,24 +367,6 @@ class ConjugatedIsotopy(Isotopy):
 
     def inverse(self):
         return ConjugatedIsotopy(self.h_isotopy, self.inner.inverse())
-
-    def distortion(self) -> float:
-        """max |Dh| * max |Dh^-1| over a probe grid (operator-norm bound)."""
-        if self._kappa is None:
-            rng = np.random.default_rng(20)
-            probes = uniform_disk_points(256, rng)
-            kappa = 1.0
-            for iso in (self.h_isotopy, self.h_inverse_isotopy):
-                _, p, q = iso.flow_wirtinger(1.0, probes)
-                kappa *= float(np.max(np.abs(p) + np.abs(q)))
-            self._kappa = max(kappa, 1.0)
-        return self._kappa
-
-    def winding_steps_hint(self, x, y):
-        wx = self._h_batched(self.h_inverse_isotopy, _as_points(x))
-        wy = self._h_batched(self.h_inverse_isotopy, _as_points(y))
-        inner = self.inner.winding_steps_hint(wx, wy)
-        return np.clip(np.ceil(self.distortion() * inner), MIN_WINDING_STEPS, 2**22).astype(np.int64)
 
     def winding_parts(self, x, y):
         # Ang_{h f h^-1}(x, y) = Ang_f(W_x, W_y)
@@ -543,21 +536,10 @@ def flow_map(bundle, t: float, z):
     return _as_isotopy(bundle).flow(t, z)
 
 
-def flow_jacobian(bundle, t: float, z) -> Jacobian2:
-    """Jacobian ``D_z f_t`` via the variational equation (closed form where exact)."""
-    _, p, q = _as_isotopy(bundle).flow_wirtinger(t, _as_points(z))
-    return Jacobian2.from_wirtinger(complex(p[0]), complex(q[0]))
-
-
-def flow_jacobian_fd(bundle, t: float, z, step: float = 1e-5) -> Jacobian2:
-    """Central-difference Jacobian of the flow map, the non-smooth fallback."""
+def flow_jacobian_fd(bundle, t: float, z, step: float = 1e-5):
+    """Central-difference Wirtinger pair ``(p, q)`` of the flow map ``f_t`` at ``z``."""
     iso = _as_isotopy(bundle)
-    h = step * (1.0 + abs(z))
-    pts = np.array([z + h, z - h, z + 1j * h, z - 1j * h], dtype=complex)
-    f = iso.trajectory(pts, np.array([t]))[-1]
-    du = (f[0] - f[1]) / (2.0 * h)
-    dv = (f[2] - f[3]) / (2.0 * h)
-    return Jacobian2(a=du.real, b=dv.real, c=du.imag, d=dv.imag)
+    return central_wirtinger(lambda w: iso.flow(t, w), z, step)
 
 
 def area_residual(bundle, sample_count: int = 100, seed: int = 0, t: float = 1.0) -> float:

@@ -10,8 +10,6 @@ disk has total mass 1, and the Liouville primitive is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import PointOutsideDisk, StepTooCoarse, ZeroVector
@@ -76,33 +74,6 @@ def unwrap_turns_along(paths: np.ndarray, gap_limit: float = GAP_LIMIT_TURNS):
     return np.sum(steps, axis=0), ok
 
 
-@dataclass(frozen=True)
-class Jacobian2:
-    """Row-major 2x2 real matrix of partial derivatives."""
-
-    a: float
-    b: float
-    c: float
-    d: float
-
-    def det(self) -> float:
-        return self.a * self.d - self.b * self.c
-
-    def apply(self, w: complex) -> complex:
-        u, v = w.real, w.imag
-        return complex(self.a * u + self.b * v, self.c * u + self.d * v)
-
-    @classmethod
-    def from_wirtinger(cls, p: complex, q: complex) -> "Jacobian2":
-        # dz -> p dz + q dz_bar as a real-linear map
-        return cls(
-            a=(p + q).real,
-            b=-(p - q).imag,
-            c=(p + q).imag,
-            d=(p - q).real,
-        )
-
-
 def wirtinger_det(p, q):
     """det of the real-linear map dz -> p dz + q dz_bar (vectorized)."""
     return np.abs(p) ** 2 - np.abs(q) ** 2
@@ -118,6 +89,17 @@ def wirtinger_compose(outer, inner):
     a, b = outer
     p, q = inner
     return a * p + b * np.conj(q), a * q + b * np.conj(p)
+
+
+def central_wirtinger(fn, z, step: float):
+    """Wirtinger pair (d fn/dz, d fn/dz_bar) of a vectorized map by central differences.
+
+    The increment is ``step * (1 + |z|)`` along each real axis.
+    """
+    hh = step * (1.0 + np.abs(z))
+    du = (fn(z + hh) - fn(z - hh)) / (2.0 * hh)
+    dv = (fn(z + 1j * hh) - fn(z - 1j * hh)) / (2.0 * hh)
+    return (du - 1j * dv) / 2.0, (du + 1j * dv) / 2.0
 
 
 def project_to_disk(z, tol: float = TOL_BOUNDARY):

@@ -15,7 +15,7 @@ import numpy as np
 from numpy.polynomial import Polynomial
 
 from .errors import BoundaryNotConstant, ConfigError
-from .fields import HamiltonianField, ScaledField
+from .fields import HamiltonianField, scaled_field
 from .flow import ConcatIsotopy, ConjugatedIsotopy, FieldIsotopy, MapBundle, RadialIsotopy
 
 
@@ -320,8 +320,10 @@ def conjugate(bundle: MapBundle, conjugator: HamiltonianField, tau: float) -> Ma
     """``h . f . h^-1`` for ``h`` the time-tau map of an autonomous generator."""
     if tau == 0.0:
         return bundle
+    if not conjugator.autonomous:
+        raise ValueError("only autonomous generators can be time-scaled")
     # conjugator flows are smooth and slow; let step calibration settle low
-    h_iso = FieldIsotopy(ScaledField(conjugator, tau), base_steps=64)
+    h_iso = FieldIsotopy(scaled_field(conjugator, tau), base_steps=64)
     iso = ConjugatedIsotopy(h_iso, bundle.isotopy, name=f"conj({bundle.name})")
     oracle = {k: bundle.oracle[k] for k in ("cal1", "cal", "rho") if k in bundle.oracle}
     return MapBundle(isotopy=iso, name=f"conj({bundle.name};tau={tau})", oracle=oracle)

@@ -3,6 +3,7 @@ import pytest
 
 from diskcal.fields import H_GRAD_STEP
 from diskcal.flow import FieldIsotopy, MapBundle
+from diskcal.geometry import central_wirtinger
 
 
 class BrokenField:
@@ -22,10 +23,7 @@ class BrokenField:
         return self.base.vector(t, z) * (1.0 + self.factor * np.real(z))
 
     def vector_wirtinger(self, t, z, step=H_GRAD_STEP):
-        hh = step * (1.0 + np.abs(z))
-        xu = (self.vector(t, z + hh) - self.vector(t, z - hh)) / (2.0 * hh)
-        xv = (self.vector(t, z + 1j * hh) - self.vector(t, z - 1j * hh)) / (2.0 * hh)
-        return (xu - 1j * xv) / 2.0, (xu + 1j * xv) / 2.0
+        return central_wirtinger(lambda w: self.vector(t, w), z, step)
 
 
 @pytest.fixture(scope="session")

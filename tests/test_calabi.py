@@ -72,6 +72,13 @@ class TestActionFunction:
             assert np.max(np.abs(fd_u - du)) < 1e-5
             assert np.max(np.abs(fd_v - dv)) < 1e-5
 
+    def test_scalar_point_gives_a_float(self):
+        a = action_function(quadratic_twist(0.3))
+        value = a.a0(0.5 + 0j)
+        assert type(value) is float
+        assert value == a.a0(np.array([0.5 + 0j]))[0]
+        assert type(a(0.5 + 0j)) is float
+
     def test_path_independence_l_shaped(self):
         a = action_function(quadratic_twist(0.3))
         pts = interior_points(20, seed=5, rmax=0.85)

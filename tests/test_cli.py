@@ -82,7 +82,14 @@ class TestCompute:
         ({"rho_iterates": 0}, 0.3),
         ({"pairs": 0}, 0.3),
         ({}, float("nan")),
-    ], ids=["grid0", "rho_iterates0", "pairs0", "alpha_nan"])
+        ({"quad_budget": float("nan")}, 0.3),
+        ({"quad_budget": -1}, 0.3),
+        ({"strategy": "bogus"}, 0.3),
+        ({"workers": "two"}, 0.3),
+        ({"seed": "abc"}, 0.3),
+        ({"c_mu_points": 0}, 0.3),
+    ], ids=["grid0", "rho_iterates0", "pairs0", "alpha_nan", "quad_budget_nan",
+            "quad_budget_negative", "strategy_bogus", "workers_str", "seed_str", "c_mu_points0"])
     def test_degenerate_config_is_config_error(self, tmp_path, capsys, budgets, alpha):
         cfg_dict = {
             "map": {"family": "compose", "maps": [{"family": "quadratic_twist", "beta": 0.3},

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from diskcal.errors import StepTooCoarse
-from diskcal.fields import HamiltonianField, hamiltonian_vector_field
+from diskcal.fields import HamiltonianField
 from diskcal.circle import lift_from_isotopy
 from diskcal.flow import (
     MAX_WINDING_DOUBLINGS,
@@ -13,15 +13,16 @@ from diskcal.flow import (
     _windings_refined,
     area_residual,
     chord_windings,
-    flow_jacobian,
     flow_jacobian_fd,
     flow_map,
     position_windings,
 )
-from diskcal.geometry import GAP_LIMIT_TURNS
+from diskcal.geometry import GAP_LIMIT_TURNS, wirtinger_apply, wirtinger_det
 from diskcal.zoo import (
     boundary_shear_conjugator,
+    compose,
     conjugate,
+    iterate,
     off_center_conjugator,
     quadratic_twist,
     rotation,
@@ -37,18 +38,18 @@ def rotation_field(alpha):
 class TestHamiltonianVectorField:
     def test_rotation_generator_at_boundary(self):
         # H = alpha (1 - |z|^2) with alpha = 0.25 gives X(1, 0) = (0, pi/2)
-        x = hamiltonian_vector_field(rotation_field(0.25), 0.0, np.array([1.0 + 0j]))[0]
+        x = rotation_field(0.25).vector(0.0, np.array([1.0 + 0j]))[0]
         assert x == pytest.approx(0.5j * np.pi, abs=1e-12)
 
     def test_zero_generator(self):
         field = HamiltonianField(lambda t, z: np.zeros_like(np.real(z)), autonomous=True)
-        x = hamiltonian_vector_field(field, 0.3, np.array([0.2 + 0.1j]))[0]
+        x = field.vector(0.3, np.array([0.2 + 0.1j]))[0]
         assert abs(x) < 1e-9
 
     def test_radial_generator_tangent_with_known_speed(self):
         bundle = quadratic_twist(0.3)
         pts = interior_points(20, seed=4)
-        x = hamiltonian_vector_field(bundle.field, 0.0, pts)
+        x = bundle.field.vector(0.0, pts)
         s = np.abs(pts) ** 2
         dg = -0.6 * (1.0 - s)
         # tangent to each circle, magnitude 2 pi |g'| r
@@ -114,37 +115,42 @@ class TestFlowMap:
             assert np.max(np.abs(back - pts)) < 1e-7
 
 
+def _matrix(p, q):
+    """Row-major entries (a, b, c, d) of the real-linear map dz -> p dz + q dz_bar."""
+    e1 = np.ravel(wirtinger_apply(p, q, 1.0))[0]
+    e2 = np.ravel(wirtinger_apply(p, q, 1j))[0]
+    return [e1.real, e2.real, e1.imag, e2.imag]
+
+
 class TestJacobians:
     def test_rotation_jacobian_is_rotation_matrix(self):
         iso = FieldIsotopy(rotation_field(0.3))
-        j = flow_jacobian(iso, 1.0, 0.4 + 0.2j)
+        _, p, q = iso.flow_wirtinger(1.0, 0.4 + 0.2j)
         c, s = np.cos(2 * np.pi * 0.3), np.sin(2 * np.pi * 0.3)
-        assert np.allclose([j.a, j.b, j.c, j.d], [c, -s, s, c], atol=1e-8)
-        assert j.det() == pytest.approx(1.0, abs=1e-8)
+        assert np.allclose(_matrix(p, q), [c, -s, s, c], atol=1e-8)
+        assert wirtinger_det(p, q)[0] == pytest.approx(1.0, abs=1e-8)
 
     def test_identity_field_gives_identity_matrix(self):
         field = HamiltonianField(lambda t, z: np.zeros_like(np.real(z)), autonomous=True)
-        j = flow_jacobian(FieldIsotopy(field), 1.0, 0.2 + 0.2j)
-        assert np.allclose([j.a, j.b, j.c, j.d], [1, 0, 0, 1], atol=1e-12)
+        _, p, q = FieldIsotopy(field).flow_wirtinger(1.0, 0.2 + 0.2j)
+        assert np.allclose(_matrix(p, q), [1, 0, 0, 1], atol=1e-12)
 
     def test_twist_determinant_and_fd_cross_check(self):
         iso = FieldIsotopy(quadratic_twist(0.3).field)
         z = 0.5 + 0j
-        j = flow_jacobian(iso, 1.0, z)
-        assert j.det() == pytest.approx(1.0, abs=1e-6)
-        j_fd = flow_jacobian_fd(iso, 1.0, z)
-        assert np.allclose([j.a, j.b, j.c, j.d], [j_fd.a, j_fd.b, j_fd.c, j_fd.d], atol=1e-6)
+        _, p, q = iso.flow_wirtinger(1.0, z)
+        assert wirtinger_det(p, q)[0] == pytest.approx(1.0, abs=1e-6)
+        p_fd, q_fd = flow_jacobian_fd(iso, 1.0, z)
+        assert np.allclose(_matrix(p, q), _matrix(p_fd, q_fd), atol=1e-6)
 
     def test_variational_matches_finite_differences_at_random_points(self):
         iso = FieldIsotopy(off_center_conjugator(0.4))
         pts = interior_points(50, seed=10, rmax=0.9)
         _, p, q = iso.flow_wirtinger(1.0, pts)
         for k in range(0, 50, 7):
-            j_fd = flow_jacobian_fd(iso, 1.0, complex(pts[k]))
-            a = (j_fd.a + j_fd.d) / 2.0 + 1j * (j_fd.c - j_fd.b) / 2.0
-            b = (j_fd.a - j_fd.d) / 2.0 + 1j * (j_fd.c + j_fd.b) / 2.0
-            assert p[k] == pytest.approx(a, abs=2e-5)
-            assert q[k] == pytest.approx(b, abs=2e-5)
+            p_fd, q_fd = flow_jacobian_fd(iso, 1.0, complex(pts[k]))
+            assert p[k] == pytest.approx(p_fd, abs=2e-5)
+            assert q[k] == pytest.approx(q_fd, abs=2e-5)
 
     def test_radial_jacobian_exact_determinant(self):
         iso = quadratic_twist(0.3).isotopy
@@ -203,11 +209,42 @@ class TestChordWindings:
         assert abs(vals[0]) < 0.05
 
 
-def _tracked_positions(iso, pts):
-    vals, ok = _windings_refined(iso, pts, None, MIN_WINDING_STEPS, MAX_WINDING_DOUBLINGS,
+def _tracked(iso, x, y=None):
+    """Windings tracked along the isotopy's own trajectory, never decomposed."""
+    vals, ok = _windings_refined(iso, x, y, MIN_WINDING_STEPS, MAX_WINDING_DOUBLINGS,
                                  GAP_LIMIT_TURNS)
     assert ok.all()
     return vals
+
+
+class TestConcatenatedWindings:
+    # windings of a concatenation are the sums of the windings of its pieces,
+    # each piece started where the previous one ended; checked against the
+    # concatenated trajectory tracked directly
+    @pytest.mark.parametrize("bundle", [
+        compose(quadratic_twist(0.3), rotation(0.2)),
+        iterate(quadratic_twist(0.3), 3),
+        compose(quadratic_twist(0.3), conjugate(rotation(0.3), off_center_conjugator(0.5), 0.4)),
+    ], ids=["twist_o_rotation", "twist_cubed", "twist_o_conjugated"])
+    def test_decomposition_matches_tracking(self, bundle):
+        iso = bundle.isotopy
+        assert isinstance(iso, ConcatIsotopy)
+        x = interior_points(40, seed=22)
+        y = interior_points(40, seed=23)
+        vals, ok = chord_windings(iso, x, y)
+        assert ok.all()
+        # The tracked path starts at the chord x - y, the decomposition at the
+        # first piece's own time-0 chord.  A conjugated piece starts at
+        # h(h^-1 x), off x by the round trip of the RK4 flow of h (~5e-11
+        # here), so its tracked winding gains the angle of that jump; a
+        # radial piece starts exactly at x and the jump is 0.
+        x0, y0 = (iso.pieces[0].trajectory(p, np.zeros(1))[0] for p in (x, y))
+        jump = np.abs(np.angle((x0 - y0) / (x - y))) / (2.0 * np.pi)
+        assert np.all(np.abs(vals - _tracked(iso, x, y)) <= 1e-12 + jump)
+        circle = np.exp(2j * np.pi * (np.arange(64) + 0.25) / 64)
+        vals, ok = position_windings(iso, circle)
+        assert ok.all()
+        assert np.max(np.abs(vals - _tracked(iso, circle))) <= 1e-12
 
 
 class TestConjugatedPositionWindings:
@@ -222,7 +259,7 @@ class TestConjugatedPositionWindings:
         pts = np.exp(2j * np.pi * np.arange(256) / 256)
         vals, ok = position_windings(iso, pts)
         assert ok.all()
-        assert np.max(np.abs(vals - _tracked_positions(iso, pts))) <= tol
+        assert np.max(np.abs(vals - _tracked(iso, pts))) <= tol
 
     def test_interior_points_never_take_the_parts_path(self):
         iso = conjugate(rotation(0.5), boundary_shear_conjugator(0.3), 0.4).isotopy
@@ -232,7 +269,7 @@ class TestConjugatedPositionWindings:
         for x in (pts, np.concatenate([circle, [0.5 + 0j]])):
             assert iso.winding_parts(x, None) is None
             vals, _ = position_windings(iso, x)
-            assert np.array_equal(vals, _tracked_positions(iso, x))
+            assert np.array_equal(vals, _tracked(iso, x))
 
 
 class TestBoundaryLiftCache:
