@@ -83,13 +83,32 @@ def _budget(cfg: dict, key: str, default):
 
 
 def _count(value, what: str, minimum: int = 1) -> int:
-    """A budget that must be an integer of at least ``minimum``."""
+    """A parameter that must be an integer of at least ``minimum``."""
     try:
-        if int(value) >= minimum:
+        if int(value) == value and int(value) >= minimum:
             return int(value)
     except (TypeError, ValueError, OverflowError):
         pass
     raise ConfigError(f"{what} must be an integer >= {minimum}, got {value!r}")
+
+
+def _real(value, what: str, minimum: float = -math.inf) -> float:
+    """A parameter that must be a finite number of at least ``minimum``."""
+    try:
+        out = float(value)
+    except (TypeError, ValueError, OverflowError):
+        out = math.nan
+    if not (math.isfinite(out) and out >= minimum):
+        bound = f" >= {minimum}" if math.isfinite(minimum) else ""
+        raise ConfigError(f"{what} must be a finite number{bound}, got {value!r}")
+    return out
+
+
+def _entries(value, what: str, check) -> list:
+    """A non-empty list whose entries each pass ``check(entry, what)``."""
+    if not isinstance(value, (list, tuple)) or not value:
+        raise ConfigError(f"{what} must be a non-empty list, got {value!r}")
+    return [check(v, f"{what} entry") for v in value]
 
 
 def cmd_compute(cfg: dict, out_dir: str, fmt: str, seed_override, workers_override) -> int:
@@ -116,13 +135,7 @@ def cmd_compute(cfg: dict, out_dir: str, fmt: str, seed_override, workers_overri
     strategy = _budget(cfg, "strategy", "uniform")
     if strategy not in STRATEGIES:
         raise ConfigError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
-    quad_budget = _budget(cfg, "quad_budget", 1e-4)
-    try:
-        quad_budget = float(quad_budget)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"quad_budget must be a number, got {quad_budget!r}") from exc
-    if not (math.isfinite(quad_budget) and quad_budget >= 0.0):
-        raise ConfigError(f"quad_budget must be finite and >= 0, got {quad_budget!r}")
+    quad_budget = _real(_budget(cfg, "quad_budget", 1e-4), "quad_budget", 0.0)
 
     bundle = from_spec(cfg["map"])
 
@@ -166,28 +179,31 @@ def cmd_experiment(name: str, cfg: dict, out_dir: str, fmt: str, seed_override, 
     if name not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {name!r}; choose from {EXPERIMENTS}")
     params = cfg.get("experiment", cfg)
-    seed = seed_override if seed_override is not None else params.get("seed", 7)
-    workers = int(workers_override if workers_override is not None else params.get("workers", 1))
+    if not isinstance(params, dict):
+        raise ConfigError(f"experiment parameters must be an object, got {params!r}")
+    seed = _count(seed_override if seed_override is not None else params.get("seed", 7), "seed", 0)
+    workers = _count(workers_override if workers_override is not None else params.get("workers", 1),
+                     "workers")
     if name == "c1-continuity":
         result = exp_c1_continuity(
-            params.get("scales", [0.04, 0.02, 0.01, 0.005]),
-            pairs=int(params.get("pairs", 4000)),
-            seed=int(seed),
+            _entries(params.get("scales", [0.04, 0.02, 0.01, 0.005]), "scales", _real),
+            pairs=_count(params.get("pairs", 4000), "pairs"),
+            seed=seed,
             workers=workers,
         )
     elif name == "c0-discontinuity":
         result = exp_c0_discontinuity(
-            params.get("ns", [2, 4, 8, 16]),
-            cal_budget=float(params.get("cal_budget", 1e-3)),
+            _entries(params.get("ns", [2, 4, 8, 16]), "ns", lambda v, what: _count(v, what, 2)),
+            cal_budget=_real(params.get("cal_budget", 1e-3), "cal_budget", 0.0),
         )
     else:
         result = exp_rigidity(
-            float(params.get("alpha", 0.6180339887498949)),
-            depth=int(params.get("depth", 12)),
-            tau=float(params.get("tau", 0.5)),
-            q_max=int(params.get("q_max", 200)),
-            far_pairs=int(params.get("far_pairs", 1000)),
-            seed=int(seed),
+            _real(params.get("alpha", 0.6180339887498949), "alpha"),
+            depth=_count(params.get("depth", 12), "depth"),
+            tau=_real(params.get("tau", 0.5), "tau"),
+            q_max=_count(params.get("q_max", 200), "q_max"),
+            far_pairs=_count(params.get("far_pairs", 1000), "far_pairs"),
+            seed=seed,
         )
     written = _write_outputs(out_dir, name, result.to_json_dict(), result.to_csv_text(), fmt)
     print(f"experiment {name}: {'PASS' if result.passed else 'FAIL'}; " + ", ".join(written))

@@ -16,9 +16,9 @@ from .arithmetic import continued_fraction
 from .calabi import PairSampler, cal1, cal2_tilde, cal3_tilde
 from .circle import rotation_number
 from .errors import QMaxExceeded, ScaleTooLarge
-from .flow import MapBundle, chord_windings
+from .flow import ConjugatedIsotopy, MapBundle, chord_windings
 from .geometry import uniform_disk_points
-from .zoo import bump, conjugated_rotation, off_center_conjugator, radial_twist
+from .zoo import bump, conjugated_rotation, off_center_conjugator, radial_twist, rotation
 
 D_GRID = (256, 256)
 D_BOUNDARY = 512
@@ -221,6 +221,20 @@ def _far_pairs(rng, count: int, min_sep: float):
     return x, y
 
 
+def _conjugated_iterate(base: MapBundle, alpha: float, conjugator, tau: float) -> MapBundle:
+    """``h R_alpha h^-1`` on the conjugator pair of the conjugated rotation ``base``.
+
+    Sharing the pair calibrates ``h^-1`` once and reuses its images of the
+    point sets every iterate is measured on; at ``tau = 0`` ``base`` is a
+    plain rotation and so is the result.
+    """
+    if not isinstance(base.isotopy, ConjugatedIsotopy):
+        return conjugated_rotation(alpha, conjugator, tau)
+    rot = rotation(alpha)
+    iso = ConjugatedIsotopy(base.isotopy.pair, rot.isotopy, name=f"conj({rot.name})")
+    return MapBundle(isotopy=iso, name=f"conj({rot.name};tau={tau})", oracle=dict(rot.oracle))
+
+
 def exp_rigidity(
     alpha: float,
     depth: int = 12,
@@ -237,10 +251,10 @@ def exp_rigidity(
     """Iterates of a conjugated rotation along approximation denominators.
 
     For each denominator q the iterate is realized exactly as the conjugate of
-    the rotation by q*alpha (conjugation commutes with iteration); the rows
-    check that far pairs wind by nearly the same integer k, that k/q tracks
-    the rotation number within 1/q + 2 eps^(1/4)/pi, and that the action
-    average grows like q times a value pinned at 0.
+    the rotation by q*alpha by the base map's conjugator (conjugation commutes
+    with iteration); the rows check that far pairs wind by nearly the same
+    integer k, that k/q tracks the rotation number within 1/q + 2 eps^(1/4)/pi,
+    and that the action average grows like q times a value pinned at 0.
     """
     cf = continued_fraction(alpha, depth)
     qs = sorted({q for q in cf.q if 1 <= q <= q_max})
@@ -258,7 +272,7 @@ def exp_rigidity(
                "kq_residual", "kq_bound", "pass"]
     rows = []
     for q in qs:
-        it = conjugated_rotation(q * alpha, conjugator, tau)
+        it = _conjugated_iterate(base, q * alpha, conjugator, tau)
         eps = sup_distance_to_identity(it, order=0, grid=d_grid, refine=False).value
         c1 = cal1(it, grid=cal_grid, richardson=False).value
         drift = abs(c1 - q * cal_f)

@@ -22,6 +22,8 @@ identity and follows the conjugated trajectory.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence
 
@@ -46,6 +48,10 @@ MAX_CALIBRATION_DOUBLINGS = 6
 MAX_WINDING_DOUBLINGS = 8
 MIN_WINDING_STEPS = 64
 MAX_TRAJ_ELEMENTS = 4_000_000
+# h^-1 images kept per conjugator (LRU): a rigidity pass reuses four point
+# sets (d0 grid, cal1 nodes, area-residual probes, S^1 lift samples) and maps
+# two fresh far-pair sets per iterate between two uses of one of them
+H_INVERSE_MEMO_SIZE = 8
 
 
 def _as_points(z):
@@ -61,9 +67,6 @@ class Isotopy:
         pts = _as_points(z)
         out = self.trajectory(pts, np.array([float(t)]))[-1]
         return out if np.ndim(z) else complex(out[0])
-
-    def flow1(self, z):
-        return self.flow(1.0, z)
 
     def trajectory(self, z, times) -> np.ndarray:
         """Positions at the given non-decreasing times, shape (T, N)."""
@@ -191,8 +194,13 @@ class FieldIsotopy(Isotopy):
     def inverse(self):
         if self.field is None:
             raise ValueError("cannot invert an isotopy without a Hamiltonian generator")
+        # the time-reversed field is as regular as this one, so calibration
+        # starts from half the count: its tol_ode check then lands on n_steps
+        # (calibration returns twice the count it starts from)
         return FieldIsotopy(
-            scaled_field(self.field, -1.0, reverse=True), base_steps=self.n_steps, tol_ode=self.tol_ode
+            scaled_field(self.field, -1.0, reverse=True),
+            base_steps=self.n_steps // 2,
+            tol_ode=self.tol_ode,
         )
 
     def winding_steps_hint(self, x, y):
@@ -324,41 +332,97 @@ class ConcatIsotopy(Isotopy):
         return parts
 
 
+def _flow_batched(iso, pts):
+    """Time-1 images of an array of any shape, in blocks within the memory cap."""
+    flat = pts.ravel()
+    out = np.empty_like(flat)
+    step = max(1, MAX_TRAJ_ELEMENTS // 4)
+    for k in range(0, flat.size, step):
+        out[k : k + step] = iso.flow(1.0, flat[k : k + step])
+    return out.reshape(pts.shape)
+
+
+class ConjugatorPair:
+    """A conjugator ``h``, its inverse, and a memo of ``h^-1`` images.
+
+    Every conjugation by one ``h`` shares one pair (a conjugation and its
+    inverse, the iterates of a conjugated rotation), so ``h^-1`` is calibrated
+    once, and a point set it has mapped before is not flowed again.  The memo
+    is an LRU of ``H_INVERSE_MEMO_SIZE`` entries keyed by the exact bytes and
+    shape of the input; its arrays are read-only.  It is thread-safe: two
+    threads missing on one key compute the same arrays and either is kept.
+    """
+
+    def __init__(self, h_isotopy: Isotopy):
+        self.h = h_isotopy
+        self.h_inverse = h_isotopy.inverse()
+        self._memo = OrderedDict()
+        self._lock = threading.Lock()
+
+    def _memoized(self, kind, pts, compute):
+        key = (kind, pts.shape, pts.tobytes())
+        with self._lock:
+            hit = self._memo.get(key)
+            if hit is not None:
+                self._memo.move_to_end(key)
+                return hit
+        out = compute(pts)
+        for arr in out:
+            arr.setflags(write=False)
+        with self._lock:
+            self._memo[key] = out
+            if len(self._memo) > H_INVERSE_MEMO_SIZE:
+                self._memo.popitem(last=False)
+        return out
+
+    def inverse_images(self, z):
+        """``h^-1(z)`` pointwise, for an array of any shape (a complex for a scalar)."""
+        pts = np.asarray(z, dtype=complex)
+        (out,) = self._memoized("flow", pts, lambda p: (_flow_batched(self.h_inverse, p),))
+        return out if out.ndim else complex(out)
+
+    def inverse_wirtinger(self, pts):
+        """``h_inverse.flow_wirtinger(1, pts)`` for a 1-d array of points."""
+        return self._memoized("wirtinger", pts, lambda p: self.h_inverse.flow_wirtinger(1.0, p))
+
+
 class ConjugatedIsotopy(Isotopy):
     """``t -> h . f_t . h^-1`` for the time-1 map ``h`` of a fixed isotopy.
 
+    ``h_isotopy`` is the conjugator's isotopy, or the ``ConjugatorPair`` of
+    another conjugation by the same ``h``, whose inverse and memo are then
+    shared.
     Chord windings, and position windings on S^1 (the boundary lift), are
     sums of windings of ``f_t`` and ``h`` at ``W = h^-1 x`` (``winding_parts``,
     an exact identity), never tracked along the conjugated trajectory.
     """
 
-    def __init__(self, h_isotopy: Isotopy, inner: Isotopy, name: str = ""):
-        self.h_isotopy = h_isotopy
-        self.h_inverse_isotopy = h_isotopy.inverse()
+    def __init__(self, h_isotopy, inner: Isotopy, name: str = ""):
+        self.pair = h_isotopy if isinstance(h_isotopy, ConjugatorPair) else ConjugatorPair(h_isotopy)
         self.inner = inner
         inner_field = inner.field
         self.field = (
-            conjugated_field(inner_field, self.h_inverse_isotopy.flow1, name=name)
+            conjugated_field(inner_field, self.pair.inverse_images, name=name)
             if inner_field is not None
             else None
         )
         self.name = name
 
-    def _h_batched(self, iso, pts):
-        flat = pts.ravel()
-        out = np.empty_like(flat)
-        step = max(1, MAX_TRAJ_ELEMENTS // 4)
-        for k in range(0, flat.size, step):
-            out[k : k + step] = iso.flow(1.0, flat[k : k + step])
-        return out.reshape(pts.shape)
+    @property
+    def h_isotopy(self) -> Isotopy:
+        return self.pair.h
+
+    @property
+    def h_inverse_isotopy(self) -> Isotopy:
+        return self.pair.h_inverse
 
     def trajectory(self, z, times):
-        w = self._h_batched(self.h_inverse_isotopy, _as_points(z))
+        w = self.pair.inverse_images(_as_points(z))
         inner_traj = self.inner.trajectory(w, times)
-        return self._h_batched(self.h_isotopy, inner_traj)
+        return _flow_batched(self.h_isotopy, inner_traj)
 
     def flow_wirtinger(self, t, z):
-        w, pi_, qi_ = self.h_inverse_isotopy.flow_wirtinger(1.0, _as_points(z))
+        w, pi_, qi_ = self.pair.inverse_wirtinger(_as_points(z))
         mid, pm, qm = self.inner.flow_wirtinger(t, w)
         out, po, qo = self.h_isotopy.flow_wirtinger(1.0, mid)
         p, q = wirtinger_compose((pm, qm), (pi_, qi_))
@@ -366,7 +430,7 @@ class ConjugatedIsotopy(Isotopy):
         return out, p, q
 
     def inverse(self):
-        return ConjugatedIsotopy(self.h_isotopy, self.inner.inverse())
+        return ConjugatedIsotopy(self.pair, self.inner.inverse())
 
     def winding_parts(self, x, y):
         # Ang_{h f h^-1}(x, y) = Ang_f(W_x, W_y)
@@ -377,8 +441,8 @@ class ConjugatedIsotopy(Isotopy):
         # the origin on it only on S^1, which every h_s and f_t preserve.
         if y is None and np.any(np.abs(np.abs(x) - 1.0) > TOL_BOUNDARY):
             return None
-        wx = self._h_batched(self.h_inverse_isotopy, _as_points(x))
-        wy = None if y is None else self._h_batched(self.h_inverse_isotopy, _as_points(y))
+        wx = self.pair.inverse_images(_as_points(x))
+        wy = None if y is None else self.pair.inverse_images(_as_points(y))
         fx = self.inner.flow(1.0, wx)
         fy = None if y is None else self.inner.flow(1.0, wy)
         return [

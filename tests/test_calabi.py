@@ -314,7 +314,7 @@ class TestCmu:
         wts = np.array([0.2, 0.2, 0.2, 0.2, 0.2])
         mu = DiskMeasure(points=pts, weights=wts)
         conj_bundle = conjugate(tw, off_center_conjugator(0.4), 0.3)
-        pushed = mu.pushforward(conj_bundle.isotopy.h_isotopy.flow1)
+        pushed = mu.pushforward(lambda z: conj_bundle.isotopy.h_isotopy.flow(1.0, z))
         lhs = c_mu_tilde(tw, mu)
         rhs = c_mu_tilde(conj_bundle, pushed)
         assert rhs == pytest.approx(lhs, abs=1e-6)

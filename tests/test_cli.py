@@ -115,6 +115,26 @@ class TestCompute:
 
 
 class TestExperimentCommand:
+    @pytest.mark.parametrize("name, params", [
+        ("rigidity", {"depth": "abc"}),
+        ("rigidity", {"far_pairs": 2.5}),
+        ("rigidity", {"alpha": float("nan")}),
+        ("rigidity", {"tau": float("inf")}),
+        ("c1-continuity", {"pairs": 0}),
+        ("c1-continuity", {"scales": [0.01, float("nan")]}),
+        ("c1-continuity", {"seed": -1}),
+        ("c0-discontinuity", {"ns": [1]}),
+        ("c0-discontinuity", {"ns": []}),
+        ("c0-discontinuity", {"cal_budget": float("nan")}),
+    ], ids=["depth_str", "far_pairs_fraction", "alpha_nan", "tau_inf", "pairs0", "scale_nan",
+            "seed_negative", "ns1", "ns_empty", "cal_budget_nan"])
+    def test_degenerate_parameters_are_config_errors(self, tmp_path, capsys, name, params):
+        cfg = write_config(tmp_path, {"experiment": params})
+        out = tmp_path / "exp"
+        assert main(["--out", str(out), "experiment", name, "--config", cfg]) == 2
+        assert "ConfigError" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_c0_discontinuity(self, tmp_path):
         cfg = write_config(tmp_path, {"experiment": {"ns": [2, 4]}})
         out = tmp_path / "exp"

@@ -8,6 +8,7 @@ from diskcal.experiments import (
     exp_rigidity,
     sup_distance_to_identity,
 )
+from diskcal.flow import FieldIsotopy
 from diskcal.zoo import quadratic_twist, rotation
 
 GOLDEN = 0.6180339887498949
@@ -84,6 +85,21 @@ class TestRigidity:
         # the winding integers track the convergent numerators
         assert [r["k"] for r in res.rows][-2:] == [2, 3]
         assert abs(res.meta["cal1_base"]) < 1e-4
+
+    def test_iterates_share_the_conjugator(self, monkeypatch):
+        # h and h^-1 of the base map serve every iterate and its inverse
+        built = []
+        init = FieldIsotopy.__init__
+
+        def counting_init(iso, *args, **kwargs):
+            init(iso, *args, **kwargs)
+            built.append(iso)
+
+        monkeypatch.setattr(FieldIsotopy, "__init__", counting_init)
+        res = exp_rigidity(GOLDEN, depth=10, tau=0.5, q_max=2, far_pairs=50,
+                           cal_grid=(16, 32), d_grid=(32, 32), seed=3)
+        assert [r["q"] for r in res.rows] == [1, 2]
+        assert len(built) == 2
 
     def test_budget_exhausted_raises(self):
         with pytest.raises(QMaxExceeded):

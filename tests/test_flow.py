@@ -1,13 +1,19 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from diskcal.errors import StepTooCoarse
-from diskcal.fields import HamiltonianField
+from diskcal.calabi import PairSampler, cal2_tilde
+from diskcal.fields import HamiltonianField, scaled_field
 from diskcal.circle import lift_from_isotopy
 from diskcal.flow import (
+    H_INVERSE_MEMO_SIZE,
     MAX_WINDING_DOUBLINGS,
     MIN_WINDING_STEPS,
     ConcatIsotopy,
+    ConjugatorPair,
     FieldIsotopy,
     MapBundle,
     _windings_refined,
@@ -109,10 +115,17 @@ class TestFlowMap:
         assert np.max(np.abs(both.flow(1.0, pts) - a.flow(1.0, b.flow(1.0, pts)))) < 1e-9
 
     def test_inverse_undoes_flow(self):
-        for iso in (quadratic_twist(0.3).isotopy, FieldIsotopy(rotation_field(0.3))):
+        conjugator = FieldIsotopy(scaled_field(off_center_conjugator(0.5), 0.5), base_steps=64)
+        for iso in (quadratic_twist(0.3).isotopy, FieldIsotopy(rotation_field(0.3)), conjugator):
             pts = interior_points(20, seed=9)
             back = iso.inverse().flow(1.0, iso.flow(1.0, pts))
             assert np.max(np.abs(back - pts)) < 1e-7
+
+    @pytest.mark.parametrize("conjugator", [off_center_conjugator(0.5), boundary_shear_conjugator(0.3)],
+                             ids=["off_center", "shear"])
+    def test_inverse_keeps_the_step_count(self, conjugator):
+        iso = FieldIsotopy(scaled_field(conjugator, 0.5), base_steps=64)
+        assert iso.inverse().n_steps == iso.n_steps
 
 
 def _matrix(p, q):
@@ -235,7 +248,7 @@ class TestConcatenatedWindings:
         assert ok.all()
         # The tracked path starts at the chord x - y, the decomposition at the
         # first piece's own time-0 chord.  A conjugated piece starts at
-        # h(h^-1 x), off x by the round trip of the RK4 flow of h (~5e-11
+        # h(h^-1 x), off x by the round trip of the RK4 flow of h (~6e-13
         # here), so its tracked winding gains the angle of that jump; a
         # radial piece starts exactly at x and the jump is 0.
         x0, y0 = (iso.pieces[0].trajectory(p, np.zeros(1))[0] for p in (x, y))
@@ -281,3 +294,90 @@ class TestBoundaryLiftCache:
         xs = (np.arange(64) + 0.3) / 64
         direct = lift_from_isotopy(bundle.isotopy, n_samples=4096)
         assert np.array_equal(fine.delta(xs), direct.delta(xs))
+
+
+class TestConjugatorPair:
+    # every conjugation by one h shares h, h^-1 and the memo of h^-1 images;
+    # a memo hit must return exactly what the flow computes
+    @staticmethod
+    def _conjugated():
+        return conjugate(rotation(0.3), off_center_conjugator(0.5), 0.5)
+
+    def test_inverse_shares_the_pair(self):
+        conj = self._conjugated().isotopy
+        inv = conj.inverse()
+        assert inv.h_inverse_isotopy is conj.h_inverse_isotopy
+        assert inv.h_isotopy is conj.h_isotopy
+
+    def test_memo_hits_are_exact(self):
+        pts = interior_points(60, seed=31)
+        other = interior_points(60, seed=32)
+        circle = np.exp(2j * np.pi * (np.arange(32) + 0.5) / 32)
+        calls = {
+            "flow": lambda iso: [iso.flow(1.0, pts.copy())],
+            "flow_wirtinger": lambda iso: list(iso.flow_wirtinger(1.0, pts.copy())),
+            "chord_parts": lambda iso: [a for part in iso.winding_parts(pts.copy(), other.copy())
+                                        for a in part[1:3]],
+            "position_parts": lambda iso: [part[1] for part in iso.winding_parts(circle.copy(), None)],
+            "field_value": lambda iso: [iso.field.value(0.3, pts.copy())],
+        }
+        for name, call in calls.items():
+            iso = self._conjugated().isotopy
+            cold, warm = call(iso), call(iso)
+            assert all(np.array_equal(a, b) for a, b in zip(cold, warm)), name
+        # warm calls are served by the memo, which holds what h^-1 computes
+        pair = self._conjugated().isotopy.pair
+        assert pair.inverse_images(pts.copy()) is pair.inverse_images(pts)
+        assert pair.inverse_wirtinger(pts.copy()) is pair.inverse_wirtinger(pts)
+        for x in (pts, other, circle):
+            assert np.array_equal(pair.inverse_images(x), pair.h_inverse.flow(1.0, x))
+
+    def test_cached_arrays_are_read_only(self):
+        pair = self._conjugated().isotopy.pair
+        pts = interior_points(10, seed=33)
+        for arr in (pair.inverse_images(pts), *pair.inverse_wirtinger(pts)):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    def test_concurrent_lookups_stay_exact(self):
+        # more threads than cores and more point sets than memo entries, so
+        # lookups, inserts and evictions interleave; a short flow keeps misses cheap
+        pair = ConjugatorPair(FieldIsotopy(scaled_field(off_center_conjugator(0.5), 0.1), base_steps=4))
+        sets = [interior_points(16, seed=40 + k) for k in range(H_INVERSE_MEMO_SIZE + 4)]
+        images = [pair.h_inverse.flow(1.0, x) for x in sets]
+        jacobians = [pair.h_inverse.flow_wirtinger(1.0, x) for x in sets]
+        errors = []
+
+        def worker(offset):
+            try:
+                for i in range(40):
+                    k = (offset + 5 * i) % len(sets)
+                    same = np.array_equal(pair.inverse_images(sets[k].copy()), images[k]) and all(
+                        np.array_equal(a, b)
+                        for a, b in zip(pair.inverse_wirtinger(sets[k].copy()), jacobians[k])
+                    )
+                    if not same:
+                        errors.append(k)
+            except Exception as exc:  # a thread's exception is lost unless recorded
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(t,)) for t in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(pair._memo) <= H_INVERSE_MEMO_SIZE
+
+    def test_threaded_cal2_matches_serial(self):
+        bundle = self._conjugated()
+        serial = cal2_tilde(bundle, PairSampler(n=300, seed=5), workers=1)
+        for b in (bundle, self._conjugated()):
+            threaded = cal2_tilde(b, PairSampler(n=300, seed=5), workers=2)
+            assert (threaded.value, threaded.stderr) == (serial.value, serial.stderr)
