@@ -14,7 +14,6 @@ explicit budget.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
@@ -30,6 +29,7 @@ MIN_PAIR_SEPARATION = 1e-6
 STRATEGIES = ("uniform", "stratified")  # PairSampler.strategy
 DIAGONAL_GUARD = 1e-9
 SEGMENT_NODES = 8
+SPECTRAL_BLOCK_ELEMENTS = 1 << 17  # phase-matrix entries per block (2 MB)
 
 
 # ---------------------------------------------------------------------------
@@ -71,8 +71,16 @@ def periodic_spectral_interp(values: np.ndarray, offset: float, x):
     n = values.size
     coeffs = np.fft.fft(values) / n
     k = np.fft.fftfreq(n, d=1.0 / n)
-    t = np.mod(np.asarray(x, dtype=float), 1.0) - offset
-    return np.real(np.exp(2j * np.pi * np.outer(t, k)) @ coeffs)
+    t = np.mod(np.ravel(np.asarray(x, dtype=float)), 1.0) - offset
+    out = np.empty(t.size)
+    # the phase matrix is built in blocks of points to bound its memory; a
+    # one-point tail joins the block before it, since numpy rounds a one-row
+    # product (a dot product) differently from a matrix-vector product
+    block = max(1, SPECTRAL_BLOCK_ELEMENTS // n)
+    bounds = np.append(np.arange(0, max(t.size - 1, 1), block), t.size)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        out[lo:hi] = np.real(np.exp(2j * np.pi * np.outer(t[lo:hi], k)) @ coeffs)
+    return out
 
 
 def _pullback_integrand(bundle, primitive_shift, pos, direction):
@@ -342,10 +350,11 @@ def cal2_tilde(bundle: MapBundle, sampler: PairSampler, workers: int = 1) -> Cal
     """Monte-Carlo mean of the angle function over area-form pairs.
 
     Deterministic for fixed seed: windings land in a preallocated array in
-    sample order, so neither chunking nor thread scheduling affects the result.
-    Pairs whose winding stays unresolved after maximal refinement (nearly
-    colliding trajectories) are resampled within a small retry budget, each
-    inside its own stratum when the sampler is stratified.
+    sample order.  Pairs whose winding stays unresolved (nearly colliding
+    trajectories) are resampled within a small retry budget, each inside its
+    own stratum when the sampler is stratified.  ``workers`` is accepted for
+    existing callers and configs and has no effect: the windings of all pairs
+    are evaluated in one vectorized call.
     """
     x, y, masses, slices, resampled = sampler.sample_pairs()
     values = np.empty(x.size)
@@ -355,14 +364,7 @@ def cal2_tilde(bundle: MapBundle, sampler: PairSampler, workers: int = 1) -> Cal
         values[idx] = vals
         return idx[~ok]
 
-    chunks = np.array_split(np.arange(x.size), max(1, workers))
-    chunks = [c for c in chunks if c.size]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            failed = list(pool.map(run, chunks))
-    else:
-        failed = [run(c) for c in chunks]
-    bad = np.concatenate(failed) if failed else np.empty(0, dtype=int)
+    bad = run(np.arange(x.size))
 
     retried = 0
     rng = np.random.default_rng(sampler.seed + 1)

@@ -213,17 +213,22 @@ def cmd_experiment(name: str, cfg: dict, out_dir: str, fmt: str, seed_override, 
 def cmd_cf(args, out_dir: str, fmt: str) -> int:
     if args.alpha is None and args.quotients is None and args.synthetic is None:
         raise ConfigError("cf needs --alpha, --quotients, or --synthetic")
+    depth = _count(args.depth, "depth")
     if args.alpha is not None:
-        cf = arithmetic.continued_fraction(float(args.alpha), int(args.depth))
+        cf = arithmetic.continued_fraction(_real(args.alpha, "alpha"), depth)
         source = f"alpha={args.alpha}"
     elif args.quotients is not None:
-        cf = arithmetic.from_quotients([int(v) for v in args.quotients.split(",")])
+        try:
+            a = [int(v) for v in args.quotients.split(",")]
+        except ValueError:
+            raise ConfigError(f"quotients must be comma-separated integers, got {args.quotients!r}") from None
+        cf = arithmetic.from_quotients(a[:1] + [_count(v, "partial quotient") for v in a[1:]])
         source = "quotients"
     elif args.synthetic == "non-bruno":
-        cf = arithmetic.synthetic_non_bruno(int(args.depth))
+        cf = arithmetic.synthetic_non_bruno(depth)
         source = "synthetic non-bruno"
     elif args.synthetic == "super-liouville":
-        cf = arithmetic.synthetic_super_liouville(int(args.depth))
+        cf = arithmetic.synthetic_super_liouville(depth)
         source = "synthetic super-liouville"
     else:
         raise ConfigError(f"unknown synthetic sequence {args.synthetic!r}")
@@ -266,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="diskcal", description=__doc__)
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--workers", type=int, default=None, help="override worker count")
+    parser.add_argument("--workers", type=int, default=None, help="worker count (reported; no effect)")
     parser.add_argument("--format", choices=("json", "csv", "both"), default="both")
     sub = parser.add_subparsers(dest="command", required=True)
 

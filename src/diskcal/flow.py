@@ -12,12 +12,12 @@ chords ``f_t(x) - f_t(y)`` in turns.  Four realizations cover the package:
 * ``ConcatIsotopy``    -- time-concatenation (reparametrized to [0, 1]),
 * ``ConjugatedIsotopy``-- ``h . f_t . h^-1`` for a fixed symplectic ``h``.
 
-Windings follow one rule: a composite decomposes, a leaf is tracked.  The two
-composites split their windings into windings of their parts by exact
-identities (``winding_parts``); field and radial leaves are tracked on a time
-grid refined until every argument step is resolved.  The one exception is the
-position winding of an interior point under a conjugation, which has no such
-identity and follows the conjugated trajectory.
+Each isotopy has one ``windings`` method.  A radial leaf winds in closed form;
+the two composites sum the windings of their parts by exact identities; a
+field leaf is tracked on a time grid refined until every argument step is
+resolved.  The one tracked composite case is the position winding of an
+interior point under a conjugation, which has no such identity and follows
+the conjugated trajectory.
 """
 
 from __future__ import annotations
@@ -32,8 +32,9 @@ import numpy as np
 from .errors import StepTooCoarse
 from .fields import HamiltonianField, concatenated_field, conjugated_field, scaled_field
 from .geometry import (
-    GAP_LIMIT_TURNS,
+    MIN_VECTOR_NORM,
     TOL_BOUNDARY,
+    TWO_PI,
     central_wirtinger,
     project_to_disk,
     uniform_disk_points,
@@ -79,24 +80,15 @@ class Isotopy:
     def inverse(self) -> "Isotopy":
         raise NotImplementedError
 
-    # winding support ------------------------------------------------------
+    def windings(self, x, y):
+        """Windings in turns of ``t -> f_t(x) - f_t(y)`` for 1-d arrays of pairs.
 
-    def winding_steps_hint(self, x, y):
-        """Per-pair lower bound on time samples resolving the chord winding."""
-        return np.full(np.broadcast(x, y).size, MIN_WINDING_STEPS, dtype=np.int64)
-
-    def position_winding_steps_hint(self, x):
-        return np.full(np.size(x), MIN_WINDING_STEPS, dtype=np.int64)
-
-    def winding_parts(self, x, y):
-        """Exact decomposition of windings into windings of other isotopies.
-
-        ``y=None`` asks for the position windings of ``x`` around the origin.
-        Returns a list of ``(isotopy, x_pts, y_pts, sign)`` whose signed
-        windings sum to the winding of this isotopy, or None (the default, for
-        leaves) when the windings are tracked along this isotopy's trajectory.
+        ``y=None`` winds the positions ``f_t(x)`` around the origin.  Returns
+        ``(turns, ok)``; ``ok`` is False where the winding is unresolved
+        (nearly colliding trajectories).  By default tracked along the
+        trajectory (``_tracked_windings``).
         """
-        return None
+        return _tracked_windings(self, x, y)
 
 
 class FieldIsotopy(Isotopy):
@@ -203,10 +195,6 @@ class FieldIsotopy(Isotopy):
             tol_ode=self.tol_ode,
         )
 
-    def winding_steps_hint(self, x, y):
-        n = np.broadcast(x, y).size
-        return np.full(n, max(MIN_WINDING_STEPS, min(self.n_steps, 1024)), dtype=np.int64)
-
 
 class RadialIsotopy(Isotopy):
     """Exact flow of an autonomous radial generator.
@@ -219,9 +207,6 @@ class RadialIsotopy(Isotopy):
     def __init__(self, profile):
         self.profile = profile
         self.field = profile.field()
-
-    def speed(self, z):
-        return self.profile.w_of_s(np.abs(np.asarray(z)) ** 2)
 
     def flow(self, t, z):
         pts = _as_points(z)
@@ -252,25 +237,26 @@ class RadialIsotopy(Isotopy):
     def inverse(self):
         return RadialIsotopy(self.profile.negated())
 
-    def winding_steps_hint(self, x, y):
-        x = _as_points(x)
-        y = _as_points(y)
-        sx, sy = np.abs(x) ** 2, np.abs(y) ** 2
-        wx, wy = self.profile.w_of_s(sx), self.profile.w_of_s(sy)
+    def windings(self, x, y):
+        # f_t(x) - f_t(y) = e^{2 pi i t c} (u - v e^{2 pi i t psi}) with |v| < |u|
+        # (u = x, c = w(|x|^2) when |y| < |x|, else the roles swap): the first
+        # factor winds c turns, the second stays in the disk of radius |v|
+        # about u, which misses 0, so it winds by the principal argument of
+        # its endpoint ratio (Gambaudo-Ghys)
+        a = self.profile.w_of_s(np.abs(x) ** 2)
+        if y is None:
+            return a, np.abs(x) >= MIN_VECTOR_NORM
+        b = self.profile.w_of_s(np.abs(y) ** 2)
         rx, ry = np.abs(x), np.abs(y)
-        gap = np.abs(rx - ry)
-        lip = self.profile.max_abs_dw_dr()
-        ratio = np.minimum(np.abs(wx - wy) / np.maximum(gap, 1e-12), lip)
-        # chord argument rate <= |w_b| + |w_a - w_b| r_a / |r_a - r_b|,
-        # minimized over the two orderings
-        b1 = np.abs(wy) + ratio * rx
-        b2 = np.abs(wx) + ratio * ry
-        rate = np.minimum(b1, b2)
-        return np.clip(np.ceil(8.0 * rate), MIN_WINDING_STEPS, 2**22).astype(np.int64)
-
-    def position_winding_steps_hint(self, x):
-        w = np.abs(self.speed(_as_points(x)))
-        return np.clip(np.ceil(8.0 * w), MIN_WINDING_STEPS, 2**22).astype(np.int64)
+        phi = b - a
+        inner = ry < rx
+        u, v = np.where(inner, x, y), np.where(inner, y, x)
+        end = u - v * np.exp(2j * np.pi * np.where(inner, phi, -phi))
+        turns = np.where(inner, a, b) + np.angle(end * np.conj(u - v)) / TWO_PI
+        turns = np.where(phi == 0.0, a, turns)  # a rigid chord winds exactly a
+        # |chord| >= ||x| - |y|| and >= |x - y| - 2 pi |phi| min(|x|, |y|)
+        bound = np.maximum(np.abs(rx - ry), np.abs(x - y) - TWO_PI * np.abs(phi) * np.minimum(rx, ry))
+        return turns, bound >= MIN_VECTOR_NORM
 
 
 class ConcatIsotopy(Isotopy):
@@ -321,7 +307,7 @@ class ConcatIsotopy(Isotopy):
     def inverse(self):
         return ConcatIsotopy([p.inverse() for p in reversed(self.pieces)])
 
-    def winding_parts(self, x, y):
+    def windings(self, x, y):
         # windings add along a concatenated path: each piece winds the chord
         # (or position) from where the previous pieces left it
         parts = [(self.pieces[0], x, y, 1.0)]
@@ -329,7 +315,7 @@ class ConcatIsotopy(Isotopy):
             x = prev.flow(1.0, x)
             y = None if y is None else prev.flow(1.0, y)
             parts.append((piece, x, y, 1.0))
-        return parts
+        return _summed_windings(parts)
 
 
 def _flow_batched(iso, pts):
@@ -393,8 +379,8 @@ class ConjugatedIsotopy(Isotopy):
     another conjugation by the same ``h``, whose inverse and memo are then
     shared.
     Chord windings, and position windings on S^1 (the boundary lift), are
-    sums of windings of ``f_t`` and ``h`` at ``W = h^-1 x`` (``winding_parts``,
-    an exact identity), never tracked along the conjugated trajectory.
+    sums of windings of ``f_t`` and ``h`` at ``W = h^-1 x`` (an exact
+    identity), never tracked along the conjugated trajectory.
     """
 
     def __init__(self, h_isotopy, inner: Isotopy, name: str = ""):
@@ -432,7 +418,7 @@ class ConjugatedIsotopy(Isotopy):
     def inverse(self):
         return ConjugatedIsotopy(self.pair, self.inner.inverse())
 
-    def winding_parts(self, x, y):
+    def windings(self, x, y):
         # Ang_{h f h^-1}(x, y) = Ang_f(W_x, W_y)
         #                      + Ang_h(f W_x, f W_y) - Ang_h(W_x, W_y)
         # with W = h^-1 applied pointwise.  Exact: the square (s, t) -> h_s f_t W
@@ -440,23 +426,23 @@ class ConjugatedIsotopy(Isotopy):
         # other three, and chords never vanish on it.  Positions (y=None) miss
         # the origin on it only on S^1, which every h_s and f_t preserve.
         if y is None and np.any(np.abs(np.abs(x) - 1.0) > TOL_BOUNDARY):
-            return None
-        wx = self.pair.inverse_images(_as_points(x))
-        wy = None if y is None else self.pair.inverse_images(_as_points(y))
+            return _tracked_windings(self, x, y)
+        wx = self.pair.inverse_images(x)
+        wy = None if y is None else self.pair.inverse_images(y)
         fx = self.inner.flow(1.0, wx)
         fy = None if y is None else self.inner.flow(1.0, wy)
-        return [
+        return _summed_windings([
             (self.inner, wx, wy, 1.0),
             (self.h_isotopy, fx, fy, 1.0),
             (self.h_isotopy, wx, wy, -1.0),
-        ]
+        ])
 
 
 # ---------------------------------------------------------------------------
 # winding engine
 
 
-def _windings_at(isotopy, x, y, n_steps, gap_limit):
+def _windings_at(isotopy, x, y, n_steps):
     """Chord windings on a uniform grid of ``n_steps`` intervals.
 
     ``y=None`` winds the positions themselves around the origin.  Returns
@@ -477,74 +463,59 @@ def _windings_at(isotopy, x, y, n_steps, gap_limit):
             traj = isotopy.trajectory(pts, times)
             m = sl.stop - sl.start
             paths = traj[:, :m] - traj[:, m:]
-        out[sl], ok[sl] = unwrap_turns_along(paths, gap_limit)
+        out[sl], ok[sl] = unwrap_turns_along(paths)
     return out, ok
 
 
-def _windings_refined(isotopy, x, y, base, max_doublings, gap_limit):
-    n = x.size
-    values = np.full(n, np.nan)
-    done = np.zeros(n, dtype=bool)
-    hints = isotopy.winding_steps_hint(x, y) if y is not None else isotopy.position_winding_steps_hint(x)
-    start = np.maximum(hints, base)
-    # bucket pairs by power-of-two step count so each batch shares a grid
-    levels = np.ceil(np.log2(start)).astype(int)
-    for lev in np.unique(levels):
-        idx = np.nonzero(levels == lev)[0]
-        steps = 1 << int(lev)
-        for _ in range(max_doublings + 1):
-            if idx.size == 0:
-                break
-            vals, ok = _windings_at(
-                isotopy, x[idx], None if y is None else y[idx], steps, gap_limit
-            )
-            good = np.nonzero(ok)[0]
-            values[idx[good]] = vals[good]
-            done[idx[good]] = True
-            idx = idx[~ok]
-            steps *= 2
+def _tracked_windings(isotopy, x, y):
+    """Windings tracked along the trajectory of ``isotopy``.
+
+    The time grid starts at ``MIN_WINDING_STEPS`` intervals and doubles, up to
+    ``MAX_WINDING_DOUBLINGS`` times, for the pairs with an argument step of a
+    quarter turn or more.  Unresolved pairs keep NaN and ``ok = False``.  The
+    gap check is blind only to steps of 3/4 turn or more (48 turns per unit
+    time at the start count); an RK4 flow that meets ``TOL_ODE`` with at most
+    16384 steps per unit time turns fewer than 16 times.
+    """
+    values = np.full(x.size, np.nan)
+    done = np.zeros(x.size, dtype=bool)
+    idx = np.arange(x.size)
+    steps = MIN_WINDING_STEPS
+    for _ in range(MAX_WINDING_DOUBLINGS + 1):
+        if idx.size == 0:
+            break
+        vals, ok = _windings_at(isotopy, x[idx], None if y is None else y[idx], steps)
+        values[idx[ok]] = vals[ok]
+        done[idx[ok]] = True
+        idx = idx[~ok]
+        steps *= 2
     return values, done
 
 
-def chord_windings(
-    isotopy,
-    x,
-    y,
-    *,
-    base_steps: int = MIN_WINDING_STEPS,
-    max_doublings: int = MAX_WINDING_DOUBLINGS,
-    gap_limit: float = GAP_LIMIT_TURNS,
-    raise_on_fail: bool = True,
-):
+def _summed_windings(parts):
+    """Signed sum of the windings of ``(isotopy, x, y, sign)`` parts, with their joint ok."""
+    total = np.zeros(parts[0][1].size)
+    ok_all = np.ones(total.size, dtype=bool)
+    for iso, px, py, sign in parts:
+        vals, ok = iso.windings(px, py)
+        total += sign * np.where(ok, vals, 0.0)
+        ok_all &= ok
+    return total, ok_all
+
+
+def chord_windings(isotopy, x, y, *, raise_on_fail: bool = True):
     """Winding in turns of ``f_t(x) - f_t(y)`` for arrays of pairs.
 
-    ``y=None`` winds ``f_t(x)`` around the origin.  An exact ``winding_parts``
-    decomposition of the isotopy replaces the direct trajectory.  Otherwise
-    the time grid starts at the per-pair hint of the isotopy and doubles until
-    every consecutive argument gap is below ``gap_limit`` turns, up to
-    ``max_doublings``.  Returns ``(turns, ok)``; with ``raise_on_fail`` a
-    remaining violation raises StepTooCoarse (nearly colliding trajectories).
+    ``y=None`` winds ``f_t(x)`` around the origin.  Returns ``(turns, ok)``
+    from ``isotopy.windings``; with ``raise_on_fail`` an unresolved pair
+    raises StepTooCoarse (nearly colliding trajectories).
     """
     x = _as_points(x)
     y = None if y is None else _as_points(y)
-    parts = isotopy.winding_parts(x, y)
-    if parts is not None:
-        total = np.zeros(x.size)
-        ok_all = np.ones(x.size, dtype=bool)
-        for iso, px, py, sign in parts:
-            vals, ok = chord_windings(
-                iso, px, py, base_steps=base_steps, max_doublings=max_doublings,
-                gap_limit=gap_limit, raise_on_fail=False,
-            )
-            total += sign * np.where(ok, vals, 0.0)
-            ok_all &= ok
-        if raise_on_fail and not np.all(ok_all):
-            raise StepTooCoarse("chord winding not resolved after maximal refinement")
-        return total, ok_all
-    values, done = _windings_refined(isotopy, x, y, base_steps, max_doublings, gap_limit)
-    if raise_on_fail and not np.all(done):
+    values, ok = isotopy.windings(x, y)
+    if raise_on_fail and not np.all(ok):
         raise StepTooCoarse("chord winding not resolved after maximal refinement")
-    return values, done
+    return values, ok
 
 
 def position_windings(isotopy, x, **kw):

@@ -58,19 +58,19 @@ def unwrap_angle(vectors) -> float:
     return float(np.sum(steps))
 
 
-def unwrap_turns_along(paths: np.ndarray, gap_limit: float = GAP_LIMIT_TURNS):
+def unwrap_turns_along(paths: np.ndarray):
     """Vectorized winding of many paths sampled on a common time grid.
 
     ``paths`` has shape (T, N): T time samples of N planar vectors.  Returns
     ``(turns, ok)`` where ``turns[j]`` is the accumulated argument variation of
-    column j and ``ok[j]`` is False when some step gap reached ``gap_limit``
-    turns or some sample fell below the norm threshold (such columns need a
-    finer grid; their value is unreliable).
+    column j and ``ok[j]`` is False when some step gap reached
+    ``GAP_LIMIT_TURNS`` or some sample fell below the norm threshold (such
+    columns need a finer grid; their value is unreliable).
     """
     small = np.abs(paths) < MIN_VECTOR_NORM
     steps = np.angle(paths[1:] * np.conj(paths[:-1])) / TWO_PI
     steps[paths[1:] == paths[:-1]] = 0.0  # equal endpoints wind by exactly zero
-    ok = ~(np.any(np.abs(steps) >= gap_limit, axis=0) | np.any(small, axis=0))
+    ok = ~(np.any(np.abs(steps) >= GAP_LIMIT_TURNS, axis=0) | np.any(small, axis=0))
     return np.sum(steps, axis=0), ok
 
 

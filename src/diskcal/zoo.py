@@ -31,17 +31,12 @@ class PolyRadialProfile:
         self.dg = g.deriv()
         self.d2g = g.deriv(2) if g.degree() >= 2 else Polynomial([0.0])
         self.name = name
-        ss = np.linspace(0.0, 1.0, 4097)
-        self._max_dw_dr = float(np.max(np.abs(2.0 * np.sqrt(ss) * self.d2g(ss)))) * 1.1 + 1e-12
 
     def w_of_s(self, s):
         return -self.dg(s)
 
     def dw_ds(self, s):
         return -self.d2g(s)
-
-    def max_abs_dw_dr(self):
-        return self._max_dw_dr
 
     def negated(self):
         return PolyRadialProfile(-self.g, name=f"-{self.name}")
@@ -95,8 +90,6 @@ class BumpRadialProfile:
             raise ValueError("bump index must be >= 2")
         self.n = int(n)
         self.c = 40.0 * n * n / (23.0 * np.pi)
-        rs = np.linspace(1.0 / (2.0 * n), 1.0 / n, 4097)
-        self._max_dw_dr = float(np.max(np.abs(self._dw_dr(rs)))) * 1.1 + 1e-12
         self.name = f"bump({n})"
 
     def _psi(self, x):
@@ -151,9 +144,6 @@ class BumpRadialProfile:
         mid = (r > 0.5 / self.n) & (r < 1.0 / self.n)
         out[mid] = self._dw_dr(r[mid]) / (2.0 * r[mid])
         return out
-
-    def max_abs_dw_dr(self):
-        return self._max_dw_dr
 
     def negated(self):
         neg = BumpRadialProfile(self.n)

@@ -12,6 +12,7 @@ from diskcal.calabi import (
     cal2_tilde,
     cal3_tilde,
     composite_gauss_radii,
+    periodic_spectral_interp,
     uniform_disk_measure,
     verify_link,
 )
@@ -103,6 +104,19 @@ def invariant_boundary_pair(bundle, x0):
     lift = bundle.boundary_lift()
     x1 = float(np.mod(lift(np.array([x0]))[0], 1.0))
     return BoundaryMeasure(points=np.array([x0, x1]), weights=np.array([0.5, 0.5]))
+
+
+class TestSpectralInterp:
+    @pytest.mark.parametrize("points", [1, 1024, 1025, 2049, 3000])
+    def test_blocks_match_the_whole_phase_matrix(self, points):
+        # blocks of 1024 points at 128 modes, a one-point tail among them
+        rng = np.random.default_rng(61)
+        values = rng.standard_normal(128)
+        x = rng.random(points)
+        t = np.mod(x, 1.0) - 0.5 / 128
+        k = np.fft.fftfreq(128, d=1.0 / 128)
+        whole = np.real(np.exp(2j * np.pi * np.outer(t, k)) @ (np.fft.fft(values) / 128))
+        assert np.array_equal(periodic_spectral_interp(values, 0.5 / 128, x), whole)
 
 
 class TestCal1:

@@ -179,3 +179,15 @@ class TestCfCommand:
 
     def test_missing_input_rejected(self, tmp_path):
         assert main(["--out", str(tmp_path), "cf"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["--alpha", "0.5", "--depth", "0"],
+        ["--alpha", "nan"],
+        ["--alpha", "inf"],
+        ["--quotients", "1,x"],
+        ["--quotients", "0,2,0"],
+        ["--synthetic", "non-bruno", "--depth", "0"],
+    ], ids=["depth0", "alpha_nan", "alpha_inf", "quotient_x", "quotient_0", "synthetic_depth0"])
+    def test_degenerate_arguments_are_config_errors(self, tmp_path, capsys, argv):
+        assert main(["--out", str(tmp_path), "cf", *argv]) == 2
+        assert "ConfigError" in capsys.readouterr().err

@@ -3,6 +3,7 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from diskcal.errors import StepTooCoarse
 from diskcal.calabi import PairSampler, cal2_tilde
@@ -10,24 +11,26 @@ from diskcal.fields import HamiltonianField, scaled_field
 from diskcal.circle import lift_from_isotopy
 from diskcal.flow import (
     H_INVERSE_MEMO_SIZE,
-    MAX_WINDING_DOUBLINGS,
-    MIN_WINDING_STEPS,
     ConcatIsotopy,
+    ConjugatedIsotopy,
     ConjugatorPair,
     FieldIsotopy,
     MapBundle,
-    _windings_refined,
+    _tracked_windings,
+    _windings_at,
     area_residual,
     chord_windings,
     flow_jacobian_fd,
     flow_map,
     position_windings,
 )
-from diskcal.geometry import GAP_LIMIT_TURNS, wirtinger_apply, wirtinger_det
+from diskcal.geometry import wirtinger_apply, wirtinger_det
 from diskcal.zoo import (
     boundary_shear_conjugator,
+    bump,
     compose,
     conjugate,
+    identity,
     iterate,
     off_center_conjugator,
     quadratic_twist,
@@ -222,12 +225,94 @@ class TestChordWindings:
         assert abs(vals[0]) < 0.05
 
 
-def _tracked(iso, x, y=None):
-    """Windings tracked along the isotopy's own trajectory, never decomposed."""
-    vals, ok = _windings_refined(iso, x, y, MIN_WINDING_STEPS, MAX_WINDING_DOUBLINGS,
-                                 GAP_LIMIT_TURNS)
+def _tracked(iso, x, y=None, steps=None):
+    """Windings tracked along the isotopy's own trajectory, never decomposed.
+
+    By the engine, or on a fixed grid of ``steps`` intervals.  The engine
+    starts at 64 intervals, enough for calibrated RK4 flows, which turn fewer
+    than 16 times per unit time; bump(4) circles turn up to ~425 times, so
+    their oracle samples 8192 intervals (<= 0.06 turns each).
+    """
+    vals, ok = _tracked_windings(iso, x, y) if steps is None else _windings_at(iso, x, y, steps)
     assert ok.all()
     return vals
+
+
+RADIAL_CASES = [
+    pytest.param(quadratic_twist(0.3), None, id="twist"),
+    pytest.param(bump(4), 8192, id="bump4"),
+    pytest.param(rotation(0.2), None, id="rotation"),
+    pytest.param(identity(), None, id="identity"),
+]
+
+
+def _closed_form_close(iso, x, y, steps):
+    # the oracle's rounding grows with the number of turns it sums
+    vals, ok = iso.windings(x, y)
+    ref = _tracked(iso, x, y, steps)
+    assert ok.all()
+    assert np.all(np.abs(vals - ref) <= 1e-12 * (1.0 + np.abs(ref)))
+
+
+class TestRadialClosedForm:
+    # radial leaves wind in closed form; the tracked engine is the oracle
+
+    @pytest.mark.parametrize("bundle, steps", RADIAL_CASES)
+    def test_random_pairs(self, bundle, steps):
+        x = interior_points(300, seed=51, rmax=1.0)
+        y = interior_points(300, seed=52, rmax=1.0)
+        _closed_form_close(bundle.isotopy, x, y, steps)
+
+    @pytest.mark.parametrize("bundle, steps", RADIAL_CASES)
+    def test_pairs_on_one_circle(self, bundle, steps):
+        x = interior_points(200, seed=53, rmax=1.0)
+        y = x * np.exp(2j * np.pi * np.random.default_rng(54).random(200))
+        _closed_form_close(bundle.isotopy, x, y, steps)
+
+    @pytest.mark.parametrize("bundle, steps", RADIAL_CASES)
+    def test_radial_gap_near_1e_minus_9(self, bundle, steps):
+        # both orderings of |x| and |y| by a hair: the formula switches branch
+        rng = np.random.default_rng(55)
+        x = interior_points(200, seed=56, rmax=0.99)
+        y = x * (1.0 + 1e-9 * rng.choice([-1.0, 1.0], 200)) * np.exp(2j * np.pi * rng.random(200))
+        _closed_form_close(bundle.isotopy, x, y, steps)
+
+    @pytest.mark.parametrize("bundle, steps", RADIAL_CASES)
+    def test_positions_wind_by_the_speed(self, bundle, steps):
+        iso = bundle.isotopy
+        x = interior_points(200, seed=57, rmax=1.0)
+        vals, ok = iso.windings(x, None)
+        assert ok.all()
+        assert np.array_equal(vals, iso.profile.w_of_s(np.abs(x) ** 2))
+        _closed_form_close(iso, x, None, steps)
+
+    @pytest.mark.parametrize("bundle", [quadratic_twist(0.3), rotation(0.2)], ids=["twist", "rotation"])
+    def test_ok_matches_on_near_collisions(self, bundle):
+        iso = bundle.isotopy
+        x = interior_points(40, seed=58)
+        d = np.repeat([1e-14, 1e-13, 1e-11, 1e-10], 10) * np.exp(2j * np.pi * np.arange(40) / 40)
+        _, ok = iso.windings(x, x + d)
+        _, tracked_ok = _tracked_windings(iso, x, x + d)
+        assert np.array_equal(ok, tracked_ok)
+        assert np.array_equal(ok, np.abs(d) > 1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        family=st.one_of(
+            st.tuples(st.just("twist"), st.floats(-2.0, 2.0)),
+            st.tuples(st.just("bump"), st.integers(2, 4)),
+            st.tuples(st.just("rotation"), st.floats(-3.0, 3.0)),
+        ),
+        seed=st.integers(0, 2**16),
+    )
+    def test_families_against_tracking(self, family, seed):
+        kind, param = family
+        bundle = {"twist": quadratic_twist, "bump": bump, "rotation": rotation}[kind](param)
+        x = interior_points(12, seed=seed, rmax=1.0)
+        y = interior_points(12, seed=seed + 1, rmax=1.0)
+        steps = 8192 if kind == "bump" else None
+        _closed_form_close(bundle.isotopy, x, y, steps)
+        _closed_form_close(bundle.isotopy, x, None, steps)
 
 
 class TestConcatenatedWindings:
@@ -274,14 +359,25 @@ class TestConjugatedPositionWindings:
         assert ok.all()
         assert np.max(np.abs(vals - _tracked(iso, pts))) <= tol
 
-    def test_interior_points_never_take_the_parts_path(self):
+    def test_interior_points_never_take_the_parts_path(self, monkeypatch):
+        # the parts path never follows the conjugated trajectory; tracking does
         iso = conjugate(rotation(0.5), boundary_shear_conjugator(0.3), 0.4).isotopy
+        calls = []
+        trajectory = ConjugatedIsotopy.trajectory
+
+        def counted(self, z, times):
+            calls.append(np.size(z))
+            return trajectory(self, z, times)
+
+        monkeypatch.setattr(ConjugatedIsotopy, "trajectory", counted)
         circle = np.exp(2j * np.pi * np.arange(8) / 8)
-        assert iso.winding_parts(circle, None) is not None
+        position_windings(iso, circle)
+        assert calls == []
         pts = interior_points(8, seed=21)
         for x in (pts, np.concatenate([circle, [0.5 + 0j]])):
-            assert iso.winding_parts(x, None) is None
+            del calls[:]
             vals, _ = position_windings(iso, x)
+            assert len(calls) >= 1
             assert np.array_equal(vals, _tracked(iso, x))
 
 
@@ -316,9 +412,8 @@ class TestConjugatorPair:
         calls = {
             "flow": lambda iso: [iso.flow(1.0, pts.copy())],
             "flow_wirtinger": lambda iso: list(iso.flow_wirtinger(1.0, pts.copy())),
-            "chord_parts": lambda iso: [a for part in iso.winding_parts(pts.copy(), other.copy())
-                                        for a in part[1:3]],
-            "position_parts": lambda iso: [part[1] for part in iso.winding_parts(circle.copy(), None)],
+            "chord_windings": lambda iso: list(chord_windings(iso, pts.copy(), other.copy())),
+            "position_windings": lambda iso: list(position_windings(iso, circle.copy())),
             "field_value": lambda iso: [iso.field.value(0.3, pts.copy())],
         }
         for name, call in calls.items():
