@@ -218,6 +218,7 @@ class Cal1Result:
     value: float
     richardson_delta: float
     c_mu: float
+    area_residual: float
 
 
 def cal1(
@@ -232,7 +233,7 @@ def cal1(
     One radial quadrature per ray by Fubini (exact for every map), times
     uniform angles; ``richardson_delta`` is the difference against the
     half-resolution value.  Raises NotAreaPreserving when the bundle fails
-    the determinant check.
+    the determinant check, whose residual ``area_residual`` reports.
     """
     res = area_residual(bundle, sample_count=100, seed=11)
     if res > 10.0 * TOL_AREA:
@@ -245,7 +246,7 @@ def cal1(
         half = (max(16, grid[0] // 2), max(32, grid[1] // 2))
         coarse, _ = _action_averages(bundle, mu, half, primitive_shift)
         delta = abs(value - coarse)
-    return Cal1Result(value=value, richardson_delta=float(delta), c_mu=c_mu)
+    return Cal1Result(value=value, richardson_delta=float(delta), c_mu=c_mu, area_residual=res)
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +565,6 @@ def verify_link(
     ``3 stderr + quad_budget`` (the statistical envelope of the Monte-Carlo
     route plus the stated quadrature/rotation-number allowance).
     """
-    res = area_residual(bundle, sample_count=100, seed=seed + 5)
     lift = bundle.boundary_lift()
     rho = rotation_number(lift, n=rho_iterates)
     mu = invariant_measure(lift)
@@ -590,7 +590,7 @@ def verify_link(
         pass_link=bool(residual_link <= budget),
         pass_23=bool(residual_23 <= budget),
         diagnostics={
-            "area_residual": res,
+            "area_residual": c1.area_residual,
             "n_pairs": c2.n_pairs,
             "resampled_pairs": c2.resampled,
             "retried_pairs": c2.retried,

@@ -403,9 +403,10 @@ class ConjugatedIsotopy(Isotopy):
         return self.pair.h_inverse
 
     def trajectory(self, z, times):
-        w = self.pair.inverse_images(_as_points(z))
-        inner_traj = self.inner.trajectory(w, times)
-        return _flow_batched(self.h_isotopy, inner_traj)
+        pts = _as_points(z)
+        out = _flow_batched(self.h_isotopy, self.inner.trajectory(self.pair.inverse_images(pts), times))
+        out[np.asarray(times) == 0.0] = pts  # f_0 = id exactly, not h(h^-1 z)
+        return out
 
     def flow_wirtinger(self, t, z):
         w, pi_, qi_ = self.pair.inverse_wirtinger(_as_points(z))

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 
+import diskcal.calabi
+from diskcal.circle import LiftedCircleMap
 from diskcal.zoo import quadratic_twist
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
@@ -31,3 +33,15 @@ def test_install_counts_and_uninstall_restores():
     finally:
         t.uninstall()
     assert all(vars(owner)[attr] is original for owner, attr, original in originals)
+
+
+def test_rho_iterates_counts_the_iterates_used():
+    # the tracer adds each estimate's iterates_used to circle.rho_iterates; a
+    # rigid lift is enclosed by its displacement range, one iterate
+    t = _tracer_module().Tracer()
+    try:
+        t.install()
+        diskcal.calabi.rotation_number(LiftedCircleMap(grid_values=np.full(64, 0.25)))
+        assert t.take_counts()["circle.rho_iterates"] == 1
+    finally:
+        t.uninstall()

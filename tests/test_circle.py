@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from diskcal.circle import (
     LiftedCircleMap,
@@ -7,7 +8,18 @@ from diskcal.circle import (
     lift_from_isotopy,
     rotation_number,
 )
-from diskcal.zoo import boundary_shear_conjugator, conjugate, quadratic_twist, rotation
+from diskcal.zoo import (
+    boundary_shear_conjugator,
+    bump,
+    compose,
+    conjugate,
+    conjugated_rotation,
+    off_center_conjugator,
+    quadratic_twist,
+    rotation,
+)
+
+GOLDEN = 0.6180339887498949
 
 
 def sin_lift(a, b):
@@ -49,7 +61,57 @@ class TestRotationNumber:
     def test_identity(self):
         est = rotation_number(LiftedCircleMap.identity(), n=100)
         assert est.value == 0.0
-        assert est.rigorous_halfwidth == pytest.approx(0.01)
+        assert est.rigorous_halfwidth <= 0.01
+
+    # closed forms: twist and bump fix S^1 (rho = 0), the README map adds a
+    # rotation by 0.2, and a conjugated rotation keeps its angle
+    @pytest.mark.parametrize("build, rho", [
+        (lambda: quadratic_twist(0.3), 0.0),
+        (lambda: bump(4), 0.0),
+        (lambda: compose(quadratic_twist(0.3), rotation(0.2)), 0.2),
+        (lambda: conjugated_rotation(GOLDEN, off_center_conjugator(0.5), 0.5), GOLDEN),
+    ], ids=["twist", "bump4", "readme", "conjugated_golden"])
+    def test_rigid_boundary_lifts_stop_at_the_displacement_range(self, build, rho):
+        est = rotation_number(build().boundary_lift())
+        assert est.iterates_used == 1
+        assert est.encloses(rho)
+        assert est.rigorous_halfwidth <= 1e-14
+
+    @settings(max_examples=30, deadline=None)
+    @given(a=st.floats(-2.0, 2.0), b=st.floats(-0.155, 0.155), n=st.integers(10, 300),
+           sampled=st.booleans())
+    def test_enclosures_at_n_and_10n_intersect(self, a, b, n, sampled):
+        # |b| < 1/(2 pi): x + a + b sin(2 pi x) is increasing
+        lift = sin_lift(a, b)
+        if sampled:
+            lift = LiftedCircleMap(grid_values=lift.delta(np.arange(4096) / 4096))
+        eps = lift.interpolation_error()
+        coarse, fine = rotation_number(lift, n=n), rotation_number(lift, n=10 * n)
+        assert abs(coarse.value - fine.value) <= coarse.rigorous_halfwidth + fine.rigorous_halfwidth
+        for est, m in ((coarse, n), (fine, 10 * n)):
+            # rounding: one ulp of the iterates, |x| <= 1 + m max|delta|
+            assert est.rigorous_halfwidth <= 1.0 / m + eps + np.spacing(1.0 + m * (abs(a) + abs(b)))
+
+    @settings(max_examples=30, deadline=None)
+    @given(alpha=st.floats(-3.0, 3.0), n=st.integers(1, 2000))
+    def test_translations_enclose_alpha(self, alpha, n):
+        for lift in (LiftedCircleMap.translation(alpha), LiftedCircleMap(grid_values=np.full(64, alpha))):
+            assert rotation_number(lift, n=n).encloses(alpha)
+
+    def test_halfwidth_adds_the_interpolation_estimate(self):
+        # samples alternating 0.3 and 0.3 + 1e-4: the interpolant of every
+        # other sample is 1e-4 off at the dropped ones
+        lift = LiftedCircleMap(grid_values=0.3 + 1e-4 * (np.arange(64) % 2))
+        assert lift.interpolation_error() == pytest.approx(1e-4)
+        est = rotation_number(lift, n=1000)
+        assert est.iterates_used == 1
+        assert est.rigorous_halfwidth >= 0.5e-4 + 1e-4
+
+    def test_non_increasing_grid_lift_raises(self):
+        # phi' = 1 + 0.6 pi cos(2 pi x) < 0 around x = 1/2
+        xs = np.arange(4096) / 4096
+        with pytest.raises(ValueError, match="not increasing"):
+            rotation_number(LiftedCircleMap(grid_values=0.3 * np.sin(2 * np.pi * xs)), n=1000)
 
     def test_integer_translation(self):
         est = rotation_number(LiftedCircleMap.translation(1.0), n=100)

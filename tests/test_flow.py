@@ -331,14 +331,11 @@ class TestConcatenatedWindings:
         y = interior_points(40, seed=23)
         vals, ok = chord_windings(iso, x, y)
         assert ok.all()
-        # The tracked path starts at the chord x - y, the decomposition at the
-        # first piece's own time-0 chord.  A conjugated piece starts at
-        # h(h^-1 x), off x by the round trip of the RK4 flow of h (~6e-13
-        # here), so its tracked winding gains the angle of that jump; a
-        # radial piece starts exactly at x and the jump is 0.
-        x0, y0 = (iso.pieces[0].trajectory(p, np.zeros(1))[0] for p in (x, y))
-        jump = np.abs(np.angle((x0 - y0) / (x - y))) / (2.0 * np.pi)
-        assert np.all(np.abs(vals - _tracked(iso, x, y)) <= 1e-12 + jump)
+        # The tracked path starts at the chord x - y (f_0 = id exactly).  The
+        # decomposition of a conjugated piece starts at h(h^-1 x), off x by
+        # the round trip of the RK4 flow of h (~6e-13 here); the angle of
+        # that jump stays below the tolerance at these pairs.
+        assert np.all(np.abs(vals - _tracked(iso, x, y)) <= 1e-12)
         circle = np.exp(2j * np.pi * (np.arange(64) + 0.25) / 64)
         vals, ok = position_windings(iso, circle)
         assert ok.all()
@@ -379,6 +376,15 @@ class TestConjugatedPositionWindings:
             vals, _ = position_windings(iso, x)
             assert len(calls) >= 1
             assert np.array_equal(vals, _tracked(iso, x))
+
+
+class TestConjugatedTrajectory:
+    def test_time_zero_is_the_identity(self):
+        # f_0 = id: the t = 0 row is z itself, not the RK4 round trip h(h^-1 z)
+        iso = conjugate(rotation(0.6180339887498949), off_center_conjugator(0.5), 0.5).isotopy
+        z = interior_points(200, seed=31, rmax=0.9)
+        assert np.array_equal(iso.trajectory(z, np.array([0.0, 0.5, 1.0]))[0], z)
+        assert np.array_equal(iso.flow(0.0, z), z)
 
 
 class TestBoundaryLiftCache:
