@@ -5,8 +5,9 @@ starting at the identity, together with enough structure to evaluate the flow
 at arbitrary times, its Jacobian (as a Wirtinger pair), and the winding of
 chords ``f_t(x) - f_t(y)`` in turns.  Four realizations cover the package:
 
-* ``FieldIsotopy``     -- classical RK4 integration of a generator field with
-                          the variational equation alongside,
+* ``FieldIsotopy``     -- fixed-step 8th-order Dormand-Prince (DOP853)
+                          integration of a generator field, with the
+                          variational equation alongside,
 * ``RadialIsotopy``    -- exact flow ``z -> z exp(2 pi i t w(|z|^2))`` of an
                           autonomous radial generator,
 * ``ConcatIsotopy``    -- time-concatenation (reparametrized to [0, 1]),
@@ -29,7 +30,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import StepTooCoarse
+from .errors import PointOutsideDisk, StepTooCoarse
 from .fields import HamiltonianField, concatenated_field, conjugated_field, scaled_field
 from .geometry import (
     MIN_VECTOR_NORM,
@@ -44,8 +45,8 @@ from .geometry import (
 )
 
 TOL_ODE = 1e-8
-DEFAULT_STEPS = 256
-MAX_CALIBRATION_DOUBLINGS = 6
+DEFAULT_STEPS = 4
+MAX_CALIBRATION_DOUBLINGS = 12
 MAX_WINDING_DOUBLINGS = 8
 MIN_WINDING_STEPS = 64
 MAX_TRAJ_ELEMENTS = 4_000_000
@@ -53,6 +54,72 @@ MAX_TRAJ_ELEMENTS = 4_000_000
 # sets (d0 grid, cal1 nodes, area-residual probes, S^1 lift samples) and maps
 # two fresh far-pair sets per iterate between two uses of one of them
 H_INVERSE_MEMO_SIZE = 8
+
+# DOP853, the 8th-order Dormand-Prince method of Hairer, Norsett and Wanner,
+# "Solving Ordinary Differential Equations I" (2nd ed.), ch. II: nodes,
+# coupling rows and weights of its 12-stage 8th-order solution.  A fixed
+# step needs neither the embedded error estimators nor the dense output.
+DOP853_C = np.array([
+    0.0,
+    0.526001519587677318785587544488e-01,
+    0.789002279381515978178381316732e-01,
+    0.118350341907227396726757197510,
+    0.281649658092772603273242802490,
+    0.333333333333333333333333333333,
+    0.25,
+    0.307692307692307692307692307692,
+    0.651282051282051282051282051282,
+    0.6,
+    0.857142857142857142857142857142,
+    1.0,
+])
+_DOP853_A_ROWS = (
+    (),
+    (5.26001519587677318785587544488e-2,),
+    (1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2),
+    (2.95875854768068491816892993775e-2, 0.0, 8.87627564304205475450678981324e-2),
+    (2.41365134159266685502369798665e-1, 0.0, -8.84549479328286085344864962717e-1,
+     9.24834003261792003115737966543e-1),
+    (3.7037037037037037037037037037e-2, 0.0, 0.0, 1.70828608729473871279604482173e-1,
+     1.25467687566822425016691814123e-1),
+    (3.7109375e-2, 0.0, 0.0, 1.70252211019544039314978060272e-1,
+     6.02165389804559606850219397283e-2, -1.7578125e-2),
+    (3.70920001185047927108779319836e-2, 0.0, 0.0, 1.70383925712239993810214054705e-1,
+     1.07262030446373284651809199168e-1, -1.53194377486244017527936158236e-2,
+     8.27378916381402288758473766002e-3),
+    (6.24110958716075717114429577812e-1, 0.0, 0.0, -3.36089262944694129406857109825,
+     -8.68219346841726006818189891453e-1, 2.75920996994467083049415600797e1,
+     2.01540675504778934086186788979e1, -4.34898841810699588477366255144e1),
+    (4.77662536438264365890433908527e-1, 0.0, 0.0, -2.48811461997166764192642586468,
+     -5.90290826836842996371446475743e-1, 2.12300514481811942347288949897e1,
+     1.52792336328824235832596922938e1, -3.32882109689848629194453265587e1,
+     -2.03312017085086261358222928593e-2),
+    (-9.3714243008598732571704021658e-1, 0.0, 0.0, 5.18637242884406370830023853209,
+     1.09143734899672957818500254654, -8.14978701074692612513997267357,
+     -1.85200656599969598641566180701e1, 2.27394870993505042818970056734e1,
+     2.49360555267965238987089396762, -3.0467644718982195003823669022),
+    (2.27331014751653820792359768449, 0.0, 0.0, -1.05344954667372501984066689879e1,
+     -2.00087205822486249909675718444, -1.79589318631187989172765950534e1,
+     2.79488845294199600508499808837e1, -2.85899827713502369474065508674,
+     -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
+     6.43392746015763530355970484046e-1),
+)
+DOP853_A = np.array([row + (0.0,) * (len(DOP853_C) - len(row)) for row in _DOP853_A_ROWS])
+DOP853_B = np.array([
+    5.42937341165687622380535766363e-2,
+    0.0,
+    0.0,
+    0.0,
+    0.0,
+    4.45031289275240888144113950566,
+    1.89151789931450038304281599044,
+    -5.8012039600105847814672114227,
+    3.1116436695781989440891606237e-1,
+    -1.52160949662516078556178806805e-1,
+    2.01365400804030348374776537501e-1,
+    4.47106157277725905176885569043e-2,
+])
+DOP853_STAGES = len(DOP853_C)
 
 
 def _as_points(z):
@@ -92,11 +159,13 @@ class Isotopy:
 
 
 class FieldIsotopy(Isotopy):
-    """RK4 integration of a generator on a fixed grid with step-doubling control.
+    """DOP853 integration of a generator on a fixed grid with step-doubling control.
 
     The step count is calibrated once: starting from ``base_steps`` per unit
     time, the grid is doubled until two successive resolutions agree within
-    ``tol_ode`` on a probe set, then frozen.
+    ``tol_ode`` on a probe set, then frozen.  A resolution whose flow leaves
+    the disk counts as unresolved; PointOutsideDisk is raised if the finest
+    one still leaves it, and by any flow outside calibration.
     """
 
     def __init__(self, generator, base_steps: int = DEFAULT_STEPS, tol_ode: float = TOL_ODE):
@@ -106,60 +175,69 @@ class FieldIsotopy(Isotopy):
         self.n_steps = self._calibrate(base_steps)
 
     def _calibrate(self, n0: int) -> int:
-        radii = np.array([0.25, 0.5, 0.75, 0.95, 1.0])
+        # the inner radii see generators supported inside r < 1/4
+        radii = np.array([1 / 16, 1 / 8, 3 / 16, 0.25, 0.5, 0.75, 0.95, 1.0])
         angles = np.exp(2j * np.pi * np.arange(8) / 8.0)
         probes = (radii[:, None] * angles[None, :]).ravel()
         n = n0
-        prev = self._integrate(probes, 0.0, 1.0, n)
+        prev = self._probe(probes, n)
         for _ in range(MAX_CALIBRATION_DOUBLINGS):
-            cur = self._integrate(probes, 0.0, 1.0, 2 * n)
+            cur = self._probe(probes, 2 * n)
             if float(np.max(np.abs(cur - prev))) <= self.tol_ode:
                 return 2 * n
             n *= 2
             prev = cur
+        name = getattr(self.generator, "name", "field")
+        if np.isnan(prev).all():
+            raise PointOutsideDisk(f"flow of {name} leaves the disk at {n} steps per unit time")
         raise StepTooCoarse(
-            f"flow of {getattr(self.generator, 'name', 'field')} did not reach "
-            f"tol {self.tol_ode} within {n} steps per unit time"
+            f"flow of {name} did not reach tol {self.tol_ode} within {n} steps per unit time"
         )
 
-    def _rhs(self, t, z):
-        return self.generator.vector(t, z)
+    def _probe(self, probes, n):
+        """Time-1 images of the probes at ``n`` steps; all NaN if the flow leaves the disk."""
+        try:
+            return self._integrate(probes, 0.0, 1.0, n)
+        except PointOutsideDisk:
+            return np.full_like(probes, np.nan)
+
+    def _rhs(self, t, state):
+        return (self.generator.vector(t, state[0]),)
+
+    def _rhs_var(self, t, state):
+        # variational equation in Wirtinger form alongside the flow
+        z, p, q = state
+        a, b = self.generator.vector_wirtinger(t, z)
+        return (self.generator.vector(t, z), a * p + b * np.conj(q), a * q + b * np.conj(p))
+
+    def _dop853(self, rhs, state, t0, t1, n_sub):
+        """``n_sub`` DOP853 steps of ``state' = rhs(t, state)`` from ``t0`` to ``t1``.
+
+        ``state`` is a tuple of 1-d complex arrays of one length whose first
+        entry is the position, projected back onto the disk after every step.
+        Stage increments are one product of a coupling row with the stacked
+        stages, taken on the real view of the complex arrays.
+        """
+        h = (t1 - t0) / n_sub
+        a, b = h * DOP853_A, h * DOP853_B
+        y = np.array(state, dtype=complex)
+        k = np.empty((DOP853_STAGES,) + y.shape, dtype=complex)
+        k_real = k.reshape(DOP853_STAGES, -1).view(float)
+        for n in range(n_sub):
+            t = t0 + n * h
+            for i in range(DOP853_STAGES):
+                stage = y + (a[i, :i] @ k_real[:i]).view(complex).reshape(y.shape) if i else y
+                k[i] = rhs(t + DOP853_C[i] * h, stage)
+            y += (b @ k_real).view(complex).reshape(y.shape)
+            y[0] = project_to_disk(y[0])
+        return tuple(y)
 
     def _integrate(self, z, t0, t1, n_sub):
-        h = (t1 - t0) / n_sub
-        for k in range(n_sub):
-            t = t0 + k * h
-            k1 = self._rhs(t, z)
-            k2 = self._rhs(t + 0.5 * h, z + 0.5 * h * k1)
-            k3 = self._rhs(t + 0.5 * h, z + 0.5 * h * k2)
-            k4 = self._rhs(t + h, z + h * k3)
-            z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            z = project_to_disk(z)
+        (z,) = self._dop853(self._rhs, (z,), t0, t1, n_sub)
         return z
 
     def _integrate_var(self, z, p, q, t0, t1, n_sub):
-        # variational equation in Wirtinger form alongside the flow
-        h = (t1 - t0) / n_sub
-
-        def rhs(t, state):
-            z, p, q = state
-            x = self.generator.vector(t, z)
-            a, b = self.generator.vector_wirtinger(t, z)
-            return (x, a * p + b * np.conj(q), a * q + b * np.conj(p))
-
-        for k in range(n_sub):
-            t = t0 + k * h
-            s = (z, p, q)
-            k1 = rhs(t, s)
-            k2 = rhs(t + 0.5 * h, tuple(s[i] + 0.5 * h * k1[i] for i in range(3)))
-            k3 = rhs(t + 0.5 * h, tuple(s[i] + 0.5 * h * k2[i] for i in range(3)))
-            k4 = rhs(t + h, tuple(s[i] + h * k3[i] for i in range(3)))
-            z, p, q = tuple(
-                s[i] + (h / 6.0) * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
-                for i in range(3)
-            )
-            z = project_to_disk(z)
-        return z, p, q
+        return self._dop853(self._rhs_var, (z, p, q), t0, t1, n_sub)
 
     def trajectory(self, z, times):
         z = _as_points(z)
@@ -322,7 +400,7 @@ def _flow_batched(iso, pts):
     """Time-1 images of an array of any shape, in blocks within the memory cap."""
     flat = pts.ravel()
     out = np.empty_like(flat)
-    step = max(1, MAX_TRAJ_ELEMENTS // 4)
+    step = max(1, MAX_TRAJ_ELEMENTS // DOP853_STAGES)
     for k in range(0, flat.size, step):
         out[k : k + step] = iso.flow(1.0, flat[k : k + step])
     return out.reshape(pts.shape)
@@ -471,17 +549,21 @@ def _windings_at(isotopy, x, y, n_steps):
 def _tracked_windings(isotopy, x, y):
     """Windings tracked along the trajectory of ``isotopy``.
 
-    The time grid starts at ``MIN_WINDING_STEPS`` intervals and doubles, up to
+    The time grid starts at ``MIN_WINDING_STEPS`` intervals, or at the step
+    count of a field leaf if that is smaller, and doubles, up to
     ``MAX_WINDING_DOUBLINGS`` times, for the pairs with an argument step of a
     quarter turn or more.  Unresolved pairs keep NaN and ``ok = False``.  The
-    gap check is blind only to steps of 3/4 turn or more (48 turns per unit
-    time at the start count); an RK4 flow that meets ``TOL_ODE`` with at most
-    16384 steps per unit time turns fewer than 16 times.
+    gap check is blind only to steps of 3/4 turn or more.  A chord of a field
+    with Lipschitz constant L turns at most ``L h`` radians in a step of length
+    h, and a grid that meets ``tol_ode`` has ``L h`` of order 1 at most, so
+    each calibrated step turns well under 3/4 turn.
     """
     values = np.full(x.size, np.nan)
     done = np.zeros(x.size, dtype=bool)
     idx = np.arange(x.size)
     steps = MIN_WINDING_STEPS
+    if isinstance(isotopy, FieldIsotopy):
+        steps = min(steps, isotopy.n_steps)
     for _ in range(MAX_WINDING_DOUBLINGS + 1):
         if idx.size == 0:
             break

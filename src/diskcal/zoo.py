@@ -312,8 +312,7 @@ def conjugate(bundle: MapBundle, conjugator: HamiltonianField, tau: float) -> Ma
         return bundle
     if not conjugator.autonomous:
         raise ValueError("only autonomous generators can be time-scaled")
-    # conjugator flows are smooth and slow; let step calibration settle low
-    h_iso = FieldIsotopy(scaled_field(conjugator, tau), base_steps=64)
+    h_iso = FieldIsotopy(scaled_field(conjugator, tau))
     iso = ConjugatedIsotopy(h_iso, bundle.isotopy, name=f"conj({bundle.name})")
     oracle = {k: bundle.oracle[k] for k in ("cal1", "cal", "rho") if k in bundle.oracle}
     return MapBundle(isotopy=iso, name=f"conj({bundle.name};tau={tau})", oracle=oracle)

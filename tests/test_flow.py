@@ -5,12 +5,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diskcal.errors import StepTooCoarse
+from diskcal.errors import PointOutsideDisk, StepTooCoarse
 from diskcal.calabi import PairSampler, cal2_tilde
 from diskcal.fields import HamiltonianField, scaled_field
 from diskcal.circle import lift_from_isotopy
 from diskcal.flow import (
+    DOP853_A,
+    DOP853_B,
+    DOP853_C,
     H_INVERSE_MEMO_SIZE,
+    MIN_WINDING_STEPS,
+    TOL_ODE,
     ConcatIsotopy,
     ConjugatedIsotopy,
     ConjugatorPair,
@@ -30,6 +35,7 @@ from diskcal.zoo import (
     bump,
     compose,
     conjugate,
+    conjugated_rotation,
     identity,
     iterate,
     off_center_conjugator,
@@ -96,10 +102,10 @@ class TestFlowMap:
 
     def test_exact_and_integrated_twist_agree(self):
         bundle = quadratic_twist(0.3)
-        rk4 = FieldIsotopy(bundle.field)
+        integrated = FieldIsotopy(bundle.field)
         pts = interior_points(50, seed=6)
         exact = bundle.isotopy.flow(1.0, pts)
-        approx = rk4.flow(1.0, pts)
+        approx = integrated.flow(1.0, pts)
         assert np.max(np.abs(exact - approx)) < 1e-7
 
     def test_partial_time_matches_trajectory(self):
@@ -118,7 +124,7 @@ class TestFlowMap:
         assert np.max(np.abs(both.flow(1.0, pts) - a.flow(1.0, b.flow(1.0, pts)))) < 1e-9
 
     def test_inverse_undoes_flow(self):
-        conjugator = FieldIsotopy(scaled_field(off_center_conjugator(0.5), 0.5), base_steps=64)
+        conjugator = FieldIsotopy(scaled_field(off_center_conjugator(0.5), 0.5))
         for iso in (quadratic_twist(0.3).isotopy, FieldIsotopy(rotation_field(0.3)), conjugator):
             pts = interior_points(20, seed=9)
             back = iso.inverse().flow(1.0, iso.flow(1.0, pts))
@@ -127,8 +133,87 @@ class TestFlowMap:
     @pytest.mark.parametrize("conjugator", [off_center_conjugator(0.5), boundary_shear_conjugator(0.3)],
                              ids=["off_center", "shear"])
     def test_inverse_keeps_the_step_count(self, conjugator):
-        iso = FieldIsotopy(scaled_field(conjugator, 0.5), base_steps=64)
+        iso = FieldIsotopy(scaled_field(conjugator, 0.5))
         assert iso.inverse().n_steps == iso.n_steps
+
+
+class TestCalibration:
+    # calibration must see a generator supported inside r < 1/4: its flow
+    # meets tol_ode there against the closed form, or calibration raises.
+    # bump(4) itself raises StepTooCoarse after the whole ladder (~14 s), so
+    # the fields here are slowed down until the ladder settles.
+    INNER = np.array([0.2, 0.15j, 0.14 + 0.1j, -0.05 - 0.08j, 0.1 - 0.1j])
+
+    @pytest.mark.parametrize("scale", [1.0 / 64, 1.0 / 16])
+    def test_inner_support_flows_or_raises(self, scale):
+        bundle = bump(4)
+        try:
+            iso = FieldIsotopy(scaled_field(bundle.field, scale))
+        except StepTooCoarse:
+            return
+        # the time-1 map of scale * H is the time-scale map of H
+        exact = bundle.isotopy.flow(scale, self.INNER)
+        assert np.max(np.abs(iso.flow(1.0, self.INNER) - exact)) <= 10 * TOL_ODE
+
+    @pytest.mark.parametrize("conjugator, tau", [
+        (off_center_conjugator(0.4), 0.3), (off_center_conjugator(0.5), 0.4),
+        (off_center_conjugator(0.5), 0.5), (boundary_shear_conjugator(0.3), 0.5),
+        (off_center_conjugator(0.5), 1.0), (boundary_shear_conjugator(0.3), 1.0),
+    ], ids=lambda v: getattr(v, "name", v))
+    def test_conjugators_settle_low_with_equal_counts(self, conjugator, tau):
+        iso = conjugated_rotation(0.6180339887498949, conjugator, tau).isotopy
+        assert iso.h_isotopy.n_steps == iso.h_inverse_isotopy.n_steps
+        assert iso.h_isotopy.n_steps == (8 if tau < 1.0 else 16)
+
+    def test_a_resolution_that_leaves_the_disk_is_unresolved(self):
+        # at 4 steps the shear flow at tau = 1 takes two S^1 probes to
+        # |z| = 1 + 1.3e-9; calibration doubles past it, a flow still raises
+        bundle = conjugated_rotation(0.6180339887498949, boundary_shear_conjugator(0.3), tau=1.0)
+        h = bundle.isotopy.h_isotopy
+        assert h.n_steps == 16
+        pts = np.exp(2j * np.pi * np.array([1, 3]) / 8)
+        assert np.max(np.abs(bundle(pts))) <= 1.0
+        h.n_steps = 4
+        with pytest.raises(PointOutsideDisk):
+            h.flow(1.0, pts)
+
+    def test_a_field_that_leaves_the_disk_raises(self):
+        # H = 0.3 v is not constant on S^1: its flow translates the disk
+        leaky = HamiltonianField(lambda t, z: 0.3 * np.imag(z), autonomous=True, name="leaky")
+        with pytest.raises(PointOutsideDisk):
+            FieldIsotopy(leaky)
+
+
+class TestDOP853:
+    # the tableau is transcribed as literals; these are its consistency
+    # conditions and the convergence order it must show
+    def test_nodes_are_row_sums_and_weights_sum_to_one(self):
+        assert np.allclose(DOP853_A.sum(axis=1), DOP853_C, rtol=0.0, atol=1e-14)
+        assert DOP853_B.sum() == pytest.approx(1.0, abs=1e-14)
+        assert np.all(np.triu(DOP853_A) == 0.0)
+
+    def test_matches_the_published_coefficients(self):
+        ref = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
+        n = ref.N_STAGES
+        assert np.array_equal(DOP853_C, ref.C[:n])
+        assert np.array_equal(DOP853_A, ref.A[:n, :n])
+        assert np.array_equal(DOP853_B, ref.B)
+
+    def test_observed_order_of_flow_and_jacobian(self):
+        # off-center(0.5) at tau = 1: the error against 256 steps falls by
+        # 2^8 per halving (2^7.5 asked; finer steps reach rounding)
+        iso = FieldIsotopy(off_center_conjugator(0.5))
+        z = interior_points(64, seed=61, rmax=0.999)
+        one, zero = np.ones_like(z), np.zeros_like(z)
+        ref = iso._integrate_var(z, one, zero, 0.0, 1.0, 256)
+        for n in (4, 8):
+            coarse = iso._integrate_var(z, one, zero, 0.0, 1.0, n)
+            fine = iso._integrate_var(z, one, zero, 0.0, 1.0, 2 * n)
+            flow_only = (iso._integrate(z, 0.0, 1.0, n), iso._integrate(z, 0.0, 1.0, 2 * n))
+            assert np.array_equal(flow_only[0], coarse[0]) and np.array_equal(flow_only[1], fine[0])
+            for c, f, r in zip(coarse, fine, ref):
+                ratio = np.max(np.abs(c - r)) / np.max(np.abs(f - r))
+                assert np.log2(ratio) >= 7.5, (n, ratio)
 
 
 def _matrix(p, q):
@@ -180,7 +265,7 @@ class TestAreaResidual:
         assert area_residual(rotation(0.3), 100, seed=0) < 1e-8
 
     def test_integrated_twist_within_budget(self):
-        bundle = MapBundle(isotopy=FieldIsotopy(quadratic_twist(0.3).field), name="rk4 twist")
+        bundle = MapBundle(isotopy=FieldIsotopy(quadratic_twist(0.3).field), name="dop853 twist")
         assert area_residual(bundle, 100, seed=0) < 1e-6
 
     def test_non_symplectic_control_fails_loudly(self, broken_bundle):
@@ -201,6 +286,27 @@ class TestChordWindings:
         vals, ok = chord_windings(iso, np.array([0.5 + 0j]), np.array([-0.3j]))
         assert ok.all()
         assert vals[0] == pytest.approx(12.7, abs=1e-9)
+
+    def test_fast_field_leaf_is_resolved(self):
+        # a fast leaf calibrates to many steps, so its tracked grid, which
+        # starts at min(64, n_steps), still turns little per interval
+        iso = FieldIsotopy(rotation_field(7.3))
+        x = interior_points(20, seed=14)
+        y = interior_points(20, seed=15)
+        for vals, ok in (chord_windings(iso, x, y), position_windings(iso, x)):
+            assert ok.all()
+            assert np.max(np.abs(vals - 7.3)) < 1e-9
+
+    def test_slow_field_leaf_starts_at_its_step_count(self):
+        iso = FieldIsotopy(scaled_field(off_center_conjugator(0.5), 0.5))
+        assert iso.n_steps < MIN_WINDING_STEPS
+        x = interior_points(40, seed=16)
+        y = interior_points(40, seed=17)
+        for b in (y, None):
+            vals, ok = _tracked_windings(iso, x, b)
+            assert ok.all()
+            assert np.array_equal(vals, _windings_at(iso, x, b, iso.n_steps)[0])
+            assert np.max(np.abs(vals - _tracked(iso, x, b, MIN_WINDING_STEPS))) <= 1e-11
 
     def test_colliding_pair_raises(self):
         iso = rotation(0.2).isotopy
@@ -229,9 +335,10 @@ def _tracked(iso, x, y=None, steps=None):
     """Windings tracked along the isotopy's own trajectory, never decomposed.
 
     By the engine, or on a fixed grid of ``steps`` intervals.  The engine
-    starts at 64 intervals, enough for calibrated RK4 flows, which turn fewer
-    than 16 times per unit time; bump(4) circles turn up to ~425 times, so
-    their oracle samples 8192 intervals (<= 0.06 turns each).
+    starts at 64 intervals, or at a field leaf's calibrated DOP853 step count
+    if smaller, each of whose steps turns well under a quarter turn; bump(4)
+    circles turn up to ~425 times, so their oracle samples 8192 intervals
+    (<= 0.06 turns each).
     """
     vals, ok = _tracked_windings(iso, x, y) if steps is None else _windings_at(iso, x, y, steps)
     assert ok.all()
@@ -333,8 +440,8 @@ class TestConcatenatedWindings:
         assert ok.all()
         # The tracked path starts at the chord x - y (f_0 = id exactly).  The
         # decomposition of a conjugated piece starts at h(h^-1 x), off x by
-        # the round trip of the RK4 flow of h (~6e-13 here); the angle of
-        # that jump stays below the tolerance at these pairs.
+        # the round trip of the DOP853 flow of h (~1.6e-14 here); the angle
+        # of that jump stays below the tolerance at these pairs.
         assert np.all(np.abs(vals - _tracked(iso, x, y)) <= 1e-12)
         circle = np.exp(2j * np.pi * (np.arange(64) + 0.25) / 64)
         vals, ok = position_windings(iso, circle)
@@ -380,7 +487,8 @@ class TestConjugatedPositionWindings:
 
 class TestConjugatedTrajectory:
     def test_time_zero_is_the_identity(self):
-        # f_0 = id: the t = 0 row is z itself, not the RK4 round trip h(h^-1 z)
+        # f_0 = id: the t = 0 row is z itself, not the round trip h(h^-1 z)
+        # of the DOP853 flow (~1.5e-13 off here)
         iso = conjugate(rotation(0.6180339887498949), off_center_conjugator(0.5), 0.5).isotopy
         z = interior_points(200, seed=31, rmax=0.9)
         assert np.array_equal(iso.trajectory(z, np.array([0.0, 0.5, 1.0]))[0], z)
@@ -443,7 +551,7 @@ class TestConjugatorPair:
     def test_concurrent_lookups_stay_exact(self):
         # more threads than cores and more point sets than memo entries, so
         # lookups, inserts and evictions interleave; a short flow keeps misses cheap
-        pair = ConjugatorPair(FieldIsotopy(scaled_field(off_center_conjugator(0.5), 0.1), base_steps=4))
+        pair = ConjugatorPair(FieldIsotopy(scaled_field(off_center_conjugator(0.5), 0.1)))
         sets = [interior_points(16, seed=40 + k) for k in range(H_INVERSE_MEMO_SIZE + 4)]
         images = [pair.h_inverse.flow(1.0, x) for x in sets]
         jacobians = [pair.h_inverse.flow_wirtinger(1.0, x) for x in sets]
