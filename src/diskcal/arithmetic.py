@@ -137,6 +137,20 @@ def from_quotients(a) -> ContinuedFraction:
     return ContinuedFraction(a=a, p=p, q=q, terminated=True, reliable=[True] * len(a))
 
 
+def _tower(depth: int, max_bits: int, exponent) -> ContinuedFraction:
+    """Quotients ``a_{n+1} = 2^{exponent(n, q_n)}`` after ``[0, 2]``, while the
+    exponent stays within ``max_bits``."""
+    a = [0, 2]
+    p, q = _convergents(a)
+    while len(a) < depth:
+        bits = exponent(len(a) - 1, q[-1])
+        if bits > max_bits:
+            break
+        a.append(2**bits)
+        p, q = _convergents(a)
+    return ContinuedFraction(a=a, p=p, q=q, terminated=True, reliable=[True] * len(a))
+
+
 def synthetic_non_bruno(depth: int, max_bits: int = 20_000) -> ContinuedFraction:
     """Quotients ``a_{n+1} = 2^{q_n}``: every growth ratio stays >= log 2.
 
@@ -145,25 +159,12 @@ def synthetic_non_bruno(depth: int, max_bits: int = 20_000) -> ContinuedFraction
     limits genuine depth to a handful of tower levels, which already exhibits
     the non-summable growth.
     """
-    a = [0, 2]
-    p, q = _convergents(a)
-    while len(a) < depth and q[-1] <= max_bits:
-        a.append(2 ** q[-1])
-        p, q = _convergents(a)
-    return ContinuedFraction(a=a, p=p, q=q, terminated=True, reliable=[True] * len(a))
+    return _tower(depth, max_bits, lambda n, qn: qn)
 
 
 def synthetic_super_liouville(depth: int, max_bits: int = 20_000) -> ContinuedFraction:
     """Quotients ``a_{n+1} = 2^{4^n q_n}``: growth ratios escalate geometrically."""
-    a = [0, 2]
-    p, q = _convergents(a)
-    while len(a) < depth:
-        exponent = 4 ** (len(a) - 1) * q[-1]
-        if exponent > max_bits:
-            break
-        a.append(2**exponent)
-        p, q = _convergents(a)
-    return ContinuedFraction(a=a, p=p, q=q, terminated=True, reliable=[True] * len(a))
+    return _tower(depth, max_bits, lambda n, qn: 4**n * qn)
 
 
 def best_approx_check(cf: ContinuedFraction, alpha: float) -> List[Optional[bool]]:

@@ -14,8 +14,8 @@ explicit budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-from typing import Optional
+from dataclasses import dataclass, field as dc_field, fields
+from typing import ClassVar, Optional
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -94,6 +94,14 @@ def _pullback_integrand(bundle, primitive_shift, pos, direction):
     return val
 
 
+def _checked_area_residual(bundle) -> float:
+    """Determinant residual of the bundle; NotAreaPreserving above ``10 TOL_AREA``."""
+    res = area_residual(bundle, sample_count=100, seed=11)
+    if res > 10.0 * TOL_AREA:
+        raise NotAreaPreserving(f"area residual {res:.3e} exceeds {10 * TOL_AREA:.1e}")
+    return res
+
+
 def _action_averages(bundle, mu, grid, primitive_shift=None):
     """(area average of ``a0 - c_mu``, ``c_mu``) from one radial rule per ray.
 
@@ -139,9 +147,7 @@ class ActionFunction:
         primitive_shift=None,
         boundary_profile_samples: int = 512,
     ):
-        res = area_residual(bundle, sample_count=100, seed=11)
-        if res > 10.0 * TOL_AREA:
-            raise NotAreaPreserving(f"area residual {res:.3e} exceeds {10 * TOL_AREA:.1e}")
+        _checked_area_residual(bundle)
         self.bundle = bundle
         self.mu = mu
         self.radial_nodes = radial_nodes
@@ -235,9 +241,7 @@ def cal1(
     half-resolution value.  Raises NotAreaPreserving when the bundle fails
     the determinant check, whose residual ``area_residual`` reports.
     """
-    res = area_residual(bundle, sample_count=100, seed=11)
-    if res > 10.0 * TOL_AREA:
-        raise NotAreaPreserving(f"area residual {res:.3e} exceeds {10 * TOL_AREA:.1e}")
+    res = _checked_area_residual(bundle)
     if mu is None:
         mu = invariant_measure(bundle.boundary_lift())
     value, c_mu = _action_averages(bundle, mu, grid, primitive_shift)
@@ -524,28 +528,17 @@ class CalabiReport:
     pass_23: Optional[bool] = None
     diagnostics: dict = dc_field(default_factory=dict)
 
-    FLAT_FIELDS = (
-        "map_name",
-        "cal1",
-        "cal1_richardson",
-        "cal2",
-        "cal2_stderr",
-        "cal3",
-        "rho",
-        "rho_halfwidth",
-        "rho_iterates",
-        "residual_link",
-        "residual_23",
-        "budget",
-        "pass_link",
-        "pass_23",
-    )
+    # the CSV column order: the fields above except ``diagnostics``
+    FLAT_FIELDS: ClassVar[tuple]
 
     def to_flat_dict(self) -> dict:
         out = {k: getattr(self, k) for k in self.FLAT_FIELDS}
         for k in sorted(self.diagnostics):
             out[f"diag_{k}"] = self.diagnostics[k]
         return out
+
+
+CalabiReport.FLAT_FIELDS = tuple(f.name for f in fields(CalabiReport) if f.name != "diagnostics")
 
 
 def verify_link(

@@ -286,12 +286,6 @@ class RadialIsotopy(Isotopy):
         self.profile = profile
         self.field = profile.field()
 
-    def flow(self, t, z):
-        pts = _as_points(z)
-        w = self.profile.w_of_s(np.abs(pts) ** 2)
-        out = pts * np.exp(2j * np.pi * t * w)
-        return out if np.ndim(z) else complex(out[0])
-
     def trajectory(self, z, times):
         z = _as_points(z)
         times = np.asarray(times, dtype=float)

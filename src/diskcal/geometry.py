@@ -41,21 +41,19 @@ def unwrap_angle(vectors) -> float:
 
     ``vectors`` is a sequence of complex numbers (or an (n,) array).  Returns
     the argument variation from first to last in turns.  Consecutive entries
-    must differ in argument by less than a quarter turn; larger gaps raise
-    StepTooCoarse since the winding becomes ambiguous well before half a turn.
+    must differ in argument by less than a quarter turn; a gap that reaches it
+    raises StepTooCoarse since the winding becomes ambiguous well before half
+    a turn.
     """
     v = np.asarray(vectors, dtype=complex)
     if v.ndim != 1 or v.size < 1:
         raise ValueError("expected a one-dimensional sequence of vectors")
     if np.any(np.abs(v) < MIN_VECTOR_NORM):
         raise ZeroVector("path contains a vector with norm below 1e-12")
-    steps = np.angle(v[1:] * np.conj(v[:-1])) / TWO_PI
-    # a gap of exactly a quarter turn is still unambiguous; beyond it, refuse
-    if steps.size and np.max(np.abs(steps)) > GAP_LIMIT_TURNS:
-        raise StepTooCoarse(
-            f"argument gap {np.max(np.abs(steps)):.3f} turns > {GAP_LIMIT_TURNS}"
-        )
-    return float(np.sum(steps))
+    turns, ok = unwrap_turns_along(v[:, None])
+    if not ok[0]:
+        raise StepTooCoarse(f"an argument gap reaches {GAP_LIMIT_TURNS} turns")
+    return float(turns[0])
 
 
 def unwrap_turns_along(paths: np.ndarray):

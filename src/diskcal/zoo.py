@@ -19,160 +19,102 @@ from .fields import HamiltonianField, scaled_field
 from .flow import ConcatIsotopy, ConjugatedIsotopy, FieldIsotopy, MapBundle, RadialIsotopy
 
 
-class PolyRadialProfile:
-    """Autonomous generator ``H(z) = g(|z|^2)`` for a polynomial ``g``.
+class RadialProfile:
+    """Autonomous radial generator ``H(z) = g(|z|^2)``.
 
-    Angular speed in turns per unit time is ``w(s) = -g'(s)``; circles are
-    invariant, the boundary rotates at ``-g'(1)``.
+    ``g``, the angular speed ``w = -g'`` in turns per unit time and its
+    derivative ``dw`` are vectorized functions of ``s = |z|^2``.  Every circle
+    is invariant and rotates rigidly at ``w(s)``, so the field has the closed
+    gradient ``-2 w z`` and Wirtinger pair ``(2 pi i (w + s w'), 2 pi i w' z^2)``.
+    ``breakpoints`` are the radii where ``g`` may be non-smooth.
     """
 
-    def __init__(self, g: Polynomial, name: str = "radial"):
+    def __init__(self, g, w, dw, name: str = "radial", breakpoints=()):
         self.g = g
-        self.dg = g.deriv()
-        self.d2g = g.deriv(2) if g.degree() >= 2 else Polynomial([0.0])
+        self.w_of_s = w
+        self.dw_ds = dw
         self.name = name
-
-    def w_of_s(self, s):
-        return -self.dg(s)
-
-    def dw_ds(self, s):
-        return -self.d2g(s)
+        self.breakpoints = tuple(breakpoints)
 
     def negated(self):
-        return PolyRadialProfile(-self.g, name=f"-{self.name}")
+        # 0.0 - x rather than -x: a speed of zero stays +0.0
+        g, w, dw = self.g, self.w_of_s, self.dw_ds
+        return RadialProfile(
+            lambda s: 0.0 - g(s),
+            lambda s: 0.0 - w(s),
+            lambda s: 0.0 - dw(s),
+            name=f"-{self.name}",
+            breakpoints=self.breakpoints,
+        )
 
     def field(self) -> HamiltonianField:
-        g, dg, d2g = self.g, self.dg, self.d2g
+        g, w, dw = self.g, self.w_of_s, self.dw_ds
 
         def h(t, z):
             return g(np.abs(np.asarray(z)) ** 2)
 
         def grad(t, z):
             z = np.asarray(z)
-            return 2.0 * dg(np.abs(z) ** 2) * z
+            return -2.0 * w(np.abs(z) ** 2) * z
 
         def wirt(t, z):
             z = np.asarray(z)
             s = np.abs(z) ** 2
-            a = -2j * np.pi * (dg(s) + s * d2g(s))
-            b = -2j * np.pi * d2g(s) * z * z
-            return a, b
+            dws = dw(s)
+            return 2j * np.pi * (w(s) + s * dws), 2j * np.pi * dws * z * z
 
         return HamiltonianField(
-            h, grad=grad, wirtinger=wirt, name=self.name, autonomous=True
+            h, grad=grad, wirtinger=wirt, name=self.name, autonomous=True,
+            radial_breakpoints=self.breakpoints,
         )
 
 
-def _smoothstep(u):
-    return u * u * (3.0 - 2.0 * u)
+def poly_profile(g: Polynomial, name: str = "radial") -> RadialProfile:
+    """Radial profile of a polynomial ``g``; the boundary rotates at ``-g'(1)``."""
+    w = -g.deriv()
+    return RadialProfile(g, w, w.deriv(), name=name)
 
 
-def _smoothstep_d(u):
-    return 6.0 * u * (1.0 - u)
-
-
-def _smoothstep_dd(u):
-    return 6.0 - 12.0 * u
-
-
-class BumpRadialProfile:
+def bump_profile(n: int) -> RadialProfile:
     """Compactly supported plateau bump ``H(z) = h_n(|z|)``.
 
-    ``h_n(r) = c_n psi(n r)`` with ``psi = 1`` on [0, 1/2], a cubic smoothstep
-    descent on [1/2, 1] and 0 beyond, so ``h_n`` is constant near the origin
+    ``h_n = c_n`` for ``r <= 1/(2n)``, ``c_n psi(u)`` on the descent
+    ``1/(2n) < r < 1/n`` (cubic smoothstep ``psi(u) = u^2 (3 - 2u)``,
+    ``u = 2 (1 - n r)``) and 0 beyond, so ``h_n`` is constant near the origin
     and vanishes for ``r > 1/n``.  The constant ``c_n = 40 n^2 / (23 pi)``
     makes ``int_0^1 h_n(r) 2 pi r dr = 1`` exactly (the profile's first moment
-    is 23/80 in closed form).
+    is 23/80 in closed form).  The speed is ``w = -h_n' / 2r``.
     """
+    if n < 2:
+        raise ValueError("bump index must be >= 2")
+    n = int(n)
+    c = 40.0 * n * n / (23.0 * np.pi)
 
-    def __init__(self, n: int):
-        if n < 2:
-            raise ValueError("bump index must be >= 2")
-        self.n = int(n)
-        self.c = 40.0 * n * n / (23.0 * np.pi)
-        self.name = f"bump({n})"
-
-    def _psi(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        out[x <= 0.5] = 1.0
-        mid = (x > 0.5) & (x < 1.0)
-        out[mid] = _smoothstep(2.0 * (1.0 - x[mid]))
-        return out
-
-    def _psi_d(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        mid = (x > 0.5) & (x < 1.0)
-        out[mid] = -2.0 * _smoothstep_d(2.0 * (1.0 - x[mid]))
-        return out
-
-    def _psi_dd(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        mid = (x > 0.5) & (x < 1.0)
-        out[mid] = 4.0 * _smoothstep_dd(2.0 * (1.0 - x[mid]))
-        return out
-
-    def h_of_r(self, r):
-        return self.c * self._psi(self.n * np.asarray(r, dtype=float))
-
-    def _hp(self, r):
-        return self.c * self.n * self._psi_d(self.n * np.asarray(r, dtype=float))
-
-    def _hpp(self, r):
-        return self.c * self.n**2 * self._psi_dd(self.n * np.asarray(r, dtype=float))
-
-    def w_of_s(self, s):
-        r = np.sqrt(np.asarray(s, dtype=float))
-        out = np.zeros_like(r)
-        mid = (r > 0.5 / self.n) & (r < 1.0 / self.n)
-        out[mid] = -self._hp(r[mid]) / (2.0 * r[mid])
-        return out
-
-    def _dw_dr(self, r):
-        r = np.asarray(r, dtype=float)
-        out = np.zeros_like(r)
-        mid = (r > 0.5 / self.n) & (r < 1.0 / self.n)
-        rm = r[mid]
-        out[mid] = -(self._hpp(rm) * rm - self._hp(rm)) / (2.0 * rm**2)
-        return out
-
-    def dw_ds(self, s):
-        r = np.sqrt(np.asarray(s, dtype=float))
-        out = np.zeros_like(r)
-        mid = (r > 0.5 / self.n) & (r < 1.0 / self.n)
-        out[mid] = self._dw_dr(r[mid]) / (2.0 * r[mid])
-        return out
-
-    def negated(self):
-        neg = BumpRadialProfile(self.n)
-        neg.c = -neg.c
-        neg.name = f"-{self.name}"
-        return neg
-
-    def radial_breakpoints(self):
-        return (0.5 / self.n, 1.0 / self.n)
-
-    def field(self) -> HamiltonianField:
-        def h(t, z):
-            return self.h_of_r(np.abs(np.asarray(z)))
-
-        def grad(t, z):
-            z = np.asarray(z, dtype=complex)
-            r = np.abs(z)
-            out = np.zeros_like(z)
-            mid = (r > 0.5 / self.n) & (r < 1.0 / self.n)
-            out[mid] = self._hp(r[mid]) * z[mid] / r[mid]
+    def descent(fn, inside=0.0):
+        # fn(r, u) on the descent, ``inside`` on the plateau, 0 beyond
+        def of_s(s):
+            r = np.sqrt(np.asarray(s, dtype=float))
+            out = np.where(r <= 0.5 / n, inside, 0.0)
+            mid = (r > 0.5 / n) & (r < 1.0 / n)
+            out[mid] = fn(r[mid], 2.0 * (1.0 - n * r[mid]))
             return out
 
-        return HamiltonianField(
-            h,
-            grad=grad,
-            name=self.name,
-            autonomous=True,
-            radial_breakpoints=self.radial_breakpoints(),
-        )
+        return of_s
+
+    # h_n'(r) = -2 n c_n psi'(u) and h_n''(r) = 4 n^2 c_n psi''(u); w' = (dw/dr) / 2r
+    def hp(u):
+        return c * n * (-2.0 * (6.0 * u * (1.0 - u)))
+
+    def hpp(u):
+        return c * n**2 * (4.0 * (6.0 - 12.0 * u))
+
+    return RadialProfile(
+        descent(lambda r, u: c * (u * u * (3.0 - 2.0 * u)), inside=c),
+        descent(lambda r, u: -hp(u) / (2.0 * r)),
+        descent(lambda r, u: -(hpp(u) * r - hp(u)) / (2.0 * r**2) / (2.0 * r)),
+        name=f"bump({n})",
+        breakpoints=(0.5 / n, 1.0 / n),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +123,7 @@ class BumpRadialProfile:
 
 def rotation(alpha: float) -> MapBundle:
     """Rigid rotation by ``alpha`` turns, generated by H = alpha (1 - |z|^2)."""
-    profile = PolyRadialProfile(Polynomial([alpha, -alpha]), name=f"rotation({alpha})")
+    profile = poly_profile(Polynomial([alpha, -alpha]), name=f"rotation({alpha})")
     return MapBundle(
         isotopy=RadialIsotopy(profile),
         name=f"rotation({alpha})",
@@ -199,7 +141,7 @@ def radial_twist(coeffs) -> MapBundle:
     g = Polynomial(np.asarray(coeffs, dtype=float))
     if abs(g(1.0)) > 1e-12:
         raise BoundaryNotConstant(f"twist profile must vanish at s=1, got g(1)={g(1.0)}")
-    profile = PolyRadialProfile(g, name="twist")
+    profile = poly_profile(g, name="twist")
     dg = g.deriv()
     cal = float(2.0 * (g.integ()(1.0) - g.integ()(0.0)))
     rho = float(-dg(1.0))
@@ -231,7 +173,7 @@ def quadratic_twist(beta: float) -> MapBundle:
 
 def bump(n: int) -> MapBundle:
     """Compactly supported bump with unit mass; invariant 2/pi for every n."""
-    profile = BumpRadialProfile(n)
+    profile = bump_profile(n)
     return MapBundle(
         isotopy=RadialIsotopy(profile),
         name=f"bump({n})",

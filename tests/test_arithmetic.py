@@ -141,6 +141,13 @@ class TestBigIntegers:
         diag = classify(cf)
         assert np.all(np.isfinite(diag.ratios))
 
+    @pytest.mark.parametrize("tower, bits", [
+        (synthetic_non_bruno, [0, 2, 3, 10, 4611]),
+        (synthetic_super_liouville, [0, 2, 9, 8209]),
+    ], ids=["non_bruno", "super_liouville"])
+    def test_tower_bit_lengths_at_depth_8(self, tower, bits):
+        assert [a.bit_length() for a in tower(8).a] == bits
+
     def test_depth_truncates_at_representability_frontier(self):
         # the next quotient 2^{q_n} would need ~10^1391 bits; depth clips there
         assert synthetic_non_bruno(40).depth == synthetic_non_bruno(5).depth

@@ -359,6 +359,10 @@ class TestVerifyLink:
         assert rep.rho == pytest.approx(0.3, abs=1e-9)
         assert rep.pass_link and rep.pass_23
 
+    def test_identity_inverse_rho_is_positive_zero(self):
+        rep = verify_link(inverse(identity()), pairs=500, seed=1, grid=(32, 64), rho_iterates=1000)
+        assert rep.rho == 0.0 and not np.signbit(rep.rho)
+
     def test_flat_dict_field_order(self):
         rep = verify_link(rotation(0.1), pairs=500, seed=1, grid=(32, 64), rho_iterates=1000)
         flat = rep.to_flat_dict()

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from diskcal.errors import PointOutsideDisk, StepTooCoarse
 from diskcal.calabi import PairSampler, cal2_tilde
-from diskcal.fields import HamiltonianField, scaled_field
+from diskcal.fields import H_GRAD_STEP, HamiltonianField, scaled_field
 from diskcal.circle import lift_from_isotopy
 from diskcal.flow import (
     DOP853_A,
@@ -29,7 +29,7 @@ from diskcal.flow import (
     flow_map,
     position_windings,
 )
-from diskcal.geometry import wirtinger_apply, wirtinger_det
+from diskcal.geometry import TWO_PI, central_wirtinger, wirtinger_apply, wirtinger_det
 from diskcal.zoo import (
     boundary_shear_conjugator,
     bump,
@@ -70,6 +70,20 @@ class TestHamiltonianVectorField:
         # tangent to each circle, magnitude 2 pi |g'| r
         assert np.max(np.abs(np.real(np.conj(pts) * x))) < 1e-12
         assert np.abs(x) == pytest.approx(2.0 * np.pi * np.abs(dg) * np.abs(pts), abs=1e-10)
+
+    @pytest.mark.parametrize("bundle", [rotation(0.3), quadratic_twist(0.3), bump(4)],
+                             ids=["rotation", "twist", "bump4"])
+    def test_analytic_derivatives_match_central_differences(self, bundle):
+        # radii clear of bump(4)'s kinks at 1/8 and 1/4
+        r = np.array([0.05, 0.1, 0.14, 0.17, 0.2, 0.23, 0.3, 0.6, 0.9])
+        pts = (r[:, None] * np.exp(2j * np.pi * np.arange(7) / 7)[None, :]).ravel()
+        field = bundle.field
+        assert field._grad is not None and field._wirtinger is not None
+        grad = field.gradient(0.0, pts)
+        grad_fd = 2.0 * central_wirtinger(lambda z: field.value(0.0, z), pts, H_GRAD_STEP)[1]
+        pair_fd = central_wirtinger(lambda z: field.vector(0.0, z), pts, H_GRAD_STEP)
+        for exact, fd in zip((grad, *field.vector_wirtinger(0.0, pts)), (grad_fd, *pair_fd)):
+            assert np.max(np.abs(exact - fd)) <= 1e-7 * (1.0 + np.max(np.abs(exact)))
 
     def test_finite_difference_gradient_fallback(self):
         exact = rotation_field(0.25)
@@ -392,6 +406,17 @@ class TestRadialClosedForm:
         assert ok.all()
         assert np.array_equal(vals, iso.profile.w_of_s(np.abs(x) ** 2))
         _closed_form_close(iso, x, None, steps)
+
+    @pytest.mark.parametrize("bundle, steps", RADIAL_CASES)
+    def test_inverse_undoes_the_flow(self, bundle, steps):
+        # the inverse turns each circle back at exactly -w; what is left is
+        # rounding of the phase 2 pi w and of w at |f(z)|^2, an ulp off |z|^2
+        iso = bundle.isotopy
+        z = interior_points(300, seed=59, rmax=1.0)
+        back = iso.inverse().flow(1.0, iso.flow(1.0, z))
+        s = np.abs(z) ** 2
+        phase = 1.0 + TWO_PI * (np.abs(iso.profile.w_of_s(s)) + s * np.abs(iso.profile.dw_ds(s)))
+        assert np.all(np.abs(back - z) <= 1e-15 * np.abs(z) * phase)
 
     @pytest.mark.parametrize("bundle", [quadratic_twist(0.3), rotation(0.2)], ids=["twist", "rotation"])
     def test_ok_matches_on_near_collisions(self, bundle):

@@ -67,7 +67,7 @@ class TestAreaDensity:
 
 class TestUnwrap:
     def test_full_counterclockwise_loop(self):
-        path = [1, 1j, -1, -1j, 1]
+        path = circle_point(np.arange(9) / 8.0)
         assert unwrap_angle(path) == pytest.approx(1.0, abs=1e-12)
 
     def test_constant_path(self):
@@ -81,6 +81,14 @@ class TestUnwrap:
     def test_gap_too_large(self):
         with pytest.raises(StepTooCoarse):
             unwrap_angle([1.0 + 0j, np.exp(1j * np.pi * 0.7)])
+
+    def test_quarter_turn_gap_is_too_coarse(self):
+        # the scalar and the vectorized unwrap share one rule: a gap of a
+        # quarter turn is already ambiguous
+        _, ok = unwrap_turns_along(np.array([[1.0 + 0j], [1j]]))
+        assert not ok[0]
+        with pytest.raises(StepTooCoarse):
+            unwrap_angle([1, 1j])
 
     def test_zero_vector(self):
         with pytest.raises(ZeroVector):

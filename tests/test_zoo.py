@@ -5,8 +5,8 @@ from numpy.polynomial.legendre import leggauss
 from diskcal.errors import BoundaryNotConstant, ConfigError
 from diskcal.flow import area_residual
 from diskcal.zoo import (
-    BumpRadialProfile,
     bump,
+    bump_profile,
     compose,
     conjugate,
     conjugated_rotation,
@@ -67,18 +67,27 @@ class TestRadialTwist:
 class TestBump:
     @pytest.mark.parametrize("n", [2, 4, 7, 16])
     def test_unit_mass_exactly(self, n):
-        profile = BumpRadialProfile(n)
+        profile = bump_profile(n)
         total = 0.0
         for lo, hi in [(0.0, 0.5 / n), (0.5 / n, 1.0 / n)]:
             r, w = gauss_on(lo, hi)
-            total += np.sum(w * profile.h_of_r(r) * 2 * np.pi * r)
+            total += np.sum(w * profile.g(r * r) * 2 * np.pi * r)
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_constant_near_origin_and_zero_outside(self):
-        profile = BumpRadialProfile(4)
-        inner = profile.h_of_r(np.linspace(0, 0.5 / 4, 9))
+        profile = bump_profile(4)
+        r = np.linspace(0, 0.5 / 4, 9)
+        inner = profile.g(r * r)
         assert np.max(np.abs(inner - inner[0])) == 0.0
-        assert np.all(profile.h_of_r(np.linspace(0.25 + 1e-12, 1.0, 9)) == 0.0)
+        r = np.linspace(0.25 + 1e-12, 1.0, 9)
+        assert np.all(profile.g(r * r) == 0.0)
+
+    def test_speed_is_positive_zero_off_the_descent(self):
+        # a signed zero would reach reports (rho of the inverse prints -0.0)
+        r = np.array([0.0, 0.1, 0.25, 0.5, 1.0])
+        for profile in (bump_profile(4), bump_profile(4).negated()):
+            w = profile.w_of_s(r * r)
+            assert np.all(w == 0.0) and not np.any(np.signbit(w))
 
     def test_displacement_bounded_by_support_diameter(self):
         for n in (2, 4, 8):
