@@ -62,7 +62,6 @@ from .flow import (
     area_residual,
     chord_windings,
     flow_jacobian_fd,
-    flow_map,
 )
 from .geometry import area_density, liouville_eval, unwrap_angle
 from .experiments import (

@@ -20,6 +20,7 @@ from .errors import DepthUnreliable
 
 RELIABLE_Q = 6.7e7  # sqrt(1/eps): past this the float's digits stop tracking the real
 SNAP = Fraction(1, 10**9)  # remainders this close to an integer end the expansion
+TOWER_MAX_BITS = 20_000  # largest quotient exponent a synthetic tower unrolls
 
 
 def _log_int(n: int) -> float:
@@ -137,21 +138,21 @@ def from_quotients(a) -> ContinuedFraction:
     return ContinuedFraction(a=a, p=p, q=q, terminated=True, reliable=[True] * len(a))
 
 
-def _tower(depth: int, max_bits: int, exponent) -> ContinuedFraction:
+def _tower(depth: int, exponent) -> ContinuedFraction:
     """Quotients ``a_{n+1} = 2^{exponent(n, q_n)}`` after ``[0, 2]``, while the
-    exponent stays within ``max_bits``."""
+    exponent stays within ``TOWER_MAX_BITS``."""
     a = [0, 2]
     p, q = _convergents(a)
     while len(a) < depth:
         bits = exponent(len(a) - 1, q[-1])
-        if bits > max_bits:
+        if bits > TOWER_MAX_BITS:
             break
         a.append(2**bits)
         p, q = _convergents(a)
     return ContinuedFraction(a=a, p=p, q=q, terminated=True, reliable=[True] * len(a))
 
 
-def synthetic_non_bruno(depth: int, max_bits: int = 20_000) -> ContinuedFraction:
+def synthetic_non_bruno(depth: int) -> ContinuedFraction:
     """Quotients ``a_{n+1} = 2^{q_n}``: every growth ratio stays >= log 2.
 
     Unrolled in exact integers while representable (capping the exponents
@@ -159,12 +160,12 @@ def synthetic_non_bruno(depth: int, max_bits: int = 20_000) -> ContinuedFraction
     limits genuine depth to a handful of tower levels, which already exhibits
     the non-summable growth.
     """
-    return _tower(depth, max_bits, lambda n, qn: qn)
+    return _tower(depth, lambda n, qn: qn)
 
 
-def synthetic_super_liouville(depth: int, max_bits: int = 20_000) -> ContinuedFraction:
+def synthetic_super_liouville(depth: int) -> ContinuedFraction:
     """Quotients ``a_{n+1} = 2^{4^n q_n}``: growth ratios escalate geometrically."""
-    return _tower(depth, max_bits, lambda n, qn: 4**n * qn)
+    return _tower(depth, lambda n, qn: 4**n * qn)
 
 
 def best_approx_check(cf: ContinuedFraction, alpha: float) -> List[Optional[bool]]:

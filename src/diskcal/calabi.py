@@ -30,6 +30,11 @@ STRATEGIES = ("uniform", "stratified")  # PairSampler.strategy
 DIAGONAL_GUARD = 1e-9
 SEGMENT_NODES = 8
 SPECTRAL_BLOCK_ELEMENTS = 1 << 17  # phase-matrix entries per block (2 MB)
+ACTION_RADIAL_NODES = 64  # Gauss-Legendre nodes per ray of ActionFunction.a0
+BOUNDARY_PROFILE_SAMPLES = 512  # rays of the boundary profile behind c_mu
+POLYLINE_NODES = 48  # Gauss-Legendre nodes per leg of a0_along_polyline
+CAL3_TIME_NODES = 8  # Gauss-Legendre times per smooth piece of a generator
+TOL_GENERATOR_BOUNDARY = 1e-8  # spread of H_t on S^1 that cal3 accepts as constant
 
 
 # ---------------------------------------------------------------------------
@@ -83,6 +88,16 @@ def periodic_spectral_interp(values: np.ndarray, offset: float, x):
     return out
 
 
+def _polar_grid(grid, field):
+    """Composite Gauss-Legendre radii (split at the field's radial kinks) times
+    midpoint angles: ``(r, w, thetas, units, points)``, points radius-major."""
+    nr, ntheta = grid
+    r, w = composite_gauss_radii(nr, field.radial_breakpoints if field else ())
+    thetas = (np.arange(ntheta) + 0.5) / ntheta
+    units = np.exp(2j * np.pi * thetas)
+    return r, w, thetas, units, (r[:, None] * units[None, :]).reshape(-1)
+
+
 def _pullback_integrand(bundle, primitive_shift, pos, direction):
     """``lambda'_{f(p)}(Df . v) - lambda'_p(v)`` at points ``pos``, vectors ``direction``."""
     f, p, q = bundle.isotopy.flow_wirtinger(1.0, pos)
@@ -96,7 +111,7 @@ def _pullback_integrand(bundle, primitive_shift, pos, direction):
 
 def _checked_area_residual(bundle) -> float:
     """Determinant residual of the bundle; NotAreaPreserving above ``10 TOL_AREA``."""
-    res = area_residual(bundle, sample_count=100, seed=11)
+    res = area_residual(bundle, seed=11)
     if res > 10.0 * TOL_AREA:
         raise NotAreaPreserving(f"area residual {res:.3e} exceeds {10 * TOL_AREA:.1e}")
     return res
@@ -110,14 +125,9 @@ def _action_averages(bundle, mu, grid, primitive_shift=None):
     boundary profile ``a0(1) = int_0^1 g`` is a sum over the same composite
     Gauss-Legendre nodes (split at the generator's radial kinks).
     """
-    nr, ntheta = grid
-    breaks = tuple(bundle.field.radial_breakpoints) if bundle.field else ()
-    r, w = composite_gauss_radii(nr, breaks)
-    thetas = (np.arange(ntheta) + 0.5) / ntheta
-    units = np.exp(2j * np.pi * thetas)
-    pos = (r[:, None] * units[None, :]).reshape(-1)
-    direction = np.broadcast_to(units[None, :], (r.size, ntheta)).reshape(-1)
-    g = _pullback_integrand(bundle, primitive_shift, pos, direction).reshape(r.size, ntheta)
+    r, w, thetas, units, pos = _polar_grid(grid, bundle.field)
+    direction = np.broadcast_to(units[None, :], (r.size, units.size)).reshape(-1)
+    g = _pullback_integrand(bundle, primitive_shift, pos, direction).reshape(r.size, units.size)
     area_a0 = float(np.sum(w * (1.0 - r * r) * np.mean(g, axis=1)))
     boundary = w @ g
     c_mu = float(np.sum(mu.weights * periodic_spectral_interp(boundary, thetas[0], mu.points)))
@@ -139,22 +149,14 @@ class ActionFunction:
     perturbed Liouville form ``lambda + du``.
     """
 
-    def __init__(
-        self,
-        bundle: MapBundle,
-        mu: BoundaryMeasure,
-        radial_nodes: int = 64,
-        primitive_shift=None,
-        boundary_profile_samples: int = 512,
-    ):
+    def __init__(self, bundle: MapBundle, mu: BoundaryMeasure, primitive_shift=None):
         _checked_area_residual(bundle)
         self.bundle = bundle
         self.mu = mu
-        self.radial_nodes = radial_nodes
         self.primitive_shift = primitive_shift
         self._breaks = tuple(bundle.field.radial_breakpoints) if bundle.field else ()
         _, self.c_mu = _action_averages(
-            bundle, mu, (radial_nodes, boundary_profile_samples), primitive_shift
+            bundle, mu, (ACTION_RADIAL_NODES, BOUNDARY_PROFILE_SAMPLES), primitive_shift
         )
 
     def _integrand(self, pos, direction):
@@ -168,7 +170,7 @@ class ActionFunction:
         edges = np.concatenate([[0.0], np.asarray(self._breaks, dtype=float), [1.0]])
         lo = np.minimum(edges[:-1][None, :], r[:, None])
         hi = np.minimum(edges[1:][None, :], r[:, None])
-        m = max(SEGMENT_NODES, self.radial_nodes // (edges.size - 1))
+        m = max(SEGMENT_NODES, ACTION_RADIAL_NODES // (edges.size - 1))
         rho, w = _segment_nodes(lo, hi, m)  # (N, S, m)
         shape = rho.shape
         pos = (rho * unit[:, None, None]).reshape(-1)
@@ -180,12 +182,12 @@ class ActionFunction:
     def __call__(self, z):
         return self.a0(z) - self.c_mu
 
-    def a0_along_polyline(self, z: complex, nodes_per_leg: int = 48) -> float:
+    def a0_along_polyline(self, z: complex) -> float:
         """Primitive recomputed along 0 -> (u, 0) -> (u, v), for path-independence checks."""
         z = complex(z)
         legs = [(0.0 + 0.0j, complex(z.real, 0.0)), (complex(z.real, 0.0), z)]
         total = 0.0
-        x, w = leggauss(nodes_per_leg)
+        x, w = leggauss(POLYLINE_NODES)
         for a, b in legs:
             if abs(b - a) == 0.0:
                 continue
@@ -206,13 +208,12 @@ class ActionFunction:
 def action_function(
     bundle: MapBundle,
     mu: Optional[BoundaryMeasure] = None,
-    radial_nodes: int = 64,
     primitive_shift=None,
 ) -> ActionFunction:
     """Normalized action function of a bundle (measure defaults to a boundary orbit)."""
     if mu is None:
         mu = invariant_measure(bundle.boundary_lift())
-    return ActionFunction(bundle, mu, radial_nodes=radial_nodes, primitive_shift=primitive_shift)
+    return ActionFunction(bundle, mu, primitive_shift=primitive_shift)
 
 
 # ---------------------------------------------------------------------------
@@ -271,14 +272,20 @@ class PairSampler:
 
     ``stratified`` splits the disk into equal-area annuli for each factor and
     allocates samples proportionally (deterministic largest-remainder rounding),
-    which sharpens the estimator for radially concentrated windings.
+    which sharpens the estimator for radially concentrated windings.  It needs
+    ``n >= 2 n_strata^2``, two pairs per stratum pair, for a stratum variance.
+    Pairs closer than ``MIN_PAIR_SEPARATION`` are redrawn.
     """
 
     n: int
     seed: int
-    s_min: float = MIN_PAIR_SEPARATION
     strategy: str = "uniform"
     n_strata: int = 8
+
+    def __post_init__(self):
+        need = 2 * self.n_strata**2
+        if self.strategy == "stratified" and self.n < need:
+            raise ValueError(f"stratified sampling needs at least {need} pairs, got {self.n}")
 
     def _draw_uniform(self, rng, size):
         return uniform_disk_points(size, rng), uniform_disk_points(size, rng)
@@ -293,7 +300,7 @@ class PairSampler:
     def _separate(self, rng, draw, x, y):
         resampled = 0
         for _ in range(100):
-            bad = np.abs(x - y) < self.s_min
+            bad = np.abs(x - y) < MIN_PAIR_SEPARATION
             if not np.any(bad):
                 break
             resampled += int(np.sum(bad))
@@ -314,24 +321,25 @@ class PairSampler:
         cells = [(i, j) for i in range(k) for j in range(k)]
         counts = self._cell_counts()
         xs, ys, slices = [], [], []
-        start = 0
+        start = resampled = 0
         for (i, j), c in zip(cells, counts):
             draw = lambda r, s, _i=i, _j=j: self._draw_stratum(r, _i, _j, s, k)
             x, y = draw(rng, int(c))
-            x, y, _ = self._separate(rng, draw, x, y)
+            x, y, redrawn = self._separate(rng, draw, x, y)
             xs.append(x)
             ys.append(y)
             slices.append(slice(start, start + int(c)))
             start += int(c)
+            resampled += redrawn
         masses = np.full(len(cells), 1.0 / (k * k))
-        return np.concatenate(xs), np.concatenate(ys), masses, slices, 0
+        return np.concatenate(xs), np.concatenate(ys), masses, slices, resampled
 
     def _cell_counts(self):
         k = self.n_strata
         base = self.n // (k * k)
         counts = np.full(k * k, base, dtype=int)
         counts[: self.n - base * k * k] += 1
-        return np.maximum(counts, 1)
+        return counts
 
     def redraw(self, rng, idx):
         """Fresh pairs for the sample indices ``idx``, each from its own stratum."""
@@ -392,8 +400,7 @@ def cal2_tilde(bundle: MapBundle, sampler: PairSampler, workers: int = 1) -> Cal
         for m, sl in zip(masses, slices):
             v = values[sl]
             value += m * float(np.mean(v))
-            if v.size > 1:
-                var += m * m * float(np.var(v, ddof=1)) / v.size
+            var += m * m * float(np.var(v, ddof=1)) / v.size
         stderr = float(np.sqrt(var))
     return Cal2Result(value=value, stderr=stderr, n_pairs=x.size,
                       resampled=resampled, retried=retried)
@@ -403,41 +410,33 @@ def cal2_tilde(bundle: MapBundle, sampler: PairSampler, workers: int = 1) -> Cal
 # cal3: time integral of the generator
 
 
-def cal3_tilde(
-    bundle_or_field,
-    grid=(128, 256),
-    time_nodes: int = 8,
-    boundary_samples: int = 64,
-    boundary_tol: float = 1e-8,
-) -> float:
+def cal3_tilde(bundle_or_field, grid=(128, 256)) -> float:
     """``2 int_0^1 int_D H_t omega dt`` after normalizing ``H_t`` to vanish on S^1.
 
     The generator must be constant on the circle at every sampled time
-    (BoundaryNotConstant otherwise); the constant is subtracted per slice.
-    Autonomous generators use a single time node, piecewise generators get
-    Gauss-Legendre nodes per smooth piece.
+    (to ``TOL_GENERATOR_BOUNDARY``; BoundaryNotConstant otherwise); the
+    constant is subtracted per slice.  Autonomous generators use a single time
+    node, piecewise generators get ``CAL3_TIME_NODES`` Gauss-Legendre nodes
+    per smooth piece.
     """
     field = bundle_or_field.field if isinstance(bundle_or_field, MapBundle) else bundle_or_field
     if field is None:
         raise ValueError("cal3 needs a bundle with a Hamiltonian generator")
-    nr, ntheta = grid
-    r, w = composite_gauss_radii(nr, field.radial_breakpoints)
-    thetas = (np.arange(ntheta) + 0.5) / ntheta
-    pts = (r[:, None] * np.exp(2j * np.pi * thetas)[None, :]).ravel()
+    r, w, _, units, pts = _polar_grid(grid, field)
 
     def slice_integral(t):
-        bvals = field.boundary_values(t, boundary_samples)
-        if float(np.max(bvals) - np.min(bvals)) > boundary_tol:
+        bvals = field.boundary_values(t)
+        if float(np.max(bvals) - np.min(bvals)) > TOL_GENERATOR_BOUNDARY:
             raise BoundaryNotConstant(
                 f"generator varies by {float(np.max(bvals) - np.min(bvals)):.2e} on the circle at t={t}"
             )
-        h = (field.value(t, pts) - float(np.mean(bvals))).reshape(r.size, ntheta)
+        h = (field.value(t, pts) - float(np.mean(bvals))).reshape(r.size, units.size)
         return float(np.sum(w * 2.0 * r * np.mean(h, axis=1)))
 
     if field.autonomous:
         return 2.0 * slice_integral(0.0)
     edges = np.unique(np.concatenate([[0.0, 1.0], np.asarray(field.time_breakpoints)]))
-    x, gw = leggauss(time_nodes)
+    x, gw = leggauss(CAL3_TIME_NODES)
     total = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):
         ts = lo + (hi - lo) * (x + 1.0) / 2.0

@@ -21,6 +21,11 @@ DEFAULT_LIFT_SAMPLES = 4096
 TOL_PERIOD = 1e-10
 PERIOD_SEARCH_MAX = 10_000
 RHO_STARTS = 64
+DEFECT_TEST_FNS = (
+    lambda x: np.cos(2 * np.pi * x),
+    lambda x: np.sin(2 * np.pi * x),
+    lambda x: np.cos(4 * np.pi * x),
+)
 
 
 class LiftedCircleMap:
@@ -107,18 +112,12 @@ class BoundaryMeasure:
     def integrate(self, psi) -> float:
         return float(np.sum(self.weights * psi(self.points)))
 
-    def invariance_defect(self, lift: LiftedCircleMap, test_fns=None) -> float:
-        """max over test functions of |int psi d(phi_* mu) - int psi d mu|."""
-        if test_fns is None:
-            test_fns = [
-                lambda x: np.cos(2 * np.pi * x),
-                lambda x: np.sin(2 * np.pi * x),
-                lambda x: np.cos(4 * np.pi * x),
-            ]
+    def invariance_defect(self, lift: LiftedCircleMap) -> float:
+        """max over ``DEFECT_TEST_FNS`` of |int psi d(phi_* mu) - int psi d mu|."""
         pushed = np.mod(lift(self.points), 1.0)
         return max(
             abs(float(np.sum(self.weights * f(pushed))) - self.integrate(f))
-            for f in test_fns
+            for f in DEFECT_TEST_FNS
         )
 
 
@@ -181,26 +180,18 @@ def invariant_measure(
 
     If the orbit returns to ``x0`` within 1e-10 (mod 1) at some period
     ``q <= min(samples, 10^4)`` the exact periodic-orbit measure with weights
-    1/q is returned instead of a Birkhoff segment.
+    1/q is returned instead of a Birkhoff segment; both come from one walk.
     """
     if samples < 1:
         raise ValueError("need samples >= 1")
     limit = min(samples, PERIOD_SEARCH_MAX)
     orbit = [float(x0)]
     x = float(x0)
-    for k in range(1, limit + 1):
+    for k in range(1, max(limit + 1, burn_in + samples)):
         x += float(lift.delta(x))
-        d = abs(x - x0 - round(x - x0))
-        if d < TOL_PERIOD:
+        if k <= limit and abs(x - x0 - round(x - x0)) < TOL_PERIOD:
             pts = np.mod(np.array(orbit), 1.0)
             return BoundaryMeasure(points=pts, weights=np.full(k, 1.0 / k), periodic=True)
         orbit.append(x)
-    x = float(x0)
-    for _ in range(burn_in):
-        x += float(lift.delta(x))
-    pts = np.empty(samples)
-    for k in range(samples):
-        pts[k] = x % 1.0
-        x += float(lift.delta(x))
+    pts = np.mod(orbit[burn_in:burn_in + samples], 1.0)
     return BoundaryMeasure(points=pts, weights=np.full(samples, 1.0 / samples), periodic=False)
-

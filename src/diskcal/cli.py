@@ -135,6 +135,10 @@ def cmd_compute(cfg: dict, out_dir: str, fmt: str, seed_override, workers_overri
     strategy = _budget(cfg, "strategy", "uniform")
     if strategy not in STRATEGIES:
         raise ConfigError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
+    try:
+        PairSampler(n=pairs, seed=seed, strategy=strategy)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     quad_budget = _real(_budget(cfg, "quad_budget", 1e-4), "quad_budget", 0.0)
 
     bundle = from_spec(cfg["map"])

@@ -22,6 +22,9 @@ from .zoo import bump, conjugated_rotation, off_center_conjugator, radial_twist,
 
 D_GRID = (256, 256)
 D_BOUNDARY = 512
+C1_TWIST = (0.3, -0.6, 0.3)  # the twist exp_c1_continuity scales
+C0_D0_TARGET = 0.05  # d0 the last bump of exp_c0_discontinuity must reach
+RIGIDITY_CAL_BUDGET = 1e-4  # per-iterate allowance of exp_rigidity's cal1 drift
 
 
 @dataclass(frozen=True)
@@ -66,7 +69,6 @@ def sup_distance_to_identity(
     bundle: MapBundle,
     order: int = 0,
     grid=D_GRID,
-    boundary: int = D_BOUNDARY,
     refine: bool = True,
     include_lift: bool = False,
 ) -> DistanceReport:
@@ -77,13 +79,13 @@ def sup_distance_to_identity(
     angle bounds are stated for the latter; an iterate whose lift has drifted
     by an integer is then far from the identity lift even if the map is close).
     """
-    terms = _distance_terms(bundle, _sample_points(grid, boundary), order, include_lift)
+    terms = _distance_terms(bundle, _sample_points(grid, D_BOUNDARY), order, include_lift)
     value = max(terms.values())
     delta = 0.0
     if refine:
         half = _distance_terms(
             bundle,
-            _sample_points((max(8, grid[0] // 2), max(8, grid[1] // 2)), boundary // 2),
+            _sample_points((max(8, grid[0] // 2), max(8, grid[1] // 2)), D_BOUNDARY // 2),
             order,
             include_lift,
         )
@@ -132,20 +134,19 @@ def _csv_cell(v):
 def exp_c1_continuity(
     scales,
     *,
-    twist_coeffs=(0.3, -0.6, 0.3),
     pairs: int = 4000,
     seed: int = 7,
     grid=D_GRID,
     workers: int = 1,
 ) -> ExperimentResult:
-    """Scaled twists tau*H against the near-identity bound sqrt(2 eps)/pi.
+    """Scaled twists tau*H (H the ``C1_TWIST`` profile) against the bound sqrt(2 eps)/pi.
 
     eps is the measured lifted d1 distance to the identity; scales producing
     eps > 1/2 are outside the bound's range and raise ScaleTooLarge.
     """
     columns = ["tau", "eps_d1", "cal2", "cal2_stderr", "cal3", "bound", "pass"]
     rows = []
-    coeffs = np.asarray(twist_coeffs, dtype=float)
+    coeffs = np.asarray(C1_TWIST, dtype=float)
     for tau in scales:
         if tau == 0.0:
             rows.append({"tau": 0.0, "eps_d1": 0.0, "cal2": 0.0, "cal2_stderr": 0.0,
@@ -171,13 +172,12 @@ def exp_c1_continuity(
 # C0 discontinuity: constant invariant on shrinking supports
 
 
-def exp_c0_discontinuity(ns, *, grid=(128, 256), cal_budget: float = 1e-3,
-                         d0_target: float = 0.05) -> ExperimentResult:
+def exp_c0_discontinuity(ns, *, grid=(128, 256), cal_budget: float = 1e-3) -> ExperimentResult:
     """Bump maps: invariant pinned at 2/pi while displacement shrinks like 2/n.
 
     PASS requires every invariant within ``cal_budget`` of 2/pi, every measured
     d0 below its 2/n bound, a decreasing d0 column, and a final d0 at most
-    ``max(d0_target, 2/max(ns))``.
+    ``max(C0_D0_TARGET, 2/max(ns))``.
     """
     target = 2.0 / np.pi
     columns = ["n", "cal3", "cal_error", "d0", "d0_bound", "pass"]
@@ -191,7 +191,7 @@ def exp_c0_discontinuity(ns, *, grid=(128, 256), cal_budget: float = 1e-3,
                      "d0": d0, "d0_bound": 2.0 / n, "pass": ok})
     d0s = [r["d0"] for r in rows]
     decreasing = all(b < a for a, b in zip(d0s[:-1], d0s[1:]))
-    reached = d0s[-1] <= max(d0_target, 2.0 / max(ns)) + 1e-9
+    reached = d0s[-1] <= max(C0_D0_TARGET, 2.0 / max(ns)) + 1e-9
     passed = all(r["pass"] for r in rows) and decreasing and reached
     return ExperimentResult("c0-discontinuity", columns, rows, passed,
                             meta={"target": target, "cal_budget": cal_budget,
@@ -245,7 +245,6 @@ def exp_rigidity(
     far_pairs: int = 1000,
     cal_grid=(64, 128),
     d_grid=(192, 256),
-    cal_budget: float = 1e-4,
     seed: int = 3,
 ) -> ExperimentResult:
     """Iterates of a conjugated rotation along approximation denominators.
@@ -276,7 +275,7 @@ def exp_rigidity(
         eps = sup_distance_to_identity(it, order=0, grid=d_grid, refine=False).value
         c1 = cal1(it, grid=cal_grid, richardson=False).value
         drift = abs(c1 - q * cal_f)
-        drift_budget = (q + 1) * cal_budget
+        drift_budget = (q + 1) * RIGIDITY_CAL_BUDGET
 
         min_sep = min(np.sqrt(eps), 1.2)
         x, y = _far_pairs(rng, far_pairs, min_sep)
@@ -296,8 +295,8 @@ def exp_rigidity(
             "ang_dev_max": dev, "lemma_applies": lemma_applies, "lemma_ok": bool(lemma_ok),
             "kq_residual": kq_res, "kq_bound": kq_bound, "pass": row_pass,
         })
-    passed = all(r["pass"] for r in rows) and abs(cal_f) <= cal_budget
+    passed = all(r["pass"] for r in rows) and abs(cal_f) <= RIGIDITY_CAL_BUDGET
     return ExperimentResult("rigidity", columns, rows, passed,
                             meta={"alpha": alpha, "tau": tau, "cal1_base": cal_f,
                                   "rho": rho.value, "qs": [int(q) for q in qs],
-                                  "cal_budget": cal_budget, "seed": seed})
+                                  "cal_budget": RIGIDITY_CAL_BUDGET, "seed": seed})

@@ -50,6 +50,7 @@ MAX_CALIBRATION_DOUBLINGS = 12
 MAX_WINDING_DOUBLINGS = 8
 MIN_WINDING_STEPS = 64
 MAX_TRAJ_ELEMENTS = 4_000_000
+AREA_PROBES = 100  # points of area_residual's determinant check
 # h^-1 images kept per conjugator (LRU): a rigidity pass reuses four point
 # sets (d0 grid, cal1 nodes, area-residual probes, S^1 lift samples) and maps
 # two fresh far-pair sets per iterate between two uses of one of them
@@ -163,15 +164,14 @@ class FieldIsotopy(Isotopy):
 
     The step count is calibrated once: starting from ``base_steps`` per unit
     time, the grid is doubled until two successive resolutions agree within
-    ``tol_ode`` on a probe set, then frozen.  A resolution whose flow leaves
+    ``TOL_ODE`` on a probe set, then frozen.  A resolution whose flow leaves
     the disk counts as unresolved; PointOutsideDisk is raised if the finest
     one still leaves it, and by any flow outside calibration.
     """
 
-    def __init__(self, generator, base_steps: int = DEFAULT_STEPS, tol_ode: float = TOL_ODE):
+    def __init__(self, generator, base_steps: int = DEFAULT_STEPS):
         self.generator = generator
         self.field = generator if isinstance(generator, HamiltonianField) else None
-        self.tol_ode = tol_ode
         self.n_steps = self._calibrate(base_steps)
 
     def _calibrate(self, n0: int) -> int:
@@ -183,7 +183,7 @@ class FieldIsotopy(Isotopy):
         prev = self._probe(probes, n)
         for _ in range(MAX_CALIBRATION_DOUBLINGS):
             cur = self._probe(probes, 2 * n)
-            if float(np.max(np.abs(cur - prev))) <= self.tol_ode:
+            if float(np.max(np.abs(cur - prev))) <= TOL_ODE:
                 return 2 * n
             n *= 2
             prev = cur
@@ -191,13 +191,13 @@ class FieldIsotopy(Isotopy):
         if np.isnan(prev).all():
             raise PointOutsideDisk(f"flow of {name} leaves the disk at {n} steps per unit time")
         raise StepTooCoarse(
-            f"flow of {name} did not reach tol {self.tol_ode} within {n} steps per unit time"
+            f"flow of {name} did not reach tol {TOL_ODE} within {n} steps per unit time"
         )
 
     def _probe(self, probes, n):
         """Time-1 images of the probes at ``n`` steps; all NaN if the flow leaves the disk."""
         try:
-            return self._integrate(probes, 0.0, 1.0, n)
+            return self._dop853(self._rhs, (probes,), 0.0, 1.0, n)[0]
         except PointOutsideDisk:
             return np.full_like(probes, np.nan)
 
@@ -232,13 +232,6 @@ class FieldIsotopy(Isotopy):
             y[0] = project_to_disk(y[0])
         return tuple(y)
 
-    def _integrate(self, z, t0, t1, n_sub):
-        (z,) = self._dop853(self._rhs, (z,), t0, t1, n_sub)
-        return z
-
-    def _integrate_var(self, z, p, q, t0, t1, n_sub):
-        return self._dop853(self._rhs_var, (z, p, q), t0, t1, n_sub)
-
     def trajectory(self, z, times):
         z = _as_points(z)
         times = np.asarray(times, dtype=float)
@@ -247,7 +240,7 @@ class FieldIsotopy(Isotopy):
         for j, t in enumerate(times):
             if t > t_cur:
                 n_sub = max(1, int(np.ceil((t - t_cur) * self.n_steps)))
-                cur = self._integrate(cur, t_cur, t, n_sub)
+                (cur,) = self._dop853(self._rhs, (cur,), t_cur, t, n_sub)
                 t_cur = t
             out[j] = cur
         return out
@@ -258,20 +251,16 @@ class FieldIsotopy(Isotopy):
         q = np.zeros_like(z)
         n_sub = max(1, int(np.ceil(t * self.n_steps)))
         if t > 0.0:
-            z, p, q = self._integrate_var(z, p, q, 0.0, t, n_sub)
+            z, p, q = self._dop853(self._rhs_var, (z, p, q), 0.0, t, n_sub)
         return z, p, q
 
     def inverse(self):
         if self.field is None:
             raise ValueError("cannot invert an isotopy without a Hamiltonian generator")
         # the time-reversed field is as regular as this one, so calibration
-        # starts from half the count: its tol_ode check then lands on n_steps
+        # starts from half the count: its TOL_ODE check then lands on n_steps
         # (calibration returns twice the count it starts from)
-        return FieldIsotopy(
-            scaled_field(self.field, -1.0, reverse=True),
-            base_steps=self.n_steps // 2,
-            tol_ode=self.tol_ode,
-        )
+        return FieldIsotopy(scaled_field(self.field, -1.0, reverse=True), base_steps=self.n_steps // 2)
 
 
 class RadialIsotopy(Isotopy):
@@ -411,9 +400,9 @@ class ConjugatorPair:
     threads missing on one key compute the same arrays and either is kept.
     """
 
-    def __init__(self, h_isotopy: Isotopy):
-        self.h = h_isotopy
-        self.h_inverse = h_isotopy.inverse()
+    def __init__(self, h: Isotopy):
+        self.h = h
+        self.h_inverse = h.inverse()
         self._memo = OrderedDict()
         self._lock = threading.Lock()
 
@@ -447,16 +436,15 @@ class ConjugatorPair:
 class ConjugatedIsotopy(Isotopy):
     """``t -> h . f_t . h^-1`` for the time-1 map ``h`` of a fixed isotopy.
 
-    ``h_isotopy`` is the conjugator's isotopy, or the ``ConjugatorPair`` of
-    another conjugation by the same ``h``, whose inverse and memo are then
-    shared.
-    Chord windings, and position windings on S^1 (the boundary lift), are
-    sums of windings of ``f_t`` and ``h`` at ``W = h^-1 x`` (an exact
-    identity), never tracked along the conjugated trajectory.
+    ``pair`` is the ``ConjugatorPair`` of ``h``; every conjugation by the same
+    ``h`` shares its inverse and memo.  Chord windings, and position windings
+    on S^1 (the boundary lift), are sums of windings of ``f_t`` and ``h`` at
+    ``W = h^-1 x`` (an exact identity), never tracked along the conjugated
+    trajectory.
     """
 
-    def __init__(self, h_isotopy, inner: Isotopy, name: str = ""):
-        self.pair = h_isotopy if isinstance(h_isotopy, ConjugatorPair) else ConjugatorPair(h_isotopy)
+    def __init__(self, pair: ConjugatorPair, inner: Isotopy, name: str = ""):
+        self.pair = pair
         self.inner = inner
         inner_field = inner.field
         self.field = (
@@ -466,24 +454,16 @@ class ConjugatedIsotopy(Isotopy):
         )
         self.name = name
 
-    @property
-    def h_isotopy(self) -> Isotopy:
-        return self.pair.h
-
-    @property
-    def h_inverse_isotopy(self) -> Isotopy:
-        return self.pair.h_inverse
-
     def trajectory(self, z, times):
         pts = _as_points(z)
-        out = _flow_batched(self.h_isotopy, self.inner.trajectory(self.pair.inverse_images(pts), times))
+        out = _flow_batched(self.pair.h, self.inner.trajectory(self.pair.inverse_images(pts), times))
         out[np.asarray(times) == 0.0] = pts  # f_0 = id exactly, not h(h^-1 z)
         return out
 
     def flow_wirtinger(self, t, z):
         w, pi_, qi_ = self.pair.inverse_wirtinger(_as_points(z))
         mid, pm, qm = self.inner.flow_wirtinger(t, w)
-        out, po, qo = self.h_isotopy.flow_wirtinger(1.0, mid)
+        out, po, qo = self.pair.h.flow_wirtinger(1.0, mid)
         p, q = wirtinger_compose((pm, qm), (pi_, qi_))
         p, q = wirtinger_compose((po, qo), (p, q))
         return out, p, q
@@ -506,8 +486,8 @@ class ConjugatedIsotopy(Isotopy):
         fy = None if y is None else self.inner.flow(1.0, wy)
         return _summed_windings([
             (self.inner, wx, wy, 1.0),
-            (self.h_isotopy, fx, fy, 1.0),
-            (self.h_isotopy, wx, wy, -1.0),
+            (self.pair.h, fx, fy, 1.0),
+            (self.pair.h, wx, wy, -1.0),
         ])
 
 
@@ -638,14 +618,7 @@ def _as_isotopy(obj) -> Isotopy:
         return obj.isotopy
     if isinstance(obj, Isotopy):
         return obj
-    if isinstance(obj, HamiltonianField):
-        return FieldIsotopy(obj)
-    raise TypeError(f"expected a bundle, isotopy, or generator, got {type(obj)!r}")
-
-
-def flow_map(bundle, t: float, z):
-    """Point(s) ``f_t(z)`` of a bundle, bare isotopy, or generator field."""
-    return _as_isotopy(bundle).flow(t, z)
+    raise TypeError(f"expected a bundle or isotopy, got {type(obj)!r}")
 
 
 def flow_jacobian_fd(bundle, t: float, z, step: float = 1e-5):
@@ -654,9 +627,9 @@ def flow_jacobian_fd(bundle, t: float, z, step: float = 1e-5):
     return central_wirtinger(lambda w: iso.flow(t, w), z, step)
 
 
-def area_residual(bundle, sample_count: int = 100, seed: int = 0, t: float = 1.0) -> float:
-    """max over sampled points of |det(Df_t) - 1|."""
+def area_residual(bundle, seed: int = 0) -> float:
+    """max over ``AREA_PROBES`` sampled points of |det(Df_1) - 1|."""
     rng = np.random.default_rng(seed)
-    pts = uniform_disk_points(sample_count, rng) * 0.999
-    _, p, q = _as_isotopy(bundle).flow_wirtinger(t, pts)
+    pts = uniform_disk_points(AREA_PROBES, rng) * 0.999
+    _, p, q = _as_isotopy(bundle).flow_wirtinger(1.0, pts)
     return float(np.max(np.abs(wirtinger_det(p, q) - 1.0)))

@@ -16,7 +16,7 @@ from numpy.polynomial import Polynomial
 
 from .errors import BoundaryNotConstant, ConfigError
 from .fields import HamiltonianField, scaled_field
-from .flow import ConcatIsotopy, ConjugatedIsotopy, FieldIsotopy, MapBundle, RadialIsotopy
+from .flow import ConcatIsotopy, ConjugatedIsotopy, ConjugatorPair, FieldIsotopy, MapBundle, RadialIsotopy
 
 
 class RadialProfile:
@@ -254,8 +254,8 @@ def conjugate(bundle: MapBundle, conjugator: HamiltonianField, tau: float) -> Ma
         return bundle
     if not conjugator.autonomous:
         raise ValueError("only autonomous generators can be time-scaled")
-    h_iso = FieldIsotopy(scaled_field(conjugator, tau))
-    iso = ConjugatedIsotopy(h_iso, bundle.isotopy, name=f"conj({bundle.name})")
+    pair = ConjugatorPair(FieldIsotopy(scaled_field(conjugator, tau)))
+    iso = ConjugatedIsotopy(pair, bundle.isotopy, name=f"conj({bundle.name})")
     oracle = {k: bundle.oracle[k] for k in ("cal1", "cal", "rho") if k in bundle.oracle}
     return MapBundle(isotopy=iso, name=f"conj({bundle.name};tau={tau})", oracle=oracle)
 

@@ -238,6 +238,28 @@ class TestCal2:
             assert np.all(np.abs(k * np.abs(x[sel]) ** 2 - (i + 0.5)) <= 0.5 + 1e-12)
             assert np.all(np.abs(k * np.abs(y[sel]) ** 2 - (j + 0.5)) <= 0.5 + 1e-12)
 
+    def test_stratified_needs_two_pairs_per_stratum(self):
+        # a stratum with one pair has no variance estimate: 64 stratified
+        # pairs reported stderr 0, and 10 silently became 64
+        for n in (10, 64, 127):
+            with pytest.raises(ValueError, match="128"):
+                PairSampler(n=n, seed=1, strategy="stratified")
+        assert PairSampler(n=128, seed=1, strategy="stratified").sample_pairs()[0].size == 128
+        assert PairSampler(n=18, seed=1, strategy="stratified", n_strata=3).sample_pairs()[0].size == 18
+        assert PairSampler(n=10, seed=1).sample_pairs()[0].size == 10
+
+    @pytest.mark.parametrize("strategy", ["uniform", "stratified"])
+    def test_close_pairs_are_redrawn_and_counted(self, monkeypatch, strategy):
+        # every stratum can meet a separation of 0.05 (the innermost lies in r < 1/8)
+        import diskcal.calabi as calabi
+
+        monkeypatch.setattr(calabi, "MIN_PAIR_SEPARATION", 0.05)
+        sampler = PairSampler(n=2000, seed=3, strategy=strategy)
+        x, y, _, _, resampled = sampler.sample_pairs()
+        assert resampled > 0
+        assert np.all(np.abs(x - y) >= 0.05)
+        assert cal2_tilde(quadratic_twist(0.3), sampler).resampled == resampled
+
     def test_stratified_agrees_and_tightens(self):
         uni = cal2_tilde(quadratic_twist(0.3), PairSampler(n=8000, seed=7))
         strat = cal2_tilde(quadratic_twist(0.3), PairSampler(n=8000, seed=7, strategy="stratified"))
@@ -328,7 +350,7 @@ class TestCmu:
         wts = np.array([0.2, 0.2, 0.2, 0.2, 0.2])
         mu = DiskMeasure(points=pts, weights=wts)
         conj_bundle = conjugate(tw, off_center_conjugator(0.4), 0.3)
-        pushed = mu.pushforward(lambda z: conj_bundle.isotopy.h_isotopy.flow(1.0, z))
+        pushed = mu.pushforward(lambda z: conj_bundle.isotopy.pair.h.flow(1.0, z))
         lhs = c_mu_tilde(tw, mu)
         rhs = c_mu_tilde(conj_bundle, pushed)
         assert rhs == pytest.approx(lhs, abs=1e-6)

@@ -198,6 +198,48 @@ class TestInvariantMeasure:
         mu = invariant_measure(lift, samples=100, x0=0.0)
         assert mu.periodic and mu.points.size == 1
 
+    @staticmethod
+    def _two_walk_reference(lift, burn_in, samples, x0):
+        # the period search and the sample segment as two separate walks
+        limit = min(samples, 10_000)
+        orbit = [float(x0)]
+        x = float(x0)
+        for k in range(1, limit + 1):
+            x += float(lift.delta(x))
+            if abs(x - x0 - round(x - x0)) < 1e-10:
+                return np.mod(np.array(orbit), 1.0), np.full(k, 1.0 / k), True
+            orbit.append(x)
+        x = float(x0)
+        for _ in range(burn_in):
+            x += float(lift.delta(x))
+        pts = np.empty(samples)
+        for k in range(samples):
+            pts[k] = x % 1.0
+            x += float(lift.delta(x))
+        return pts, np.full(samples, 1.0 / samples), False
+
+    @pytest.mark.parametrize("lift, burn_in, samples, x0, calls", [
+        (LiftedCircleMap.translation(1.0 / 3.0), 1000, 100, 0.0, 3),
+        (sin_lift(0.05, 0.02), 300, 2000, 0.1, 2299),
+        (sin_lift(0.05, 0.02), 0, 500, 0.0, 500),
+        (LiftedCircleMap.translation(0.6180339887498949), 50, 12_000, 0.2, 12_049),
+        # the period is found at the last step searched, k = limit = samples
+        (LiftedCircleMap.translation(1.0 / 7.0), 0, 7, 0.0, 7),
+    ], ids=["periodic", "burn_in", "no_burn_in", "past_search_limit", "period_at_limit"])
+    def test_one_walk_matches_two_walks(self, lift, burn_in, samples, x0, calls):
+        counted = []
+
+        def delta(x):
+            counted.append(1)
+            return lift.delta(x)
+
+        walker = LiftedCircleMap(delta_fn=delta)
+        mu = invariant_measure(walker, burn_in=burn_in, samples=samples, x0=x0)
+        pts, weights, periodic = self._two_walk_reference(lift, burn_in, samples, x0)
+        assert mu.periodic == periodic
+        assert np.array_equal(mu.points, pts) and np.array_equal(mu.weights, weights)
+        assert len(counted) == calls
+
     def test_weights_validated(self):
         from diskcal.circle import BoundaryMeasure
 

@@ -88,8 +88,10 @@ class TestCompute:
         ({"workers": "two"}, 0.3),
         ({"seed": "abc"}, 0.3),
         ({"c_mu_points": 0}, 0.3),
+        ({"strategy": "stratified", "pairs": 64}, 0.3),
     ], ids=["grid0", "rho_iterates0", "pairs0", "alpha_nan", "quad_budget_nan",
-            "quad_budget_negative", "strategy_bogus", "workers_str", "seed_str", "c_mu_points0"])
+            "quad_budget_negative", "strategy_bogus", "workers_str", "seed_str", "c_mu_points0",
+            "stratified_pairs64"])
     def test_degenerate_config_is_config_error(self, tmp_path, capsys, budgets, alpha):
         cfg_dict = {
             "map": {"family": "compose", "maps": [{"family": "quadratic_twist", "beta": 0.3},

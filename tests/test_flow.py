@@ -26,7 +26,6 @@ from diskcal.flow import (
     area_residual,
     chord_windings,
     flow_jacobian_fd,
-    flow_map,
     position_windings,
 )
 from diskcal.geometry import TWO_PI, central_wirtinger, wirtinger_apply, wirtinger_det
@@ -95,7 +94,7 @@ class TestHamiltonianVectorField:
 class TestFlowMap:
     def test_rk4_rotation_matches_exact_flow(self):
         iso = FieldIsotopy(rotation_field(0.25))
-        z = flow_map(iso, 1.0, 1.0 + 0j)
+        z = iso.flow(1.0, 1.0 + 0j)
         assert z == pytest.approx(1j, abs=1e-8)
         # boundary point stays on the circle
         assert abs(abs(z) - 1.0) < 1e-9
@@ -104,7 +103,7 @@ class TestFlowMap:
         field = HamiltonianField(lambda t, z: np.zeros_like(np.real(z)), autonomous=True)
         iso = FieldIsotopy(field)
         for z in (0.0j, 0.3 + 0.4j, 1.0 + 0j):
-            assert flow_map(iso, 0.7, z) == pytest.approx(z, abs=1e-15)
+            assert iso.flow(0.7, z) == pytest.approx(z, abs=1e-15)
 
     def test_bump_fixes_complement_of_support(self):
         from diskcal.zoo import bump
@@ -176,14 +175,14 @@ class TestCalibration:
     ], ids=lambda v: getattr(v, "name", v))
     def test_conjugators_settle_low_with_equal_counts(self, conjugator, tau):
         iso = conjugated_rotation(0.6180339887498949, conjugator, tau).isotopy
-        assert iso.h_isotopy.n_steps == iso.h_inverse_isotopy.n_steps
-        assert iso.h_isotopy.n_steps == (8 if tau < 1.0 else 16)
+        assert iso.pair.h.n_steps == iso.pair.h_inverse.n_steps
+        assert iso.pair.h.n_steps == (8 if tau < 1.0 else 16)
 
     def test_a_resolution_that_leaves_the_disk_is_unresolved(self):
         # at 4 steps the shear flow at tau = 1 takes two S^1 probes to
         # |z| = 1 + 1.3e-9; calibration doubles past it, a flow still raises
         bundle = conjugated_rotation(0.6180339887498949, boundary_shear_conjugator(0.3), tau=1.0)
-        h = bundle.isotopy.h_isotopy
+        h = bundle.isotopy.pair.h
         assert h.n_steps == 16
         pts = np.exp(2j * np.pi * np.array([1, 3]) / 8)
         assert np.max(np.abs(bundle(pts))) <= 1.0
@@ -219,12 +218,17 @@ class TestDOP853:
         iso = FieldIsotopy(off_center_conjugator(0.5))
         z = interior_points(64, seed=61, rmax=0.999)
         one, zero = np.ones_like(z), np.zeros_like(z)
-        ref = iso._integrate_var(z, one, zero, 0.0, 1.0, 256)
+
+        def with_jacobian(n):
+            return iso._dop853(iso._rhs_var, (z, one, zero), 0.0, 1.0, n)
+
+        def flow_only(n):
+            return iso._dop853(iso._rhs, (z,), 0.0, 1.0, n)[0]
+
+        ref = with_jacobian(256)
         for n in (4, 8):
-            coarse = iso._integrate_var(z, one, zero, 0.0, 1.0, n)
-            fine = iso._integrate_var(z, one, zero, 0.0, 1.0, 2 * n)
-            flow_only = (iso._integrate(z, 0.0, 1.0, n), iso._integrate(z, 0.0, 1.0, 2 * n))
-            assert np.array_equal(flow_only[0], coarse[0]) and np.array_equal(flow_only[1], fine[0])
+            coarse, fine = with_jacobian(n), with_jacobian(2 * n)
+            assert np.array_equal(flow_only(n), coarse[0]) and np.array_equal(flow_only(2 * n), fine[0])
             for c, f, r in zip(coarse, fine, ref):
                 ratio = np.max(np.abs(c - r)) / np.max(np.abs(f - r))
                 assert np.log2(ratio) >= 7.5, (n, ratio)
@@ -276,14 +280,14 @@ class TestJacobians:
 
 class TestAreaResidual:
     def test_rotation_is_isometry(self):
-        assert area_residual(rotation(0.3), 100, seed=0) < 1e-8
+        assert area_residual(rotation(0.3), seed=0) < 1e-8
 
     def test_integrated_twist_within_budget(self):
         bundle = MapBundle(isotopy=FieldIsotopy(quadratic_twist(0.3).field), name="dop853 twist")
-        assert area_residual(bundle, 100, seed=0) < 1e-6
+        assert area_residual(bundle, seed=0) < 1e-6
 
     def test_non_symplectic_control_fails_loudly(self, broken_bundle):
-        assert area_residual(broken_bundle, 100, seed=0) > 1e-2
+        assert area_residual(broken_bundle, seed=0) > 1e-2
 
 
 class TestChordWindings:
@@ -541,8 +545,7 @@ class TestConjugatorPair:
     def test_inverse_shares_the_pair(self):
         conj = self._conjugated().isotopy
         inv = conj.inverse()
-        assert inv.h_inverse_isotopy is conj.h_inverse_isotopy
-        assert inv.h_isotopy is conj.h_isotopy
+        assert inv.pair is conj.pair
 
     def test_memo_hits_are_exact(self):
         pts = interior_points(60, seed=31)

@@ -131,7 +131,7 @@ class TestConjugation:
 
     def test_conjugation_preserves_area(self):
         b = conjugate(quadratic_twist(0.3), off_center_conjugator(0.5), 0.5)
-        assert area_residual(b, 100, seed=1) < 1e-6
+        assert area_residual(b, seed=1) < 1e-6
 
 
 class TestComposition:
@@ -174,7 +174,7 @@ class TestFamiliesAreaResidual:
         ],
     )
     def test_within_budget(self, mk):
-        assert area_residual(mk(), 100, seed=0) <= 1e-6
+        assert area_residual(mk(), seed=0) <= 1e-6
 
 
 class TestFromSpec:
