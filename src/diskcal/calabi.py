@@ -29,7 +29,6 @@ MIN_PAIR_SEPARATION = 1e-6
 STRATEGIES = ("uniform", "stratified")  # PairSampler.strategy
 DIAGONAL_GUARD = 1e-9
 SEGMENT_NODES = 8
-SPECTRAL_BLOCK_ELEMENTS = 1 << 17  # phase-matrix entries per block (2 MB)
 ACTION_RADIAL_NODES = 64  # Gauss-Legendre nodes per ray of ActionFunction.a0
 BOUNDARY_PROFILE_SAMPLES = 512  # rays of the boundary profile behind c_mu
 POLYLINE_NODES = 48  # Gauss-Legendre nodes per leg of a0_along_polyline
@@ -66,26 +65,18 @@ def _segment_nodes(edges_lo, edges_hi, m: int):
     return mid + half * x, half * w
 
 
-def periodic_spectral_interp(values: np.ndarray, offset: float, x):
-    """Evaluate the trigonometric interpolant of uniform periodic samples.
+def spectral_interp_average(values: np.ndarray, offset: float, mu: BoundaryMeasure) -> float:
+    """``int p dmu`` for the trigonometric interpolant ``p`` of ``values[j] = f(offset + j/N)``.
 
-    ``values[j] = f(offset + j/N)`` for a smooth 1-periodic ``f``; convergence
-    is spectral in N, which square-grid linear interpolation of boundary
-    action profiles cannot match.
+    The Fourier pairing ``Re sum_k c_k e^{-2 pi i k offset} mu_k`` of the FFT
+    coefficients with the moments of mu (``mu_{-k} = conj(mu_k)``).
     """
     n = values.size
-    coeffs = np.fft.fft(values) / n
-    k = np.fft.fftfreq(n, d=1.0 / n)
-    t = np.mod(np.ravel(np.asarray(x, dtype=float)), 1.0) - offset
-    out = np.empty(t.size)
-    # the phase matrix is built in blocks of points to bound its memory; a
-    # one-point tail joins the block before it, since numpy rounds a one-row
-    # product (a dot product) differently from a matrix-vector product
-    block = max(1, SPECTRAL_BLOCK_ELEMENTS // n)
-    bounds = np.append(np.arange(0, max(t.size - 1, 1), block), t.size)
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        out[lo:hi] = np.real(np.exp(2j * np.pi * np.outer(t[lo:hi], k)) @ coeffs)
-    return out
+    k = np.fft.fftfreq(n, d=1.0 / n).astype(int)
+    moments = mu.moments(n // 2)[np.abs(k)]
+    mu_k = np.where(k >= 0, moments, np.conj(moments))
+    c = np.fft.fft(values) / n * np.exp(-2j * np.pi * k * offset)
+    return float(np.real(np.sum(c * mu_k)))
 
 
 def _polar_grid(grid, field):
@@ -129,8 +120,7 @@ def _action_averages(bundle, mu, grid, primitive_shift=None):
     direction = np.broadcast_to(units[None, :], (r.size, units.size)).reshape(-1)
     g = _pullback_integrand(bundle, primitive_shift, pos, direction).reshape(r.size, units.size)
     area_a0 = float(np.sum(w * (1.0 - r * r) * np.mean(g, axis=1)))
-    boundary = w @ g
-    c_mu = float(np.sum(mu.weights * periodic_spectral_interp(boundary, thetas[0], mu.points)))
+    c_mu = spectral_interp_average(w @ g, thetas[0], mu)
     return area_a0 - c_mu, c_mu
 
 
@@ -196,13 +186,6 @@ class ActionFunction:
             direction = np.full_like(pos, b - a)
             total += float(np.sum(self._integrand(pos, direction) * w / 2.0))
         return total
-
-    def pullback_defect(self, z):
-        """Components of ``f^* lambda' - lambda'`` at ``z`` (the exact gradient of a0)."""
-        z = np.atleast_1d(np.asarray(z, dtype=complex))
-        du = self._integrand(z, np.ones_like(z))
-        dv = self._integrand(z, np.full_like(z, 1j))
-        return du, dv
 
 
 def action_function(
@@ -458,9 +441,6 @@ class DiskMeasure:
     def __post_init__(self):
         if abs(float(np.sum(self.weights)) - 1.0) > 1e-12:
             raise ValueError("weights must sum to 1")
-
-    def pushforward(self, f) -> "DiskMeasure":
-        return DiskMeasure(points=np.asarray(f(self.points)), weights=self.weights)
 
 
 def uniform_disk_measure(n: int, seed: int) -> DiskMeasure:

@@ -49,11 +49,6 @@ class LiftedCircleMap:
     def identity(cls):
         return cls(delta_fn=lambda x: np.zeros_like(np.asarray(x, dtype=float)), name="id")
 
-    @classmethod
-    def translation(cls, alpha: float):
-        return cls(delta_fn=lambda x, a=float(alpha): np.full_like(np.asarray(x, dtype=float), a),
-                   name=f"x+{alpha}")
-
     def delta(self, x):
         frac = np.mod(x, 1.0)
         if self._delta_fn is not None:
@@ -80,9 +75,9 @@ class LiftedCircleMap:
         g = self._grid
         return float(np.max(np.abs(g[1:-1:2] - 0.5 * (g[:-2:2] + g[2::2])), initial=0.0))
 
-    def monotonicity_margin(self, samples: int = 4096) -> float:
+    def monotonicity_margin(self) -> float:
         """min over a grid of the increments of phi; positive for a lift of a homeo."""
-        xs = np.linspace(0.0, 1.0, samples + 1)
+        xs = np.linspace(0.0, 1.0, DEFAULT_LIFT_SAMPLES + 1)
         vals = self(xs)
         return float(np.min(np.diff(vals)))
 
@@ -92,9 +87,6 @@ class RotationNumberEstimate:
     value: float
     rigorous_halfwidth: float
     iterates_used: int
-
-    def encloses(self, target: float) -> bool:
-        return abs(self.value - target) <= self.rigorous_halfwidth
 
 
 @dataclass(frozen=True)
@@ -111,6 +103,17 @@ class BoundaryMeasure:
 
     def integrate(self, psi) -> float:
         return float(np.sum(self.weights * psi(self.points)))
+
+    def moments(self, k_max: int) -> np.ndarray:
+        """``sum_j w_j e^{2 pi i k x_j}`` for ``k = 0..k_max``, by running products
+        ``E_j <- E_j e^{2 pi i x_j}`` (phase in [-1/2, 1/2]: mode k scales its error by k)."""
+        step = np.exp(2j * np.pi * (self.points - np.round(self.points)))
+        e = np.ones_like(step)
+        out = np.empty(k_max + 1, dtype=complex)
+        for k in range(k_max + 1):
+            out[k] = self.weights @ e
+            e *= step
+        return out
 
     def invariance_defect(self, lift: LiftedCircleMap) -> float:
         """max over ``DEFECT_TEST_FNS`` of |int psi d(phi_* mu) - int psi d mu|."""

@@ -14,7 +14,7 @@ import numpy as np
 
 from .arithmetic import continued_fraction
 from .calabi import PairSampler, cal1, cal2_tilde, cal3_tilde
-from .circle import rotation_number
+from .circle import invariant_measure, rotation_number
 from .errors import QMaxExceeded, ScaleTooLarge
 from .flow import ConjugatedIsotopy, MapBundle, chord_windings
 from .geometry import uniform_disk_points
@@ -254,6 +254,8 @@ def exp_rigidity(
     with iteration); the rows check that far pairs wind by nearly the same
     integer k, that k/q tracks the rotation number within 1/q + 2 eps^(1/4)/pi,
     and that the action average grows like q times a value pinned at 0.
+    Every ``cal1`` is normalized by the base map's invariant boundary measure
+    mu: an f-invariant mu is f^q-invariant, so iterates build no lift or orbit.
     """
     cf = continued_fraction(alpha, depth)
     qs = sorted({q for q in cf.q if 1 <= q <= q_max})
@@ -262,8 +264,10 @@ def exp_rigidity(
     if conjugator is None:
         conjugator = off_center_conjugator(0.5)
     base = conjugated_rotation(alpha, conjugator, tau)
-    rho = rotation_number(base.boundary_lift(), n=100_000)
-    cal_f = cal1(base, grid=cal_grid, richardson=False).value
+    lift = base.boundary_lift()
+    rho = rotation_number(lift, n=100_000)
+    mu = invariant_measure(lift)
+    cal_f = cal1(base, mu=mu, grid=cal_grid, richardson=False).value
     rng = np.random.default_rng(seed)
 
     columns = ["q", "eps_d0", "cal1_iter", "cal1_drift", "drift_budget", "k",
@@ -273,7 +277,7 @@ def exp_rigidity(
     for q in qs:
         it = _conjugated_iterate(base, q * alpha, conjugator, tau)
         eps = sup_distance_to_identity(it, order=0, grid=d_grid, refine=False).value
-        c1 = cal1(it, grid=cal_grid, richardson=False).value
+        c1 = cal1(it, mu=mu, grid=cal_grid, richardson=False).value
         drift = abs(c1 - q * cal_f)
         drift_budget = (q + 1) * RIGIDITY_CAL_BUDGET
 

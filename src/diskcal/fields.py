@@ -16,6 +16,7 @@ import numpy as np
 from .geometry import central_wirtinger
 
 H_GRAD_STEP = 1e-5
+BOUNDARY_SAMPLES = 64  # points of S^1 in HamiltonianField.boundary_values
 
 
 class HamiltonianField:
@@ -65,14 +66,14 @@ class HamiltonianField:
         """Hamiltonian vector field X = pi (H_v, -H_u) as a complex number."""
         return -1j * np.pi * self.gradient(t, z)
 
-    def vector_wirtinger(self, t, z, step=H_GRAD_STEP):
+    def vector_wirtinger(self, t, z):
         """(dX/dz, dX/dz_bar), analytic when supplied, else central differences."""
         if self._wirtinger is not None:
             return self._wirtinger(t, z)
-        return central_wirtinger(lambda w: self.vector(t, w), z, step)
+        return central_wirtinger(lambda w: self.vector(t, w), z, H_GRAD_STEP)
 
-    def boundary_values(self, t, n: int = 64):
-        theta = np.arange(n) / n
+    def boundary_values(self, t):
+        theta = np.arange(BOUNDARY_SAMPLES) / BOUNDARY_SAMPLES
         return self.value(t, np.exp(2j * np.pi * theta))
 
 

@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import PointOutsideDisk, StepTooCoarse
-from .fields import HamiltonianField, concatenated_field, conjugated_field, scaled_field
+from .fields import H_GRAD_STEP, HamiltonianField, concatenated_field, conjugated_field, scaled_field
 from .geometry import (
     MIN_VECTOR_NORM,
     TOL_BOUNDARY,
@@ -47,6 +47,7 @@ from .geometry import (
 TOL_ODE = 1e-8
 DEFAULT_STEPS = 4
 MAX_CALIBRATION_DOUBLINGS = 12
+MAX_DOUBLING_CONTRACTION = 2.0**10  # twice the largest seen in a calibration ladder
 MAX_WINDING_DOUBLINGS = 8
 MIN_WINDING_STEPS = 64
 MAX_TRAJ_ELEMENTS = 4_000_000
@@ -164,9 +165,11 @@ class FieldIsotopy(Isotopy):
 
     The step count is calibrated once: starting from ``base_steps`` per unit
     time, the grid is doubled until two successive resolutions agree within
-    ``TOL_ODE`` on a probe set, then frozen.  A resolution whose flow leaves
-    the disk counts as unresolved; PointOutsideDisk is raised if the finest
-    one still leaves it, and by any flow outside calibration.
+    ``TOL_ODE`` on a probe set, then frozen.  StepTooCoarse is raised once a
+    difference with r doublings left exceeds ``TOL_ODE * MAX_DOUBLING_CONTRACTION**r``.
+    A resolution whose flow leaves the disk counts as unresolved;
+    PointOutsideDisk is raised if the finest one still leaves it, and by any
+    flow outside calibration.
     """
 
     def __init__(self, generator, base_steps: int = DEFAULT_STEPS):
@@ -181,17 +184,20 @@ class FieldIsotopy(Isotopy):
         probes = (radii[:, None] * angles[None, :]).ravel()
         n = n0
         prev = self._probe(probes, n)
-        for _ in range(MAX_CALIBRATION_DOUBLINGS):
+        for left in range(MAX_CALIBRATION_DOUBLINGS - 1, -1, -1):
             cur = self._probe(probes, 2 * n)
-            if float(np.max(np.abs(cur - prev))) <= TOL_ODE:
+            diff = float(np.max(np.abs(cur - prev)))
+            if diff <= TOL_ODE:
                 return 2 * n
             n *= 2
             prev = cur
+            if diff > TOL_ODE * MAX_DOUBLING_CONTRACTION**left:
+                break
         name = getattr(self.generator, "name", "field")
         if np.isnan(prev).all():
             raise PointOutsideDisk(f"flow of {name} leaves the disk at {n} steps per unit time")
         raise StepTooCoarse(
-            f"flow of {name} did not reach tol {TOL_ODE} within {n} steps per unit time"
+            f"flow of {name} cannot reach tol {TOL_ODE} by the step cap: {diff:.2e} at {n} steps"
         )
 
     def _probe(self, probes, n):
@@ -621,10 +627,10 @@ def _as_isotopy(obj) -> Isotopy:
     raise TypeError(f"expected a bundle or isotopy, got {type(obj)!r}")
 
 
-def flow_jacobian_fd(bundle, t: float, z, step: float = 1e-5):
+def flow_jacobian_fd(bundle, t: float, z):
     """Central-difference Wirtinger pair ``(p, q)`` of the flow map ``f_t`` at ``z``."""
     iso = _as_isotopy(bundle)
-    return central_wirtinger(lambda w: iso.flow(t, w), z, step)
+    return central_wirtinger(lambda w: iso.flow(t, w), z, H_GRAD_STEP)
 
 
 def area_residual(bundle, seed: int = 0) -> float:

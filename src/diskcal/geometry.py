@@ -100,8 +100,8 @@ def central_wirtinger(fn, z, step: float):
     return (du - 1j * dv) / 2.0, (du + 1j * dv) / 2.0
 
 
-def project_to_disk(z, tol: float = TOL_BOUNDARY):
-    """Radially project points within ``tol`` outside the unit circle back on it.
+def project_to_disk(z):
+    """Radially project points within ``TOL_BOUNDARY`` outside the unit circle back on it.
 
     Points farther outside raise PointOutsideDisk: flows of boundary-tangent
     fields must not leave the closed disk beyond numerical drift.
@@ -110,8 +110,8 @@ def project_to_disk(z, tol: float = TOL_BOUNDARY):
     outside = r > 1.0
     if not np.any(outside):
         return z
-    if np.any(r > 1.0 + tol):
-        raise PointOutsideDisk(f"|z| = {float(np.max(r)):.12f} exceeds 1 + {tol}")
+    if np.any(r > 1.0 + TOL_BOUNDARY):
+        raise PointOutsideDisk(f"|z| = {float(np.max(r)):.12f} exceeds 1 + {TOL_BOUNDARY}")
     if np.ndim(z) == 0:
         return z / r
     z = np.array(z, copy=True)

@@ -199,21 +199,26 @@ def off_center_conjugator(beta: float = 0.5) -> HamiltonianField:
         s = np.abs(z) ** 2
         return beta * (1.0 - s) ** 2 * np.real(z)
 
+    # H_u + i H_v = beta (1 - s)((1 - s) - 4 u z), u = Re z a view, in place
     def grad(t, z):
         z = np.asarray(z)
-        u, v = np.real(z), np.imag(z)
-        s = u * u + v * v
-        hu = beta * ((1.0 - s) ** 2 - 4.0 * u * u * (1.0 - s))
-        hv = -4.0 * beta * u * v * (1.0 - s)
-        return hu + 1j * hv
+        u = z.real
+        w = 1.0 - (u * u + z.imag * z.imag)
+        out = (-4.0 * u) * z
+        out += w
+        out *= beta * w
+        return out
 
+    # (dX/dz, dX/dz_bar) = (-4 i pi beta u (3s - 2), -2 i pi beta z (z^2 + 3s - 2))
     def wirt(t, z):
         z = np.asarray(z, dtype=complex)
-        zb = np.conj(z)
-        s = np.abs(z) ** 2
-        a = -2j * np.pi * beta * (z + zb) * (3.0 * s - 2.0)
-        b = -2j * np.pi * beta * z * (z * z + 3.0 * s - 2.0)
-        return a, b
+        u = z.real
+        s3 = 3.0 * (u * u + z.imag * z.imag) - 2.0
+        b = z * z
+        b += s3
+        b *= z
+        b *= -2j * np.pi * beta
+        return (-4j * np.pi * beta) * (u * s3), b
 
     return HamiltonianField(h, grad=grad, wirtinger=wirt, name=f"offcenter({beta})", autonomous=True)
 
@@ -231,13 +236,14 @@ def boundary_shear_conjugator(beta: float = 0.3) -> HamiltonianField:
         z = np.asarray(z)
         return beta * (1.0 - np.abs(z) ** 2) * np.real(z)
 
+    # H_u + i H_v = beta ((1 - s) - 2 u z), u = Re z a view, in place
     def grad(t, z):
         z = np.asarray(z)
-        u, v = np.real(z), np.imag(z)
-        s = u * u + v * v
-        hu = beta * ((1.0 - s) - 2.0 * u * u)
-        hv = -2.0 * beta * u * v
-        return hu + 1j * hv
+        u = z.real
+        out = (-2.0 * u) * z
+        out += 1.0 - (u * u + z.imag * z.imag)
+        out *= beta
+        return out
 
     def wirt(t, z):
         z = np.asarray(z, dtype=complex)

@@ -34,6 +34,7 @@ from diskcal.zoo import (
     rotation,
 )
 
+from conftest import pullback_defect, translation
 from test_calabi import invariant_boundary_pair
 
 GOLDEN = 0.6180339887498949
@@ -119,7 +120,7 @@ def test_05_action_primitive_oracle():
         h = 1e-5
         fd_u = (a.a0(pts + h) - a.a0(pts - h)) / (2 * h)
         fd_v = (a.a0(pts + 1j * h) - a.a0(pts - 1j * h)) / (2 * h)
-        du, dv = a.pullback_defect(pts)
+        du, dv = pullback_defect(a, pts)
         assert np.max(np.abs(fd_u - du)) <= 1e-5
         assert np.max(np.abs(fd_v - dv)) <= 1e-5
 
@@ -139,7 +140,7 @@ def test_06_rotation_number_certificate():
     with criterion(6, "rotation number: rigorous halfwidth and quasi-defect"):
         n = 1000
         for alpha in (0.1, 0.3, GOLDEN, 0.85):
-            est = rotation_number(LiftedCircleMap.translation(alpha), n=n)
+            est = rotation_number(translation(alpha), n=n)
             assert abs(est.value - alpha) <= 1.0 / n
         rng = np.random.default_rng(21)
         for _ in range(20):

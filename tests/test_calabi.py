@@ -12,7 +12,7 @@ from diskcal.calabi import (
     cal2_tilde,
     cal3_tilde,
     composite_gauss_radii,
-    periodic_spectral_interp,
+    spectral_interp_average,
     uniform_disk_measure,
     verify_link,
 )
@@ -33,7 +33,7 @@ from diskcal.zoo import (
     rotation,
 )
 
-from conftest import interior_points
+from conftest import interior_points, pullback_defect
 
 GOLDEN = 0.6180339887498949
 
@@ -69,7 +69,7 @@ class TestActionFunction:
             h = 1e-5
             fd_u = (a.a0(pts + h) - a.a0(pts - h)) / (2 * h)
             fd_v = (a.a0(pts + 1j * h) - a.a0(pts - 1j * h)) / (2 * h)
-            du, dv = a.pullback_defect(pts)
+            du, dv = pullback_defect(a, pts)
             assert np.max(np.abs(fd_u - du)) < 1e-5
             assert np.max(np.abs(fd_v - dv)) < 1e-5
 
@@ -106,17 +106,40 @@ def invariant_boundary_pair(bundle, x0):
     return BoundaryMeasure(points=np.array([x0, x1]), weights=np.array([0.5, 0.5]))
 
 
+def dense_interp_average(values, offset, mu):
+    """``sum_j w_j p(x_j)``, the interpolant ``p`` evaluated by the whole phase matrix."""
+    n = values.size
+    t = np.mod(mu.points, 1.0) - offset
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    p = np.real(np.exp(2j * np.pi * np.outer(t, k)) @ (np.fft.fft(values) / n))
+    return float(np.sum(mu.weights * p))
+
+
 class TestSpectralInterp:
+    # c_mu is the Fourier pairing of the profile's FFT with mu's moments; it
+    # must equal the mu-average of the interpolant from the whole phase matrix
     @pytest.mark.parametrize("points", [1, 1024, 1025, 2049, 3000])
     def test_blocks_match_the_whole_phase_matrix(self, points):
-        # blocks of 1024 points at 128 modes, a one-point tail among them
         rng = np.random.default_rng(61)
         values = rng.standard_normal(128)
-        x = rng.random(points)
-        t = np.mod(x, 1.0) - 0.5 / 128
-        k = np.fft.fftfreq(128, d=1.0 / 128)
-        whole = np.real(np.exp(2j * np.pi * np.outer(t, k)) @ (np.fft.fft(values) / 128))
-        assert np.array_equal(periodic_spectral_interp(values, 0.5 / 128, x), whole)
+        weights = rng.random(points)
+        mu = BoundaryMeasure(points=rng.random(points), weights=weights / np.sum(weights))
+        dense = dense_interp_average(values, 0.5 / 128, mu)
+        assert abs(spectral_interp_average(values, 0.5 / 128, mu) - dense) <= 1e-13
+
+    @pytest.mark.parametrize("points", [np.array([0.3]), np.array([0.1, 0.1 + 1 / 3, 0.1 + 2 / 3])],
+                             ids=["period1", "period3"])
+    def test_periodic_measures(self, points):
+        # the exact atoms of a fixed point and of a 3-periodic orbit, against
+        # a smooth profile at 512 samples (the ActionFunction resolution) and
+        # an odd sample count whose modes have no Nyquist term
+        mu = BoundaryMeasure(points=points, weights=np.full(points.size, 1.0 / points.size),
+                             periodic=True)
+        for n in (512, 129):
+            x = (np.arange(n) + 0.5) / n
+            values = np.exp(np.cos(2 * np.pi * x)) + 0.3 * np.sin(6 * np.pi * x)
+            dense = dense_interp_average(values, 0.5 / n, mu)
+            assert abs(spectral_interp_average(values, 0.5 / n, mu) - dense) <= 1e-13
 
 
 class TestCal1:
@@ -350,7 +373,7 @@ class TestCmu:
         wts = np.array([0.2, 0.2, 0.2, 0.2, 0.2])
         mu = DiskMeasure(points=pts, weights=wts)
         conj_bundle = conjugate(tw, off_center_conjugator(0.4), 0.3)
-        pushed = mu.pushforward(lambda z: conj_bundle.isotopy.pair.h.flow(1.0, z))
+        pushed = DiskMeasure(points=conj_bundle.isotopy.pair.h.flow(1.0, mu.points), weights=mu.weights)
         lhs = c_mu_tilde(tw, mu)
         rhs = c_mu_tilde(conj_bundle, pushed)
         assert rhs == pytest.approx(lhs, abs=1e-6)

@@ -19,6 +19,8 @@ from diskcal.zoo import (
     rotation,
 )
 
+from conftest import encloses, translation
+
 GOLDEN = 0.6180339887498949
 
 
@@ -74,7 +76,7 @@ class TestRotationNumber:
     def test_rigid_boundary_lifts_stop_at_the_displacement_range(self, build, rho):
         est = rotation_number(build().boundary_lift())
         assert est.iterates_used == 1
-        assert est.encloses(rho)
+        assert encloses(est, rho)
         assert est.rigorous_halfwidth <= 1e-14
 
     @settings(max_examples=30, deadline=None)
@@ -95,8 +97,8 @@ class TestRotationNumber:
     @settings(max_examples=30, deadline=None)
     @given(alpha=st.floats(-3.0, 3.0), n=st.integers(1, 2000))
     def test_translations_enclose_alpha(self, alpha, n):
-        for lift in (LiftedCircleMap.translation(alpha), LiftedCircleMap(grid_values=np.full(64, alpha))):
-            assert rotation_number(lift, n=n).encloses(alpha)
+        for lift in (translation(alpha), LiftedCircleMap(grid_values=np.full(64, alpha))):
+            assert encloses(rotation_number(lift, n=n), alpha)
 
     def test_halfwidth_adds_the_interpolation_estimate(self):
         # samples alternating 0.3 and 0.3 + 1e-4: the interpolant of every
@@ -114,13 +116,13 @@ class TestRotationNumber:
             rotation_number(LiftedCircleMap(grid_values=0.3 * np.sin(2 * np.pi * xs)), n=1000)
 
     def test_integer_translation(self):
-        est = rotation_number(LiftedCircleMap.translation(1.0), n=100)
+        est = rotation_number(translation(1.0), n=100)
         assert est.value == pytest.approx(1.0, abs=1e-12)
-        assert est.encloses(1.0)
+        assert encloses(est, 1.0)
 
     def test_rigid_rotation_certificate(self):
         for alpha in (0.1, 0.3, 0.6180339887498949):
-            est = rotation_number(LiftedCircleMap.translation(alpha), n=1000)
+            est = rotation_number(translation(alpha), n=1000)
             assert abs(est.value - alpha) <= est.rigorous_halfwidth
 
     def test_perturbed_lift_against_longer_orbit_oracle(self):
@@ -169,7 +171,7 @@ class TestRotationNumber:
 
 class TestInvariantMeasure:
     def test_rational_rotation_periodic_atoms(self):
-        mu = invariant_measure(LiftedCircleMap.translation(1.0 / 3.0), samples=100)
+        mu = invariant_measure(translation(1.0 / 3.0), samples=100)
         assert mu.periodic
         assert mu.points.size == 3
         assert np.allclose(mu.weights, 1.0 / 3.0)
@@ -177,7 +179,7 @@ class TestInvariantMeasure:
     def test_irrational_rotation_equidistributes(self):
         alpha = 0.6180339887498949
         n = 4096
-        mu = invariant_measure(LiftedCircleMap.translation(alpha), burn_in=0, samples=n)
+        mu = invariant_measure(translation(alpha), burn_in=0, samples=n)
         assert not mu.periodic
         weyl = abs(np.sum(mu.weights * np.exp(2j * np.pi * mu.points)))
         # Dirichlet kernel bound for the rotation orbit: 1/(n sin(pi alpha))
@@ -219,12 +221,12 @@ class TestInvariantMeasure:
         return pts, np.full(samples, 1.0 / samples), False
 
     @pytest.mark.parametrize("lift, burn_in, samples, x0, calls", [
-        (LiftedCircleMap.translation(1.0 / 3.0), 1000, 100, 0.0, 3),
+        (translation(1.0 / 3.0), 1000, 100, 0.0, 3),
         (sin_lift(0.05, 0.02), 300, 2000, 0.1, 2299),
         (sin_lift(0.05, 0.02), 0, 500, 0.0, 500),
-        (LiftedCircleMap.translation(0.6180339887498949), 50, 12_000, 0.2, 12_049),
+        (translation(0.6180339887498949), 50, 12_000, 0.2, 12_049),
         # the period is found at the last step searched, k = limit = samples
-        (LiftedCircleMap.translation(1.0 / 7.0), 0, 7, 0.0, 7),
+        (translation(1.0 / 7.0), 0, 7, 0.0, 7),
     ], ids=["periodic", "burn_in", "no_burn_in", "past_search_limit", "period_at_limit"])
     def test_one_walk_matches_two_walks(self, lift, burn_in, samples, x0, calls):
         counted = []
@@ -246,8 +248,28 @@ class TestInvariantMeasure:
         with pytest.raises(ValueError):
             BoundaryMeasure(points=np.array([0.0, 0.5]), weights=np.array([0.6, 0.6]))
 
+    @pytest.mark.parametrize("points", [1, 3, 200, [0.9941000975242602]],
+                             ids=["1", "3", "200", "atom_near_1"])
+    def test_moments_match_direct_exponentials(self, points):
+        # exp(2 pi i k x) with k x reduced mod 1 exactly (as a fraction), so
+        # the reference does not carry a k-fold phase rounding itself; near
+        # x = 1 a step phase near 2 pi would carry 1.7e-13 by k = 256
+        from fractions import Fraction
+
+        from diskcal.circle import BoundaryMeasure
+
+        rng = np.random.default_rng(17)
+        x = np.asarray(points, dtype=float) if isinstance(points, list) else rng.random(points)
+        weights = rng.random(x.size)
+        mu = BoundaryMeasure(points=x, weights=weights / np.sum(weights))
+        k = np.arange(257)
+        phases = np.array([[float(j * Fraction(xj) % 1) for xj in x] for j in k])
+        direct = np.exp(2j * np.pi * phases) @ mu.weights
+        assert np.max(np.abs(mu.moments(256) - direct)) <= 1e-13
+        assert mu.moments(0)[0] == pytest.approx(1.0, abs=1e-15)
+
     def test_invariance_defect_small_for_irrational_orbit(self):
-        lift = LiftedCircleMap.translation(0.6180339887498949)
+        lift = translation(0.6180339887498949)
         mu = invariant_measure(lift, burn_in=0, samples=4096)
         assert mu.invariance_defect(lift) < 1e-3
 

@@ -1,15 +1,21 @@
 import numpy as np
 import pytest
 
+import diskcal.calabi
+import diskcal.circle
+import diskcal.experiments
+from diskcal.calabi import cal1
+from diskcal.circle import invariant_measure
 from diskcal.errors import QMaxExceeded, ScaleTooLarge
 from diskcal.experiments import (
+    _conjugated_iterate,
     exp_c0_discontinuity,
     exp_c1_continuity,
     exp_rigidity,
     sup_distance_to_identity,
 )
 from diskcal.flow import FieldIsotopy
-from diskcal.zoo import quadratic_twist, rotation
+from diskcal.zoo import conjugated_rotation, off_center_conjugator, quadratic_twist, rotation
 
 GOLDEN = 0.6180339887498949
 
@@ -100,6 +106,40 @@ class TestRigidity:
                            cal_grid=(16, 32), d_grid=(32, 32), seed=3)
         assert [r["q"] for r in res.rows] == [1, 2]
         assert len(built) == 2
+
+    def test_one_lift_and_one_measure_per_run(self, monkeypatch):
+        # the base map's lift gives rho and mu; every iterate's cal1 reuses mu
+        lifts, walks = [], []
+        lift_from_isotopy = diskcal.circle.lift_from_isotopy
+
+        def counting_lift(*args, **kwargs):
+            lifts.append(args)
+            return lift_from_isotopy(*args, **kwargs)
+
+        def counting_walk(*args, **kwargs):
+            walks.append(args)
+            return invariant_measure(*args, **kwargs)
+
+        monkeypatch.setattr(diskcal.circle, "lift_from_isotopy", counting_lift)
+        monkeypatch.setattr(diskcal.experiments, "invariant_measure", counting_walk)
+        monkeypatch.setattr(diskcal.calabi, "invariant_measure", counting_walk)
+        res = exp_rigidity(GOLDEN, depth=10, tau=0.5, q_max=2, far_pairs=50,
+                           cal_grid=(16, 32), d_grid=(32, 32), seed=3)
+        assert [r["q"] for r in res.rows] == [1, 2]
+        assert len(lifts) == 1 and len(walks) == 1
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 5])
+    def test_shared_measure_matches_each_iterates_own(self, q):
+        # mu of the base map is invariant under its iterates, and c_mu is the
+        # same for every invariant measure
+        conj = off_center_conjugator(0.5)
+        base = conjugated_rotation(GOLDEN, conj, 0.5)
+        mu = invariant_measure(base.boundary_lift())
+        it = _conjugated_iterate(base, q * GOLDEN, conj, 0.5)
+        shared = cal1(it, mu=mu, grid=(32, 64), richardson=False)
+        own = cal1(it, grid=(32, 64), richardson=False)
+        assert abs(shared.value - own.value) <= 1e-12
+        assert abs(shared.c_mu - own.c_mu) <= 1e-12
 
     def test_budget_exhausted_raises(self):
         with pytest.raises(QMaxExceeded):

@@ -14,6 +14,8 @@ from diskcal.flow import (
     DOP853_B,
     DOP853_C,
     H_INVERSE_MEMO_SIZE,
+    MAX_CALIBRATION_DOUBLINGS,
+    MAX_DOUBLING_CONTRACTION,
     MIN_WINDING_STEPS,
     TOL_ODE,
     ConcatIsotopy,
@@ -153,7 +155,7 @@ class TestFlowMap:
 class TestCalibration:
     # calibration must see a generator supported inside r < 1/4: its flow
     # meets tol_ode there against the closed form, or calibration raises.
-    # bump(4) itself raises StepTooCoarse after the whole ladder (~14 s), so
+    # bump(4) itself raises StepTooCoarse after the 8192-step probe (~7 s), so
     # the fields here are slowed down until the ladder settles.
     INNER = np.array([0.2, 0.15j, 0.14 + 0.1j, -0.05 - 0.08j, 0.1 - 0.1j])
 
@@ -177,6 +179,37 @@ class TestCalibration:
         iso = conjugated_rotation(0.6180339887498949, conjugator, tau).isotopy
         assert iso.pair.h.n_steps == iso.pair.h_inverse.n_steps
         assert iso.pair.h.n_steps == (8 if tau < 1.0 else 16)
+
+    @staticmethod
+    def _scripted_ladder(monkeypatch, values):
+        # probe images equal to ``values[i]`` at the i-th probe (NaN: left the disk)
+        probed = []
+
+        def probe(iso, probes, n):
+            probed.append(n)
+            return np.full(probes.shape, values[len(probed) - 1], dtype=complex)
+
+        monkeypatch.setattr(FieldIsotopy, "_probe", probe)
+        return probed
+
+    def test_a_ladder_that_cannot_reach_tol_stops_early(self, monkeypatch):
+        # bump(4)'s ladder at 4, 8, ..., 16384 steps: its measured differences
+        # 0.28 (64), 0.31 (512), 1.03e-2, 0.169, 9.87e-3, 1.96e-5 (8192), 3.9e-8
+        values = [np.nan, np.nan, np.nan, 0.0, 0.28, np.nan, 0.28, 0.59, 0.6003, 0.7693,
+                  0.77917, 0.7791896, 0.779189639]
+        probed = self._scripted_ladder(monkeypatch, values)
+        with pytest.raises(StepTooCoarse, match="8192 steps"):
+            FieldIsotopy(bump(4).field)
+        # 1.96e-5 with one doubling left exceeds TOL_ODE * 2^10: no 16384 probe
+        assert probed[-1] == 8192 and len(probed) == 12
+
+    def test_a_ladder_that_converges_on_the_last_doubling(self, monkeypatch):
+        # each difference just inside the bound for the doublings left after it
+        left = np.arange(MAX_CALIBRATION_DOUBLINGS - 1, -1, -1)
+        diffs = np.minimum(0.5, 0.99 * TOL_ODE * MAX_DOUBLING_CONTRACTION**left)
+        probed = self._scripted_ladder(monkeypatch, np.cumsum(np.concatenate([[0.0], diffs])))
+        iso = FieldIsotopy(bump(4).field)
+        assert iso.n_steps == 4 << MAX_CALIBRATION_DOUBLINGS == probed[-1]
 
     def test_a_resolution_that_leaves_the_disk_is_unresolved(self):
         # at 4 steps the shear flow at tau = 1 takes two S^1 probes to

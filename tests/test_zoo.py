@@ -5,6 +5,7 @@ from numpy.polynomial.legendre import leggauss
 from diskcal.errors import BoundaryNotConstant, ConfigError
 from diskcal.flow import area_residual
 from diskcal.zoo import (
+    boundary_shear_conjugator,
     bump,
     bump_profile,
     compose,
@@ -132,6 +133,35 @@ class TestConjugation:
     def test_conjugation_preserves_area(self):
         b = conjugate(quadratic_twist(0.3), off_center_conjugator(0.5), 0.5)
         assert area_residual(b, seed=1) < 1e-6
+
+
+class TestConjugatorKernels:
+    # the complex forms of the conjugators' gradient and Wirtinger pair
+    # against the component formulas, on one s = u^2 + v^2, to 1e-15 of the
+    # largest value
+    @staticmethod
+    def _close(new, old):
+        assert np.max(np.abs(new - old)) <= 1e-15 * max(1.0, float(np.max(np.abs(old))))
+
+    def test_off_center(self):
+        beta, z = 0.5, interior_points(2000, seed=23, rmax=1.0)
+        field = off_center_conjugator(beta)
+        u, v = z.real, z.imag
+        s = u * u + v * v
+        hu = beta * ((1.0 - s) ** 2 - 4.0 * u * u * (1.0 - s))
+        hv = -4.0 * beta * u * v * (1.0 - s)
+        self._close(field.gradient(0.0, z), hu + 1j * hv)
+        a, b = field.vector_wirtinger(0.0, z)
+        self._close(a, -2j * np.pi * beta * (z + np.conj(z)) * (3.0 * s - 2.0))
+        self._close(b, -2j * np.pi * beta * z * (z * z + 3.0 * s - 2.0))
+
+    def test_boundary_shear(self):
+        beta, z = 0.3, interior_points(2000, seed=29, rmax=1.0)
+        u, v = z.real, z.imag
+        s = u * u + v * v
+        hu = beta * ((1.0 - s) - 2.0 * u * u)
+        hv = -2.0 * beta * u * v
+        self._close(boundary_shear_conjugator(beta).gradient(0.0, z), hu + 1j * hv)
 
 
 class TestComposition:
