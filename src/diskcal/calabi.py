@@ -4,7 +4,8 @@
                     ``f^* lambda - lambda`` normalized to zero boundary average,
 * ``cal2_tilde`` -- Monte-Carlo double integral of the chord winding (turns),
 * ``cal3_tilde`` -- ``2 int_0^1 int_D H_t omega dt`` for a generator vanishing
-                    on the boundary circle.
+                    on the boundary circle, summed over the leaves of the
+                    isotopy tree (concatenation adds, conjugation preserves).
 
 For any bundle built from a generator the three values satisfy
 ``cal2 = cal1 + rho`` and ``cal2 = cal3`` up to quadrature and sampling error;
@@ -22,7 +23,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .circle import BoundaryMeasure, invariant_measure, rotation_number
 from .errors import BoundaryNotConstant, NotAreaPreserving, OrbitCollision, StepTooCoarse
-from .flow import MapBundle, area_residual, chord_windings
+from .flow import ConcatIsotopy, ConjugatedIsotopy, MapBundle, area_residual, chord_windings
 from .geometry import TOL_AREA, liouville_eval, uniform_disk_points, wirtinger_apply
 
 MIN_PAIR_SEPARATION = 1e-6
@@ -32,7 +33,6 @@ SEGMENT_NODES = 8
 ACTION_RADIAL_NODES = 64  # Gauss-Legendre nodes per ray of ActionFunction.a0
 BOUNDARY_PROFILE_SAMPLES = 512  # rays of the boundary profile behind c_mu
 POLYLINE_NODES = 48  # Gauss-Legendre nodes per leg of a0_along_polyline
-CAL3_TIME_NODES = 8  # Gauss-Legendre times per smooth piece of a generator
 TOL_GENERATOR_BOUNDARY = 1e-8  # spread of H_t on S^1 that cal3 accepts as constant
 
 
@@ -79,11 +79,11 @@ def spectral_interp_average(values: np.ndarray, offset: float, mu: BoundaryMeasu
     return float(np.real(np.sum(c * mu_k)))
 
 
-def _polar_grid(grid, field):
-    """Composite Gauss-Legendre radii (split at the field's radial kinks) times
-    midpoint angles: ``(r, w, thetas, units, points)``, points radius-major."""
+def _polar_grid(grid, breakpoints):
+    """Composite Gauss-Legendre radii (split at the radial kinks ``breakpoints``)
+    times midpoint angles: ``(r, w, thetas, units, points)``, points radius-major."""
     nr, ntheta = grid
-    r, w = composite_gauss_radii(nr, field.radial_breakpoints if field else ())
+    r, w = composite_gauss_radii(nr, breakpoints)
     thetas = (np.arange(ntheta) + 0.5) / ntheta
     units = np.exp(2j * np.pi * thetas)
     return r, w, thetas, units, (r[:, None] * units[None, :]).reshape(-1)
@@ -114,9 +114,9 @@ def _action_averages(bundle, mu, grid, primitive_shift=None):
     For the pullback integrand ``g`` along a ray, Fubini gives exactly
     ``int_0^1 2 r a0(r) dr = int_0^1 g(rho) (1 - rho^2) d rho``, and the
     boundary profile ``a0(1) = int_0^1 g`` is a sum over the same composite
-    Gauss-Legendre nodes (split at the generator's radial kinks).
+    Gauss-Legendre nodes (split at the isotopy's radial kinks).
     """
-    r, w, thetas, units, pos = _polar_grid(grid, bundle.field)
+    r, w, thetas, units, pos = _polar_grid(grid, bundle.isotopy.radial_breakpoints)
     direction = np.broadcast_to(units[None, :], (r.size, units.size)).reshape(-1)
     g = _pullback_integrand(bundle, primitive_shift, pos, direction).reshape(r.size, units.size)
     area_a0 = float(np.sum(w * (1.0 - r * r) * np.mean(g, axis=1)))
@@ -144,7 +144,7 @@ class ActionFunction:
         self.bundle = bundle
         self.mu = mu
         self.primitive_shift = primitive_shift
-        self._breaks = tuple(bundle.field.radial_breakpoints) if bundle.field else ()
+        self._breaks = bundle.isotopy.radial_breakpoints
         _, self.c_mu = _action_averages(
             bundle, mu, (ACTION_RADIAL_NODES, BOUNDARY_PROFILE_SAMPLES), primitive_shift
         )
@@ -396,35 +396,40 @@ def cal2_tilde(bundle: MapBundle, sampler: PairSampler, workers: int = 1) -> Cal
 def cal3_tilde(bundle_or_field, grid=(128, 256)) -> float:
     """``2 int_0^1 int_D H_t omega dt`` after normalizing ``H_t`` to vanish on S^1.
 
-    The generator must be constant on the circle at every sampled time
-    (to ``TOL_GENERATOR_BOUNDARY``; BoundaryNotConstant otherwise); the
-    constant is subtracted per slice.  Autonomous generators use a single time
-    node, piecewise generators get ``CAL3_TIME_NODES`` Gauss-Legendre nodes
-    per smooth piece.
+    A bundle is integrated over its isotopy tree, as ``windings`` is.  Each
+    time slot of a concatenation integrates its own piece once, so the pieces'
+    values add.  Under a conjugation by an ``h`` preserving S^1 the generator
+    ``H o h^-1`` has the same area integral and the same boundary constant, so
+    it contributes its inner value.  A leaf must have an autonomous generator
+    (ValueError otherwise) that is constant on the circle (to
+    ``TOL_GENERATOR_BOUNDARY``; BoundaryNotConstant otherwise); the constant is
+    subtracted before the polar rule integrates it.
     """
-    field = bundle_or_field.field if isinstance(bundle_or_field, MapBundle) else bundle_or_field
-    if field is None:
+    if isinstance(bundle_or_field, MapBundle):
+        return _cal3_tree(bundle_or_field.isotopy, grid)
+    return _cal3_leaf(bundle_or_field, grid)
+
+
+def _cal3_tree(isotopy, grid) -> float:
+    if isinstance(isotopy, ConcatIsotopy):
+        return sum(_cal3_tree(piece, grid) for piece in isotopy.pieces)
+    if isinstance(isotopy, ConjugatedIsotopy):
+        return _cal3_tree(isotopy.inner, grid)
+    if isotopy.field is None:
         raise ValueError("cal3 needs a bundle with a Hamiltonian generator")
-    r, w, _, units, pts = _polar_grid(grid, field)
+    return _cal3_leaf(isotopy.field, grid)
 
-    def slice_integral(t):
-        bvals = field.boundary_values(t)
-        if float(np.max(bvals) - np.min(bvals)) > TOL_GENERATOR_BOUNDARY:
-            raise BoundaryNotConstant(
-                f"generator varies by {float(np.max(bvals) - np.min(bvals)):.2e} on the circle at t={t}"
-            )
-        h = (field.value(t, pts) - float(np.mean(bvals))).reshape(r.size, units.size)
-        return float(np.sum(w * 2.0 * r * np.mean(h, axis=1)))
 
-    if field.autonomous:
-        return 2.0 * slice_integral(0.0)
-    edges = np.unique(np.concatenate([[0.0, 1.0], np.asarray(field.time_breakpoints)]))
-    x, gw = leggauss(CAL3_TIME_NODES)
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        ts = lo + (hi - lo) * (x + 1.0) / 2.0
-        total += sum(g * slice_integral(t) for t, g in zip(ts, gw)) * (hi - lo) / 2.0
-    return 2.0 * total
+def _cal3_leaf(field, grid) -> float:
+    if not field.autonomous:
+        raise ValueError(f"cal3 integrates autonomous generators only, not {field.name}")
+    bvals = field.boundary_values(0.0)
+    spread = float(np.max(bvals) - np.min(bvals))
+    if spread > TOL_GENERATOR_BOUNDARY:
+        raise BoundaryNotConstant(f"generator varies by {spread:.2e} on the circle")
+    r, w, _, units, pts = _polar_grid(grid, field.radial_breakpoints)
+    h = (field.value(0.0, pts) - float(np.mean(bvals))).reshape(r.size, units.size)
+    return 2.0 * float(np.sum(w * 2.0 * r * np.mean(h, axis=1)))
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from .calabi import (
 from .circle import rotation_number
 from .errors import ConfigError, DiskcalError
 from .experiments import exp_c0_discontinuity, exp_c1_continuity, exp_rigidity
-from .zoo import from_spec
+from .zoo import _count, from_spec
 
 EXPERIMENTS = ("c1-continuity", "c0-discontinuity", "rigidity")
 COMPUTATIONS = ("cal1", "cal2", "cal3", "rho", "verify-link", "c-mu")
@@ -80,16 +80,6 @@ def _write_outputs(out_dir: str, stem: str, json_obj, csv_text: str, fmt: str):
 def _budget(cfg: dict, key: str, default):
     budgets = cfg.get("budgets", {})
     return budgets.get(key, default)
-
-
-def _count(value, what: str, minimum: int = 1) -> int:
-    """A parameter that must be an integer of at least ``minimum``."""
-    try:
-        if int(value) == value and int(value) >= minimum:
-            return int(value)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise ConfigError(f"{what} must be an integer >= {minimum}, got {value!r}")
 
 
 def _real(value, what: str, minimum: float = -math.inf) -> float:

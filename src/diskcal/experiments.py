@@ -2,8 +2,7 @@
 
 Every PASS/FAIL column derives from an explicitly quoted bound plus stated
 numerical budgets; the sup-distances d0/d1 are measured on dense sample grids
-and therefore reported as lower bounds, with a half-grid refinement delta
-quantifying the gap.
+and therefore reported as lower bounds.
 """
 
 from __future__ import annotations
@@ -27,70 +26,40 @@ C0_D0_TARGET = 0.05  # d0 the last bump of exp_c0_discontinuity must reach
 RIGIDITY_CAL_BUDGET = 1e-4  # per-iterate allowance of exp_rigidity's cal1 drift
 
 
-@dataclass(frozen=True)
-class DistanceReport:
-    value: float
-    terms: dict
-    refinement_delta: float
-
-
-def _sample_points(grid, boundary):
-    nr, nt = grid
-    radii = (np.arange(nr) + 0.5) / nr
-    angles = np.exp(2j * np.pi * (np.arange(nt) + 0.5) / nt)
-    interior = (radii[:, None] * angles[None, :]).ravel()
-    bdry = np.exp(2j * np.pi * np.arange(boundary) / boundary)
-    return np.concatenate([interior, bdry])
-
-
-def _distance_terms(bundle: MapBundle, pts, order: int, include_lift: bool):
-    terms = {}
-    inv = bundle.isotopy.inverse()
-    if order == 0:
-        f = bundle.isotopy.flow(1.0, pts)
-        g = inv.flow(1.0, pts)
-        terms["map"] = float(np.max(np.abs(f - pts)))
-        terms["inverse"] = float(np.max(np.abs(g - pts)))
-    else:
-        # operator norm of a real-linear Wirtinger pair (p, q) is |p| + |q|
-        f, p, q = bundle.isotopy.flow_wirtinger(1.0, pts)
-        g, pi_, qi_ = inv.flow_wirtinger(1.0, pts)
-        terms["map"] = float(np.max(np.abs(f - pts)))
-        terms["inverse"] = float(np.max(np.abs(g - pts)))
-        terms["jacobian"] = float(np.max(np.abs(p - 1.0) + np.abs(q)))
-        terms["jacobian_inverse"] = float(np.max(np.abs(pi_ - 1.0) + np.abs(qi_)))
-    if include_lift:
-        lift = bundle.boundary_lift()
-        terms["lift"] = float(np.max(np.abs(lift.delta(np.linspace(0.0, 1.0, 512, endpoint=False)))))
-    return terms
-
-
 def sup_distance_to_identity(
     bundle: MapBundle,
     order: int = 0,
     grid=D_GRID,
-    refine: bool = True,
     include_lift: bool = False,
-) -> DistanceReport:
+) -> float:
     """Sampled d0 (order=0) or d1 (order=1) distance between the bundle and id.
 
-    ``include_lift`` adds the sup of the boundary-lift displacement, turning
-    the plain map distance into the lifted-pair distance (the near-identity
-    angle bounds are stated for the latter; an iterate whose lift has drifted
-    by an integer is then far from the identity lift even if the map is close).
+    The sup over the sample points of the displacements of the map and its
+    inverse, and for d1 of their Jacobians.  ``include_lift`` adds the sup of
+    the boundary-lift displacement, turning the plain map distance into the
+    lifted-pair distance (the near-identity angle bounds are stated for the
+    latter; an iterate whose lift has drifted by an integer is then far from
+    the identity lift even if the map is close).
     """
-    terms = _distance_terms(bundle, _sample_points(grid, D_BOUNDARY), order, include_lift)
-    value = max(terms.values())
-    delta = 0.0
-    if refine:
-        half = _distance_terms(
-            bundle,
-            _sample_points((max(8, grid[0] // 2), max(8, grid[1] // 2)), D_BOUNDARY // 2),
-            order,
-            include_lift,
-        )
-        delta = abs(value - max(half.values()))
-    return DistanceReport(value=value, terms=terms, refinement_delta=delta)
+    nr, nt = grid
+    radii = (np.arange(nr) + 0.5) / nr
+    angles = np.exp(2j * np.pi * (np.arange(nt) + 0.5) / nt)
+    circle = np.exp(2j * np.pi * np.arange(D_BOUNDARY) / D_BOUNDARY)
+    pts = np.concatenate([(radii[:, None] * angles[None, :]).ravel(), circle])
+    inv = bundle.isotopy.inverse()
+    if order == 0:
+        f = bundle.isotopy.flow(1.0, pts)
+        g = inv.flow(1.0, pts)
+        sups = [np.abs(f - pts), np.abs(g - pts)]
+    else:
+        # operator norm of a real-linear Wirtinger pair (p, q) is |p| + |q|
+        f, p, q = bundle.isotopy.flow_wirtinger(1.0, pts)
+        g, pi_, qi_ = inv.flow_wirtinger(1.0, pts)
+        sups = [np.abs(f - pts), np.abs(g - pts),
+                np.abs(p - 1.0) + np.abs(q), np.abs(pi_ - 1.0) + np.abs(qi_)]
+    if include_lift:
+        sups.append(np.abs(bundle.boundary_lift().delta(np.linspace(0.0, 1.0, 512, endpoint=False))))
+    return max(float(np.max(s)) for s in sups)
 
 
 @dataclass
@@ -153,7 +122,7 @@ def exp_c1_continuity(
                          "cal3": 0.0, "bound": 0.0, "pass": True})
             continue
         bundle = radial_twist(tau * coeffs)
-        eps = sup_distance_to_identity(bundle, order=1, grid=grid, include_lift=True).value
+        eps = sup_distance_to_identity(bundle, order=1, grid=grid, include_lift=True)
         if eps > 0.5:
             raise ScaleTooLarge(f"measured d1 = {eps:.3f} > 1/2 at tau = {tau}")
         c2 = cal2_tilde(bundle, PairSampler(n=pairs, seed=seed), workers=workers)
@@ -185,7 +154,7 @@ def exp_c0_discontinuity(ns, *, grid=(128, 256), cal_budget: float = 1e-3) -> Ex
     for n in ns:
         bundle = bump(n)
         c3 = cal3_tilde(bundle, grid=grid)
-        d0 = sup_distance_to_identity(bundle, order=0).value
+        d0 = sup_distance_to_identity(bundle, order=0)
         ok = bool(abs(c3 - target) <= cal_budget and d0 <= 2.0 / n + 1e-9)
         rows.append({"n": int(n), "cal3": c3, "cal_error": abs(c3 - target),
                      "d0": d0, "d0_bound": 2.0 / n, "pass": ok})
@@ -231,7 +200,7 @@ def _conjugated_iterate(base: MapBundle, alpha: float, conjugator, tau: float) -
     if not isinstance(base.isotopy, ConjugatedIsotopy):
         return conjugated_rotation(alpha, conjugator, tau)
     rot = rotation(alpha)
-    iso = ConjugatedIsotopy(base.isotopy.pair, rot.isotopy, name=f"conj({rot.name})")
+    iso = ConjugatedIsotopy(base.isotopy.pair, rot.isotopy)
     return MapBundle(isotopy=iso, name=f"conj({rot.name};tau={tau})", oracle=dict(rot.oracle))
 
 
@@ -276,7 +245,7 @@ def exp_rigidity(
     rows = []
     for q in qs:
         it = _conjugated_iterate(base, q * alpha, conjugator, tau)
-        eps = sup_distance_to_identity(it, order=0, grid=d_grid, refine=False).value
+        eps = sup_distance_to_identity(it, order=0, grid=d_grid)
         c1 = cal1(it, mu=mu, grid=cal_grid, richardson=False).value
         drift = abs(c1 - q * cal_f)
         drift_budget = (q + 1) * RIGIDITY_CAL_BUDGET

@@ -5,6 +5,11 @@ each t) generates the vector field solving ``dH = omega(X, .)`` with
 ``omega = (1/pi) du ^ dv``, namely ``X = pi (H_v, -H_u)``.  With this sign
 ``H(z) = alpha (1 - |z|^2)`` generates the counterclockwise rotation by
 ``alpha`` turns per unit time.
+
+Only leaf isotopies carry a generator.  Concatenations and conjugations are
+nodes of the isotopy tree (``flow``), and the generator route follows that
+tree: it sums the pieces of a concatenation and reads a conjugation as its
+inner isotopy, so no composite generator is ever built.
 """
 
 from __future__ import annotations
@@ -29,8 +34,6 @@ class HamiltonianField:
     wirtinger : optional callable (t, z) -> (dX/dz, dX/dz_bar) of the induced
         vector field, used by the variational equation when available
     autonomous : whether ``h`` ignores ``t``
-    time_breakpoints : times in [0, 1] where ``t -> H(t, .)`` may be
-        non-smooth (piecewise concatenations); quadratures split there
     radial_breakpoints : radii where ``z -> H(t, z)`` may be non-smooth
     """
 
@@ -42,7 +45,6 @@ class HamiltonianField:
         *,
         name: str = "field",
         autonomous: bool = False,
-        time_breakpoints: Sequence[float] = (),
         radial_breakpoints: Sequence[float] = (),
     ):
         self._h = h
@@ -50,7 +52,6 @@ class HamiltonianField:
         self._wirtinger = wirtinger
         self.name = name
         self.autonomous = autonomous
-        self.time_breakpoints = tuple(time_breakpoints)
         self.radial_breakpoints = tuple(radial_breakpoints)
 
     def value(self, t, z):
@@ -94,34 +95,6 @@ def scaled_field(base: HamiltonianField, scale: float, reverse: bool = False) ->
         ),
         name=f"{scale}*{base.name}" + ("(1-t)" if reverse else ""),
         autonomous=base.autonomous,
-        time_breakpoints=sorted(at(b) for b in base.time_breakpoints),
         radial_breakpoints=base.radial_breakpoints,
     )
 
-
-def concatenated_field(pieces: Sequence[HamiltonianField]) -> HamiltonianField:
-    """Generator of a time-concatenation of isotopies, each run at m-fold speed."""
-    m = len(pieces)
-    breaks = {(i + b) / m for i, p in enumerate(pieces) for b in (0.0, *p.time_breakpoints)}
-    breaks.discard(0.0)
-
-    def h(t, z):
-        i = min(int(t * m), m - 1)
-        return m * pieces[i].value(t * m - i, z)
-
-    return HamiltonianField(
-        h,
-        name="concat(" + ",".join(p.name for p in pieces) + ")",
-        time_breakpoints=sorted(breaks),
-        radial_breakpoints=sorted({r for p in pieces for r in p.radial_breakpoints}),
-    )
-
-
-def conjugated_field(inner: HamiltonianField, h_inverse_map: Callable, name: str) -> HamiltonianField:
-    """Generator of h . f_t . h^-1: K(t, z) = H(t, h^-1(z)) for symplectic h."""
-    return HamiltonianField(
-        h=lambda t, z: inner.value(t, h_inverse_map(np.asarray(z, dtype=complex))),
-        name=name or f"conj({inner.name})",
-        autonomous=inner.autonomous,
-        time_breakpoints=inner.time_breakpoints,
-    )

@@ -19,6 +19,10 @@ field leaf is tracked on a time grid refined until every argument step is
 resolved.  The one tracked composite case is the position winding of an
 interior point under a conjugation, which has no such identity and follows
 the conjugated trajectory.
+
+Only the two leaves carry a generator (``field``).  The composites carry
+none: the generator route and the radial kinks of the action route's grid
+(``radial_breakpoints``) follow the tree of pieces and inner isotopies.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import PointOutsideDisk, StepTooCoarse
-from .fields import H_GRAD_STEP, HamiltonianField, concatenated_field, conjugated_field, scaled_field
+from .fields import H_GRAD_STEP, HamiltonianField, scaled_field
 from .geometry import (
     MIN_VECTOR_NORM,
     TOL_BOUNDARY,
@@ -131,7 +135,10 @@ def _as_points(z):
 class Isotopy:
     """Common interface; subclasses provide trajectories and Jacobians."""
 
-    field: Optional[HamiltonianField] = None
+    field: Optional[HamiltonianField] = None  # a leaf's generator; composites carry none
+    # radii where z -> f_t(z) may kink: a leaf's own, the union over the pieces
+    # of a concatenation, none under a conjugation (h^-1 moves them off circles)
+    radial_breakpoints: tuple = ()
 
     def flow(self, t, z):
         pts = _as_points(z)
@@ -175,6 +182,7 @@ class FieldIsotopy(Isotopy):
     def __init__(self, generator, base_steps: int = DEFAULT_STEPS):
         self.generator = generator
         self.field = generator if isinstance(generator, HamiltonianField) else None
+        self.radial_breakpoints = self.field.radial_breakpoints if self.field else ()
         self.n_steps = self._calibrate(base_steps)
 
     def _calibrate(self, n0: int) -> int:
@@ -280,6 +288,7 @@ class RadialIsotopy(Isotopy):
     def __init__(self, profile):
         self.profile = profile
         self.field = profile.field()
+        self.radial_breakpoints = profile.breakpoints
 
     def trajectory(self, z, times):
         z = _as_points(z)
@@ -332,13 +341,11 @@ class ConcatIsotopy(Isotopy):
     ``pieces[0]`` runs first; the time-1 map is ``pieces[-1] o ... o pieces[0]``.
     """
 
-    def __init__(self, pieces: Sequence[Isotopy], name: str = ""):
+    def __init__(self, pieces: Sequence[Isotopy]):
         if not pieces:
             raise ValueError("need at least one piece")
         self.pieces = list(pieces)
-        fields = [p.field for p in self.pieces]
-        self.field = concatenated_field(fields) if all(f is not None for f in fields) else None
-        self.name = name
+        self.radial_breakpoints = tuple(sorted({r for p in self.pieces for r in p.radial_breakpoints}))
 
     def trajectory(self, z, times):
         z = _as_points(z)
@@ -449,16 +456,9 @@ class ConjugatedIsotopy(Isotopy):
     trajectory.
     """
 
-    def __init__(self, pair: ConjugatorPair, inner: Isotopy, name: str = ""):
+    def __init__(self, pair: ConjugatorPair, inner: Isotopy):
         self.pair = pair
         self.inner = inner
-        inner_field = inner.field
-        self.field = (
-            conjugated_field(inner_field, self.pair.inverse_images, name=name)
-            if inner_field is not None
-            else None
-        )
-        self.name = name
 
     def trajectory(self, z, times):
         pts = _as_points(z)

@@ -261,7 +261,7 @@ def conjugate(bundle: MapBundle, conjugator: HamiltonianField, tau: float) -> Ma
     if not conjugator.autonomous:
         raise ValueError("only autonomous generators can be time-scaled")
     pair = ConjugatorPair(FieldIsotopy(scaled_field(conjugator, tau)))
-    iso = ConjugatedIsotopy(pair, bundle.isotopy, name=f"conj({bundle.name})")
+    iso = ConjugatedIsotopy(pair, bundle.isotopy)
     oracle = {k: bundle.oracle[k] for k in ("cal1", "cal", "rho") if k in bundle.oracle}
     return MapBundle(isotopy=iso, name=f"conj({bundle.name};tau={tau})", oracle=oracle)
 
@@ -315,6 +315,21 @@ def identity() -> MapBundle:
 # serialization from configuration trees
 
 
+def _count(value, what: str, minimum=1) -> int:
+    """A parameter that must be an integer of at least ``minimum``.
+
+    One rule for map counts and CLI budgets: a non-integral number or a
+    string is a ConfigError, never truncated.
+    """
+    try:
+        if int(value) == value and int(value) >= minimum:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    bound = f" >= {minimum}" if np.isfinite(minimum) else ""
+    raise ConfigError(f"{what} must be an integer{bound}, got {value!r}")
+
+
 def _finite(value):
     """A map parameter as float (or float array); NaN and infinities are rejected."""
     out = np.asarray(value, dtype=float)
@@ -348,7 +363,7 @@ def from_spec(spec: dict) -> MapBundle:
         if fam == "quadratic_twist":
             return quadratic_twist(_finite(spec["beta"]))
         if fam == "bump":
-            return bump(int(spec["n"]))
+            return bump(_count(spec["n"], "bump n", minimum=2))
         if fam == "conjugated_rotation":
             conj = _build_conjugator(spec["conjugator"]) if "conjugator" in spec else None
             return conjugated_rotation(_finite(spec["alpha"]), conj, _finite(spec.get("tau", 0.0)))
@@ -361,7 +376,7 @@ def from_spec(spec: dict) -> MapBundle:
                 out = compose(m, out)
             return out
         if fam == "iterate":
-            return iterate(from_spec(spec["map"]), int(spec["n"]))
+            return iterate(from_spec(spec["map"]), _count(spec["n"], "iterate n", minimum=-np.inf))
         if fam == "inverse":
             return inverse(from_spec(spec["map"]))
     except KeyError as exc:

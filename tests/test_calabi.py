@@ -19,6 +19,7 @@ from diskcal.calabi import (
 from diskcal.circle import BoundaryMeasure
 from diskcal.errors import BoundaryNotConstant, NotAreaPreserving, OrbitCollision
 from diskcal.fields import HamiltonianField
+from diskcal.flow import ConjugatorPair, FieldIsotopy, MapBundle
 from diskcal.zoo import (
     boundary_shear_conjugator,
     bump,
@@ -190,7 +191,7 @@ class TestCal1:
         # product grid, against cal1's single radial rule per ray (Fubini)
         a = action_function(bundle)
         res = cal1(bundle, mu=a.mu)
-        r, w = composite_gauss_radii(64, bundle.field.radial_breakpoints)
+        r, w = composite_gauss_radii(64, bundle.isotopy.radial_breakpoints)
         units = np.exp(2j * np.pi * (np.arange(16) + 0.5) / 16)
         a0 = a.a0((r[:, None] * units[None, :]).ravel()).reshape(r.size, units.size)
         area_a0 = float(np.sum(w * 2.0 * r * np.mean(a0, axis=1)))
@@ -329,6 +330,9 @@ class TestCal3:
     def test_composition_adds(self):
         val = cal3_tilde(compose(quadratic_twist(0.3), rotation(0.2)))
         assert val == pytest.approx(0.4, abs=1e-8)
+        # exactly: the time slots of a concatenation integrate their pieces once
+        a, b = quadratic_twist(0.3), conjugated_rotation(0.2, off_center_conjugator(0.5), 0.5)
+        assert cal3_tilde(compose(a, b)) == cal3_tilde(b) + cal3_tilde(a)
 
     def test_boundary_constancy_enforced(self):
         bad = HamiltonianField(lambda t, z: np.real(z), autonomous=True)
@@ -336,8 +340,51 @@ class TestCal3:
             cal3_tilde(bad)
 
     def test_conjugated_generator_integrates_to_alpha(self):
-        bundle = conjugated_rotation(0.3, off_center_conjugator(0.5), 0.5)
-        assert cal3_tilde(bundle, grid=(64, 128)) == pytest.approx(0.3, abs=1e-6)
+        # the generator of h R h^-1 is K = H o h^-1; integrated directly on the
+        # polar grid, it must give what the tree gives from H alone
+        r, w = composite_gauss_radii(64)
+        units = np.exp(2j * np.pi * (np.arange(128) + 0.5) / 128)
+        grid = (r[:, None] * units[None, :]).ravel()
+        circle = np.exp(2j * np.pi * np.arange(64) / 64)
+        for conjugator in (off_center_conjugator(0.5), boundary_shear_conjugator(0.3)):
+            bundle = conjugated_rotation(0.3, conjugator, 0.5)
+            inner, pair = bundle.isotopy.inner, bundle.isotopy.pair
+            k_circle = inner.field.value(0.0, pair.inverse_images(circle))
+            k = inner.field.value(0.0, pair.inverse_images(grid)) - np.mean(k_circle)
+            direct = 2.0 * float(np.sum(w * 2.0 * r * np.mean(k.reshape(r.size, units.size), axis=1)))
+            assert direct == pytest.approx(0.3, abs=1e-6), conjugator.name
+            assert abs(cal3_tilde(bundle, grid=(64, 128)) - direct) <= 1e-12, conjugator.name
+
+    @pytest.mark.parametrize("conjugator", [off_center_conjugator(0.5), boundary_shear_conjugator(0.3)],
+                             ids=["off_center", "shear"])
+    def test_conjugation_returns_the_inner_value(self, conjugator):
+        f = compose(quadratic_twist(0.3), bump(4))
+        assert cal3_tilde(conjugate(f, conjugator, 0.5)) == cal3_tilde(f)
+
+    def test_conjugation_never_maps_points_through_h_inverse(self, monkeypatch):
+        # patched before the bundle is built, so a bound method taken then counts too
+        calls = []
+        original = ConjugatorPair.inverse_images
+        monkeypatch.setattr(ConjugatorPair, "inverse_images",
+                            lambda pair, z: calls.append(1) or original(pair, z))
+        bundle = conjugated_rotation(GOLDEN, off_center_conjugator(0.5), 0.5)
+        calls.clear()
+        cal3_tilde(bundle, grid=(64, 128))
+        assert not calls
+
+    @pytest.mark.parametrize("f", [bump(4), conjugated_rotation(GOLDEN, off_center_conjugator(0.5), 0.5)],
+                             ids=["bump4", "conjugated"])
+    def test_inverse_negates(self, f):
+        assert abs(cal3_tilde(inverse(f)) + cal3_tilde(f)) <= 1e-15
+
+    def test_concatenation_carries_the_union_of_radial_kinks(self):
+        assert compose(bump(4), rotation(0.2)).isotopy.radial_breakpoints == (0.125, 0.25)
+
+    def test_non_autonomous_leaf_rejected(self):
+        field = HamiltonianField(lambda t, z: 0.1 * (1.0 + t) * (1.0 - np.abs(z) ** 2),
+                                 grad=lambda t, z: -0.2 * (1.0 + t) * z)
+        with pytest.raises(ValueError, match="autonomous"):
+            cal3_tilde(MapBundle(isotopy=FieldIsotopy(field)))
 
 
 class TestCmu:
@@ -423,7 +470,7 @@ class TestNearIdentityBounds:
         from diskcal.geometry import uniform_disk_points
 
         bundle = quadratic_twist(0.3 * 0.02)
-        eps = sup_distance_to_identity(bundle, order=1, grid=(64, 64), include_lift=True).value
+        eps = sup_distance_to_identity(bundle, order=1, grid=(64, 64), include_lift=True)
         assert eps <= 0.5
         rng = np.random.default_rng(8)
         x, y = uniform_disk_points(1000, rng), uniform_disk_points(1000, rng)
@@ -438,7 +485,7 @@ class TestNearIdentityBounds:
         from diskcal.geometry import uniform_disk_points
 
         bundle = quadratic_twist(0.3 * 0.1)
-        eps = sup_distance_to_identity(bundle, order=0, grid=(64, 64)).value
+        eps = sup_distance_to_identity(bundle, order=0, grid=(64, 64))
         assert eps <= 1.0 / 4.0
         rng = np.random.default_rng(9)
         x, y = uniform_disk_points(4000, rng), uniform_disk_points(4000, rng)

@@ -105,6 +105,19 @@ class TestCompute:
         assert "ConfigError" in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize("spec", [
+        {"family": "bump", "n": 4.5},
+        {"family": "bump", "n": "4"},
+        {"family": "iterate", "map": {"family": "rotation", "alpha": 0.1}, "n": 2.5},
+    ], ids=["bump_fraction", "bump_str", "iterate_fraction"])
+    def test_non_integral_map_counts_are_config_errors(self, tmp_path, capsys, spec):
+        # map counts follow the CLI's own integer rule: no truncation, no strings
+        cfg = write_config(tmp_path, {"map": spec, "compute": ["cal3"], "budgets": {}})
+        out = tmp_path / "x"
+        assert main(["--out", str(out), "compute", "--config", cfg]) == 2
+        assert "ConfigError" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
     def test_numerical_error_exit_code(self, tmp_path, capsys):
         # twist profile not vanishing on the boundary: a numerical-domain failure
         cfg = write_config(

@@ -589,7 +589,8 @@ class TestConjugatorPair:
             "flow_wirtinger": lambda iso: list(iso.flow_wirtinger(1.0, pts.copy())),
             "chord_windings": lambda iso: list(chord_windings(iso, pts.copy(), other.copy())),
             "position_windings": lambda iso: list(position_windings(iso, circle.copy())),
-            "field_value": lambda iso: [iso.field.value(0.3, pts.copy())],
+            "inner_field_value": lambda iso: [
+                iso.inner.field.value(0.3, iso.pair.inverse_images(pts.copy()))],
         }
         for name, call in calls.items():
             iso = self._conjugated().isotopy
