@@ -11,11 +11,16 @@ For any bundle built from a generator the three values satisfy
 ``cal2 = cal1 + rho`` and ``cal2 = cal3`` up to quadrature and sampling error;
 ``verify_link`` evaluates all of them and reports the residuals against an
 explicit budget.
+
+Quadrature rules are fixed objects: each Gauss-Legendre rule (by node count)
+and each polar grid (by grid and radial kinks) is built once per process,
+kept in a small LRU cache and returned as read-only arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field, fields
+from functools import lru_cache
 from typing import ClassVar, Optional
 
 import numpy as np
@@ -34,10 +39,25 @@ ACTION_RADIAL_NODES = 64  # Gauss-Legendre nodes per ray of ActionFunction.a0
 BOUNDARY_PROFILE_SAMPLES = 512  # rays of the boundary profile behind c_mu
 POLYLINE_NODES = 48  # Gauss-Legendre nodes per leg of a0_along_polyline
 TOL_GENERATOR_BOUNDARY = 1e-8  # spread of H_t on S^1 that cal3 accepts as constant
+MIN_RICHARDSON_GRID = (32, 64)  # smallest cal1 grid whose half grid is at least (16, 32)
+GAUSS_RULE_CACHE_SIZE = 32  # Gauss-Legendre rules kept, by node count
+POLAR_GRID_CACHE_SIZE = 8  # polar grids kept, by (grid, radial kinks)
 
 
 # ---------------------------------------------------------------------------
 # quadrature helpers
+
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@lru_cache(maxsize=GAUSS_RULE_CACHE_SIZE)
+def gauss_legendre(n: int):
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], built once per ``n``."""
+    return _read_only(*leggauss(n))
 
 
 def composite_gauss_radii(n_nodes: int, breakpoints=()):
@@ -48,7 +68,7 @@ def composite_gauss_radii(n_nodes: int, breakpoints=()):
     nodes, weights = [], []
     for lo, hi in segs:
         k = max(8, int(round(n_nodes * (hi - lo))))
-        x, w = leggauss(k)
+        x, w = gauss_legendre(k)
         nodes.append(lo + (hi - lo) * (x + 1.0) / 2.0)
         weights.append(w * (hi - lo) / 2.0)
     r = np.concatenate(nodes)
@@ -59,7 +79,7 @@ def composite_gauss_radii(n_nodes: int, breakpoints=()):
 
 def _segment_nodes(edges_lo, edges_hi, m: int):
     """GL-m nodes/weights on per-point segments [lo, hi] (vectorized)."""
-    x, w = leggauss(m)
+    x, w = gauss_legendre(m)
     half = (edges_hi - edges_lo)[..., None] / 2.0
     mid = (edges_hi + edges_lo)[..., None] / 2.0
     return mid + half * x, half * w
@@ -81,12 +101,18 @@ def spectral_interp_average(values: np.ndarray, offset: float, mu: BoundaryMeasu
 
 def _polar_grid(grid, breakpoints):
     """Composite Gauss-Legendre radii (split at the radial kinks ``breakpoints``)
-    times midpoint angles: ``(r, w, thetas, units, points)``, points radius-major."""
+    times midpoint angles: ``(r, w, thetas, units, points)``, points radius-major.
+    Cached: a grid given as a list shares the entry of the same tuple."""
+    return _cached_polar_grid(tuple(grid), tuple(breakpoints))
+
+
+@lru_cache(maxsize=POLAR_GRID_CACHE_SIZE)
+def _cached_polar_grid(grid, breakpoints):
     nr, ntheta = grid
     r, w = composite_gauss_radii(nr, breakpoints)
     thetas = (np.arange(ntheta) + 0.5) / ntheta
     units = np.exp(2j * np.pi * thetas)
-    return r, w, thetas, units, (r[:, None] * units[None, :]).reshape(-1)
+    return _read_only(r, w, thetas, units, (r[:, None] * units[None, :]).reshape(-1))
 
 
 def _pullback_integrand(bundle, primitive_shift, pos, direction):
@@ -177,7 +203,7 @@ class ActionFunction:
         z = complex(z)
         legs = [(0.0 + 0.0j, complex(z.real, 0.0)), (complex(z.real, 0.0), z)]
         total = 0.0
-        x, w = leggauss(POLYLINE_NODES)
+        x, w = gauss_legendre(POLYLINE_NODES)
         for a, b in legs:
             if abs(b - a) == 0.0:
                 continue
@@ -203,6 +229,15 @@ def action_function(
 # cal1: area average of the action function
 
 
+def richardson_grid(grid):
+    """The half-resolution grid of cal1's Richardson delta; ValueError below
+    ``MIN_RICHARDSON_GRID``, where it would not be a halving of ``grid``."""
+    if any(n < m for n, m in zip(grid, MIN_RICHARDSON_GRID)):
+        raise ValueError(f"cal1's Richardson delta needs a grid of at least "
+                         f"{list(MIN_RICHARDSON_GRID)}, got {list(grid)}")
+    return (grid[0] // 2, grid[1] // 2)
+
+
 @dataclass(frozen=True)
 class Cal1Result:
     value: float
@@ -222,16 +257,18 @@ def cal1(
 
     One radial quadrature per ray by Fubini (exact for every map), times
     uniform angles; ``richardson_delta`` is the difference against the
-    half-resolution value.  Raises NotAreaPreserving when the bundle fails
-    the determinant check, whose residual ``area_residual`` reports.
+    half-resolution value, which needs a grid of at least
+    ``MIN_RICHARDSON_GRID`` (ValueError otherwise).  Raises NotAreaPreserving
+    when the bundle fails the determinant check, whose residual
+    ``area_residual`` reports.
     """
+    half = richardson_grid(grid) if richardson else None
     res = _checked_area_residual(bundle)
     if mu is None:
         mu = invariant_measure(bundle.boundary_lift())
     value, c_mu = _action_averages(bundle, mu, grid, primitive_shift)
     delta = np.nan
     if richardson:
-        half = (max(16, grid[0] // 2), max(32, grid[1] // 2))
         coarse, _ = _action_averages(bundle, mu, half, primitive_shift)
         delta = abs(value - coarse)
     return Cal1Result(value=value, richardson_delta=float(delta), c_mu=c_mu, area_residual=res)
@@ -406,18 +443,21 @@ def cal3_tilde(bundle_or_field, grid=(128, 256)) -> float:
     subtracted before the polar rule integrates it.
     """
     if isinstance(bundle_or_field, MapBundle):
-        return _cal3_tree(bundle_or_field.isotopy, grid)
+        return _cal3_tree(bundle_or_field.isotopy, grid, {})
     return _cal3_leaf(bundle_or_field, grid)
 
 
-def _cal3_tree(isotopy, grid) -> float:
+def _cal3_tree(isotopy, grid, memo) -> float:
+    """Sum over the leaves in tree order; ``memo`` integrates a repeated leaf once."""
     if isinstance(isotopy, ConcatIsotopy):
-        return sum(_cal3_tree(piece, grid) for piece in isotopy.pieces)
+        return sum(_cal3_tree(piece, grid, memo) for piece in isotopy.pieces)
     if isinstance(isotopy, ConjugatedIsotopy):
-        return _cal3_tree(isotopy.inner, grid)
+        return _cal3_tree(isotopy.inner, grid, memo)
     if isotopy.field is None:
         raise ValueError("cal3 needs a bundle with a Hamiltonian generator")
-    return _cal3_leaf(isotopy.field, grid)
+    if id(isotopy) not in memo:
+        memo[id(isotopy)] = _cal3_leaf(isotopy.field, grid)
+    return memo[id(isotopy)]
 
 
 def _cal3_leaf(field, grid) -> float:

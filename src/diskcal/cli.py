@@ -28,6 +28,7 @@ from .calabi import (
     cal1,
     cal2_tilde,
     cal3_tilde,
+    richardson_grid,
     uniform_disk_measure,
     verify_link,
 )
@@ -120,6 +121,11 @@ def cmd_compute(cfg: dict, out_dir: str, fmt: str, seed_override, workers_overri
     if not isinstance(grid, (list, tuple)) or len(grid) != 2:
         raise ConfigError(f"grid must be a pair [radial, angular], got {grid!r}")
     grid = tuple(_count(v, "grid entry") for v in grid)
+    if "verify-link" in wanted or "cal1" in wanted:
+        try:
+            richardson_grid(grid)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     rho_iterates = _count(_budget(cfg, "rho_iterates", 100_000), "rho_iterates")
     c_mu_points = _count(_budget(cfg, "c_mu_points", 300), "c_mu_points")
     strategy = _budget(cfg, "strategy", "uniform")

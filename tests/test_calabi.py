@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
+from diskcal import calabi
 from diskcal.calabi import (
     DiskMeasure,
     PairSampler,
@@ -12,6 +14,7 @@ from diskcal.calabi import (
     cal2_tilde,
     cal3_tilde,
     composite_gauss_radii,
+    gauss_legendre,
     spectral_interp_average,
     uniform_disk_measure,
     verify_link,
@@ -184,6 +187,14 @@ class TestCal1:
     def test_non_area_preserving_rejected(self, broken_bundle):
         with pytest.raises(NotAreaPreserving):
             cal1(broken_bundle, mu=BoundaryMeasure(np.array([0.0]), np.array([1.0])))
+
+    @pytest.mark.parametrize("grid", [(16, 32), (8, 16), (31, 64), (64, 32)])
+    def test_richardson_grid_must_be_coarser(self, grid):
+        # at (16, 32) the old floored half grid was (16, 32) itself: cal1 read
+        # 1.43e-5 here (true value 0) with a Richardson delta of exactly 0
+        bundle = conjugated_rotation(GOLDEN, boundary_shear_conjugator(0.3), 0.5)
+        with pytest.raises(ValueError, match="Richardson"):
+            cal1(bundle, grid=grid)
 
     @pytest.mark.parametrize("bundle", [quadratic_twist(0.3), bump(4)], ids=["twist", "bump4"])
     def test_fubini_matches_polar_average_of_pointwise_primitive(self, bundle):
@@ -380,11 +391,52 @@ class TestCal3:
     def test_concatenation_carries_the_union_of_radial_kinks(self):
         assert compose(bump(4), rotation(0.2)).isotopy.radial_breakpoints == (0.125, 0.25)
 
+    def test_repeated_leaf_is_integrated_once(self, monkeypatch):
+        # iterate repeats one isotopy object; the sum keeps its order, so it is bitwise unchanged
+        v = cal3_tilde(quadratic_twist(0.3))
+        calls = []
+        original = calabi._cal3_leaf
+        monkeypatch.setattr(calabi, "_cal3_leaf", lambda f, grid: calls.append(1) or original(f, grid))
+        assert cal3_tilde(iterate(quadratic_twist(0.3), 100)) == sum([v] * 100)
+        assert len(calls) == 1
+
     def test_non_autonomous_leaf_rejected(self):
         field = HamiltonianField(lambda t, z: 0.1 * (1.0 + t) * (1.0 - np.abs(z) ** 2),
                                  grad=lambda t, z: -0.2 * (1.0 + t) * z)
         with pytest.raises(ValueError, match="autonomous"):
             cal3_tilde(MapBundle(isotopy=FieldIsotopy(field)))
+
+
+class TestQuadratureCache:
+    @pytest.fixture(autouse=True)
+    def cold_caches(self):
+        gauss_legendre.cache_clear()
+        calabi._cached_polar_grid.cache_clear()
+
+    def test_cached_arrays_are_read_only(self):
+        for a in gauss_legendre(16) + calabi._polar_grid((32, 64), (0.25,)):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+
+    @pytest.mark.parametrize("n", [8, 16, 48, 64, 96, 128])
+    def test_rules_are_numpy_rules_bytewise(self, n):
+        x, w = gauss_legendre(n)
+        fresh_x, fresh_w = leggauss(n)
+        assert x.tobytes() == fresh_x.tobytes() and w.tobytes() == fresh_w.tobytes()
+
+    def test_two_link_runs_build_each_rule_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(calabi, "leggauss", lambda n: calls.append(n) or leggauss(n))
+        for _ in range(2):
+            verify_link(quadratic_twist(0.3), pairs=500, seed=1, grid=(128, 256), rho_iterates=1000)
+        assert sorted(calls) == [64, 128]
+
+    def test_a_list_grid_shares_the_tuple_entry(self):
+        first = calabi._polar_grid((32, 64), (0.25,))
+        again = calabi._polar_grid([32, 64], [0.25])
+        assert all(a is b for a, b in zip(first, again))
+        info = calabi._cached_polar_grid.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
 
 class TestCmu:

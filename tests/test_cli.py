@@ -44,6 +44,14 @@ class TestCompute:
         assert abs(report["cal3"] - 0.2) < 1e-6
         assert report["cal2"] is None
 
+    @pytest.mark.parametrize("wanted, code", [(["cal1"], 2), (["cal3"], 0)])
+    def test_small_grid_refused_where_richardson_runs(self, tmp_path, wanted, code):
+        # cal1's half-resolution delta needs a grid of at least (32, 64); cal3 has none
+        cfg_dict = {"map": {"family": "quadratic_twist", "beta": 0.3}, "compute": wanted,
+                    "budgets": {"grid": [16, 32]}}
+        cfg = write_config(tmp_path, cfg_dict)
+        assert main(["--out", str(tmp_path / "o"), "compute", "--config", cfg]) == code
+
     def test_c_mu_computation(self, tmp_path):
         cfg_dict = {
             "map": {"family": "rotation", "alpha": 0.2},
@@ -89,9 +97,10 @@ class TestCompute:
         ({"seed": "abc"}, 0.3),
         ({"c_mu_points": 0}, 0.3),
         ({"strategy": "stratified", "pairs": 64}, 0.3),
+        ({"grid": [16, 32]}, 0.3),
     ], ids=["grid0", "rho_iterates0", "pairs0", "alpha_nan", "quad_budget_nan",
             "quad_budget_negative", "strategy_bogus", "workers_str", "seed_str", "c_mu_points0",
-            "stratified_pairs64"])
+            "stratified_pairs64", "grid_without_richardson"])
     def test_degenerate_config_is_config_error(self, tmp_path, capsys, budgets, alpha):
         cfg_dict = {
             "map": {"family": "compose", "maps": [{"family": "quadratic_twist", "beta": 0.3},
