@@ -10,6 +10,7 @@ order of many iterated starts, stopped as soon as its half-width reaches 1/n.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +58,22 @@ class LiftedCircleMap:
 
     def __call__(self, x):
         return np.asarray(x, dtype=float) + self.delta(x)
+
+    def scalar_delta(self):
+        """``delta`` of one Python float, for orbit walks: a grid lift interpolates
+        in Python floats as ``np.interp`` does, so the values agree bit for bit."""
+        if self._delta_fn is not None:
+            return lambda x: float(self.delta(x))
+        xs, fs = memoryview(self._xs), memoryview(self._grid)  # items read as Python floats
+
+        def delta(x):
+            x %= 1.0  # the remainder np.mod takes
+            j = bisect.bisect_right(xs, x) - 1
+            if xs[j] == x:  # a node (x = 1.0 included): its value, as np.interp returns
+                return fs[j]
+            return (fs[j + 1] - fs[j]) / (xs[j + 1] - xs[j]) * (x - xs[j]) + fs[j]
+
+        return delta
 
     def compose(self, other: "LiftedCircleMap") -> "LiftedCircleMap":
         def delta(x, f=self, g=other):
@@ -188,10 +205,11 @@ def invariant_measure(
     if samples < 1:
         raise ValueError("need samples >= 1")
     limit = min(samples, PERIOD_SEARCH_MAX)
+    delta = lift.scalar_delta()
     orbit = [float(x0)]
     x = float(x0)
     for k in range(1, max(limit + 1, burn_in + samples)):
-        x += float(lift.delta(x))
+        x += delta(x)
         if k <= limit and abs(x - x0 - round(x - x0)) < TOL_PERIOD:
             pts = np.mod(np.array(orbit), 1.0)
             return BoundaryMeasure(points=pts, weights=np.full(k, 1.0 / k), periodic=True)

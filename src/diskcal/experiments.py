@@ -246,7 +246,8 @@ def exp_rigidity(
     for q in qs:
         it = _conjugated_iterate(base, q * alpha, conjugator, tau)
         eps = sup_distance_to_identity(it, order=0, grid=d_grid)
-        c1 = cal1(it, mu=mu, grid=cal_grid, richardson=False).value
+        # the q = 1 iterate is the base map on the same conjugator pair
+        c1 = cal_f if q == 1 else cal1(it, mu=mu, grid=cal_grid, richardson=False).value
         drift = abs(c1 - q * cal_f)
         drift_budget = (q + 1) * RIGIDITY_CAL_BUDGET
 

@@ -6,6 +6,12 @@ each t) generates the vector field solving ``dH = omega(X, .)`` with
 ``H(z) = alpha (1 - |z|^2)`` generates the counterclockwise rotation by
 ``alpha`` turns per unit time.
 
+The derivatives act on float rows: a set of N points is given by its rows
+``u = Re z`` and ``v = Im z``, and every derivative comes back as real rows
+of length N (a scalar may stand for a constant row).  The flow integrator
+keeps its state in such rows, so no complex temporaries are built per stage.
+Only the value ``H(t, z)`` takes complex points.
+
 Only leaf isotopies carry a generator.  Concatenations and conjugations are
 nodes of the isotopy tree (``flow``), and the generator route follows that
 tree: it sums the pieces of a concatenation and reads a conjugation as its
@@ -18,8 +24,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .geometry import central_wirtinger
-
 H_GRAD_STEP = 1e-5
 BOUNDARY_SAMPLES = 64  # points of S^1 in HamiltonianField.boundary_values
 
@@ -30,9 +34,10 @@ class HamiltonianField:
     Parameters
     ----------
     h : callable (t, z) -> real, vectorized over a complex array ``z``
-    grad : optional callable (t, z) -> complex ``H_u + i H_v``
-    wirtinger : optional callable (t, z) -> (dX/dz, dX/dz_bar) of the induced
-        vector field, used by the variational equation when available
+    grad : optional callable (t, u, v) -> (H_u, H_v) on float rows
+    wirtinger : optional callable (t, u, v) -> (Re a, Im a, Re b, Im b) of the
+        Wirtinger pair ``(a, b) = (dX/dz, dX/dz_bar)`` of the induced vector
+        field, used by the variational equation when available
     autonomous : whether ``h`` ignores ``t``
     radial_breakpoints : radii where ``z -> H(t, z)`` may be non-smooth
     """
@@ -57,25 +62,44 @@ class HamiltonianField:
     def value(self, t, z):
         return self._h(t, z)
 
-    def gradient(self, t, z):
+    def gradient(self, t, u, v):
+        """Rows ``(H_u, H_v)``, analytic when supplied, else central differences."""
         if self._grad is not None:
-            return self._grad(t, z)
-        # H_u + i H_v = 2 dH/dz_bar for a real H
-        return 2.0 * central_wirtinger(lambda w: self._h(t, w), z, H_GRAD_STEP)[1]
+            return self._grad(t, u, v)
+        z, hh = u + 1j * v, H_GRAD_STEP * (1.0 + np.hypot(u, v))
+        return tuple((self._h(t, z + d) - self._h(t, z - d)) / (2.0 * hh) for d in (hh, 1j * hh))
 
-    def vector(self, t, z):
-        """Hamiltonian vector field X = pi (H_v, -H_u) as a complex number."""
-        return -1j * np.pi * self.gradient(t, z)
+    def vector(self, t, u, v, out=None):
+        """Rows ``(X_u, X_v) = pi (H_v, -H_u)``, written into ``out`` (shape (2, N)) if given."""
+        hu, hv = self.gradient(t, u, v)
+        out = np.empty((2,) + np.shape(u)) if out is None else out
+        np.multiply(hv, np.pi, out=out[0])
+        np.multiply(hu, -np.pi, out=out[1])
+        return out
 
-    def vector_wirtinger(self, t, z):
-        """(dX/dz, dX/dz_bar), analytic when supplied, else central differences."""
+    def vector_wirtinger(self, t, u, v):
+        """Rows ``(Re a, Im a, Re b, Im b)``, analytic when supplied, else central differences."""
         if self._wirtinger is not None:
-            return self._wirtinger(t, z)
-        return central_wirtinger(lambda w: self.vector(t, w), z, H_GRAD_STEP)
+            return self._wirtinger(t, u, v)
+        return central_vector_wirtinger(lambda x, y: self.vector(t, x, y), u, v)
 
     def boundary_values(self, t):
         theta = np.arange(BOUNDARY_SAMPLES) / BOUNDARY_SAMPLES
         return self.value(t, np.exp(2j * np.pi * theta))
+
+
+def central_vector_wirtinger(vector, u, v):
+    """Rows ``(Re a, Im a, Re b, Im b)`` of a row field by central differences.
+
+    ``vector(u, v)`` returns the rows ``(X_u, X_v)``; the increment is
+    ``H_GRAD_STEP * (1 + |z|)`` along each axis, and ``a = (X_u - i X_v) / 2``,
+    ``b = (X_u + i X_v) / 2`` for the partials of the complex field ``X``.
+    """
+    hh = H_GRAD_STEP * (1.0 + np.hypot(u, v))
+    scale = 1.0 / (2.0 * hh)
+    du = (vector(u + hh, v) - vector(u - hh, v)) * scale
+    dv = (vector(u, v + hh) - vector(u, v - hh)) * scale
+    return 0.5 * (du[0] + dv[1]), 0.5 * (du[1] - dv[0]), 0.5 * (du[0] - dv[1]), 0.5 * (du[1] + dv[0])
 
 
 def scaled_field(base: HamiltonianField, scale: float, reverse: bool = False) -> HamiltonianField:
@@ -85,14 +109,16 @@ def scaled_field(base: HamiltonianField, scale: float, reverse: bool = False) ->
     autonomous ``H`` the time-1 map of ``scale * H`` is the time-``scale`` map.
     """
     at = (lambda t: 1.0 - t) if reverse else (lambda t: t)
+
+    def scaled(derivative):
+        if derivative is None:
+            return None
+        return lambda t, u, v: [scale * c for c in derivative(at(t), u, v)]
+
     return HamiltonianField(
         h=lambda t, z: scale * base.value(at(t), z),
-        grad=None if base._grad is None else (lambda t, z: scale * base.gradient(at(t), z)),
-        wirtinger=(
-            None
-            if base._wirtinger is None
-            else (lambda t, z: tuple(scale * c for c in base.vector_wirtinger(at(t), z)))
-        ),
+        grad=scaled(base._grad),
+        wirtinger=scaled(base._wirtinger),
         name=f"{scale}*{base.name}" + ("(1-t)" if reverse else ""),
         autonomous=base.autonomous,
         radial_breakpoints=base.radial_breakpoints,

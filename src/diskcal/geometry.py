@@ -89,34 +89,22 @@ def wirtinger_compose(outer, inner):
     return a * p + b * np.conj(q), a * q + b * np.conj(p)
 
 
-def central_wirtinger(fn, z, step: float):
-    """Wirtinger pair (d fn/dz, d fn/dz_bar) of a vectorized map by central differences.
+def project_to_disk(u, v):
+    """Radially project, in place, the points ``u + i v`` within ``TOL_BOUNDARY`` outside S^1 onto it.
 
-    The increment is ``step * (1 + |z|)`` along each real axis.
+    ``u`` and ``v`` are float rows.  Points farther outside raise
+    PointOutsideDisk: flows of boundary-tangent fields must not leave the
+    closed disk beyond numerical drift.
     """
-    hh = step * (1.0 + np.abs(z))
-    du = (fn(z + hh) - fn(z - hh)) / (2.0 * hh)
-    dv = (fn(z + 1j * hh) - fn(z - 1j * hh)) / (2.0 * hh)
-    return (du - 1j * dv) / 2.0, (du + 1j * dv) / 2.0
-
-
-def project_to_disk(z):
-    """Radially project points within ``TOL_BOUNDARY`` outside the unit circle back on it.
-
-    Points farther outside raise PointOutsideDisk: flows of boundary-tangent
-    fields must not leave the closed disk beyond numerical drift.
-    """
-    r = np.abs(z)
+    r = np.hypot(u, v)
     outside = r > 1.0
     if not np.any(outside):
-        return z
+        return
     if np.any(r > 1.0 + TOL_BOUNDARY):
         raise PointOutsideDisk(f"|z| = {float(np.max(r)):.12f} exceeds 1 + {TOL_BOUNDARY}")
-    if np.ndim(z) == 0:
-        return z / r
-    z = np.array(z, copy=True)
-    z[outside] /= r[outside]
-    return z
+    scale = 1.0 / r[outside]
+    u[outside] *= scale
+    v[outside] *= scale
 
 
 def circle_point(x):

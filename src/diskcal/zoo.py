@@ -25,7 +25,8 @@ class RadialProfile:
     ``g``, the angular speed ``w = -g'`` in turns per unit time and its
     derivative ``dw`` are vectorized functions of ``s = |z|^2``.  Every circle
     is invariant and rotates rigidly at ``w(s)``, so the field has the closed
-    gradient ``-2 w z`` and Wirtinger pair ``(2 pi i (w + s w'), 2 pi i w' z^2)``.
+    gradient ``-2 w z`` and Wirtinger pair ``(2 pi i (w + s w'), 2 pi i w' z^2)``,
+    evaluated on the rows ``u = Re z``, ``v = Im z`` (see ``fields``).
     ``breakpoints`` are the radii where ``g`` may be non-smooth.
     """
 
@@ -53,15 +54,16 @@ class RadialProfile:
         def h(t, z):
             return g(np.abs(np.asarray(z)) ** 2)
 
-        def grad(t, z):
-            z = np.asarray(z)
-            return -2.0 * w(np.abs(z) ** 2) * z
+        def grad(t, u, v):
+            c = -2.0 * w(u * u + v * v)
+            return c * u, c * v
 
-        def wirt(t, z):
-            z = np.asarray(z)
-            s = np.abs(z) ** 2
+        # b = 2 pi i w'(s) z^2, z^2 = (u^2 - v^2) + 2 i u v
+        def wirt(t, u, v):
+            s = u * u + v * v
             dws = dw(s)
-            return 2j * np.pi * (w(s) + s * dws), 2j * np.pi * dws * z * z
+            c = 2.0 * np.pi * dws
+            return 0.0, 2.0 * np.pi * (w(s) + s * dws), -c * (2.0 * u * v), c * (u * u - v * v)
 
         return HamiltonianField(
             h, grad=grad, wirtinger=wirt, name=self.name, autonomous=True,
@@ -199,26 +201,24 @@ def off_center_conjugator(beta: float = 0.5) -> HamiltonianField:
         s = np.abs(z) ** 2
         return beta * (1.0 - s) ** 2 * np.real(z)
 
-    # H_u + i H_v = beta (1 - s)((1 - s) - 4 u z), u = Re z a view, in place
-    def grad(t, z):
-        z = np.asarray(z)
-        u = z.real
-        w = 1.0 - (u * u + z.imag * z.imag)
-        out = (-4.0 * u) * z
-        out += w
-        out *= beta * w
-        return out
+    # H_u + i H_v = beta (1 - s)((1 - s) - 4 u z), in place on the rows
+    def grad(t, u, v):
+        w = 1.0 - (u * u + v * v)
+        m = -4.0 * u
+        hu = m * u
+        hu += w
+        hv = m * v
+        w *= beta
+        hu *= w
+        hv *= w
+        return hu, hv
 
-    # (dX/dz, dX/dz_bar) = (-4 i pi beta u (3s - 2), -2 i pi beta z (z^2 + 3s - 2))
-    def wirt(t, z):
-        z = np.asarray(z, dtype=complex)
-        u = z.real
-        s3 = 3.0 * (u * u + z.imag * z.imag) - 2.0
-        b = z * z
-        b += s3
-        b *= z
-        b *= -2j * np.pi * beta
-        return (-4j * np.pi * beta) * (u * s3), b
+    # (dX/dz, dX/dz_bar) = (-4 i pi beta u (3s - 2), -2 i pi beta z (z^2 + 3s - 2)),
+    # z (z^2 + 3s - 2) = 2 u (2 u^2 - 1) + 2 i v (3 u^2 + v^2 - 1)
+    def wirt(t, u, v):
+        c, uu, vv = 4.0 * np.pi * beta, u * u, v * v
+        cu = -c * u
+        return 0.0, cu * (3.0 * (uu + vv) - 2.0), (c * v) * (3.0 * uu + vv - 1.0), cu * (2.0 * uu - 1.0)
 
     return HamiltonianField(h, grad=grad, wirtinger=wirt, name=f"offcenter({beta})", autonomous=True)
 
@@ -236,20 +236,14 @@ def boundary_shear_conjugator(beta: float = 0.3) -> HamiltonianField:
         z = np.asarray(z)
         return beta * (1.0 - np.abs(z) ** 2) * np.real(z)
 
-    # H_u + i H_v = beta ((1 - s) - 2 u z), u = Re z a view, in place
-    def grad(t, z):
-        z = np.asarray(z)
-        u = z.real
-        out = (-2.0 * u) * z
-        out += 1.0 - (u * u + z.imag * z.imag)
-        out *= beta
-        return out
+    # H_u + i H_v = beta ((1 - s) - 2 u z)
+    def grad(t, u, v):
+        return beta * ((1.0 - (u * u + v * v)) - 2.0 * u * u), (-2.0 * beta) * (u * v)
 
-    def wirt(t, z):
-        z = np.asarray(z, dtype=complex)
-        a = 2j * np.pi * beta * (z + np.conj(z))
-        b = 2j * np.pi * beta * z
-        return a, b
+    # (dX/dz, dX/dz_bar) = (2 i pi beta (z + z_bar), 2 i pi beta z)
+    def wirt(t, u, v):
+        c = 2.0 * np.pi * beta
+        return 0.0, (2.0 * c) * u, -c * v, c * u
 
     return HamiltonianField(h, grad=grad, wirtinger=wirt, name=f"shear({beta})", autonomous=True)
 

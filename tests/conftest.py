@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from diskcal.circle import LiftedCircleMap
-from diskcal.fields import H_GRAD_STEP
+from diskcal.fields import central_vector_wirtinger
 from diskcal.flow import FieldIsotopy, MapBundle
-from diskcal.geometry import central_wirtinger
 
 
 class BrokenField:
@@ -20,11 +19,14 @@ class BrokenField:
         self.base = base
         self.factor = factor
 
-    def vector(self, t, z):
-        return self.base.vector(t, z) * (1.0 + self.factor * np.real(z))
+    def vector(self, t, u, v, out=None):
+        out = self.base.vector(t, u, v, out)
+        out *= 1.0 + self.factor * u
+        return out
 
-    def vector_wirtinger(self, t, z, step=H_GRAD_STEP):
-        return central_wirtinger(lambda w: self.vector(t, w), z, step)
+    def vector_wirtinger(self, t, u, v):
+        # central differences keep Re a, the divergence the determinant checks see
+        return central_vector_wirtinger(lambda x, y: self.vector(t, x, y), u, v)
 
 
 @pytest.fixture(scope="session")
@@ -33,6 +35,30 @@ def broken_bundle():
 
     field = BrokenField(quadratic_twist(0.3).field, factor=0.5)
     return MapBundle(isotopy=FieldIsotopy(field), name="broken")
+
+
+def _rows(z):
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    return z.real.copy(), z.imag.copy()
+
+
+def vector_at(field, t, z):
+    """A generator's vector field ``X_u + i X_v`` at complex points, from its rows."""
+    xu, xv = field.vector(t, *_rows(z))
+    return xu + 1j * xv
+
+
+def gradient_at(field, t, z):
+    """``H_u + i H_v`` at complex points, from the gradient rows."""
+    hu, hv = field.gradient(t, *_rows(z))
+    return hu + 1j * hv
+
+
+def wirtinger_at(field, t, z):
+    """The Wirtinger pair ``(a, b)`` at complex points, from its four rows."""
+    u, v = _rows(z)
+    ar, ai, br, bi = field.vector_wirtinger(t, u, v)
+    return np.broadcast_to(ar + 1j * ai, u.shape), np.broadcast_to(br + 1j * bi, u.shape)
 
 
 def interior_points(n, seed, rmax=0.95):

@@ -402,7 +402,7 @@ class TestCal3:
 
     def test_non_autonomous_leaf_rejected(self):
         field = HamiltonianField(lambda t, z: 0.1 * (1.0 + t) * (1.0 - np.abs(z) ** 2),
-                                 grad=lambda t, z: -0.2 * (1.0 + t) * z)
+                                 grad=lambda t, u, v: (-0.2 * (1.0 + t) * u, -0.2 * (1.0 + t) * v))
         with pytest.raises(ValueError, match="autonomous"):
             cal3_tilde(MapBundle(isotopy=FieldIsotopy(field)))
 

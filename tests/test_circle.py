@@ -242,6 +242,29 @@ class TestInvariantMeasure:
         assert np.array_equal(mu.points, pts) and np.array_equal(mu.weights, weights)
         assert len(counted) == calls
 
+    @pytest.mark.parametrize("bundle", [
+        conjugated_rotation(GOLDEN, off_center_conjugator(0.5), 0.5),
+        conjugated_rotation(GOLDEN, boundary_shear_conjugator(0.3), 0.5),
+        quadratic_twist(0.3),
+        conjugated_rotation(0.4, boundary_shear_conjugator(0.3), 0.5),
+    ], ids=["offcenter_golden", "shear_golden", "twist", "shear_rotation_0.4"])
+    def test_grid_walk_equals_the_interp_walk(self, bundle):
+        # a grid lift's Python-float interpolation against np.interp, bit for
+        # bit: along an orbit started on a grid node (0.25 = 1024/4096), at
+        # other nodes, and on either side of 1, where x mod 1 can round to 1
+        lift = bundle.boundary_lift()
+        delta = lift.scalar_delta()
+        xs, x = [], 0.25
+        for _ in range(2000):
+            xs.append(x)
+            x += float(lift.delta(x))
+        xs += [0.0, 1.0, 3.0 / 4096, -1e-20, -0.3, 7.75, np.nextafter(1.0, 0.0), 1.0 - 2.0**-40]
+        got = np.array([delta(float(x)) for x in xs])
+        assert got.tobytes() == np.array([float(lift.delta(x)) for x in xs]).tobytes()
+        mu = invariant_measure(lift, burn_in=100, samples=2000, x0=0.25)
+        pts, _, periodic = self._two_walk_reference(lift, 100, 2000, 0.25)
+        assert mu.periodic == periodic and mu.points.tobytes() == pts.tobytes()
+
     def test_weights_validated(self):
         from diskcal.circle import BoundaryMeasure
 

@@ -122,6 +122,28 @@ class TestRigidity:
         assert [r["q"] for r in res.rows] == [1, 2]
         assert len(lifts) == 1 and len(walks) == 1
 
+    def test_q1_row_reuses_the_base_maps_cal1(self, monkeypatch):
+        # denominators start at q = 1, whose iterate is the base map itself:
+        # one cal1 per row, the base map's serving the q = 1 row
+        calls = []
+
+        def counting_cal1(*args, **kwargs):
+            calls.append(args)
+            return cal1(*args, **kwargs)
+
+        monkeypatch.setattr(diskcal.experiments, "cal1", counting_cal1)
+        res = exp_rigidity(GOLDEN, depth=10, tau=0.5, q_max=2, far_pairs=50,
+                           cal_grid=(16, 32), d_grid=(32, 32), seed=3)
+        assert [r["q"] for r in res.rows] == [1, 2]
+        assert len(calls) == len(res.rows)
+        # what a cal1 of the q = 1 iterate itself gives, bit for bit
+        conj = off_center_conjugator(0.5)
+        base = conjugated_rotation(GOLDEN, conj, 0.5)
+        mu = invariant_measure(base.boundary_lift())
+        own = cal1(_conjugated_iterate(base, GOLDEN, conj, 0.5), mu=mu, grid=(16, 32), richardson=False)
+        assert res.rows[0]["cal1_iter"] == own.value == res.meta["cal1_base"]
+        assert res.rows[0]["cal1_drift"] == 0.0
+
     @pytest.mark.parametrize("q", [1, 2, 3, 5])
     def test_shared_measure_matches_each_iterates_own(self, q):
         # mu of the base map is invariant under its iterates, and c_mu is the

@@ -7,12 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from diskcal.errors import PointOutsideDisk, StepTooCoarse
 from diskcal.calabi import PairSampler, cal2_tilde
-from diskcal.fields import H_GRAD_STEP, HamiltonianField, scaled_field
+from diskcal.fields import HamiltonianField, central_vector_wirtinger, scaled_field
 from diskcal.circle import lift_from_isotopy
 from diskcal.flow import (
     DOP853_A,
     DOP853_B,
     DOP853_C,
+    DOP853_STAGES,
     H_INVERSE_MEMO_SIZE,
     MAX_CALIBRATION_DOUBLINGS,
     MAX_DOUBLING_CONTRACTION,
@@ -23,6 +24,7 @@ from diskcal.flow import (
     ConjugatorPair,
     FieldIsotopy,
     MapBundle,
+    _rows,
     _tracked_windings,
     _windings_at,
     area_residual,
@@ -30,7 +32,7 @@ from diskcal.flow import (
     flow_jacobian_fd,
     position_windings,
 )
-from diskcal.geometry import TWO_PI, central_wirtinger, wirtinger_apply, wirtinger_det
+from diskcal.geometry import TOL_BOUNDARY, TWO_PI, wirtinger_apply, wirtinger_det
 from diskcal.zoo import (
     boundary_shear_conjugator,
     bump,
@@ -44,7 +46,7 @@ from diskcal.zoo import (
     rotation,
 )
 
-from conftest import interior_points
+from conftest import BrokenField, gradient_at, interior_points, vector_at, wirtinger_at
 
 
 def rotation_field(alpha):
@@ -54,18 +56,18 @@ def rotation_field(alpha):
 class TestHamiltonianVectorField:
     def test_rotation_generator_at_boundary(self):
         # H = alpha (1 - |z|^2) with alpha = 0.25 gives X(1, 0) = (0, pi/2)
-        x = rotation_field(0.25).vector(0.0, np.array([1.0 + 0j]))[0]
+        x = vector_at(rotation_field(0.25), 0.0, 1.0)[0]
         assert x == pytest.approx(0.5j * np.pi, abs=1e-12)
 
     def test_zero_generator(self):
         field = HamiltonianField(lambda t, z: np.zeros_like(np.real(z)), autonomous=True)
-        x = field.vector(0.3, np.array([0.2 + 0.1j]))[0]
+        x = vector_at(field, 0.3, 0.2 + 0.1j)[0]
         assert abs(x) < 1e-9
 
     def test_radial_generator_tangent_with_known_speed(self):
         bundle = quadratic_twist(0.3)
         pts = interior_points(20, seed=4)
-        x = bundle.field.vector(0.0, pts)
+        x = vector_at(bundle.field, 0.0, pts)
         s = np.abs(pts) ** 2
         dg = -0.6 * (1.0 - s)
         # tangent to each circle, magnitude 2 pi |g'| r
@@ -80,17 +82,18 @@ class TestHamiltonianVectorField:
         pts = (r[:, None] * np.exp(2j * np.pi * np.arange(7) / 7)[None, :]).ravel()
         field = bundle.field
         assert field._grad is not None and field._wirtinger is not None
-        grad = field.gradient(0.0, pts)
-        grad_fd = 2.0 * central_wirtinger(lambda z: field.value(0.0, z), pts, H_GRAD_STEP)[1]
-        pair_fd = central_wirtinger(lambda z: field.vector(0.0, z), pts, H_GRAD_STEP)
-        for exact, fd in zip((grad, *field.vector_wirtinger(0.0, pts)), (grad_fd, *pair_fd)):
+        grad = gradient_at(field, 0.0, pts)
+        grad_fd = gradient_at(HamiltonianField(field.value), 0.0, pts)
+        ar, ai, br, bi = central_vector_wirtinger(lambda u, v: field.vector(0.0, u, v), pts.real, pts.imag)
+        pair_fd = (ar + 1j * ai, br + 1j * bi)
+        for exact, fd in zip((grad, *wirtinger_at(field, 0.0, pts)), (grad_fd, *pair_fd)):
             assert np.max(np.abs(exact - fd)) <= 1e-7 * (1.0 + np.max(np.abs(exact)))
 
     def test_finite_difference_gradient_fallback(self):
         exact = rotation_field(0.25)
         fd = HamiltonianField(exact._h, autonomous=True)
         pts = interior_points(30, seed=5)
-        assert np.max(np.abs(fd.vector(0.0, pts) - exact.vector(0.0, pts))) < 1e-9
+        assert np.max(np.abs(vector_at(fd, 0.0, pts) - vector_at(exact, 0.0, pts))) < 1e-9
 
 
 class TestFlowMap:
@@ -106,6 +109,17 @@ class TestFlowMap:
         iso = FieldIsotopy(field)
         for z in (0.0j, 0.3 + 0.4j, 1.0 + 0j):
             assert iso.flow(0.7, z) == pytest.approx(z, abs=1e-15)
+
+    def test_field_flow_refuses_negative_and_decreasing_times(self):
+        # a DOP853 flow runs forward from t = 0; the radial isotopy of the
+        # same twist flows backward exactly
+        iso = FieldIsotopy(quadratic_twist(0.3).field)
+        z = 0.3 + 0.2j
+        assert quadratic_twist(0.3).isotopy.flow(-0.5, z) == pytest.approx(0.1788 - 0.3131j, abs=1e-4)
+        for call in (lambda: iso.flow(-0.5, z), lambda: iso.flow_wirtinger(-0.5, z),
+                     lambda: iso.trajectory(z, [0.0, 0.5, 0.25])):
+            with pytest.raises(ValueError):
+                call()
 
     def test_bump_fixes_complement_of_support(self):
         from diskcal.zoo import bump
@@ -253,10 +267,12 @@ class TestDOP853:
         one, zero = np.ones_like(z), np.zeros_like(z)
 
         def with_jacobian(n):
-            return iso._dop853(iso._rhs_var, (z, one, zero), 0.0, 1.0, n)
+            (y,) = iso._dop853(iso._rhs_var, _rows(z, one, zero), [1.0], n)
+            return y[0::2] + 1j * y[1::2]
 
         def flow_only(n):
-            return iso._dop853(iso._rhs, (z,), 0.0, 1.0, n)[0]
+            (y,) = iso._dop853(iso._rhs, _rows(z), [1.0], n)
+            return y[0] + 1j * y[1]
 
         ref = with_jacobian(256)
         for n in (4, 8):
@@ -265,6 +281,79 @@ class TestDOP853:
             for c, f, r in zip(coarse, fine, ref):
                 ratio = np.max(np.abs(c - r)) / np.max(np.abs(f - r))
                 assert np.log2(ratio) >= 7.5, (n, ratio)
+
+    @pytest.mark.parametrize("field, jacobian_tol_on_s1", [
+        (off_center_conjugator(0.5), 1e-14),
+        (boundary_shear_conjugator(0.3), 1e-14),
+        (scaled_field(off_center_conjugator(0.5), -1.0, reverse=True), 1e-14),
+        (quadratic_twist(0.3).field, 1e-14),
+        # a central-difference pair moves by ~ulp / H_GRAD_STEP when its point moves an ulp
+        (BrokenField(quadratic_twist(0.3).field), 1e-9),
+    ], ids=["offcenter", "shear", "offcenter_reversed", "twist", "broken"])
+    def test_row_stepper_matches_the_complex_reference(self, field, jacobian_tol_on_s1):
+        # Interior points are never projected, so their positions agree bit
+        # for bit.  On S^1 the projection divides by hypot(u, v) where the
+        # reference divides by abs(z), 1 ulp apart on a third of inputs; and
+        # numpy's complex products fuse multiply-adds, so p and q differ in
+        # the last bits everywhere.  Measured: positions on S^1 within
+        # 2.9e-15, p and q within 3e-15 relative (1.3e-11 for the broken field
+        # on S^1).
+        iso = FieldIsotopy(field)
+        inner = interior_points(300, seed=67, rmax=0.99)
+        z = np.concatenate([inner, np.exp(2j * np.pi * np.arange(32) / 32)])
+        n = inner.size
+        (ref,) = _complex_dop853(_complex_rhs(field, jacobian=False), (z,), iso.n_steps)
+        got = iso.flow(1.0, z)
+        assert np.array_equal(got[:n], ref[:n])
+        assert np.max(np.abs(got - ref)) <= 1e-14
+        one, zero = np.ones_like(z), np.zeros_like(z)
+        ref_z, ref_p, ref_q = _complex_dop853(_complex_rhs(field, jacobian=True), (z, one, zero), iso.n_steps)
+        got_z, got_p, got_q = iso.flow_wirtinger(1.0, z)
+        assert np.array_equal(got_z, got) and np.array_equal(ref_z, ref)
+        for g, w in ((got_p, ref_p), (got_q, ref_q)):
+            scale = max(1.0, float(np.max(np.abs(w))))
+            assert np.max(np.abs(g[:n] - w[:n])) <= 1e-14 * scale
+            assert np.max(np.abs(g[n:] - w[n:])) <= jacobian_tol_on_s1 * scale
+
+
+def _complex_rhs(field, jacobian):
+    """The row kernels of ``field`` as a right-hand side on complex (z[, p, q])."""
+
+    def rhs(t, state):
+        z = state[0]
+        u, v = z.real.copy(), z.imag.copy()
+        xu, xv = field.vector(t, u, v)
+        if not jacobian:
+            return (xu + 1j * xv,)
+        ar, ai, br, bi = field.vector_wirtinger(t, u, v)
+        a, b = ar + 1j * ai, br + 1j * bi
+        p, q = state[1], state[2]
+        return (xu + 1j * xv, a * p + b * np.conj(q), a * q + b * np.conj(p))
+
+    return rhs
+
+
+def _complex_dop853(rhs, state, n_sub):
+    """Reference stepper on complex arrays, t = 0 to 1 in ``n_sub`` steps.
+
+    Each stage is ``y + a_i . k`` and each step ``y += b . k`` on the real view
+    of the complex stages, then the position is projected back onto the disk.
+    """
+    h = 1.0 / n_sub
+    a, b = h * DOP853_A, h * DOP853_B
+    y = np.array(state, dtype=complex)
+    k = np.empty((DOP853_STAGES,) + y.shape, dtype=complex)
+    k_real = k.reshape(DOP853_STAGES, -1).view(float)
+    for n in range(n_sub):
+        t = n * h
+        for i in range(DOP853_STAGES):
+            stage = y + (a[i, :i] @ k_real[:i]).view(complex).reshape(y.shape) if i else y
+            k[i] = rhs(t + DOP853_C[i] * h, stage)
+        y += (b @ k_real).view(complex).reshape(y.shape)
+        r = np.abs(y[0])
+        assert np.all(r <= 1.0 + TOL_BOUNDARY)
+        y[0] = np.where(r > 1.0, y[0] / r, y[0])
+    return y
 
 
 def _matrix(p, q):

@@ -21,7 +21,7 @@ from diskcal.zoo import (
     rotation,
 )
 
-from conftest import interior_points
+from conftest import gradient_at, interior_points, wirtinger_at
 
 GOLDEN = 0.6180339887498949
 
@@ -136,7 +136,7 @@ class TestConjugation:
 
 
 class TestConjugatorKernels:
-    # the complex forms of the conjugators' gradient and Wirtinger pair
+    # the conjugators' gradient and Wirtinger rows, read as complex numbers,
     # against the component formulas, on one s = u^2 + v^2, to 1e-15 of the
     # largest value
     @staticmethod
@@ -150,8 +150,8 @@ class TestConjugatorKernels:
         s = u * u + v * v
         hu = beta * ((1.0 - s) ** 2 - 4.0 * u * u * (1.0 - s))
         hv = -4.0 * beta * u * v * (1.0 - s)
-        self._close(field.gradient(0.0, z), hu + 1j * hv)
-        a, b = field.vector_wirtinger(0.0, z)
+        self._close(gradient_at(field, 0.0, z), hu + 1j * hv)
+        a, b = wirtinger_at(field, 0.0, z)
         self._close(a, -2j * np.pi * beta * (z + np.conj(z)) * (3.0 * s - 2.0))
         self._close(b, -2j * np.pi * beta * z * (z * z + 3.0 * s - 2.0))
 
@@ -161,7 +161,11 @@ class TestConjugatorKernels:
         s = u * u + v * v
         hu = beta * ((1.0 - s) - 2.0 * u * u)
         hv = -2.0 * beta * u * v
-        self._close(boundary_shear_conjugator(beta).gradient(0.0, z), hu + 1j * hv)
+        field = boundary_shear_conjugator(beta)
+        self._close(gradient_at(field, 0.0, z), hu + 1j * hv)
+        a, b = wirtinger_at(field, 0.0, z)
+        self._close(a, 2j * np.pi * beta * (z + np.conj(z)))
+        self._close(b, 2j * np.pi * beta * z)
 
 
 class TestComposition:
