@@ -65,7 +65,7 @@ class ContinuedFraction:
     def value(self) -> Fraction:
         """Exact value of the finite expansion (backward recurrence)."""
         x = Fraction(self.a[-1])
-        for an in reversed(self.a[:-1]):
+        for an in self.a[:-1][::-1]:
             x = an + 1 / x
         return x
 

@@ -71,10 +71,8 @@ def composite_gauss_radii(n_nodes: int, breakpoints=()):
         x, w = gauss_legendre(k)
         nodes.append(lo + (hi - lo) * (x + 1.0) / 2.0)
         weights.append(w * (hi - lo) / 2.0)
-    r = np.concatenate(nodes)
-    w = np.concatenate(weights)
-    order = np.argsort(r)
-    return r[order], w[order]
+    # the segments ascend (np.unique) and so do numpy's nodes within each
+    return np.concatenate(nodes), np.concatenate(weights)
 
 
 def _segment_nodes(edges_lo, edges_hi, m: int):
@@ -433,14 +431,15 @@ def cal2_tilde(bundle: MapBundle, sampler: PairSampler, workers: int = 1) -> Cal
 def cal3_tilde(bundle_or_field, grid=(128, 256)) -> float:
     """``2 int_0^1 int_D H_t omega dt`` after normalizing ``H_t`` to vanish on S^1.
 
-    A bundle is integrated over its isotopy tree, as ``windings`` is.  Each
-    time slot of a concatenation integrates its own piece once, so the pieces'
+    A bundle is integrated over its isotopy tree, as ``windings`` is, and the
+    tree carries all of the time dependence.  A leaf's generator ``H`` does not
+    depend on time, so the leaf contributes ``2 int_D H omega``.  Each time
+    slot of a concatenation integrates its own piece once, so the pieces'
     values add.  Under a conjugation by an ``h`` preserving S^1 the generator
     ``H o h^-1`` has the same area integral and the same boundary constant, so
-    it contributes its inner value.  A leaf must have an autonomous generator
-    (ValueError otherwise) that is constant on the circle (to
-    ``TOL_GENERATOR_BOUNDARY``; BoundaryNotConstant otherwise); the constant is
-    subtracted before the polar rule integrates it.
+    it contributes its inner value.  A leaf's generator must be constant on
+    the circle (to ``TOL_GENERATOR_BOUNDARY``; BoundaryNotConstant otherwise);
+    the constant is subtracted before the polar rule integrates it.
     """
     if isinstance(bundle_or_field, MapBundle):
         return _cal3_tree(bundle_or_field.isotopy, grid, {})
@@ -461,14 +460,12 @@ def _cal3_tree(isotopy, grid, memo) -> float:
 
 
 def _cal3_leaf(field, grid) -> float:
-    if not field.autonomous:
-        raise ValueError(f"cal3 integrates autonomous generators only, not {field.name}")
-    bvals = field.boundary_values(0.0)
+    bvals = field.boundary_values()
     spread = float(np.max(bvals) - np.min(bvals))
     if spread > TOL_GENERATOR_BOUNDARY:
         raise BoundaryNotConstant(f"generator varies by {spread:.2e} on the circle")
     r, w, _, units, pts = _polar_grid(grid, field.radial_breakpoints)
-    h = (field.value(0.0, pts) - float(np.mean(bvals))).reshape(r.size, units.size)
+    h = (field.value(pts) - float(np.mean(bvals))).reshape(r.size, units.size)
     return 2.0 * float(np.sum(w * 2.0 * r * np.mean(h, axis=1)))
 
 

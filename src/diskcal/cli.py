@@ -44,22 +44,30 @@ COMPUTATIONS = ("cal1", "cal2", "cal3", "rho", "verify-link", "c-mu")
 def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    return _object(cfg, "config")
+
+
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} must be an object, got {value!r}")
+    return value
 
 
 def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, allow_nan=True) + "\n"
 
 
-def _csv_text(flat: dict) -> str:
+def _csv_text(columns, rows) -> str:
+    """CSV of the dicts ``rows`` in the order of ``columns``; None is an empty cell."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(flat.keys())
-    writer.writerow(["" if v is None else v for v in flat.values()])
+    writer.writerow(columns)
+    writer.writerows(["" if row[c] is None else row[c] for c in columns] for row in rows)
     return buf.getvalue()
 
 
@@ -79,8 +87,7 @@ def _write_outputs(out_dir: str, stem: str, json_obj, csv_text: str, fmt: str):
 
 
 def _budget(cfg: dict, key: str, default):
-    budgets = cfg.get("budgets", {})
-    return budgets.get(key, default)
+    return _object(cfg.get("budgets", {}), "budgets").get(key, default)
 
 
 def _real(value, what: str, minimum: float = -math.inf) -> float:
@@ -106,6 +113,8 @@ def cmd_compute(cfg: dict, out_dir: str, fmt: str, seed_override, workers_overri
     if "map" not in cfg:
         raise ConfigError("compute config needs a 'map' entry")
     wanted = cfg.get("compute", ["verify-link"])
+    if not isinstance(wanted, list):
+        raise ConfigError(f"compute must be a list of computations, got {wanted!r}")
     unknown = [w for w in wanted if w not in COMPUTATIONS]
     if unknown:
         raise ConfigError(f"unknown computations: {unknown}")
@@ -170,7 +179,7 @@ def cmd_compute(cfg: dict, out_dir: str, fmt: str, seed_override, workers_overri
         report.diagnostics["c_mu_points"] = c_mu_points
 
     flat = report.to_flat_dict()
-    written = _write_outputs(out_dir, "report", flat, _csv_text(flat), fmt)
+    written = _write_outputs(out_dir, "report", flat, _csv_text(list(flat), [flat]), fmt)
     print(f"report for {bundle.name}: " + ", ".join(written))
     return 0
 
@@ -178,9 +187,7 @@ def cmd_compute(cfg: dict, out_dir: str, fmt: str, seed_override, workers_overri
 def cmd_experiment(name: str, cfg: dict, out_dir: str, fmt: str, seed_override, workers_override) -> int:
     if name not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {name!r}; choose from {EXPERIMENTS}")
-    params = cfg.get("experiment", cfg)
-    if not isinstance(params, dict):
-        raise ConfigError(f"experiment parameters must be an object, got {params!r}")
+    params = _object(cfg.get("experiment", cfg), "experiment parameters")
     seed = _count(seed_override if seed_override is not None else params.get("seed", 7), "seed", 0)
     workers = _count(workers_override if workers_override is not None else params.get("workers", 1),
                      "workers")
@@ -249,11 +256,6 @@ def cmd_cf(args, out_dir: str, fmt: str) -> int:
             "running_sum": diag.running_sum[n] if diag and n < len(diag.running_sum) else None,
             "best_approx": None if checks is None or checks[n] is None else bool(checks[n]),
         })
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow(["" if row[c] is None else row[c] for c in columns])
     json_obj = {
         "source": source,
         "terminated": cf.terminated,
@@ -261,7 +263,7 @@ def cmd_cf(args, out_dir: str, fmt: str) -> int:
         "caveat": diag.caveat if diag else "",
         "rows": rows,
     }
-    written = _write_outputs(out_dir, "cf", json_obj, buf.getvalue(), fmt)
+    written = _write_outputs(out_dir, "cf", json_obj, _csv_text(columns, rows), fmt)
     label = ",".join(diag.labels) if diag else "n/a"
     print(f"cf table ({source}; {label}): " + ", ".join(written))
     return 0

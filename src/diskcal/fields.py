@@ -1,21 +1,20 @@
-"""Time-dependent Hamiltonian generators and their vector fields.
+"""Autonomous Hamiltonian generators and their vector fields.
 
-A Hamiltonian ``H(t, z)`` (1-periodic in t, constant on the unit circle for
-each t) generates the vector field solving ``dH = omega(X, .)`` with
-``omega = (1/pi) du ^ dv``, namely ``X = pi (H_v, -H_u)``.  With this sign
-``H(z) = alpha (1 - |z|^2)`` generates the counterclockwise rotation by
-``alpha`` turns per unit time.
+A Hamiltonian ``H(z)`` (constant on the unit circle) generates the vector
+field solving ``dH = omega(X, .)`` with ``omega = (1/pi) du ^ dv``, namely
+``X = pi (H_v, -H_u)``.  With this sign ``H(z) = alpha (1 - |z|^2)``
+generates the counterclockwise rotation by ``alpha`` turns per unit time.
 
 The derivatives act on float rows: a set of N points is given by its rows
 ``u = Re z`` and ``v = Im z``, and every derivative comes back as real rows
 of length N (a scalar may stand for a constant row).  The flow integrator
 keeps its state in such rows, so no complex temporaries are built per stage.
-Only the value ``H(t, z)`` takes complex points.
+Only the value ``H(z)`` takes complex points.
 
-Only leaf isotopies carry a generator.  Concatenations and conjugations are
-nodes of the isotopy tree (``flow``), and the generator route follows that
-tree: it sums the pieces of a concatenation and reads a conjugation as its
-inner isotopy, so no composite generator is ever built.
+Generators carry no time.  Only leaf isotopies carry one, and the time
+dependence of an isotopy lives in its tree (``flow``): a concatenation runs
+its pieces in time slots and a conjugation reads its inner isotopy, so no
+composite or time-dependent generator is ever built.
 """
 
 from __future__ import annotations
@@ -29,17 +28,16 @@ BOUNDARY_SAMPLES = 64  # points of S^1 in HamiltonianField.boundary_values
 
 
 class HamiltonianField:
-    """Generator ``H(t, z)`` with optional analytic derivatives.
+    """Generator ``H(z)`` with optional analytic derivatives.
 
     Parameters
     ----------
-    h : callable (t, z) -> real, vectorized over a complex array ``z``
-    grad : optional callable (t, u, v) -> (H_u, H_v) on float rows
-    wirtinger : optional callable (t, u, v) -> (Re a, Im a, Re b, Im b) of the
+    h : callable z -> real, vectorized over a complex array ``z``
+    grad : optional callable (u, v) -> (H_u, H_v) on float rows
+    wirtinger : optional callable (u, v) -> (Re a, Im a, Re b, Im b) of the
         Wirtinger pair ``(a, b) = (dX/dz, dX/dz_bar)`` of the induced vector
         field, used by the variational equation when available
-    autonomous : whether ``h`` ignores ``t``
-    radial_breakpoints : radii where ``z -> H(t, z)`` may be non-smooth
+    radial_breakpoints : radii where ``H`` may be non-smooth
     """
 
     def __init__(
@@ -49,43 +47,41 @@ class HamiltonianField:
         wirtinger: Optional[Callable] = None,
         *,
         name: str = "field",
-        autonomous: bool = False,
         radial_breakpoints: Sequence[float] = (),
     ):
         self._h = h
         self._grad = grad
         self._wirtinger = wirtinger
         self.name = name
-        self.autonomous = autonomous
         self.radial_breakpoints = tuple(radial_breakpoints)
 
-    def value(self, t, z):
-        return self._h(t, z)
+    def value(self, z):
+        return self._h(z)
 
-    def gradient(self, t, u, v):
+    def gradient(self, u, v):
         """Rows ``(H_u, H_v)``, analytic when supplied, else central differences."""
         if self._grad is not None:
-            return self._grad(t, u, v)
+            return self._grad(u, v)
         z, hh = u + 1j * v, H_GRAD_STEP * (1.0 + np.hypot(u, v))
-        return tuple((self._h(t, z + d) - self._h(t, z - d)) / (2.0 * hh) for d in (hh, 1j * hh))
+        return tuple((self._h(z + d) - self._h(z - d)) / (2.0 * hh) for d in (hh, 1j * hh))
 
-    def vector(self, t, u, v, out=None):
+    def vector(self, u, v, out=None):
         """Rows ``(X_u, X_v) = pi (H_v, -H_u)``, written into ``out`` (shape (2, N)) if given."""
-        hu, hv = self.gradient(t, u, v)
+        hu, hv = self.gradient(u, v)
         out = np.empty((2,) + np.shape(u)) if out is None else out
         np.multiply(hv, np.pi, out=out[0])
         np.multiply(hu, -np.pi, out=out[1])
         return out
 
-    def vector_wirtinger(self, t, u, v):
+    def vector_wirtinger(self, u, v):
         """Rows ``(Re a, Im a, Re b, Im b)``, analytic when supplied, else central differences."""
         if self._wirtinger is not None:
-            return self._wirtinger(t, u, v)
-        return central_vector_wirtinger(lambda x, y: self.vector(t, x, y), u, v)
+            return self._wirtinger(u, v)
+        return central_vector_wirtinger(self.vector, u, v)
 
-    def boundary_values(self, t):
+    def boundary_values(self):
         theta = np.arange(BOUNDARY_SAMPLES) / BOUNDARY_SAMPLES
-        return self.value(t, np.exp(2j * np.pi * theta))
+        return self.value(np.exp(2j * np.pi * theta))
 
 
 def central_vector_wirtinger(vector, u, v):
@@ -102,25 +98,21 @@ def central_vector_wirtinger(vector, u, v):
     return 0.5 * (du[0] + dv[1]), 0.5 * (du[1] - dv[0]), 0.5 * (du[0] - dv[1]), 0.5 * (du[1] + dv[0])
 
 
-def scaled_field(base: HamiltonianField, scale: float, reverse: bool = False) -> HamiltonianField:
-    """``scale * H(t, z)``, or ``scale * H(1 - t, z)`` with ``reverse``.
+def scaled_field(base: HamiltonianField, scale: float) -> HamiltonianField:
+    """``scale * H``, whose time-1 map is the time-``scale`` map of ``H``.
 
-    ``scale=-1, reverse=True`` generates the inverse of the time-1 map; for an
-    autonomous ``H`` the time-1 map of ``scale * H`` is the time-``scale`` map.
+    ``scale=-1`` generates the inverse of the time-1 map.
     """
-    at = (lambda t: 1.0 - t) if reverse else (lambda t: t)
 
     def scaled(derivative):
         if derivative is None:
             return None
-        return lambda t, u, v: [scale * c for c in derivative(at(t), u, v)]
+        return lambda u, v: [scale * c for c in derivative(u, v)]
 
     return HamiltonianField(
-        h=lambda t, z: scale * base.value(at(t), z),
+        h=lambda z: scale * base.value(z),
         grad=scaled(base._grad),
         wirtinger=scaled(base._wirtinger),
-        name=f"{scale}*{base.name}" + ("(1-t)" if reverse else ""),
-        autonomous=base.autonomous,
+        name=f"{scale}*{base.name}",
         radial_breakpoints=base.radial_breakpoints,
     )
-

@@ -9,8 +9,8 @@ chords ``f_t(x) - f_t(y)`` in turns.  Four realizations cover the package:
                           integration of a generator field, with the
                           variational equation alongside, on the float rows
                           of its complex state,
-* ``RadialIsotopy``    -- exact flow ``z -> z exp(2 pi i t w(|z|^2))`` of an
-                          autonomous radial generator,
+* ``RadialIsotopy``    -- exact flow ``z -> z exp(2 pi i t w(|z|^2))`` of a
+                          radial generator,
 * ``ConcatIsotopy``    -- time-concatenation (reparametrized to [0, 1]),
 * ``ConjugatedIsotopy``-- ``h . f_t . h^-1`` for a fixed symplectic ``h``.
 
@@ -67,23 +67,10 @@ AREA_PROBES = 100  # points of area_residual's determinant check
 H_INVERSE_MEMO_SIZE = 8
 
 # DOP853, the 8th-order Dormand-Prince method of Hairer, Norsett and Wanner,
-# "Solving Ordinary Differential Equations I" (2nd ed.), ch. II: nodes,
-# coupling rows and weights of its 12-stage 8th-order solution.  A fixed
-# step needs neither the embedded error estimators nor the dense output.
-DOP853_C = np.array([
-    0.0,
-    0.526001519587677318785587544488e-01,
-    0.789002279381515978178381316732e-01,
-    0.118350341907227396726757197510,
-    0.281649658092772603273242802490,
-    0.333333333333333333333333333333,
-    0.25,
-    0.307692307692307692307692307692,
-    0.651282051282051282051282051282,
-    0.6,
-    0.857142857142857142857142857142,
-    1.0,
-])
+# "Solving Ordinary Differential Equations I" (2nd ed.), ch. II: coupling
+# rows and weights of its 12-stage 8th-order solution.  A fixed step of a
+# time-independent field needs neither the stage nodes, the embedded error
+# estimators nor the dense output.
 _DOP853_A_ROWS = (
     (),
     (5.26001519587677318785587544488e-2,),
@@ -115,7 +102,8 @@ _DOP853_A_ROWS = (
      -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
      6.43392746015763530355970484046e-1),
 )
-DOP853_A = np.array([row + (0.0,) * (len(DOP853_C) - len(row)) for row in _DOP853_A_ROWS])
+DOP853_STAGES = len(_DOP853_A_ROWS)
+DOP853_A = np.array([row + (0.0,) * (DOP853_STAGES - len(row)) for row in _DOP853_A_ROWS])
 DOP853_B = np.array([
     5.42937341165687622380535766363e-2,
     0.0,
@@ -130,7 +118,6 @@ DOP853_B = np.array([
     2.01365400804030348374776537501e-1,
     4.47106157277725905176885569043e-2,
 ])
-DOP853_STAGES = len(DOP853_C)
 
 
 def _as_points(z):
@@ -187,8 +174,9 @@ class FieldIsotopy(Isotopy):
     A resolution whose flow leaves the disk counts as unresolved;
     PointOutsideDisk is raised if the finest one still leaves it, and by any
     flow outside calibration.  The generator is a HamiltonianField or any
-    field with its row methods ``vector(t, u, v, out)`` and
-    ``vector_wirtinger(t, u, v)``.
+    field with its row methods ``vector(u, v, out)`` and
+    ``vector_wirtinger(u, v)``; neither reads a time, so the isotopy time is
+    the integration time alone.
     """
 
     def __init__(self, generator, base_steps: int = DEFAULT_STEPS):
@@ -228,21 +216,21 @@ class FieldIsotopy(Isotopy):
             return np.full_like(probes, np.nan)
         return y[0] + 1j * y[1]
 
-    def _rhs(self, t, y, out):
-        self.generator.vector(t, y[0], y[1], out)
+    def _rhs(self, y, out):
+        self.generator.vector(y[0], y[1], out)
 
-    def _rhs_var(self, t, y, out):
+    def _rhs_var(self, y, out):
         # variational equation in Wirtinger form alongside the flow,
         # p' = a p + b conj(q) and q' = a q + b conj(p), on the real rows
         # (p, q) and the imaginary rows at once; [::-1] swaps p and q
-        self.generator.vector(t, y[0], y[1], out[:2])
-        ar, ai, br, bi = self.generator.vector_wirtinger(t, y[0], y[1])
+        self.generator.vector(y[0], y[1], out[:2])
+        ar, ai, br, bi = self.generator.vector_wirtinger(y[0], y[1])
         real, imag = y[2::2], y[3::2]
         out[2::2] = ar * real - ai * imag + br * real[::-1] + bi * imag[::-1]
         out[3::2] = ar * imag + ai * real + bi * real[::-1] - br * imag[::-1]
 
     def _dop853(self, rhs, y, times, n_steps):
-        """Advance ``y' = rhs(t, y, out)`` in place from t = 0, yielding ``y`` at each of ``times``.
+        """Advance ``y' = rhs(y, out)`` in place from t = 0, yielding ``y`` at each of ``times``.
 
         ``y`` holds the float rows (real part, imaginary part) of each complex
         state component, the position first; it is projected back onto the
@@ -264,15 +252,14 @@ class FieldIsotopy(Isotopy):
             if t1 > t0:
                 n_sub = max(1, int(np.ceil((t1 - t0) * n_steps)))
                 h = (t1 - t0) / n_sub
-                a, b, c = h * DOP853_A, h * DOP853_B, (h * DOP853_C).tolist()
+                a, b = h * DOP853_A, h * DOP853_B
                 rows = [a[i, :i] for i in range(DOP853_STAGES)]
-                for n in range(n_sub):
-                    t = t0 + n * h
-                    rhs(t, y, k[0])
+                for _ in range(n_sub):
+                    rhs(y, k[0])
                     for i, head, k_i in stages:
                         np.matmul(rows[i], head, out=stage_flat)
                         stage_flat += y_flat
-                        rhs(t + c[i], stage, k_i)
+                        rhs(stage, k_i)
                     np.matmul(b, k_flat, out=stage_flat)
                     y_flat += stage_flat
                     project_to_disk(y[0], y[1])
@@ -298,14 +285,14 @@ class FieldIsotopy(Isotopy):
     def inverse(self):
         if self.field is None:
             raise ValueError("cannot invert an isotopy without a Hamiltonian generator")
-        # the time-reversed field is as regular as this one, so calibration
-        # starts from half the count: its TOL_ODE check then lands on n_steps
+        # the negated field is as regular as this one, so calibration starts
+        # from half the count: its TOL_ODE check then lands on n_steps
         # (calibration returns twice the count it starts from)
-        return FieldIsotopy(scaled_field(self.field, -1.0, reverse=True), base_steps=self.n_steps // 2)
+        return FieldIsotopy(scaled_field(self.field, -1.0), base_steps=self.n_steps // 2)
 
 
 class RadialIsotopy(Isotopy):
-    """Exact flow of an autonomous radial generator.
+    """Exact flow of a radial generator.
 
     The profile supplies the angular speed ``w(s)`` in turns per unit time as
     a function of ``s = |z|^2``; every circle is invariant and rotates rigidly,
@@ -406,7 +393,7 @@ class ConcatIsotopy(Isotopy):
         return z, p, q
 
     def inverse(self):
-        return ConcatIsotopy([p.inverse() for p in reversed(self.pieces)])
+        return ConcatIsotopy([p.inverse() for p in self.pieces[::-1]])
 
     def windings(self, x, y):
         # windings add along a concatenated path: each piece winds the chord

@@ -1,7 +1,7 @@
 """Built-in families of area-preserving disk maps with closed-form oracles.
 
 Radial families (rotations, radial twists, compactly supported bumps) are the
-backbone: an autonomous radial generator rotates every circle rigidly, so the
+backbone: a radial generator rotates every circle rigidly, so the
 flow, the Jacobian, the boundary lift, the action function and all three
 invariant computations have closed forms that the generic machinery is tested
 against.  Conjugation by the time-tau map of a non-radial generator produces
@@ -20,7 +20,7 @@ from .flow import ConcatIsotopy, ConjugatedIsotopy, ConjugatorPair, FieldIsotopy
 
 
 class RadialProfile:
-    """Autonomous radial generator ``H(z) = g(|z|^2)``.
+    """Radial generator ``H(z) = g(|z|^2)``.
 
     ``g``, the angular speed ``w = -g'`` in turns per unit time and its
     derivative ``dw`` are vectorized functions of ``s = |z|^2``.  Every circle
@@ -51,24 +51,22 @@ class RadialProfile:
     def field(self) -> HamiltonianField:
         g, w, dw = self.g, self.w_of_s, self.dw_ds
 
-        def h(t, z):
+        def h(z):
             return g(np.abs(np.asarray(z)) ** 2)
 
-        def grad(t, u, v):
+        def grad(u, v):
             c = -2.0 * w(u * u + v * v)
             return c * u, c * v
 
         # b = 2 pi i w'(s) z^2, z^2 = (u^2 - v^2) + 2 i u v
-        def wirt(t, u, v):
+        def wirt(u, v):
             s = u * u + v * v
             dws = dw(s)
             c = 2.0 * np.pi * dws
             return 0.0, 2.0 * np.pi * (w(s) + s * dws), -c * (2.0 * u * v), c * (u * u - v * v)
 
-        return HamiltonianField(
-            h, grad=grad, wirtinger=wirt, name=self.name, autonomous=True,
-            radial_breakpoints=self.breakpoints,
-        )
+        return HamiltonianField(h, grad=grad, wirtinger=wirt, name=self.name,
+                                radial_breakpoints=self.breakpoints)
 
 
 def poly_profile(g: Polynomial, name: str = "radial") -> RadialProfile:
@@ -196,13 +194,13 @@ def off_center_conjugator(beta: float = 0.5) -> HamiltonianField:
     conjugating by its time-tau map preserves boundary dynamics exactly.
     """
 
-    def h(t, z):
+    def h(z):
         z = np.asarray(z)
         s = np.abs(z) ** 2
         return beta * (1.0 - s) ** 2 * np.real(z)
 
     # H_u + i H_v = beta (1 - s)((1 - s) - 4 u z), in place on the rows
-    def grad(t, u, v):
+    def grad(u, v):
         w = 1.0 - (u * u + v * v)
         m = -4.0 * u
         hu = m * u
@@ -215,12 +213,12 @@ def off_center_conjugator(beta: float = 0.5) -> HamiltonianField:
 
     # (dX/dz, dX/dz_bar) = (-4 i pi beta u (3s - 2), -2 i pi beta z (z^2 + 3s - 2)),
     # z (z^2 + 3s - 2) = 2 u (2 u^2 - 1) + 2 i v (3 u^2 + v^2 - 1)
-    def wirt(t, u, v):
+    def wirt(u, v):
         c, uu, vv = 4.0 * np.pi * beta, u * u, v * v
         cu = -c * u
         return 0.0, cu * (3.0 * (uu + vv) - 2.0), (c * v) * (3.0 * uu + vv - 1.0), cu * (2.0 * uu - 1.0)
 
-    return HamiltonianField(h, grad=grad, wirtinger=wirt, name=f"offcenter({beta})", autonomous=True)
+    return HamiltonianField(h, grad=grad, wirtinger=wirt, name=f"offcenter({beta})")
 
 
 def boundary_shear_conjugator(beta: float = 0.3) -> HamiltonianField:
@@ -232,28 +230,26 @@ def boundary_shear_conjugator(beta: float = 0.3) -> HamiltonianField:
     orbits carrying genuinely different action values.
     """
 
-    def h(t, z):
+    def h(z):
         z = np.asarray(z)
         return beta * (1.0 - np.abs(z) ** 2) * np.real(z)
 
     # H_u + i H_v = beta ((1 - s) - 2 u z)
-    def grad(t, u, v):
+    def grad(u, v):
         return beta * ((1.0 - (u * u + v * v)) - 2.0 * u * u), (-2.0 * beta) * (u * v)
 
     # (dX/dz, dX/dz_bar) = (2 i pi beta (z + z_bar), 2 i pi beta z)
-    def wirt(t, u, v):
+    def wirt(u, v):
         c = 2.0 * np.pi * beta
         return 0.0, (2.0 * c) * u, -c * v, c * u
 
-    return HamiltonianField(h, grad=grad, wirtinger=wirt, name=f"shear({beta})", autonomous=True)
+    return HamiltonianField(h, grad=grad, wirtinger=wirt, name=f"shear({beta})")
 
 
 def conjugate(bundle: MapBundle, conjugator: HamiltonianField, tau: float) -> MapBundle:
-    """``h . f . h^-1`` for ``h`` the time-tau map of an autonomous generator."""
+    """``h . f . h^-1`` for ``h`` the time-tau map of a generator (the flow of ``tau H``)."""
     if tau == 0.0:
         return bundle
-    if not conjugator.autonomous:
-        raise ValueError("only autonomous generators can be time-scaled")
     pair = ConjugatorPair(FieldIsotopy(scaled_field(conjugator, tau)))
     iso = ConjugatedIsotopy(pair, bundle.isotopy)
     oracle = {k: bundle.oracle[k] for k in ("cal1", "cal", "rho") if k in bundle.oracle}
@@ -333,6 +329,8 @@ def _finite(value):
 
 
 def _build_conjugator(spec: dict) -> HamiltonianField:
+    if not isinstance(spec, dict):
+        raise ConfigError(f"conjugator must be an object with a 'type' key, got {spec!r}")
     kind = spec.get("type")
     if kind == "off_center":
         return off_center_conjugator(_finite(spec.get("beta", 0.5)))
@@ -366,7 +364,7 @@ def from_spec(spec: dict) -> MapBundle:
             if len(maps) < 2:
                 raise ConfigError("compose needs at least two maps")
             out = maps[-1]
-            for m in reversed(maps[:-1]):
+            for m in maps[:-1][::-1]:
                 out = compose(m, out)
             return out
         if fam == "iterate":

@@ -19,14 +19,14 @@ class BrokenField:
         self.base = base
         self.factor = factor
 
-    def vector(self, t, u, v, out=None):
-        out = self.base.vector(t, u, v, out)
+    def vector(self, u, v, out=None):
+        out = self.base.vector(u, v, out)
         out *= 1.0 + self.factor * u
         return out
 
-    def vector_wirtinger(self, t, u, v):
+    def vector_wirtinger(self, u, v):
         # central differences keep Re a, the divergence the determinant checks see
-        return central_vector_wirtinger(lambda x, y: self.vector(t, x, y), u, v)
+        return central_vector_wirtinger(self.vector, u, v)
 
 
 @pytest.fixture(scope="session")
@@ -42,22 +42,22 @@ def _rows(z):
     return z.real.copy(), z.imag.copy()
 
 
-def vector_at(field, t, z):
+def vector_at(field, z):
     """A generator's vector field ``X_u + i X_v`` at complex points, from its rows."""
-    xu, xv = field.vector(t, *_rows(z))
+    xu, xv = field.vector(*_rows(z))
     return xu + 1j * xv
 
 
-def gradient_at(field, t, z):
+def gradient_at(field, z):
     """``H_u + i H_v`` at complex points, from the gradient rows."""
-    hu, hv = field.gradient(t, *_rows(z))
+    hu, hv = field.gradient(*_rows(z))
     return hu + 1j * hv
 
 
-def wirtinger_at(field, t, z):
+def wirtinger_at(field, z):
     """The Wirtinger pair ``(a, b)`` at complex points, from its four rows."""
     u, v = _rows(z)
-    ar, ai, br, bi = field.vector_wirtinger(t, u, v)
+    ar, ai, br, bi = field.vector_wirtinger(u, v)
     return np.broadcast_to(ar + 1j * ai, u.shape), np.broadcast_to(br + 1j * bi, u.shape)
 
 

@@ -26,6 +26,7 @@ from diskcal.flow import ConjugatorPair, FieldIsotopy, MapBundle
 from diskcal.zoo import (
     boundary_shear_conjugator,
     bump,
+    bump_profile,
     compose,
     conjugate,
     conjugated_rotation,
@@ -346,7 +347,7 @@ class TestCal3:
         assert cal3_tilde(compose(a, b)) == cal3_tilde(b) + cal3_tilde(a)
 
     def test_boundary_constancy_enforced(self):
-        bad = HamiltonianField(lambda t, z: np.real(z), autonomous=True)
+        bad = HamiltonianField(lambda z: np.real(z))
         with pytest.raises(BoundaryNotConstant):
             cal3_tilde(bad)
 
@@ -360,8 +361,8 @@ class TestCal3:
         for conjugator in (off_center_conjugator(0.5), boundary_shear_conjugator(0.3)):
             bundle = conjugated_rotation(0.3, conjugator, 0.5)
             inner, pair = bundle.isotopy.inner, bundle.isotopy.pair
-            k_circle = inner.field.value(0.0, pair.inverse_images(circle))
-            k = inner.field.value(0.0, pair.inverse_images(grid)) - np.mean(k_circle)
+            k_circle = inner.field.value(pair.inverse_images(circle))
+            k = inner.field.value(pair.inverse_images(grid)) - np.mean(k_circle)
             direct = 2.0 * float(np.sum(w * 2.0 * r * np.mean(k.reshape(r.size, units.size), axis=1)))
             assert direct == pytest.approx(0.3, abs=1e-6), conjugator.name
             assert abs(cal3_tilde(bundle, grid=(64, 128)) - direct) <= 1e-12, conjugator.name
@@ -400,12 +401,6 @@ class TestCal3:
         assert cal3_tilde(iterate(quadratic_twist(0.3), 100)) == sum([v] * 100)
         assert len(calls) == 1
 
-    def test_non_autonomous_leaf_rejected(self):
-        field = HamiltonianField(lambda t, z: 0.1 * (1.0 + t) * (1.0 - np.abs(z) ** 2),
-                                 grad=lambda t, u, v: (-0.2 * (1.0 + t) * u, -0.2 * (1.0 + t) * v))
-        with pytest.raises(ValueError, match="autonomous"):
-            cal3_tilde(MapBundle(isotopy=FieldIsotopy(field)))
-
 
 class TestQuadratureCache:
     @pytest.fixture(autouse=True)
@@ -423,6 +418,14 @@ class TestQuadratureCache:
         x, w = gauss_legendre(n)
         fresh_x, fresh_w = leggauss(n)
         assert x.tobytes() == fresh_x.tobytes() and w.tobytes() == fresh_w.tobytes()
+        # the composite radial rule concatenates its segments unsorted: numpy's
+        # nodes ascend and the segments come from np.unique, so the radii must
+        # already increase strictly, and the weights integrate 1 on [0, 1]
+        kinks = [(), (0.25,), (0.25, 0.25, 0.0, 1.0)] + [bump_profile(k).breakpoints for k in range(2, 9)]
+        for breakpoints in kinks:
+            r, w = composite_gauss_radii(n, breakpoints)
+            assert 0.0 < r[0] and r[-1] < 1.0 and np.all(np.diff(r) > 0.0)
+            assert abs(float(np.sum(w)) - 1.0) <= 1e-14
 
     def test_two_link_runs_build_each_rule_once(self, monkeypatch):
         calls = []

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import pytest
@@ -172,6 +174,61 @@ class TestExperimentCommand:
         code = main(["--out", str(tmp_path), "experiment", "c1-continuity", "--config",
                      str(tmp_path / "missing.json")])
         assert code == 2
+
+
+class TestConfigShape:
+    # every level of the tree must have its shape: a non-object config,
+    # budgets block or conjugator, or a non-list compute entry, exits 2
+    @pytest.mark.parametrize("command, cfg", [
+        (["compute"], 5),
+        (["compute"], None),
+        (["experiment", "rigidity"], 5),
+        (["experiment", "rigidity"], None),
+        (["compute"], dict(BASE_CFG, budgets=[1, 2])),
+        (["compute"], dict(BASE_CFG, budgets=None)),
+        (["compute"], dict(BASE_CFG, compute=5)),
+        (["compute"], dict(BASE_CFG, map={"family": "conjugated_rotation", "alpha": 0.3,
+                                          "tau": 0.5, "conjugator": 5})),
+    ], ids=["compute_number", "compute_null", "experiment_number", "experiment_null",
+            "budgets_list", "budgets_null", "compute_list_number", "conjugator_number"])
+    def test_malformed_config_trees_are_config_errors(self, tmp_path, capsys, command, cfg):
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "x"
+        assert main(["--out", str(out), *command, "--config", path]) == 2
+        assert "ConfigError" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestCsvOutputs:
+    # one writer serves the report and the cf table: a header of the columns,
+    # then one line per row with None as an empty cell
+    @staticmethod
+    def _expected_csv(columns, rows):
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow(["" if row[c] is None else row[c] for c in columns])
+        return buf.getvalue()
+
+    def test_report_csv_is_the_json_report_as_one_row(self, tmp_path):
+        cfg = write_config(tmp_path, dict(BASE_CFG, compute=["cal3", "rho"]))
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "compute", "--config", cfg]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert None in report.values()
+        assert (out / "report.csv").read_text() == self._expected_csv(list(report), [report])
+
+    @pytest.mark.parametrize("argv", [
+        ["--alpha", "0.6180339887498949", "--depth", "8"],
+        ["--quotients", "0,2,3"],
+    ], ids=["alpha", "quotients"])
+    def test_cf_csv_is_the_json_rows(self, tmp_path, argv):
+        out = tmp_path / "cf"
+        assert main(["--out", str(out), "cf", *argv]) == 0
+        rows = json.loads((out / "cf.json").read_text())["rows"]
+        assert any(None in row.values() for row in rows)
+        assert (out / "cf.csv").read_text() == self._expected_csv(list(rows[0]), rows)
 
 
 class TestCfCommand:
