@@ -39,6 +39,7 @@ from .zoo import _count, from_spec
 
 EXPERIMENTS = ("c1-continuity", "c0-discontinuity", "rigidity")
 COMPUTATIONS = ("cal1", "cal2", "cal3", "rho", "verify-link", "c-mu")
+BUDGETS = ("seed", "workers", "pairs", "grid", "rho_iterates", "c_mu_points", "strategy", "quad_budget")
 
 
 def _load_config(path: str) -> dict:
@@ -87,7 +88,11 @@ def _write_outputs(out_dir: str, stem: str, json_obj, csv_text: str, fmt: str):
 
 
 def _budget(cfg: dict, key: str, default):
-    return _object(cfg.get("budgets", {}), "budgets").get(key, default)
+    budgets = _object(cfg.get("budgets", {}), "budgets")
+    unknown = sorted(set(budgets) - set(BUDGETS))
+    if unknown:
+        raise ConfigError(f"unknown budgets: {unknown}; choose from {BUDGETS}")
+    return budgets.get(key, default)
 
 
 def _real(value, what: str, minimum: float = -math.inf) -> float:
@@ -112,9 +117,7 @@ def _entries(value, what: str, check) -> list:
 def cmd_compute(cfg: dict, out_dir: str, fmt: str, seed_override, workers_override) -> int:
     if "map" not in cfg:
         raise ConfigError("compute config needs a 'map' entry")
-    wanted = cfg.get("compute", ["verify-link"])
-    if not isinstance(wanted, list):
-        raise ConfigError(f"compute must be a list of computations, got {wanted!r}")
+    wanted = _entries(cfg.get("compute", ["verify-link"]), "compute", lambda w, what: w)
     unknown = [w for w in wanted if w not in COMPUTATIONS]
     if unknown:
         raise ConfigError(f"unknown computations: {unknown}")

@@ -325,7 +325,7 @@ class RadialIsotopy(Isotopy):
         return z * e, p, q
 
     def inverse(self):
-        return RadialIsotopy(self.profile.negated())
+        return RadialIsotopy(self.profile.scaled(-1.0))
 
     def windings(self, x, y):
         # f_t(x) - f_t(y) = e^{2 pi i t c} (u - v e^{2 pi i t psi}) with |v| < |u|

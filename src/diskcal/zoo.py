@@ -37,14 +37,14 @@ class RadialProfile:
         self.name = name
         self.breakpoints = tuple(breakpoints)
 
-    def negated(self):
-        # 0.0 - x rather than -x: a speed of zero stays +0.0
+    def scaled(self, c: float):
+        # 0.0 + c x rather than c x: at c = -1 a speed of zero stays +0.0
         g, w, dw = self.g, self.w_of_s, self.dw_ds
         return RadialProfile(
-            lambda s: 0.0 - g(s),
-            lambda s: 0.0 - w(s),
-            lambda s: 0.0 - dw(s),
-            name=f"-{self.name}",
+            lambda s: 0.0 + c * g(s),
+            lambda s: 0.0 + c * w(s),
+            lambda s: 0.0 + c * dw(s),
+            name=f"{c}*{self.name}",
             breakpoints=self.breakpoints,
         )
 
@@ -280,14 +280,24 @@ def compose(a: MapBundle, b: MapBundle) -> MapBundle:
     )
 
 
+def _iterated(iso, n: int):
+    """The n-th iterate: a radial flow of n times the generator (a one-parameter
+    group), a conjugation of the iterated inner isotopy on the same conjugator
+    pair (``(h f h^-1)^n = h f^n h^-1``), else n concatenated copies."""
+    if isinstance(iso, RadialIsotopy):
+        return RadialIsotopy(iso.profile.scaled(n))
+    if isinstance(iso, ConjugatedIsotopy):
+        return ConjugatedIsotopy(iso.pair, _iterated(iso.inner, n))
+    return ConcatIsotopy((iso.pieces if isinstance(iso, ConcatIsotopy) else [iso]) * n)
+
+
 def iterate(a: MapBundle, n: int) -> MapBundle:
     if n == 0:
         return identity()
     if n < 0:
         return iterate(inverse(a), -n)
-    base = a.isotopy.pieces if isinstance(a.isotopy, ConcatIsotopy) else [a.isotopy]
     oracle = {k: n * a.oracle[k] for k in ("cal", "rho") if k in a.oracle}
-    return MapBundle(isotopy=ConcatIsotopy(base * n), name=f"{a.name}^{n}", oracle=oracle)
+    return MapBundle(isotopy=_iterated(a.isotopy, n), name=f"{a.name}^{n}", oracle=oracle)
 
 
 def inverse(a: MapBundle) -> MapBundle:

@@ -187,19 +187,19 @@ def test_08_near_identity_bounds():
 def test_09_rigidity_experiment():
     with criterion(9, "iterate rigidity along golden-ratio denominators"):
         start = time.time()
-        res = exp_rigidity(GOLDEN, depth=10, tau=0.5, q_max=21, far_pairs=1000, seed=3)
-        assert [r["q"] for r in res.rows] == [1, 2, 3, 5, 8, 13, 21]
+        res = exp_rigidity(GOLDEN, depth=12, tau=0.5, q_max=144, far_pairs=1000, seed=3)
+        assert [r["q"] for r in res.rows] == [1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144]
+        # the far-pair lemma bound applies on stages with eps <= 1/16, which
+        # the conjugation distortion first allows at q = 89
+        assert all(r["lemma_applies"] for r in res.rows if r["q"] >= 89)
         for row in res.rows:
-            # the far-pair lemma bound applies on stages with eps <= 1/16; the
-            # conjugation distortion keeps eps above it for q <= 21, so the
-            # conditional check is vacuous here and recorded as such
             if row["lemma_applies"]:
                 assert row["k_consistent"]
                 assert row["ang_dev_max"] <= 2.0 * row["eps_d0"] ** 0.25 / np.pi
             assert row["kq_residual"] <= row["kq_bound"]
         # stronger unconditional single-k consistency from q = 3 on
         assert all(r["k_consistent"] for r in res.rows if r["q"] >= 3)
-        assert [r["k"] for r in res.rows if r["q"] >= 3] == [2, 3, 5, 8, 13]
+        assert [r["k"] for r in res.rows if r["q"] >= 3] == [2, 3, 5, 8, 13, 21, 34, 55, 89]
         assert abs(res.meta["cal1_base"]) <= 1e-4
         assert res.passed
         assert time.time() - start <= 600.0

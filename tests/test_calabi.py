@@ -393,13 +393,15 @@ class TestCal3:
         assert compose(bump(4), rotation(0.2)).isotopy.radial_breakpoints == (0.125, 0.25)
 
     def test_repeated_leaf_is_integrated_once(self, monkeypatch):
-        # iterate repeats one isotopy object; the sum keeps its order, so it is bitwise unchanged
-        v = cal3_tilde(quadratic_twist(0.3))
+        # iterate repeats the two leaf objects of a mixed concatenation; the
+        # sum keeps their order, so it is bitwise unchanged
+        v_twist, v_rotation = cal3_tilde(quadratic_twist(0.3)), cal3_tilde(rotation(0.2))
         calls = []
         original = calabi._cal3_leaf
         monkeypatch.setattr(calabi, "_cal3_leaf", lambda f, grid: calls.append(1) or original(f, grid))
-        assert cal3_tilde(iterate(quadratic_twist(0.3), 100)) == sum([v] * 100)
-        assert len(calls) == 1
+        f = iterate(compose(quadratic_twist(0.3), rotation(0.2)), 50)
+        assert cal3_tilde(f) == sum([v_rotation, v_twist] * 50)
+        assert len(calls) == 2
 
 
 class TestQuadratureCache:

@@ -178,7 +178,8 @@ class TestExperimentCommand:
 
 class TestConfigShape:
     # every level of the tree must have its shape: a non-object config,
-    # budgets block or conjugator, or a non-list compute entry, exits 2
+    # budgets block or conjugator, a compute entry that is not a non-empty
+    # list, or a budget key that nothing reads, exits 2
     @pytest.mark.parametrize("command, cfg", [
         (["compute"], 5),
         (["compute"], None),
@@ -189,8 +190,11 @@ class TestConfigShape:
         (["compute"], dict(BASE_CFG, compute=5)),
         (["compute"], dict(BASE_CFG, map={"family": "conjugated_rotation", "alpha": 0.3,
                                           "tau": 0.5, "conjugator": 5})),
+        (["compute"], dict(BASE_CFG, compute=[])),
+        (["compute"], dict(BASE_CFG, compute=["cal3"], budgets={"gird": [8, 16]})),
     ], ids=["compute_number", "compute_null", "experiment_number", "experiment_null",
-            "budgets_list", "budgets_null", "compute_list_number", "conjugator_number"])
+            "budgets_list", "budgets_null", "compute_list_number", "conjugator_number",
+            "compute_empty", "budgets_unknown_key"])
     def test_malformed_config_trees_are_config_errors(self, tmp_path, capsys, command, cfg):
         path = write_config(tmp_path, cfg)
         out = tmp_path / "x"

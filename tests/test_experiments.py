@@ -8,14 +8,21 @@ from diskcal.calabi import cal1
 from diskcal.circle import invariant_measure
 from diskcal.errors import QMaxExceeded, ScaleTooLarge
 from diskcal.experiments import (
-    _conjugated_iterate,
     exp_c0_discontinuity,
     exp_c1_continuity,
     exp_rigidity,
     sup_distance_to_identity,
 )
 from diskcal.flow import FieldIsotopy
-from diskcal.zoo import conjugated_rotation, off_center_conjugator, rotation
+from diskcal.zoo import (
+    boundary_shear_conjugator,
+    bump,
+    conjugated_rotation,
+    iterate,
+    off_center_conjugator,
+    quadratic_twist,
+    rotation,
+)
 
 GOLDEN = 0.6180339887498949
 
@@ -28,6 +35,39 @@ class TestSupDistance:
         alpha = 0.1
         d0 = sup_distance_to_identity(rotation(alpha), order=0, grid=(64, 64))
         assert d0 == pytest.approx(2.0 * np.sin(np.pi * alpha), abs=1e-3)
+
+    @staticmethod
+    def _two_flow_reference(bundle, order, grid):
+        # the sup over the flows of the map and of its inverse on one sample set
+        nr, nt = grid
+        radii = (np.arange(nr) + 0.5) / nr
+        angles = np.exp(2j * np.pi * (np.arange(nt) + 0.5) / nt)
+        circle = np.exp(2j * np.pi * np.arange(512) / 512)
+        pts = np.concatenate([(radii[:, None] * angles[None, :]).ravel(), circle])
+        inv = bundle.isotopy.inverse()
+        if order == 0:
+            return max(float(np.max(np.abs(iso.flow(1.0, pts) - pts))) for iso in (bundle.isotopy, inv))
+        sups = []
+        for iso in (bundle.isotopy, inv):
+            f, p, q = iso.flow_wirtinger(1.0, pts)
+            sups += [float(np.max(np.abs(f - pts))), float(np.max(np.abs(p - 1.0) + np.abs(q)))]
+        return max(sups)
+
+    @pytest.mark.parametrize("order", [0, 1])
+    @pytest.mark.parametrize("make", [
+        lambda: conjugated_rotation(GOLDEN, off_center_conjugator(0.5), 0.5),
+        lambda: conjugated_rotation(GOLDEN, boundary_shear_conjugator(0.3), 0.5),
+        lambda: iterate(conjugated_rotation(GOLDEN, off_center_conjugator(0.5), 0.5), 5),
+        lambda: bump(4),
+        lambda: quadratic_twist(0.3),
+    ], ids=["offcenter", "shear", "offcenter_fifth_iterate", "bump4", "twist"])
+    def test_one_flow_matches_the_map_and_its_inverse(self, make, order):
+        # sup |f^-1(p) - p| = sup |f(x) - x|, and the inverse's Wirtinger pair
+        # at f(x) is (conj(p), -q): both sups come from the flow of f alone
+        bundle = make()
+        ref = self._two_flow_reference(bundle, order, (64, 64))
+        one = sup_distance_to_identity(bundle, order=order, grid=(64, 64))
+        assert abs(one - ref) <= 1e-12 * ref
 
     def test_lift_term_counts_whole_turns(self):
         # the map of a full turn is the identity, its lift is the +1 translation
@@ -140,7 +180,7 @@ class TestRigidity:
         conj = off_center_conjugator(0.5)
         base = conjugated_rotation(GOLDEN, conj, 0.5)
         mu = invariant_measure(base.boundary_lift())
-        own = cal1(_conjugated_iterate(base, GOLDEN, conj, 0.5), mu=mu, grid=(16, 32), richardson=False)
+        own = cal1(iterate(base, 1), mu=mu, grid=(16, 32), richardson=False)
         assert res.rows[0]["cal1_iter"] == own.value == res.meta["cal1_base"]
         assert res.rows[0]["cal1_drift"] == 0.0
 
@@ -151,7 +191,7 @@ class TestRigidity:
         conj = off_center_conjugator(0.5)
         base = conjugated_rotation(GOLDEN, conj, 0.5)
         mu = invariant_measure(base.boundary_lift())
-        it = _conjugated_iterate(base, q * GOLDEN, conj, 0.5)
+        it = iterate(base, q)
         shared = cal1(it, mu=mu, grid=(32, 64), richardson=False)
         own = cal1(it, grid=(32, 64), richardson=False)
         assert abs(shared.value - own.value) <= 1e-12

@@ -576,9 +576,9 @@ class TestConcatenatedWindings:
     # concatenated trajectory tracked directly
     @pytest.mark.parametrize("bundle", [
         compose(quadratic_twist(0.3), rotation(0.2)),
-        iterate(quadratic_twist(0.3), 3),
+        iterate(compose(quadratic_twist(0.3), rotation(0.2)), 3),
         compose(quadratic_twist(0.3), conjugate(rotation(0.3), off_center_conjugator(0.5), 0.4)),
-    ], ids=["twist_o_rotation", "twist_cubed", "twist_o_conjugated"])
+    ], ids=["twist_o_rotation", "mixed_cubed", "twist_o_conjugated"])
     def test_decomposition_matches_tracking(self, bundle):
         iso = bundle.isotopy
         assert isinstance(iso, ConcatIsotopy)

@@ -3,7 +3,7 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 
 from diskcal.errors import BoundaryNotConstant, ConfigError
-from diskcal.flow import area_residual
+from diskcal.flow import ConcatIsotopy, ConjugatedIsotopy, RadialIsotopy, area_residual, chord_windings
 from diskcal.zoo import (
     boundary_shear_conjugator,
     bump,
@@ -86,7 +86,7 @@ class TestBump:
     def test_speed_is_positive_zero_off_the_descent(self):
         # a signed zero would reach reports (rho of the inverse prints -0.0)
         r = np.array([0.0, 0.1, 0.25, 0.5, 1.0])
-        for profile in (bump_profile(4), bump_profile(4).negated()):
+        for profile in (bump_profile(4), bump_profile(4).scaled(-1.0)):
             w = profile.w_of_s(r * r)
             assert np.all(w == 0.0) and not np.any(np.signbit(w))
 
@@ -191,6 +191,32 @@ class TestComposition:
     def test_identity_bundle(self):
         pts = interior_points(10, seed=8)
         assert np.max(np.abs(identity()(pts) - pts)) == 0.0
+
+
+class TestIterateOnTheTree:
+    # iterate uses the isotopy tree's exact identities: a radial flow is a
+    # one-parameter group, and (h f h^-1)^n = h f^n h^-1 on the same pair
+
+    # the windings agreed within 2.6e-13 (n = 10) and 6.6e-13 (n = 100) on
+    # these pairs, and within 2.4e-12 at n = 100 on 20k other pairs
+    @pytest.mark.parametrize("n", [10, 100])
+    def test_radial_leaf_is_one_scaled_leaf(self, n):
+        base = quadratic_twist(0.3)
+        it = iterate(base, n)
+        assert isinstance(it.isotopy, RadialIsotopy)
+        x, y = interior_points(2000, seed=31, rmax=1.0), interior_points(2000, seed=32, rmax=1.0)
+        w, _ = chord_windings(it.isotopy, x, y)
+        w_concat, _ = chord_windings(ConcatIsotopy([base.isotopy] * n), x, y)
+        assert np.max(np.abs(w - w_concat)) <= 1e-11
+
+    def test_conjugated_rotation_iterates_on_its_own_pair(self):
+        base = conjugated_rotation(GOLDEN, off_center_conjugator(0.5), 0.5)
+        it = iterate(base, 5)
+        assert isinstance(it.isotopy, ConjugatedIsotopy)
+        assert it.isotopy.pair is base.isotopy.pair
+        # the inner speed is the float 5 * alpha that rotation(5 * alpha) turns at
+        s = np.linspace(0.0, 1.0, 9)
+        assert np.array_equal(it.isotopy.inner.profile.w_of_s(s), rotation(5 * GOLDEN).isotopy.profile.w_of_s(s))
 
 
 class TestFamiliesAreaResidual:
