@@ -33,6 +33,7 @@ from .geometry import TOL_AREA, liouville_eval, uniform_disk_points, wirtinger_a
 
 MIN_PAIR_SEPARATION = 1e-6
 STRATEGIES = ("uniform", "stratified")  # PairSampler.strategy
+N_STRATA = 8  # equal-area annuli per factor of the stratified sampler
 DIAGONAL_GUARD = 1e-9
 SEGMENT_NODES = 8
 ACTION_RADIAL_NODES = 64  # Gauss-Legendre nodes per ray of ActionFunction.a0
@@ -291,26 +292,25 @@ class PairSampler:
     ``stratified`` splits the disk into equal-area annuli for each factor and
     allocates samples proportionally (deterministic largest-remainder rounding),
     which sharpens the estimator for radially concentrated windings.  It needs
-    ``n >= 2 n_strata^2``, two pairs per stratum pair, for a stratum variance.
+    ``n >= 2 N_STRATA^2``, two pairs per stratum pair, for a stratum variance.
     Pairs closer than ``MIN_PAIR_SEPARATION`` are redrawn.
     """
 
     n: int
     seed: int
     strategy: str = "uniform"
-    n_strata: int = 8
 
     def __post_init__(self):
-        need = 2 * self.n_strata**2
+        need = 2 * N_STRATA**2
         if self.strategy == "stratified" and self.n < need:
             raise ValueError(f"stratified sampling needs at least {need} pairs, got {self.n}")
 
     def _draw_uniform(self, rng, size):
         return uniform_disk_points(size, rng), uniform_disk_points(size, rng)
 
-    def _draw_stratum(self, rng, i, j, size, k):
-        rx = np.sqrt((i + rng.random(size)) / k)
-        ry = np.sqrt((j + rng.random(size)) / k)
+    def _draw_stratum(self, rng, i, j, size):
+        rx = np.sqrt((i + rng.random(size)) / N_STRATA)
+        ry = np.sqrt((j + rng.random(size)) / N_STRATA)
         x = rx * np.exp(2j * np.pi * rng.random(size))
         y = ry * np.exp(2j * np.pi * rng.random(size))
         return x, y
@@ -335,13 +335,12 @@ class PairSampler:
             return x, y, None, None, resampled
         if self.strategy != "stratified":
             raise ValueError(f"unknown strategy {self.strategy!r}")
-        k = self.n_strata
-        cells = [(i, j) for i in range(k) for j in range(k)]
+        cells = [(i, j) for i in range(N_STRATA) for j in range(N_STRATA)]
         counts = self._cell_counts()
         xs, ys, slices = [], [], []
         start = resampled = 0
         for (i, j), c in zip(cells, counts):
-            draw = lambda r, s, _i=i, _j=j: self._draw_stratum(r, _i, _j, s, k)
+            draw = lambda r, s, _i=i, _j=j: self._draw_stratum(r, _i, _j, s)
             x, y = draw(rng, int(c))
             x, y, redrawn = self._separate(rng, draw, x, y)
             xs.append(x)
@@ -349,23 +348,22 @@ class PairSampler:
             slices.append(slice(start, start + int(c)))
             start += int(c)
             resampled += redrawn
-        masses = np.full(len(cells), 1.0 / (k * k))
+        masses = np.full(len(cells), 1.0 / len(cells))
         return np.concatenate(xs), np.concatenate(ys), masses, slices, resampled
 
     def _cell_counts(self):
-        k = self.n_strata
-        base = self.n // (k * k)
-        counts = np.full(k * k, base, dtype=int)
-        counts[: self.n - base * k * k] += 1
+        cells = N_STRATA * N_STRATA
+        base = self.n // cells
+        counts = np.full(cells, base, dtype=int)
+        counts[: self.n - base * cells] += 1
         return counts
 
     def redraw(self, rng, idx):
         """Fresh pairs for the sample indices ``idx``, each from its own stratum."""
         if self.strategy == "uniform":
             return self._draw_uniform(rng, idx.size)
-        k = self.n_strata
         cell = np.searchsorted(np.cumsum(self._cell_counts()), idx, side="right")
-        return self._draw_stratum(rng, cell // k, cell % k, idx.size, k)
+        return self._draw_stratum(rng, cell // N_STRATA, cell % N_STRATA, idx.size)
 
 
 @dataclass(frozen=True)

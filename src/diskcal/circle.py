@@ -36,7 +36,7 @@ class LiftedCircleMap:
     (interpolated periodically); both give an exact commutation invariant.
     """
 
-    def __init__(self, delta_fn=None, grid_values=None, name: str = "lift"):
+    def __init__(self, delta_fn=None, grid_values=None):
         if (delta_fn is None) == (grid_values is None):
             raise ValueError("provide exactly one of delta_fn, grid_values")
         self._delta_fn = delta_fn
@@ -44,11 +44,10 @@ class LiftedCircleMap:
             vals = np.asarray(grid_values, dtype=float)
             self._grid = np.concatenate([vals, vals[:1]])
             self._xs = np.linspace(0.0, 1.0, vals.size + 1)
-        self.name = name
 
     @classmethod
     def identity(cls):
-        return cls(delta_fn=lambda x: np.zeros_like(np.asarray(x, dtype=float)), name="id")
+        return cls(delta_fn=lambda x: np.zeros_like(np.asarray(x, dtype=float)))
 
     def delta(self, x):
         frac = np.mod(x, 1.0)
@@ -79,7 +78,7 @@ class LiftedCircleMap:
         def delta(x, f=self, g=other):
             return f(g(np.asarray(x, dtype=float) + 0.0)) - x
 
-        return LiftedCircleMap(delta_fn=lambda x: delta(x), name=f"{self.name}o{other.name}")
+        return LiftedCircleMap(delta_fn=lambda x: delta(x))
 
     def interpolation_error(self) -> float:
         """Estimated sup error of a grid lift (0 for a ``delta_fn`` lift).
@@ -91,12 +90,6 @@ class LiftedCircleMap:
             return 0.0
         g = self._grid
         return float(np.max(np.abs(g[1:-1:2] - 0.5 * (g[:-2:2] + g[2::2])), initial=0.0))
-
-    def monotonicity_margin(self) -> float:
-        """min over a grid of the increments of phi; positive for a lift of a homeo."""
-        xs = np.linspace(0.0, 1.0, DEFAULT_LIFT_SAMPLES + 1)
-        vals = self(xs)
-        return float(np.min(np.diff(vals)))
 
 
 @dataclass(frozen=True)
@@ -152,7 +145,7 @@ def lift_from_isotopy(isotopy, n_samples: int = DEFAULT_LIFT_SAMPLES) -> LiftedC
     turns, ok = position_windings(isotopy, pts, raise_on_fail=False)
     if not np.all(ok):
         raise StepTooCoarse("boundary rotation exceeds a quarter turn per step")
-    return LiftedCircleMap(grid_values=turns, name="boundary lift")
+    return LiftedCircleMap(grid_values=turns)
 
 
 def rotation_number(lift: LiftedCircleMap, n: int = 100_000, x0: float = 0.0) -> RotationNumberEstimate:

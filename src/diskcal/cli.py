@@ -35,9 +35,14 @@ from .calabi import (
 from .circle import rotation_number
 from .errors import ConfigError, DiskcalError
 from .experiments import exp_c0_discontinuity, exp_c1_continuity, exp_rigidity
-from .zoo import _count, from_spec
+from .zoo import _count, _known_keys, from_spec
 
-EXPERIMENTS = ("c1-continuity", "c0-discontinuity", "rigidity")
+EXPERIMENT_PARAMS = {  # the keys each experiment reads besides seed and workers
+    "c1-continuity": ("scales", "pairs"),
+    "c0-discontinuity": ("ns", "cal_budget"),
+    "rigidity": ("alpha", "depth", "tau", "q_max", "far_pairs"),
+}
+EXPERIMENTS = tuple(EXPERIMENT_PARAMS)
 COMPUTATIONS = ("cal1", "cal2", "cal3", "rho", "verify-link", "c-mu")
 BUDGETS = ("seed", "workers", "pairs", "grid", "rho_iterates", "c_mu_points", "strategy", "quad_budget")
 
@@ -88,11 +93,7 @@ def _write_outputs(out_dir: str, stem: str, json_obj, csv_text: str, fmt: str):
 
 
 def _budget(cfg: dict, key: str, default):
-    budgets = _object(cfg.get("budgets", {}), "budgets")
-    unknown = sorted(set(budgets) - set(BUDGETS))
-    if unknown:
-        raise ConfigError(f"unknown budgets: {unknown}; choose from {BUDGETS}")
-    return budgets.get(key, default)
+    return _known_keys(_object(cfg.get("budgets", {}), "budgets"), BUDGETS, "budgets").get(key, default)
 
 
 def _real(value, what: str, minimum: float = -math.inf) -> float:
@@ -115,6 +116,7 @@ def _entries(value, what: str, check) -> list:
 
 
 def cmd_compute(cfg: dict, out_dir: str, fmt: str, seed_override, workers_override) -> int:
+    _known_keys(cfg, ("map", "compute", "budgets"), "compute config")
     if "map" not in cfg:
         raise ConfigError("compute config needs a 'map' entry")
     wanted = _entries(cfg.get("compute", ["verify-link"]), "compute", lambda w, what: w)
@@ -190,7 +192,9 @@ def cmd_compute(cfg: dict, out_dir: str, fmt: str, seed_override, workers_overri
 def cmd_experiment(name: str, cfg: dict, out_dir: str, fmt: str, seed_override, workers_override) -> int:
     if name not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {name!r}; choose from {EXPERIMENTS}")
-    params = _object(cfg.get("experiment", cfg), "experiment parameters")
+    _known_keys(cfg, ("experiment",), "experiment config")
+    params = _known_keys(_object(cfg.get("experiment", {}), "experiment"),
+                         (*EXPERIMENT_PARAMS[name], "seed", "workers"), f"experiment {name!r}")
     seed = _count(seed_override if seed_override is not None else params.get("seed", 7), "seed", 0)
     workers = _count(workers_override if workers_override is not None else params.get("workers", 1),
                      "workers")
@@ -215,7 +219,8 @@ def cmd_experiment(name: str, cfg: dict, out_dir: str, fmt: str, seed_override, 
             far_pairs=_count(params.get("far_pairs", 1000), "far_pairs"),
             seed=seed,
         )
-    written = _write_outputs(out_dir, name, result.to_json_dict(), result.to_csv_text(), fmt)
+    rows = [{c: str(v).lower() if isinstance(v, bool) else v for c, v in row.items()} for row in result.rows]
+    written = _write_outputs(out_dir, name, result.to_json_dict(), _csv_text(result.columns, rows), fmt)
     print(f"experiment {name}: {'PASS' if result.passed else 'FAIL'}; " + ", ".join(written))
     return 0
 

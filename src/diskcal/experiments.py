@@ -69,12 +69,6 @@ class ExperimentResult:
     passed: bool
     meta: dict = dc_field(default_factory=dict)
 
-    def to_csv_text(self) -> str:
-        lines = [",".join(self.columns)]
-        for row in self.rows:
-            lines.append(",".join(_csv_cell(row.get(c)) for c in self.columns))
-        return "\n".join(lines) + "\n"
-
     def to_json_dict(self) -> dict:
         return {
             "experiment": self.name,
@@ -83,16 +77,6 @@ class ExperimentResult:
             "rows": self.rows,
             "meta": self.meta,
         }
-
-
-def _csv_cell(v):
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
 
 
 # ---------------------------------------------------------------------------

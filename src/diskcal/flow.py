@@ -600,15 +600,13 @@ def position_windings(isotopy, x, **kw):
 class MapBundle:
     """An area-preserving disk map carried together with its isotopy.
 
-    ``oracle`` holds closed-form reference values attached by the family
-    constructors (expected invariants, action function, winding profile);
-    it is metadata for tests and never feeds the computations.
+    The three invariant computations read the isotopy; the boundary lift is
+    built from it once, at the sample count ``circle`` chooses, and cached.
     """
 
     isotopy: Isotopy
     name: str = "map"
-    oracle: dict = dc_field(default_factory=dict)
-    _lifts: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
+    _lift: object = dc_field(default=None, init=False, repr=False, compare=False)
 
     @property
     def field(self) -> Optional[HamiltonianField]:
@@ -617,12 +615,12 @@ class MapBundle:
     def __call__(self, z):
         return self.isotopy.flow(1.0, z)
 
-    def boundary_lift(self, n_samples: int = 4096):
+    def boundary_lift(self):
         from .circle import lift_from_isotopy
 
-        if n_samples not in self._lifts:
-            self._lifts[n_samples] = lift_from_isotopy(self.isotopy, n_samples=n_samples)
-        return self._lifts[n_samples]
+        if self._lift is None:
+            self._lift = lift_from_isotopy(self.isotopy)
+        return self._lift
 
 
 def _as_isotopy(obj) -> Isotopy:

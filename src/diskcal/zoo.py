@@ -1,12 +1,12 @@
-"""Built-in families of area-preserving disk maps with closed-form oracles.
+"""Built-in families of area-preserving disk maps.
 
 Radial families (rotations, radial twists, compactly supported bumps) are the
 backbone: a radial generator rotates every circle rigidly, so the
 flow, the Jacobian, the boundary lift, the action function and all three
-invariant computations have closed forms that the generic machinery is tested
-against.  Conjugation by the time-tau map of a non-radial generator produces
-the non-trivial examples (stand-ins for irrational pseudo-rotations: same
-rotation number, zero action average).
+invariants have closed forms (stated in the family docstrings) that the
+generic machinery is tested against.  Conjugation by the time-tau map of a
+non-radial generator produces the non-trivial examples (stand-ins for
+irrational pseudo-rotations: same rotation number, zero action average).
 """
 
 from __future__ import annotations
@@ -124,45 +124,22 @@ def bump_profile(n: int) -> RadialProfile:
 def rotation(alpha: float) -> MapBundle:
     """Rigid rotation by ``alpha`` turns, generated by H = alpha (1 - |z|^2)."""
     profile = poly_profile(Polynomial([alpha, -alpha]), name=f"rotation({alpha})")
-    return MapBundle(
-        isotopy=RadialIsotopy(profile),
-        name=f"rotation({alpha})",
-        oracle={"cal1": 0.0, "cal": float(alpha), "rho": float(alpha)},
-    )
+    return MapBundle(isotopy=RadialIsotopy(profile), name=f"rotation({alpha})")
 
 
 def radial_twist(coeffs) -> MapBundle:
     """Twist generated by ``H(z) = g(|z|^2)`` for a polynomial with g(1) = 0.
 
-    Closed forms attached as oracle values: invariant ``2 int_0^1 g``,
-    boundary rotation ``-g'(1)``, action ``A(z) = g(s) - s g'(s) + g'(1)``
-    with ``s = |z|^2``, per-circle winding ``-g'(s)``.
+    Closed forms: invariant ``2 int_0^1 g``, boundary rotation ``-g'(1)``,
+    action ``A(z) = g(s) - s g'(s) + g'(1)`` with ``s = |z|^2``, per-circle
+    winding ``-g'(s)``.
     """
     g = Polynomial(np.asarray(coeffs, dtype=float))
     if abs(g(1.0)) > 1e-12:
         raise BoundaryNotConstant(f"twist profile must vanish at s=1, got g(1)={g(1.0)}")
-    profile = poly_profile(g, name="twist")
-    dg = g.deriv()
-    cal = float(2.0 * (g.integ()(1.0) - g.integ()(0.0)))
-    rho = float(-dg(1.0))
-
-    def action(z):
-        s = np.abs(np.asarray(z)) ** 2
-        return g(s) - s * dg(s) + dg(1.0)
-
-    def winding(z):
-        return -dg(np.abs(np.asarray(z)) ** 2)
-
     return MapBundle(
-        isotopy=RadialIsotopy(profile),
+        isotopy=RadialIsotopy(poly_profile(g, name="twist")),
         name="twist(" + ",".join(f"{c:g}" for c in np.asarray(coeffs, dtype=float)) + ")",
-        oracle={
-            "cal1": cal - rho,
-            "cal": cal,
-            "rho": rho,
-            "action": action,
-            "winding": winding,
-        },
     )
 
 
@@ -173,18 +150,7 @@ def quadratic_twist(beta: float) -> MapBundle:
 
 def bump(n: int) -> MapBundle:
     """Compactly supported bump with unit mass; invariant 2/pi for every n."""
-    profile = bump_profile(n)
-    return MapBundle(
-        isotopy=RadialIsotopy(profile),
-        name=f"bump({n})",
-        oracle={
-            "cal1": 2.0 / np.pi,
-            "cal": 2.0 / np.pi,
-            "rho": 0.0,
-            "d0_bound": 2.0 / n,
-            "support_radius": 1.0 / n,
-        },
-    )
+    return MapBundle(isotopy=RadialIsotopy(bump_profile(n)), name=f"bump({n})")
 
 
 def off_center_conjugator(beta: float = 0.5) -> HamiltonianField:
@@ -251,19 +217,15 @@ def conjugate(bundle: MapBundle, conjugator: HamiltonianField, tau: float) -> Ma
     if tau == 0.0:
         return bundle
     pair = ConjugatorPair(FieldIsotopy(scaled_field(conjugator, tau)))
-    iso = ConjugatedIsotopy(pair, bundle.isotopy)
-    oracle = {k: bundle.oracle[k] for k in ("cal1", "cal", "rho") if k in bundle.oracle}
-    return MapBundle(isotopy=iso, name=f"conj({bundle.name};tau={tau})", oracle=oracle)
+    return MapBundle(isotopy=ConjugatedIsotopy(pair, bundle.isotopy), name=f"conj({bundle.name};tau={tau})")
 
 
 def conjugated_rotation(alpha: float, conjugator=None, tau: float = 0.0) -> MapBundle:
     """Conjugated rotation ``h R_alpha h^-1``: rotation number alpha, cal1 = 0."""
     base = rotation(alpha)
-    if conjugator is None or tau == 0.0:
+    if conjugator is None:
         return base
-    out = conjugate(base, conjugator, tau)
-    out.oracle.update({"cal1": 0.0, "cal": float(alpha), "rho": float(alpha)})
-    return out
+    return conjugate(base, conjugator, tau)
 
 
 def compose(a: MapBundle, b: MapBundle) -> MapBundle:
@@ -271,13 +233,7 @@ def compose(a: MapBundle, b: MapBundle) -> MapBundle:
     pieces = []
     for part in (b.isotopy, a.isotopy):
         pieces.extend(part.pieces if isinstance(part, ConcatIsotopy) else [part])
-    oracle = {}
-    for key in ("cal", "rho"):
-        if key in a.oracle and key in b.oracle:
-            oracle[key] = a.oracle[key] + b.oracle[key]
-    return MapBundle(
-        isotopy=ConcatIsotopy(pieces), name=f"{a.name}o{b.name}", oracle=oracle
-    )
+    return MapBundle(isotopy=ConcatIsotopy(pieces), name=f"{a.name}o{b.name}")
 
 
 def _iterated(iso, n: int):
@@ -296,13 +252,11 @@ def iterate(a: MapBundle, n: int) -> MapBundle:
         return identity()
     if n < 0:
         return iterate(inverse(a), -n)
-    oracle = {k: n * a.oracle[k] for k in ("cal", "rho") if k in a.oracle}
-    return MapBundle(isotopy=_iterated(a.isotopy, n), name=f"{a.name}^{n}", oracle=oracle)
+    return MapBundle(isotopy=_iterated(a.isotopy, n), name=f"{a.name}^{n}")
 
 
 def inverse(a: MapBundle) -> MapBundle:
-    oracle = {k: -a.oracle[k] for k in ("cal", "rho") if k in a.oracle}
-    return MapBundle(isotopy=a.isotopy.inverse(), name=f"{a.name}^-1", oracle=oracle)
+    return MapBundle(isotopy=a.isotopy.inverse(), name=f"{a.name}^-1")
 
 
 def identity() -> MapBundle:
@@ -330,6 +284,15 @@ def _count(value, what: str, minimum=1) -> int:
     raise ConfigError(f"{what} must be an integer{bound}, got {value!r}")
 
 
+def _known_keys(obj: dict, allowed, what: str) -> dict:
+    """``obj`` when it holds only keys from ``allowed``; a stray key is a
+    ConfigError that names it.  One rule for every object of a config tree."""
+    unknown = sorted(set(obj) - set(allowed))
+    if unknown:
+        raise ConfigError(f"{what} has unknown keys {unknown}; it reads {tuple(allowed)}")
+    return obj
+
+
 def _finite(value):
     """A map parameter as float (or float array); NaN and infinities are rejected."""
     out = np.asarray(value, dtype=float)
@@ -343,11 +306,25 @@ def _build_conjugator(spec: dict) -> HamiltonianField:
         raise ConfigError(f"conjugator must be an object with a 'type' key, got {spec!r}")
     kind = spec.get("type")
     if kind == "off_center":
+        _known_keys(spec, ("type", "beta"), "off_center conjugator")
         return off_center_conjugator(_finite(spec.get("beta", 0.5)))
     if kind == "radial_twist":
-        bundle = radial_twist(_finite(spec["coeffs"]))
-        return bundle.field
+        _known_keys(spec, ("type", "coeffs"), "radial_twist conjugator")
+        return radial_twist(_finite(spec["coeffs"])).field
     raise ConfigError(f"unknown conjugator type: {kind!r}")
+
+
+FAMILY_PARAMS = {  # the keys each family of a map spec reads besides "family"
+    "identity": (),
+    "rotation": ("alpha",),
+    "radial_twist": ("coeffs",),
+    "quadratic_twist": ("beta",),
+    "bump": ("n",),
+    "conjugated_rotation": ("alpha", "conjugator", "tau"),
+    "compose": ("maps",),
+    "iterate": ("map", "n"),
+    "inverse": ("map",),
+}
 
 
 def from_spec(spec: dict) -> MapBundle:
@@ -355,6 +332,9 @@ def from_spec(spec: dict) -> MapBundle:
     if not isinstance(spec, dict) or "family" not in spec:
         raise ConfigError("map spec must be an object with a 'family' key")
     fam = spec["family"]
+    if not isinstance(fam, str) or fam not in FAMILY_PARAMS:
+        raise ConfigError(f"unknown family: {fam!r}")
+    _known_keys(spec, ("family", *FAMILY_PARAMS[fam]), f"family {fam!r}")
     try:
         if fam == "identity":
             return identity()
@@ -385,4 +365,3 @@ def from_spec(spec: dict) -> MapBundle:
         raise ConfigError(f"family {fam!r} is missing parameter {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad parameters for family {fam!r}: {exc}") from exc
-    raise ConfigError(f"unknown family: {fam!r}")

@@ -69,8 +69,7 @@ def interior_points(n, seed, rmax=0.95):
 
 def translation(alpha):
     """The lift ``x -> x + alpha`` as a displacement function."""
-    return LiftedCircleMap(delta_fn=lambda x: np.full_like(np.asarray(x, dtype=float), alpha),
-                           name=f"x+{alpha}")
+    return LiftedCircleMap(delta_fn=lambda x: np.full_like(np.asarray(x, dtype=float), alpha))
 
 
 def encloses(est, target):

@@ -4,6 +4,7 @@ from numpy.polynomial.legendre import leggauss
 
 from diskcal import calabi
 from diskcal.calabi import (
+    N_STRATA,
     DiskMeasure,
     PairSampler,
     action_function,
@@ -261,8 +262,8 @@ class TestCal2:
         assert abs(res.value - 0.2) <= 3 * res.stderr
 
     def test_stratified_redraw_stays_in_stratum(self):
-        k = 4
-        sampler = PairSampler(n=1000, seed=3, strategy="stratified", n_strata=k)
+        k = N_STRATA
+        sampler = PairSampler(n=1000, seed=3, strategy="stratified")
         _, _, _, slices, _ = sampler.sample_pairs()
         idx = np.arange(0, 1000, 3)
         x, y = sampler.redraw(np.random.default_rng(1), idx)
@@ -281,7 +282,6 @@ class TestCal2:
             with pytest.raises(ValueError, match="128"):
                 PairSampler(n=n, seed=1, strategy="stratified")
         assert PairSampler(n=128, seed=1, strategy="stratified").sample_pairs()[0].size == 128
-        assert PairSampler(n=18, seed=1, strategy="stratified", n_strata=3).sample_pairs()[0].size == 18
         assert PairSampler(n=10, seed=1).sample_pairs()[0].size == 10
 
     @pytest.mark.parametrize("strategy", ["uniform", "stratified"])

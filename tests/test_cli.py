@@ -179,7 +179,7 @@ class TestExperimentCommand:
 class TestConfigShape:
     # every level of the tree must have its shape: a non-object config,
     # budgets block or conjugator, a compute entry that is not a non-empty
-    # list, or a budget key that nothing reads, exits 2
+    # list, or a key that nothing reads at any level, exits 2
     @pytest.mark.parametrize("command, cfg", [
         (["compute"], 5),
         (["compute"], None),
@@ -192,9 +192,24 @@ class TestConfigShape:
                                           "tau": 0.5, "conjugator": 5})),
         (["compute"], dict(BASE_CFG, compute=[])),
         (["compute"], dict(BASE_CFG, compute=["cal3"], budgets={"gird": [8, 16]})),
+        (["compute"], {"map": BASE_CFG["map"], "compute": ["cal3"], "budget": {"seed": 7}}),
+        (["compute"], dict(BASE_CFG, compute=["cal3"], map={
+            "family": "conjugated_rotation", "alpha": 0.3, "tua": 0.5,
+            "conjugator": {"type": "off_center", "beta": 0.5}})),
+        (["compute"], dict(BASE_CFG, compute=["cal3"], map={
+            "family": "conjugated_rotation", "alpha": 0.3, "tau": 0.5,
+            "conjugator": {"type": "off_center", "bta": 0.2}})),
+        (["compute"], dict(BASE_CFG, compute=["cal3"], map={
+            "family": "compose", "maps": [{"family": "rotation", "alpha": 0.2},
+                                          {"family": "bump", "n": 4, "m": 2}]})),
+        (["experiment", "c0-discontinuity"], {"experiment": {"nss": [2, 4]}}),
+        (["experiment", "c0-discontinuity"], {"ns": [2, 4]}),
+        (["experiment", "rigidity"], {"experiment": {"q_max": 2, "depth": 10, "qmax": 2}}),
     ], ids=["compute_number", "compute_null", "experiment_number", "experiment_null",
             "budgets_list", "budgets_null", "compute_list_number", "conjugator_number",
-            "compute_empty", "budgets_unknown_key"])
+            "compute_empty", "budgets_unknown_key", "compute_unknown_key", "map_unknown_key",
+            "conjugator_unknown_key", "nested_map_unknown_key", "experiment_unknown_key",
+            "experiment_outside_its_object", "rigidity_unknown_key"])
     def test_malformed_config_trees_are_config_errors(self, tmp_path, capsys, command, cfg):
         path = write_config(tmp_path, cfg)
         out = tmp_path / "x"
@@ -204,8 +219,8 @@ class TestConfigShape:
 
 
 class TestCsvOutputs:
-    # one writer serves the report and the cf table: a header of the columns,
-    # then one line per row with None as an empty cell
+    # one writer serves the report, the cf table and the experiments: a header
+    # of the columns, then one line per row with None as an empty cell
     @staticmethod
     def _expected_csv(columns, rows):
         buf = io.StringIO()
@@ -233,6 +248,19 @@ class TestCsvOutputs:
         rows = json.loads((out / "cf.json").read_text())["rows"]
         assert any(None in row.values() for row in rows)
         assert (out / "cf.csv").read_text() == self._expected_csv(list(rows[0]), rows)
+
+    def test_experiment_csv_is_the_json_rows(self, tmp_path):
+        # an experiment CSV writes its bools as true/false (the report keeps True/False)
+        cfg = write_config(tmp_path, {"experiment": {"ns": [2, 4], "cal_budget": 0.0}})
+        out = tmp_path / "exp"
+        assert main(["--out", str(out), "experiment", "c0-discontinuity", "--config", cfg]) == 0
+        data = json.loads((out / "c0-discontinuity.json").read_text())
+        assert {row["pass"] for row in data["rows"]} == {False}
+        rows = [{c: str(v).lower() if isinstance(v, bool) else v for c, v in row.items()}
+                for row in data["rows"]]
+        text = (out / "c0-discontinuity.csv").read_text()
+        assert text == self._expected_csv(data["columns"], rows)
+        assert ",false\n" in text
 
 
 class TestCfCommand:

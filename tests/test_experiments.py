@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ import diskcal.calabi
 import diskcal.circle
 import diskcal.experiments
 from diskcal.calabi import cal1
+from diskcal.cli import main
 from diskcal.circle import invariant_measure
 from diskcal.errors import QMaxExceeded, ScaleTooLarge
 from diskcal.experiments import (
@@ -89,10 +92,14 @@ class TestC1Continuity:
         with pytest.raises(ScaleTooLarge):
             exp_c1_continuity([2.0], pairs=100, grid=(32, 32))
 
-    def test_csv_round_trip(self):
-        res = exp_c1_continuity([0.01], pairs=500, seed=5, grid=(32, 32))
-        text = res.to_csv_text()
-        assert text.splitlines()[0] == ",".join(res.columns)
+    def test_csv_round_trip(self, tmp_path):
+        # the experiment CSV is written by the CLI's one CSV writer
+        cfg = tmp_path / "c1.json"
+        cfg.write_text(json.dumps({"experiment": {"scales": [0.01], "pairs": 500, "seed": 5}}))
+        assert main(["--out", str(tmp_path), "experiment", "c1-continuity", "--config", str(cfg)]) == 0
+        columns = json.loads((tmp_path / "c1-continuity.json").read_text())["columns"]
+        text = (tmp_path / "c1-continuity.csv").read_text()
+        assert text.splitlines()[0] == ",".join(columns)
         assert len(text.splitlines()) == 2
 
 

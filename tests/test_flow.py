@@ -645,13 +645,13 @@ class TestConjugatedTrajectory:
 
 class TestBoundaryLiftCache:
     def test_cached_per_sample_count(self):
+        # one sample count, chosen by circle.lift_from_isotopy: one cached lift
         bundle = conjugate(rotation(0.5), boundary_shear_conjugator(0.3), 0.4)
-        coarse = bundle.boundary_lift(256)
-        fine = bundle.boundary_lift(4096)
-        assert fine is not coarse and bundle.boundary_lift(4096) is fine
+        lift = bundle.boundary_lift()
+        assert bundle.boundary_lift() is lift
         xs = (np.arange(64) + 0.3) / 64
-        direct = lift_from_isotopy(bundle.isotopy, n_samples=4096)
-        assert np.array_equal(fine.delta(xs), direct.delta(xs))
+        direct = lift_from_isotopy(bundle.isotopy)
+        assert np.array_equal(lift.delta(xs), direct.delta(xs))
 
 
 class TestConjugatorPair:

@@ -56,14 +56,6 @@ class TestRadialTwist:
         pts = interior_points(30, seed=2)
         assert np.max(np.abs(tw(pts) - rot(pts))) < 1e-12
 
-    def test_attached_closed_forms(self):
-        tw = quadratic_twist(0.3)
-        assert tw.oracle["cal"] == pytest.approx(0.2)
-        assert tw.oracle["rho"] == 0.0
-        assert tw.oracle["action"](0j) == pytest.approx(0.3)
-        assert tw.oracle["action"](1.0 + 0j) == pytest.approx(0.0, abs=1e-15)
-        assert tw.oracle["winding"](0.5 + 0j) == pytest.approx(0.45)
-
 
 class TestBump:
     @pytest.mark.parametrize("n", [2, 4, 7, 16])
