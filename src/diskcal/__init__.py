@@ -4,6 +4,11 @@ Three independent computations (action-function average, chord-winding double
 integral, Hamiltonian time integral), rotation numbers with rigorous error
 bars, continued-fraction diagnostics, and the rigidity experiments relating
 them.  All angles are in turns; the area form is normalized to total mass 1.
+
+The command line and the experiments reach the paper through the three routes
+(``cal1``, ``cal2_tilde``, ``cal3_tilde``), ``verify_link``, the rotation
+number and the map zoo.  The chord winding ``chord_windings`` is the angle
+function of a pair and, on ``iterate(f, n)``, its sum along the orbit.
 """
 
 from .arithmetic import (
@@ -22,9 +27,6 @@ from .calabi import (
     Cal2Result,
     DiskMeasure,
     PairSampler,
-    action_function,
-    angle_function,
-    birkhoff_angle,
     c_mu_tilde,
     cal1,
     cal2_tilde,
@@ -45,12 +47,10 @@ from .errors import (
     ConfigError,
     DiskcalError,
     NotAreaPreserving,
-    OrbitCollision,
     PointOutsideDisk,
     QMaxExceeded,
     ScaleTooLarge,
     StepTooCoarse,
-    ZeroVector,
 )
 from .fields import HamiltonianField
 from .flow import (
@@ -61,9 +61,8 @@ from .flow import (
     RadialIsotopy,
     area_residual,
     chord_windings,
-    flow_jacobian_fd,
 )
-from .geometry import area_density, liouville_eval, unwrap_angle
+from .geometry import liouville_eval
 from .experiments import (
     ExperimentResult,
     exp_c0_discontinuity,

@@ -10,7 +10,9 @@
 For any bundle built from a generator the three values satisfy
 ``cal2 = cal1 + rho`` and ``cal2 = cal3`` up to quadrature and sampling error;
 ``verify_link`` evaluates all of them and reports the residuals against an
-explicit budget.
+explicit budget.  The winding of one chord (the angle function) is
+``flow.chord_windings`` on the bundle's isotopy; on ``zoo.iterate(f, n)`` it
+is the cocycle sum along the orbit, so its Birkhoff average is that value / n.
 
 Quadrature rules are fixed objects: each Gauss-Legendre rule (by node count)
 and each polar grid (by grid and radial kinks) is built once per process,
@@ -27,18 +29,16 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .circle import BoundaryMeasure, invariant_measure, rotation_number
-from .errors import BoundaryNotConstant, NotAreaPreserving, OrbitCollision, StepTooCoarse
+from .errors import BoundaryNotConstant, NotAreaPreserving, StepTooCoarse
 from .flow import ConcatIsotopy, ConjugatedIsotopy, MapBundle, area_residual, chord_windings
 from .geometry import TOL_AREA, liouville_eval, uniform_disk_points, wirtinger_apply
 
 MIN_PAIR_SEPARATION = 1e-6
 STRATEGIES = ("uniform", "stratified")  # PairSampler.strategy
 N_STRATA = 8  # equal-area annuli per factor of the stratified sampler
-DIAGONAL_GUARD = 1e-9
 SEGMENT_NODES = 8
 ACTION_RADIAL_NODES = 64  # Gauss-Legendre nodes per ray of ActionFunction.a0
 BOUNDARY_PROFILE_SAMPLES = 512  # rays of the boundary profile behind c_mu
-POLYLINE_NODES = 48  # Gauss-Legendre nodes per leg of a0_along_polyline
 TOL_GENERATOR_BOUNDARY = 1e-8  # spread of H_t on S^1 that cal3 accepts as constant
 MIN_RICHARDSON_GRID = (32, 64)  # smallest cal1 grid whose half grid is at least (16, 32)
 GAUSS_RULE_CACHE_SIZE = 32  # Gauss-Legendre rules kept, by node count
@@ -159,13 +159,16 @@ class ActionFunction:
     ``a0`` integrates ``lambda_{f(t z)}(Df . z)`` along the radial path
     ``t -> t z`` by composite Gauss-Legendre (the pure-lambda term along the
     ray vanishes identically).  ``c_mu``, the mu-average of the boundary
-    profile, comes from the same per-ray rule as ``cal1``.  An optional
-    primitive shift ``(u, grad u)`` evaluates the same construction for the
-    perturbed Liouville form ``lambda + du``.
+    profile, comes from the same per-ray rule as ``cal1``; mu defaults to the
+    orbit measure of the boundary lift.  An optional primitive shift
+    ``(u, grad u)`` evaluates the same construction for the perturbed
+    Liouville form ``lambda + du``.
     """
 
-    def __init__(self, bundle: MapBundle, mu: BoundaryMeasure, primitive_shift=None):
+    def __init__(self, bundle: MapBundle, mu: Optional[BoundaryMeasure] = None, primitive_shift=None):
         _checked_area_residual(bundle)
+        if mu is None:
+            mu = invariant_measure(bundle.boundary_lift())
         self.bundle = bundle
         self.mu = mu
         self.primitive_shift = primitive_shift
@@ -196,32 +199,6 @@ class ActionFunction:
 
     def __call__(self, z):
         return self.a0(z) - self.c_mu
-
-    def a0_along_polyline(self, z: complex) -> float:
-        """Primitive recomputed along 0 -> (u, 0) -> (u, v), for path-independence checks."""
-        z = complex(z)
-        legs = [(0.0 + 0.0j, complex(z.real, 0.0)), (complex(z.real, 0.0), z)]
-        total = 0.0
-        x, w = gauss_legendre(POLYLINE_NODES)
-        for a, b in legs:
-            if abs(b - a) == 0.0:
-                continue
-            t = (x + 1.0) / 2.0
-            pos = a + t * (b - a)
-            direction = np.full_like(pos, b - a)
-            total += float(np.sum(self._integrand(pos, direction) * w / 2.0))
-        return total
-
-
-def action_function(
-    bundle: MapBundle,
-    mu: Optional[BoundaryMeasure] = None,
-    primitive_shift=None,
-) -> ActionFunction:
-    """Normalized action function of a bundle (measure defaults to a boundary orbit)."""
-    if mu is None:
-        mu = invariant_measure(bundle.boundary_lift())
-    return ActionFunction(bundle, mu, primitive_shift=primitive_shift)
 
 
 # ---------------------------------------------------------------------------
@@ -274,15 +251,7 @@ def cal1(
 
 
 # ---------------------------------------------------------------------------
-# angle function and the winding double integral
-
-
-def angle_function(bundle: MapBundle, x: complex, y: complex) -> float:
-    """Winding in turns of ``t -> f_t(x) - f_t(y)`` along the bundle's isotopy."""
-    if abs(complex(x) - complex(y)) < DIAGONAL_GUARD:
-        raise ValueError("angle function evaluated too close to the diagonal")
-    vals, _ = chord_windings(bundle.isotopy, np.array([x]), np.array([y]))
-    return float(vals[0])
+# cal2: the chord-winding double integral
 
 
 @dataclass
@@ -291,9 +260,10 @@ class PairSampler:
 
     ``stratified`` splits the disk into equal-area annuli for each factor and
     allocates samples proportionally (deterministic largest-remainder rounding),
-    which sharpens the estimator for radially concentrated windings.  It needs
-    ``n >= 2 N_STRATA^2``, two pairs per stratum pair, for a stratum variance.
-    Pairs closer than ``MIN_PAIR_SEPARATION`` are redrawn.
+    which sharpens the estimator for radially concentrated windings.  A
+    standard error needs two pairs per variance: ``n >= 2``, and for
+    ``stratified`` ``n >= 2 N_STRATA^2``, two per stratum pair.  Pairs closer
+    than ``MIN_PAIR_SEPARATION`` are redrawn.
     """
 
     n: int
@@ -301,9 +271,9 @@ class PairSampler:
     strategy: str = "uniform"
 
     def __post_init__(self):
-        need = 2 * N_STRATA**2
-        if self.strategy == "stratified" and self.n < need:
-            raise ValueError(f"stratified sampling needs at least {need} pairs, got {self.n}")
+        need = 2 * N_STRATA**2 if self.strategy == "stratified" else 2
+        if self.n < need:
+            raise ValueError(f"{self.strategy} sampling needs at least {need} pairs, got {self.n}")
 
     def _draw_uniform(self, rng, size):
         return uniform_disk_points(size, rng), uniform_disk_points(size, rng)
@@ -376,7 +346,7 @@ class Cal2Result:
 
 
 def cal2_tilde(bundle: MapBundle, sampler: PairSampler, workers: int = 1) -> Cal2Result:
-    """Monte-Carlo mean of the angle function over area-form pairs.
+    """Monte-Carlo mean of the chord winding over area-form pairs.
 
     Deterministic for fixed seed: windings land in a preallocated array in
     sample order.  Pairs whose winding stays unresolved (nearly colliding
@@ -409,7 +379,7 @@ def cal2_tilde(bundle: MapBundle, sampler: PairSampler, workers: int = 1) -> Cal
 
     if masses is None:
         value = float(np.mean(values))
-        stderr = float(np.std(values, ddof=1) / np.sqrt(values.size)) if values.size > 1 else 0.0
+        stderr = float(np.std(values, ddof=1) / np.sqrt(values.size))
     else:
         value = 0.0
         var = 0.0
@@ -468,7 +438,7 @@ def _cal3_leaf(field, grid) -> float:
 
 
 # ---------------------------------------------------------------------------
-# measure-weighted variants and Birkhoff averages
+# the measure-weighted double sum
 
 
 @dataclass(frozen=True)
@@ -489,7 +459,7 @@ def uniform_disk_measure(n: int, seed: int) -> DiskMeasure:
 
 
 def c_mu_tilde(bundle: MapBundle, measure: DiskMeasure) -> float:
-    """Weighted double sum of the angle function over distinct point pairs.
+    """Weighted double sum of the chord winding over distinct point pairs.
 
     Coincident pairs (separation below 1e-12) are skipped; for an atomless
     measure approximation they carry no mass.
@@ -505,22 +475,6 @@ def c_mu_tilde(bundle: MapBundle, measure: DiskMeasure) -> float:
     keep = np.abs(x - y) >= 1e-12
     vals, _ = chord_windings(bundle.isotopy, x[keep], y[keep])
     return float(np.sum(wp[keep] * vals))
-
-
-def birkhoff_angle(bundle: MapBundle, x: complex, y: complex, n: int) -> float:
-    """Time average ``(1/n) Ang_{I^n}`` via the cocycle sum along the orbit."""
-    xs = np.empty(n, dtype=complex)
-    ys = np.empty(n, dtype=complex)
-    cx, cy = complex(x), complex(y)
-    for k in range(n):
-        xs[k], ys[k] = cx, cy
-        if k + 1 < n:
-            cx = bundle.isotopy.flow(1.0, cx)
-            cy = bundle.isotopy.flow(1.0, cy)
-    if float(np.min(np.abs(xs - ys))) < DIAGONAL_GUARD:
-        raise OrbitCollision("orbits approach below the separation threshold")
-    vals, _ = chord_windings(bundle.isotopy, xs, ys)
-    return float(np.sum(vals)) / n
 
 
 # ---------------------------------------------------------------------------

@@ -45,10 +45,6 @@ class LiftedCircleMap:
             self._grid = np.concatenate([vals, vals[:1]])
             self._xs = np.linspace(0.0, 1.0, vals.size + 1)
 
-    @classmethod
-    def identity(cls):
-        return cls(delta_fn=lambda x: np.zeros_like(np.asarray(x, dtype=float)))
-
     def delta(self, x):
         frac = np.mod(x, 1.0)
         if self._delta_fn is not None:
@@ -73,12 +69,6 @@ class LiftedCircleMap:
             return (fs[j + 1] - fs[j]) / (xs[j + 1] - xs[j]) * (x - xs[j]) + fs[j]
 
         return delta
-
-    def compose(self, other: "LiftedCircleMap") -> "LiftedCircleMap":
-        def delta(x, f=self, g=other):
-            return f(g(np.asarray(x, dtype=float) + 0.0)) - x
-
-        return LiftedCircleMap(delta_fn=lambda x: delta(x))
 
     def interpolation_error(self) -> float:
         """Estimated sup error of a grid lift (0 for a ``delta_fn`` lift).
@@ -134,13 +124,14 @@ class BoundaryMeasure:
         )
 
 
-def lift_from_isotopy(isotopy, n_samples: int = DEFAULT_LIFT_SAMPLES) -> LiftedCircleMap:
+def lift_from_isotopy(isotopy) -> LiftedCircleMap:
     """Lift of the boundary restriction by continuous argument tracking.
 
-    Follows ``t -> f_t(e^{2 pi i x})`` for a grid of boundary points; the
-    total argument variation is the displacement at x.
+    Follows ``t -> f_t(e^{2 pi i x})`` for ``DEFAULT_LIFT_SAMPLES`` equally
+    spaced boundary points; the total argument variation is the displacement
+    at x.
     """
-    xs = np.arange(n_samples) / n_samples
+    xs = np.arange(DEFAULT_LIFT_SAMPLES) / DEFAULT_LIFT_SAMPLES
     pts = np.exp(2j * np.pi * xs)
     turns, ok = position_windings(isotopy, pts, raise_on_fail=False)
     if not np.all(ok):

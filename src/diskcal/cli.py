@@ -97,9 +97,9 @@ def _budget(cfg: dict, key: str, default):
 
 
 def _real(value, what: str, minimum: float = -math.inf) -> float:
-    """A parameter that must be a finite number of at least ``minimum``."""
+    """A parameter that must be a finite number (not a boolean) of at least ``minimum``."""
     try:
-        out = float(value)
+        out = math.nan if isinstance(value, bool) else float(value)
     except (TypeError, ValueError, OverflowError):
         out = math.nan
     if not (math.isfinite(out) and out >= minimum):
@@ -130,7 +130,7 @@ def cmd_compute(cfg: dict, out_dir: str, fmt: str, seed_override, workers_overri
     seed = _count(seed, "seed", minimum=0) if seed is not None else 0
     workers = _count(workers_override if workers_override is not None else _budget(cfg, "workers", 1),
                      "workers")
-    pairs = _count(_budget(cfg, "pairs", 20_000), "pairs")
+    pairs = _count(_budget(cfg, "pairs", 20_000), "pairs", 2)
     grid = _budget(cfg, "grid", (128, 256))
     if not isinstance(grid, (list, tuple)) or len(grid) != 2:
         raise ConfigError(f"grid must be a pair [radial, angular], got {grid!r}")
@@ -141,7 +141,7 @@ def cmd_compute(cfg: dict, out_dir: str, fmt: str, seed_override, workers_overri
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
     rho_iterates = _count(_budget(cfg, "rho_iterates", 100_000), "rho_iterates")
-    c_mu_points = _count(_budget(cfg, "c_mu_points", 300), "c_mu_points")
+    c_mu_points = _count(_budget(cfg, "c_mu_points", 300), "c_mu_points", 2)
     strategy = _budget(cfg, "strategy", "uniform")
     if strategy not in STRATEGIES:
         raise ConfigError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
@@ -201,7 +201,7 @@ def cmd_experiment(name: str, cfg: dict, out_dir: str, fmt: str, seed_override, 
     if name == "c1-continuity":
         result = exp_c1_continuity(
             _entries(params.get("scales", [0.04, 0.02, 0.01, 0.005]), "scales", _real),
-            pairs=_count(params.get("pairs", 4000), "pairs"),
+            pairs=_count(params.get("pairs", 4000), "pairs", 2),
             seed=seed,
             workers=workers,
         )

@@ -8,13 +8,10 @@ class DiskcalError(Exception):
 class StepTooCoarse(DiskcalError):
     """A time discretization cannot resolve the requested quantity.
 
-    Raised by angle unwrapping when a consecutive argument gap reaches a
-    quarter turn, and by flow step control when refinement is exhausted.
+    Raised when a winding stays unresolved after its time grid is refined
+    (some argument step reaches a quarter turn), and by flow step control
+    when refinement is exhausted.
     """
-
-
-class ZeroVector(DiskcalError):
-    """An angular path contains a vector of negligible norm."""
 
 
 class PointOutsideDisk(DiskcalError):
@@ -27,10 +24,6 @@ class NotAreaPreserving(DiskcalError):
 
 class BoundaryNotConstant(DiskcalError):
     """A Hamiltonian is not constant on the unit circle at some time."""
-
-
-class OrbitCollision(DiskcalError):
-    """Two orbits approached each other below the separation threshold."""
 
 
 class QMaxExceeded(DiskcalError):

@@ -36,7 +36,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import PointOutsideDisk, StepTooCoarse
-from .fields import HamiltonianField, central_vector_wirtinger, scaled_field
+from .fields import HamiltonianField, scaled_field
 from .geometry import (
     MIN_VECTOR_NORM,
     TOL_BOUNDARY,
@@ -629,15 +629,6 @@ def _as_isotopy(obj) -> Isotopy:
     if isinstance(obj, Isotopy):
         return obj
     raise TypeError(f"expected a bundle or isotopy, got {type(obj)!r}")
-
-
-def flow_jacobian_fd(bundle, t: float, z):
-    """Central-difference Wirtinger pair ``(p, q)`` of the flow map ``f_t`` at ``z``."""
-    iso = _as_isotopy(bundle)
-    pts = _as_points(z)
-    ar, ai, br, bi = central_vector_wirtinger(lambda u, v: _rows(iso.flow(t, u + 1j * v)), pts.real, pts.imag)
-    p, q = ar + 1j * ai, br + 1j * bi
-    return (p, q) if np.ndim(z) else (complex(p[0]), complex(q[0]))
 
 
 def area_residual(bundle, seed: int = 0) -> float:

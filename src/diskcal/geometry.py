@@ -6,13 +6,16 @@ numbers are measured in *turns*: one turn is a full revolution (2*pi radians).
 The area form is the normalized ``omega = (1/pi) du ^ dv`` so the closed unit
 disk has total mass 1, and the Liouville primitive is
 ``lambda = r^2/(2 pi) d(theta)``, i.e. ``lambda_z(w) = (u w_v - v w_u)/(2 pi)``.
+Sampled paths wind by one vectorized rule, ``unwrap_turns_along``, which flags
+a path instead of unwrapping it when an argument step reaches a quarter turn
+or a vector nearly vanishes.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import PointOutsideDisk, StepTooCoarse, ZeroVector
+from .errors import PointOutsideDisk
 
 TOL_BOUNDARY = 1e-9
 TOL_AREA = 1e-6
@@ -29,31 +32,6 @@ def liouville_eval(z, w):
     part of ``conj(z) * w`` over 2 pi.  Vectorized over arrays.
     """
     return np.imag(np.conj(z) * w) / TWO_PI
-
-
-def area_density(z):
-    """Density of the normalized area form with respect to du dv: 1/pi."""
-    return np.full_like(np.real(z), 1.0 / np.pi) if np.ndim(z) else 1.0 / np.pi
-
-
-def unwrap_angle(vectors) -> float:
-    """Total continuous argument variation along a path of nonzero vectors.
-
-    ``vectors`` is a sequence of complex numbers (or an (n,) array).  Returns
-    the argument variation from first to last in turns.  Consecutive entries
-    must differ in argument by less than a quarter turn; a gap that reaches it
-    raises StepTooCoarse since the winding becomes ambiguous well before half
-    a turn.
-    """
-    v = np.asarray(vectors, dtype=complex)
-    if v.ndim != 1 or v.size < 1:
-        raise ValueError("expected a one-dimensional sequence of vectors")
-    if np.any(np.abs(v) < MIN_VECTOR_NORM):
-        raise ZeroVector("path contains a vector with norm below 1e-12")
-    turns, ok = unwrap_turns_along(v[:, None])
-    if not ok[0]:
-        raise StepTooCoarse(f"an argument gap reaches {GAP_LIMIT_TURNS} turns")
-    return float(turns[0])
 
 
 def unwrap_turns_along(paths: np.ndarray):

@@ -272,11 +272,11 @@ def identity() -> MapBundle:
 def _count(value, what: str, minimum=1) -> int:
     """A parameter that must be an integer of at least ``minimum``.
 
-    One rule for map counts and CLI budgets: a non-integral number or a
-    string is a ConfigError, never truncated.
+    One rule for map counts and CLI budgets: a non-integral number, a string
+    or a boolean is a ConfigError, never truncated or read as 0/1.
     """
     try:
-        if int(value) == value and int(value) >= minimum:
+        if not isinstance(value, bool) and int(value) == value and int(value) >= minimum:
             return int(value)
     except (TypeError, ValueError, OverflowError):
         pass
@@ -294,10 +294,11 @@ def _known_keys(obj: dict, allowed, what: str) -> dict:
 
 
 def _finite(value):
-    """A map parameter as float (or float array); NaN and infinities are rejected."""
+    """A map parameter as float (or float array); booleans, NaN and infinities are rejected."""
     out = np.asarray(value, dtype=float)
-    if not np.all(np.isfinite(out)):
-        raise ConfigError(f"map parameters must be finite, got {value!r}")
+    booleans = any(isinstance(v, bool) for v in np.ravel(np.asarray(value, dtype=object)))
+    if booleans or not np.all(np.isfinite(out)):
+        raise ConfigError(f"map parameters must be finite numbers, got {value!r}")
     return float(out) if out.ndim == 0 else out
 
 
@@ -347,6 +348,8 @@ def from_spec(spec: dict) -> MapBundle:
         if fam == "bump":
             return bump(_count(spec["n"], "bump n", minimum=2))
         if fam == "conjugated_rotation":
+            if ("conjugator" in spec) != ("tau" in spec):
+                raise ConfigError("conjugated_rotation takes a 'conjugator' and its 'tau' together")
             conj = _build_conjugator(spec["conjugator"]) if "conjugator" in spec else None
             return conjugated_rotation(_finite(spec["alpha"]), conj, _finite(spec.get("tau", 0.0)))
         if fam == "compose":

@@ -72,6 +72,11 @@ def translation(alpha):
     return LiftedCircleMap(delta_fn=lambda x: np.full_like(np.asarray(x, dtype=float), alpha))
 
 
+def composed(f, g):
+    """The lift ``f o g`` (g acts first) as a displacement function."""
+    return LiftedCircleMap(delta_fn=lambda x: f(g(x)) - x)
+
+
 def encloses(est, target):
     """Whether a RotationNumberEstimate's rigorous enclosure contains ``target``."""
     return abs(est.value - target) <= est.rigorous_halfwidth

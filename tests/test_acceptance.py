@@ -13,8 +13,8 @@ import pytest
 
 from diskcal.arithmetic import best_approx_check, classify, continued_fraction, synthetic_non_bruno
 from diskcal.calabi import (
+    ActionFunction,
     PairSampler,
-    action_function,
     cal1,
     cal2_tilde,
     cal3_tilde,
@@ -34,7 +34,7 @@ from diskcal.zoo import (
     rotation,
 )
 
-from conftest import pullback_defect, translation
+from conftest import composed, pullback_defect, translation
 from test_calabi import invariant_boundary_pair
 
 GOLDEN = 0.6180339887498949
@@ -114,7 +114,7 @@ def test_04_cocycle_identity():
 def test_05_action_primitive_oracle():
     with criterion(5, "action primitive: gradient, lambda- and mu-independence"):
         bundle = quadratic_twist(0.3)
-        a = action_function(bundle)
+        a = ActionFunction(bundle)
         rng = np.random.default_rng(9)
         pts = 0.9 * uniform_disk_points(100, rng)
         h = 1e-5
@@ -149,7 +149,7 @@ def test_06_rotation_number_certificate():
             f = LiftedCircleMap(delta_fn=lambda x, a=a1, b=b1: a + b * np.sin(2 * np.pi * x))
             g = LiftedCircleMap(delta_fn=lambda x, a=a2, b=b2: a + b * np.sin(2 * np.pi * x))
             defect = abs(
-                rotation_number(f.compose(g), n=n).value
+                rotation_number(composed(f, g), n=n).value
                 - rotation_number(f, n=n).value
                 - rotation_number(g, n=n).value
             )

@@ -5,11 +5,9 @@ from numpy.polynomial.legendre import leggauss
 from diskcal import calabi
 from diskcal.calabi import (
     N_STRATA,
+    ActionFunction,
     DiskMeasure,
     PairSampler,
-    action_function,
-    angle_function,
-    birkhoff_angle,
     c_mu_tilde,
     cal1,
     cal2_tilde,
@@ -21,9 +19,9 @@ from diskcal.calabi import (
     verify_link,
 )
 from diskcal.circle import BoundaryMeasure
-from diskcal.errors import BoundaryNotConstant, NotAreaPreserving, OrbitCollision
+from diskcal.errors import BoundaryNotConstant, NotAreaPreserving, StepTooCoarse
 from diskcal.fields import HamiltonianField
-from diskcal.flow import ConjugatorPair, FieldIsotopy, MapBundle
+from diskcal.flow import ConjugatorPair, FieldIsotopy, MapBundle, chord_windings
 from diskcal.zoo import (
     boundary_shear_conjugator,
     bump,
@@ -42,6 +40,7 @@ from diskcal.zoo import (
 from conftest import interior_points, pullback_defect
 
 GOLDEN = 0.6180339887498949
+POLYLINE_NODES = 48  # Gauss-Legendre nodes per leg of a0_along_polyline
 
 
 def twist_action(z, beta=0.3):
@@ -50,19 +49,43 @@ def twist_action(z, beta=0.3):
     return beta * (1.0 - s**2)
 
 
+def a0_along_polyline(action, z):
+    """``action.a0`` recomputed along 0 -> (u, 0) -> (u, v), for path-independence checks."""
+    z = complex(z)
+    total = 0.0
+    x, w = gauss_legendre(POLYLINE_NODES)
+    for a, b in [(0j, complex(z.real, 0.0)), (complex(z.real, 0.0), z)]:
+        if abs(b - a) == 0.0:
+            continue
+        pos = a + (x + 1.0) / 2.0 * (b - a)
+        total += float(np.sum(action._integrand(pos, np.full_like(pos, b - a)) * w / 2.0))
+    return total
+
+
+def winding(bundle, x, y):
+    """The angle function: the winding in turns of ``t -> f_t(x) - f_t(y)``."""
+    vals, _ = chord_windings(bundle.isotopy, np.array([x]), np.array([y]))
+    return float(vals[0])
+
+
+def birkhoff(bundle, x, y, n):
+    """``(1/n) Ang_{f^n}(x, y)``: the iterate's isotopy tree sums the cocycle along the orbit."""
+    return winding(iterate(bundle, n), x, y) / n
+
+
 class TestActionFunction:
     def test_identity_vanishes(self):
-        a = action_function(identity())
+        a = ActionFunction(identity())
         pts = interior_points(30, seed=1)
         assert np.max(np.abs(a(pts))) < 1e-12
 
     def test_rotation_vanishes(self):
-        a = action_function(rotation(0.3))
+        a = ActionFunction(rotation(0.3))
         pts = interior_points(30, seed=2)
         assert np.max(np.abs(a(pts))) < 1e-12
 
     def test_twist_closed_form(self):
-        a = action_function(quadratic_twist(0.3))
+        a = ActionFunction(quadratic_twist(0.3))
         pts = interior_points(50, seed=3)
         assert np.max(np.abs(a(pts) - twist_action(pts))) < 1e-6
         assert a(0j) == pytest.approx(0.3, abs=1e-9)
@@ -70,7 +93,7 @@ class TestActionFunction:
     def test_primitive_gradient_oracle(self):
         # finite differences of A against the exact pullback defect f*l - l
         for bundle in (quadratic_twist(0.3), compose(quadratic_twist(0.3), rotation(0.2))):
-            a = action_function(bundle)
+            a = ActionFunction(bundle)
             pts = interior_points(100, seed=4, rmax=0.9)
             h = 1e-5
             fd_u = (a.a0(pts + h) - a.a0(pts - h)) / (2 * h)
@@ -80,29 +103,29 @@ class TestActionFunction:
             assert np.max(np.abs(fd_v - dv)) < 1e-5
 
     def test_scalar_point_gives_a_float(self):
-        a = action_function(quadratic_twist(0.3))
+        a = ActionFunction(quadratic_twist(0.3))
         value = a.a0(0.5 + 0j)
         assert type(value) is float
         assert value == a.a0(np.array([0.5 + 0j]))[0]
         assert type(a(0.5 + 0j)) is float
 
     def test_path_independence_l_shaped(self):
-        a = action_function(quadratic_twist(0.3))
+        a = ActionFunction(quadratic_twist(0.3))
         pts = interior_points(20, seed=5, rmax=0.85)
         for z in pts:
-            assert a.a0_along_polyline(complex(z)) == pytest.approx(a.a0(z), abs=1e-6)
+            assert a0_along_polyline(a, z) == pytest.approx(a.a0(z), abs=1e-6)
 
     def test_zero_boundary_average(self):
         bundle = conjugate(rotation(0.5), boundary_shear_conjugator(0.3), 0.4)
         mu = invariant_boundary_pair(bundle, 0.0)
-        a = action_function(bundle, mu=mu)
+        a = ActionFunction(bundle, mu=mu)
         assert a.mu.integrate(lambda x: np.ones_like(x)) == pytest.approx(1.0)
         vals = a(np.exp(2j * np.pi * mu.points))
         assert float(np.sum(mu.weights * vals)) == pytest.approx(0.0, abs=1e-8)
 
     def test_non_area_preserving_rejected(self, broken_bundle):
         with pytest.raises(NotAreaPreserving):
-            action_function(broken_bundle, mu=BoundaryMeasure(np.array([0.0]), np.array([1.0])))
+            ActionFunction(broken_bundle, mu=BoundaryMeasure(np.array([0.0]), np.array([1.0])))
 
 
 def invariant_boundary_pair(bundle, x0):
@@ -182,7 +205,7 @@ class TestCal1:
     def test_boundary_action_really_varies_in_mu_test(self):
         # guards the test above against becoming vacuous
         bundle = conjugate(rotation(0.5), boundary_shear_conjugator(0.3), 0.4)
-        a = action_function(bundle, mu=invariant_boundary_pair(bundle, 0.0))
+        a = ActionFunction(bundle, mu=invariant_boundary_pair(bundle, 0.0))
         profile = a.a0(np.exp(2j * np.pi * np.linspace(0, 1, 64, endpoint=False)))
         assert np.max(profile) - np.min(profile) > 1e-3
 
@@ -202,7 +225,7 @@ class TestCal1:
     def test_fubini_matches_polar_average_of_pointwise_primitive(self, bundle):
         # brute force: the pointwise radial primitive a0 averaged over a polar
         # product grid, against cal1's single radial rule per ray (Fubini)
-        a = action_function(bundle)
+        a = ActionFunction(bundle)
         res = cal1(bundle, mu=a.mu)
         r, w = composite_gauss_radii(64, bundle.isotopy.radial_breakpoints)
         units = np.exp(2j * np.pi * (np.arange(16) + 0.5) / 16)
@@ -216,18 +239,20 @@ class TestAngleFunction:
     def test_rotation_every_chord(self):
         bundle = rotation(0.3)
         for x, y in [(0.1 + 0j, 0.5j), (-0.7j, 0.2 + 0.2j)]:
-            assert angle_function(bundle, x, y) == pytest.approx(0.3, abs=1e-12)
+            assert winding(bundle, x, y) == pytest.approx(0.3, abs=1e-12)
 
     def test_identity_zero(self):
-        assert angle_function(identity(), 0.3 + 0j, -0.2j) == 0.0
+        assert winding(identity(), 0.3 + 0j, -0.2j) == 0.0
 
     def test_twist_origin_chord(self):
         bundle = quadratic_twist(0.3)
-        assert angle_function(bundle, 0j, 0.5 + 0j) == pytest.approx(0.45, abs=1e-9)
+        assert winding(bundle, 0j, 0.5 + 0j) == pytest.approx(0.45, abs=1e-9)
 
     def test_diagonal_guard(self):
-        with pytest.raises(ValueError):
-            angle_function(rotation(0.3), 0.1 + 0j, 0.1 + 1e-12j)
+        # a chord below the vector-norm threshold has no direction to wind
+        for y in (0.1 + 1e-13j, 0.1 + 0j):
+            with pytest.raises(StepTooCoarse):
+                winding(rotation(0.3), 0.1 + 0j, y)
 
     def test_cocycle_identity(self):
         f, g = quadratic_twist(0.3), rotation(0.2)
@@ -274,6 +299,14 @@ class TestCal2:
             # stratum (i, j) is the annulus pair k|x|^2 in [i, i+1], k|y|^2 in [j, j+1]
             assert np.all(np.abs(k * np.abs(x[sel]) ** 2 - (i + 0.5)) <= 0.5 + 1e-12)
             assert np.all(np.abs(k * np.abs(y[sel]) ** 2 - (j + 0.5)) <= 0.5 + 1e-12)
+
+    def test_a_standard_error_needs_two_pairs(self):
+        # one uniform pair reported stderr 0.0, so verify-link passed on the
+        # quadrature budget alone
+        for n in (0, 1):
+            with pytest.raises(ValueError, match="at least 2 pairs"):
+                PairSampler(n=n, seed=1)
+        assert cal2_tilde(rotation(0.3), PairSampler(n=2, seed=1)).n_pairs == 2
 
     def test_stratified_needs_two_pairs_per_stratum(self):
         # a stratum with one pair has no variance estimate: 64 stratified
@@ -462,7 +495,7 @@ class TestCmu:
         expected = 0.6 * (1 - r * r)
         for i in range(6):
             for j in range(i + 1, 6):
-                assert angle_function(bundle, pts[i], pts[j]) == pytest.approx(expected, abs=1e-9)
+                assert winding(bundle, pts[i], pts[j]) == pytest.approx(expected, abs=1e-9)
 
     def test_conjugation_invariance_on_exactly_invariant_atoms(self):
         # atoms on twist-invariant circles with rational per-circle winding
@@ -485,18 +518,27 @@ class TestCmu:
 
 class TestBirkhoff:
     def test_rotation_average(self):
-        assert birkhoff_angle(rotation(0.3), 0.2 + 0j, -0.4j, 10) == pytest.approx(0.3, abs=1e-12)
+        assert birkhoff(rotation(0.3), 0.2 + 0j, -0.4j, 10) == pytest.approx(0.3, abs=1e-12)
 
     def test_twist_invariant_circle(self):
-        val = birkhoff_angle(quadratic_twist(0.3), 0j, 0.5 + 0j, 20)
+        val = birkhoff(quadratic_twist(0.3), 0j, 0.5 + 0j, 20)
         assert val == pytest.approx(0.45, abs=1e-9)
 
     def test_identity_zero(self):
-        assert birkhoff_angle(identity(), 0.1 + 0j, 0.5j, 7) == 0.0
+        assert birkhoff(identity(), 0.1 + 0j, 0.5j, 7) == 0.0
 
-    def test_collision_guard(self):
-        with pytest.raises(OrbitCollision):
-            birkhoff_angle(identity(), 0.1 + 0j, 0.1 + 5e-10j, 5)
+    @pytest.mark.parametrize("f", [compose(quadratic_twist(0.3), rotation(0.2)),
+                                   conjugated_rotation(GOLDEN, off_center_conjugator(0.5), 0.5)],
+                             ids=["concatenated", "conjugated"])
+    def test_iterate_is_the_orbit_cocycle_sum(self, f):
+        # Ang_{f^n}(x, y) = sum_k Ang_f(f^k x, f^k y), summed along the orbit by hand
+        x0, y0 = np.array([0.2 + 0j, -0.3 + 0.1j]), np.array([-0.4j, 0.6 + 0.2j])
+        x, y, total = x0, y0, 0.0
+        for _ in range(6):
+            total = total + chord_windings(f.isotopy, x, y)[0]
+            x, y = f(x), f(y)
+        tree, _ = chord_windings(iterate(f, 6).isotopy, x0, y0)
+        assert np.max(np.abs(tree - total)) <= 1e-9
 
 
 class TestVerifyLink:

@@ -19,7 +19,7 @@ from diskcal.zoo import (
     rotation,
 )
 
-from conftest import encloses, translation
+from conftest import composed, encloses, translation
 
 GOLDEN = 0.6180339887498949
 
@@ -30,12 +30,12 @@ def sin_lift(a, b):
 
 class TestLifts:
     def test_identity_isotopy(self):
-        lift = lift_from_isotopy(rotation(0.0).isotopy, n_samples=256)
+        lift = lift_from_isotopy(rotation(0.0).isotopy)
         xs = np.linspace(0, 1, 17)
         assert np.max(np.abs(lift(xs) - xs)) < 1e-12
 
     def test_rigid_rotation(self):
-        lift = lift_from_isotopy(rotation(0.3).isotopy, n_samples=256)
+        lift = lift_from_isotopy(rotation(0.3).isotopy)
         xs = np.linspace(0, 1, 17)
         assert np.max(np.abs(lift(xs) - xs - 0.3)) < 1e-12
 
@@ -61,7 +61,7 @@ class TestLifts:
 
 class TestRotationNumber:
     def test_identity(self):
-        est = rotation_number(LiftedCircleMap.identity(), n=100)
+        est = rotation_number(translation(0.0), n=100)
         assert est.value == 0.0
         assert est.rigorous_halfwidth <= 0.01
 
@@ -148,7 +148,7 @@ class TestRotationNumber:
         n_iter = 5
         power = lift
         for _ in range(n_iter - 1):
-            power = lift.compose(power)
+            power = composed(lift, power)
         single = rotation_number(lift, n=4000)
         iterated = rotation_number(power, n=800)
         combined = n_iter * single.rigorous_halfwidth + iterated.rigorous_halfwidth
@@ -162,7 +162,7 @@ class TestRotationNumber:
             b1, b2 = rng.uniform(0, 0.12, 2)
             f, g = sin_lift(a1, b1), sin_lift(a2, b2)
             vals = (
-                rotation_number(f.compose(g), n=n).value,
+                rotation_number(composed(f, g), n=n).value,
                 rotation_number(f, n=n).value,
                 rotation_number(g, n=n).value,
             )

@@ -100,9 +100,11 @@ class TestCompute:
         ({"c_mu_points": 0}, 0.3),
         ({"strategy": "stratified", "pairs": 64}, 0.3),
         ({"grid": [16, 32]}, 0.3),
+        ({"pairs": 1}, 0.3),
+        ({"c_mu_points": 1}, 0.3),
     ], ids=["grid0", "rho_iterates0", "pairs0", "alpha_nan", "quad_budget_nan",
             "quad_budget_negative", "strategy_bogus", "workers_str", "seed_str", "c_mu_points0",
-            "stratified_pairs64", "grid_without_richardson"])
+            "stratified_pairs64", "grid_without_richardson", "pairs1", "c_mu_points1"])
     def test_degenerate_config_is_config_error(self, tmp_path, capsys, budgets, alpha):
         cfg_dict = {
             "map": {"family": "compose", "maps": [{"family": "quadratic_twist", "beta": 0.3},
@@ -147,12 +149,13 @@ class TestExperimentCommand:
         ("rigidity", {"alpha": float("nan")}),
         ("rigidity", {"tau": float("inf")}),
         ("c1-continuity", {"pairs": 0}),
+        ("c1-continuity", {"pairs": 1}),
         ("c1-continuity", {"scales": [0.01, float("nan")]}),
         ("c1-continuity", {"seed": -1}),
         ("c0-discontinuity", {"ns": [1]}),
         ("c0-discontinuity", {"ns": []}),
         ("c0-discontinuity", {"cal_budget": float("nan")}),
-    ], ids=["depth_str", "far_pairs_fraction", "alpha_nan", "tau_inf", "pairs0", "scale_nan",
+    ], ids=["depth_str", "far_pairs_fraction", "alpha_nan", "tau_inf", "pairs0", "pairs1", "scale_nan",
             "seed_negative", "ns1", "ns_empty", "cal_budget_nan"])
     def test_degenerate_parameters_are_config_errors(self, tmp_path, capsys, name, params):
         cfg = write_config(tmp_path, {"experiment": params})
@@ -205,11 +208,29 @@ class TestConfigShape:
         (["experiment", "c0-discontinuity"], {"experiment": {"nss": [2, 4]}}),
         (["experiment", "c0-discontinuity"], {"ns": [2, 4]}),
         (["experiment", "rigidity"], {"experiment": {"q_max": 2, "depth": 10, "qmax": 2}}),
+        # a conjugator and its time come together: either alone built rotation(0.3)
+        (["compute"], dict(BASE_CFG, compute=["cal3"], map={
+            "family": "conjugated_rotation", "alpha": 0.3,
+            "conjugator": {"type": "radial_twist", "coeffs": [0.3, -0.3]}})),
+        (["compute"], dict(BASE_CFG, compute=["cal3"], map={
+            "family": "conjugated_rotation", "alpha": 0.3, "tau": 0.5})),
+        # JSON booleans are not numbers: each of these read as 1 or 0
+        (["compute"], dict(BASE_CFG, budgets=dict(BASE_CFG["budgets"], pairs=True))),
+        (["compute"], dict(BASE_CFG, budgets=dict(BASE_CFG["budgets"], seed=False))),
+        (["compute"], dict(BASE_CFG, budgets=dict(BASE_CFG["budgets"], quad_budget=True))),
+        (["compute"], dict(BASE_CFG, compute=["cal3"], map={
+            "family": "iterate", "map": {"family": "rotation", "alpha": 0.1}, "n": True})),
+        (["compute"], dict(BASE_CFG, compute=["cal3"], map={"family": "rotation", "alpha": True})),
+        (["compute"], dict(BASE_CFG, compute=["cal3"], map={"family": "radial_twist",
+                                                            "coeffs": [True, -1.0]})),
+        (["experiment", "c0-discontinuity"], {"experiment": {"ns": [2], "cal_budget": True}}),
     ], ids=["compute_number", "compute_null", "experiment_number", "experiment_null",
             "budgets_list", "budgets_null", "compute_list_number", "conjugator_number",
             "compute_empty", "budgets_unknown_key", "compute_unknown_key", "map_unknown_key",
             "conjugator_unknown_key", "nested_map_unknown_key", "experiment_unknown_key",
-            "experiment_outside_its_object", "rigidity_unknown_key"])
+            "experiment_outside_its_object", "rigidity_unknown_key", "conjugator_without_tau",
+            "tau_without_conjugator", "pairs_true", "seed_false", "quad_budget_true",
+            "iterate_n_true", "alpha_true", "coeffs_true", "cal_budget_true"])
     def test_malformed_config_trees_are_config_errors(self, tmp_path, capsys, command, cfg):
         path = write_config(tmp_path, cfg)
         out = tmp_path / "x"

@@ -28,7 +28,6 @@ from diskcal.flow import (
     _windings_at,
     area_residual,
     chord_windings,
-    flow_jacobian_fd,
     position_windings,
 )
 from diskcal.geometry import TOL_BOUNDARY, TWO_PI, wirtinger_apply, wirtinger_det
@@ -351,6 +350,13 @@ def _complex_dop853(rhs, state, n_sub):
         assert np.all(r <= 1.0 + TOL_BOUNDARY)
         y[0] = np.where(r > 1.0, y[0] / r, y[0])
     return y
+
+
+def flow_jacobian_fd(isotopy, t, z):
+    """Central-difference Wirtinger pair ``(p, q)`` of the flow map ``f_t`` at one point ``z``."""
+    ar, ai, br, bi = central_vector_wirtinger(lambda u, v: _rows(isotopy.flow(t, u + 1j * v)),
+                                              np.array([z.real]), np.array([z.imag]))
+    return complex(ar[0] + 1j * ai[0]), complex(br[0] + 1j * bi[0])
 
 
 def _matrix(p, q):
