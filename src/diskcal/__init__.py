@@ -25,13 +25,11 @@ from .calabi import (
     CalabiReport,
     Cal1Result,
     Cal2Result,
-    DiskMeasure,
     PairSampler,
     c_mu_tilde,
     cal1,
     cal2_tilde,
     cal3_tilde,
-    uniform_disk_measure,
     verify_link,
 )
 from .circle import (

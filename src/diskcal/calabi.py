@@ -271,6 +271,8 @@ class PairSampler:
     strategy: str = "uniform"
 
     def __post_init__(self):
+        if self.strategy not in STRATEGIES:
+            raise ValueError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
         need = 2 * N_STRATA**2 if self.strategy == "stratified" else 2
         if self.n < need:
             raise ValueError(f"{self.strategy} sampling needs at least {need} pairs, got {self.n}")
@@ -303,8 +305,6 @@ class PairSampler:
             x, y = self._draw_uniform(rng, self.n)
             x, y, resampled = self._separate(rng, self._draw_uniform, x, y)
             return x, y, None, None, resampled
-        if self.strategy != "stratified":
-            raise ValueError(f"unknown strategy {self.strategy!r}")
         cells = [(i, j) for i in range(N_STRATA) for j in range(N_STRATA)]
         counts = self._cell_counts()
         xs, ys, slices = [], [], []
@@ -438,43 +438,25 @@ def _cal3_leaf(field, grid) -> float:
 
 
 # ---------------------------------------------------------------------------
-# the measure-weighted double sum
+# the double sum over a point sample
 
 
-@dataclass(frozen=True)
-class DiskMeasure:
-    """Weighted points of the disk approximating an invariant probability measure."""
+def c_mu_tilde(bundle: MapBundle, points) -> float:
+    """Double sum of the chord winding over distinct pairs of the n ``points``.
 
-    points: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        if abs(float(np.sum(self.weights)) - 1.0) > 1e-12:
-            raise ValueError("weights must sum to 1")
-
-
-def uniform_disk_measure(n: int, seed: int) -> DiskMeasure:
-    rng = np.random.default_rng(seed)
-    return DiskMeasure(points=uniform_disk_points(n, rng), weights=np.full(n, 1.0 / n))
-
-
-def c_mu_tilde(bundle: MapBundle, measure: DiskMeasure) -> float:
-    """Weighted double sum of the chord winding over distinct point pairs.
-
-    Coincident pairs (separation below 1e-12) are skipped; for an atomless
-    measure approximation they carry no mass.
+    The points are the n equal atoms of a measure, so each pair weighs
+    ``1/n^2``.  Coincident pairs (separation below 1e-12) are skipped; for an
+    atomless measure approximation they carry no mass.
     """
-    pts, wts = measure.points, measure.weights
-    n = pts.size
+    n = points.size
     if n < 2:
         return 0.0
     ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     off = ii != jj
-    x, y = pts[ii[off]], pts[jj[off]]
-    wp = (wts[ii[off]] * wts[jj[off]])
+    x, y = points[ii[off]], points[jj[off]]
     keep = np.abs(x - y) >= 1e-12
     vals, _ = chord_windings(bundle.isotopy, x[keep], y[keep])
-    return float(np.sum(wp[keep] * vals))
+    return float(np.sum(((1.0 / n) * (1.0 / n)) * vals))
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +505,6 @@ def verify_link(
     rho_iterates: int = 100_000,
     quad_budget: float = 1e-4,
     strategy: str = "uniform",
-    workers: int = 1,
 ) -> CalabiReport:
     """Compute cal1, cal2, cal3 and the rotation number; check both identities.
 
@@ -535,7 +516,7 @@ def verify_link(
     rho = rotation_number(lift, n=rho_iterates)
     mu = invariant_measure(lift)
     c1 = cal1(bundle, mu=mu, grid=grid)
-    c2 = cal2_tilde(bundle, PairSampler(n=pairs, seed=seed, strategy=strategy), workers=workers)
+    c2 = cal2_tilde(bundle, PairSampler(n=pairs, seed=seed, strategy=strategy))
     c3 = cal3_tilde(bundle, grid=grid)
     budget = 3.0 * c2.stderr + quad_budget
     residual_link = abs(c2.value - c1.value - rho.value)
@@ -564,7 +545,7 @@ def verify_link(
             "grid_r": grid[0],
             "grid_theta": grid[1],
             "strategy": strategy,
-            "workers": workers,
+            "workers": 1,  # one vectorized evaluation; the CLI records its --workers here
             "mu_periodic": mu.periodic,
         },
     )

@@ -15,13 +15,14 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
+from functools import partial
 from pathlib import Path
+
+import numpy as np
 
 from . import arithmetic
 from .calabi import (
-    STRATEGIES,
     CalabiReport,
     PairSampler,
     c_mu_tilde,
@@ -29,22 +30,46 @@ from .calabi import (
     cal2_tilde,
     cal3_tilde,
     richardson_grid,
-    uniform_disk_measure,
     verify_link,
 )
 from .circle import rotation_number
 from .errors import ConfigError, DiskcalError
 from .experiments import exp_c0_discontinuity, exp_c1_continuity, exp_rigidity
-from .zoo import _count, _known_keys, from_spec
+from .geometry import uniform_disk_points
+from .zoo import config_number, entries, from_spec, read_object
 
-EXPERIMENT_PARAMS = {  # the keys each experiment reads besides seed and workers
-    "c1-continuity": ("scales", "pairs"),
-    "c0-discontinuity": ("ns", "cal_budget"),
-    "rigidity": ("alpha", "depth", "tau", "q_max", "far_pairs"),
+COUNT = partial(config_number, minimum=1, integer=True)
+COUNT2 = partial(config_number, minimum=2, integer=True)  # a standard error needs two samples; bump(n) n >= 2
+NONNEGATIVE = partial(config_number, minimum=0.0)
+
+BUDGETS = {  # key -> (rule, default) of a compute config's budgets
+    "seed": (partial(config_number, minimum=0, integer=True), None),
+    "workers": (COUNT, 1),  # recorded as diag_workers; it has no effect
+    "pairs": (COUNT2, 20_000),
+    "grid": (entries(COUNT, length=2), (128, 256)),
+    "rho_iterates": (COUNT, 100_000),
+    "c_mu_points": (COUNT2, 300),
+    "strategy": (lambda value, what: value, "uniform"),  # PairSampler checks it
+    "quad_budget": (NONNEGATIVE, 1e-4),
 }
-EXPERIMENTS = tuple(EXPERIMENT_PARAMS)
+# the budgets an experiment object, and the --seed and --workers flags, set too
+RUN_RULES = {key: BUDGETS[key][0] for key in ("seed", "workers")}
+COMPUTE_CONFIG = {  # key -> rule of a compute config; the map is built once the rest is read
+    "map": lambda spec, what: spec,
+    "compute": entries(lambda name, what: name),
+    "budgets": lambda obj, what: read_object(obj, {k: rule for k, (rule, _) in BUDGETS.items()}, what),
+}
 COMPUTATIONS = ("cal1", "cal2", "cal3", "rho", "verify-link", "c-mu")
-BUDGETS = ("seed", "workers", "pairs", "grid", "rho_iterates", "c_mu_points", "strategy", "quad_budget")
+# experiment -> (runner of (params, seed), the rule of each key besides seed and workers)
+EXPERIMENT_PARAMS = {
+    "c1-continuity": (lambda p, seed: exp_c1_continuity(**p, seed=seed),
+                      {"scales": entries(config_number), "pairs": COUNT2}),
+    "c0-discontinuity": (lambda p, seed: exp_c0_discontinuity(**p),
+                         {"ns": entries(COUNT2), "cal_budget": NONNEGATIVE}),
+    "rigidity": (lambda p, seed: exp_rigidity(**p, seed=seed),
+                 {"alpha": config_number, "depth": COUNT, "tau": config_number, "q_max": COUNT,
+                  "far_pairs": COUNT}),
+}
 
 
 def _load_config(path: str) -> dict:
@@ -55,13 +80,7 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    return _object(cfg, "config")
-
-
-def _object(value, what: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{what} must be an object, got {value!r}")
-    return value
+    return cfg
 
 
 def _json_text(obj) -> str:
@@ -92,96 +111,58 @@ def _write_outputs(out_dir: str, stem: str, json_obj, csv_text: str, fmt: str):
     return written
 
 
-def _budget(cfg: dict, key: str, default):
-    return _known_keys(_object(cfg.get("budgets", {}), "budgets"), BUDGETS, "budgets").get(key, default)
-
-
-def _real(value, what: str, minimum: float = -math.inf) -> float:
-    """A parameter that must be a finite number (not a boolean) of at least ``minimum``."""
-    try:
-        out = math.nan if isinstance(value, bool) else float(value)
-    except (TypeError, ValueError, OverflowError):
-        out = math.nan
-    if not (math.isfinite(out) and out >= minimum):
-        bound = f" >= {minimum}" if math.isfinite(minimum) else ""
-        raise ConfigError(f"{what} must be a finite number{bound}, got {value!r}")
-    return out
-
-
-def _entries(value, what: str, check) -> list:
-    """A non-empty list whose entries each pass ``check(entry, what)``."""
-    if not isinstance(value, (list, tuple)) or not value:
-        raise ConfigError(f"{what} must be a non-empty list, got {value!r}")
-    return [check(v, f"{what} entry") for v in value]
-
-
-def cmd_compute(cfg: dict, out_dir: str, fmt: str, seed_override, workers_override) -> int:
-    _known_keys(cfg, ("map", "compute", "budgets"), "compute config")
-    if "map" not in cfg:
-        raise ConfigError("compute config needs a 'map' entry")
-    wanted = _entries(cfg.get("compute", ["verify-link"]), "compute", lambda w, what: w)
+def cmd_compute(cfg: dict, out_dir: str, fmt: str, overrides: dict) -> int:
+    cfg = read_object(cfg, COMPUTE_CONFIG, "compute config")
+    wanted = cfg.get("compute", ["verify-link"])
     unknown = [w for w in wanted if w not in COMPUTATIONS]
     if unknown:
         raise ConfigError(f"unknown computations: {unknown}")
-    seed = seed_override if seed_override is not None else _budget(cfg, "seed", None)
-    needs_seed = any(w in wanted for w in ("cal2", "verify-link", "c-mu"))
-    if needs_seed and seed is None:
-        raise ConfigError("a seed is mandatory for Monte-Carlo computations")
-    seed = _count(seed, "seed", minimum=0) if seed is not None else 0
-    workers = _count(workers_override if workers_override is not None else _budget(cfg, "workers", 1),
-                     "workers")
-    pairs = _count(_budget(cfg, "pairs", 20_000), "pairs", 2)
-    grid = _budget(cfg, "grid", (128, 256))
-    if not isinstance(grid, (list, tuple)) or len(grid) != 2:
-        raise ConfigError(f"grid must be a pair [radial, angular], got {grid!r}")
-    grid = tuple(_count(v, "grid entry") for v in grid)
-    if "verify-link" in wanted or "cal1" in wanted:
-        try:
-            richardson_grid(grid)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    rho_iterates = _count(_budget(cfg, "rho_iterates", 100_000), "rho_iterates")
-    c_mu_points = _count(_budget(cfg, "c_mu_points", 300), "c_mu_points", 2)
-    strategy = _budget(cfg, "strategy", "uniform")
-    if strategy not in STRATEGIES:
-        raise ConfigError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
+    given = {**cfg.get("budgets", {}), **overrides}
+    budgets = {key: given.get(key, default) for key, (_, default) in BUDGETS.items()}
+    if budgets["seed"] is None:
+        if any(w in wanted for w in ("cal2", "verify-link", "c-mu")):
+            raise ConfigError("a seed is mandatory for Monte-Carlo computations")
+        budgets["seed"] = 0
+    seed, grid = budgets["seed"], tuple(budgets["grid"])
     try:
-        PairSampler(n=pairs, seed=seed, strategy=strategy)
+        if "verify-link" in wanted or "cal1" in wanted:
+            richardson_grid(grid)
+        sampler = PairSampler(n=budgets["pairs"], seed=seed, strategy=budgets["strategy"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    quad_budget = _real(_budget(cfg, "quad_budget", 1e-4), "quad_budget", 0.0)
 
     bundle = from_spec(cfg["map"])
 
     if "verify-link" in wanted:
         report = verify_link(
-            bundle, pairs=pairs, seed=seed, grid=grid, rho_iterates=rho_iterates,
-            quad_budget=quad_budget, strategy=strategy, workers=workers,
+            bundle, pairs=budgets["pairs"], seed=seed, grid=grid, rho_iterates=budgets["rho_iterates"],
+            quad_budget=budgets["quad_budget"], strategy=budgets["strategy"],
         )
     else:
         report = CalabiReport(map_name=bundle.name)
-        report.diagnostics.update({"seed": seed, "workers": workers})
+        report.diagnostics["seed"] = seed
         if "cal1" in wanted:
             res = cal1(bundle, grid=grid)
             report.cal1 = res.value
             report.cal1_richardson = res.richardson_delta
         if "cal2" in wanted:
-            res2 = cal2_tilde(bundle, PairSampler(n=pairs, seed=seed, strategy=strategy), workers=workers)
+            res2 = cal2_tilde(bundle, sampler)
             report.cal2 = res2.value
             report.cal2_stderr = res2.stderr
             report.diagnostics["n_pairs"] = res2.n_pairs
         if "cal3" in wanted:
             report.cal3 = cal3_tilde(bundle, grid=grid)
         if "rho" in wanted:
-            est = rotation_number(bundle.boundary_lift(), n=rho_iterates)
+            est = rotation_number(bundle.boundary_lift(), n=budgets["rho_iterates"])
             report.rho = est.value
             report.rho_halfwidth = est.rigorous_halfwidth
             report.rho_iterates = est.iterates_used
+    report.diagnostics["workers"] = budgets["workers"]
 
     if "c-mu" in wanted:
-        measure = uniform_disk_measure(c_mu_points, seed + 17)
-        report.diagnostics["c_mu"] = c_mu_tilde(bundle, measure)
-        report.diagnostics["c_mu_points"] = c_mu_points
+        points = uniform_disk_points(budgets["c_mu_points"], np.random.default_rng(seed + 17))
+        report.diagnostics["c_mu"] = c_mu_tilde(bundle, points)
+        report.diagnostics["c_mu_points"] = budgets["c_mu_points"]
 
     flat = report.to_flat_dict()
     written = _write_outputs(out_dir, "report", flat, _csv_text(list(flat), [flat]), fmt)
@@ -189,36 +170,17 @@ def cmd_compute(cfg: dict, out_dir: str, fmt: str, seed_override, workers_overri
     return 0
 
 
-def cmd_experiment(name: str, cfg: dict, out_dir: str, fmt: str, seed_override, workers_override) -> int:
-    if name not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {name!r}; choose from {EXPERIMENTS}")
-    _known_keys(cfg, ("experiment",), "experiment config")
-    params = _known_keys(_object(cfg.get("experiment", {}), "experiment"),
-                         (*EXPERIMENT_PARAMS[name], "seed", "workers"), f"experiment {name!r}")
-    seed = _count(seed_override if seed_override is not None else params.get("seed", 7), "seed", 0)
-    workers = _count(workers_override if workers_override is not None else params.get("workers", 1),
-                     "workers")
-    if name == "c1-continuity":
-        result = exp_c1_continuity(
-            _entries(params.get("scales", [0.04, 0.02, 0.01, 0.005]), "scales", _real),
-            pairs=_count(params.get("pairs", 4000), "pairs", 2),
-            seed=seed,
-            workers=workers,
-        )
-    elif name == "c0-discontinuity":
-        result = exp_c0_discontinuity(
-            _entries(params.get("ns", [2, 4, 8, 16]), "ns", lambda v, what: _count(v, what, 2)),
-            cal_budget=_real(params.get("cal_budget", 1e-3), "cal_budget", 0.0),
-        )
-    else:
-        result = exp_rigidity(
-            _real(params.get("alpha", 0.6180339887498949), "alpha"),
-            depth=_count(params.get("depth", 12), "depth"),
-            tau=_real(params.get("tau", 0.5), "tau"),
-            q_max=_count(params.get("q_max", 200), "q_max"),
-            far_pairs=_count(params.get("far_pairs", 1000), "far_pairs"),
-            seed=seed,
-        )
+def cmd_experiment(name: str, cfg: dict, out_dir: str, fmt: str, overrides: dict) -> int:
+    if name not in EXPERIMENT_PARAMS:
+        raise ConfigError(f"unknown experiment {name!r}; choose from {tuple(EXPERIMENT_PARAMS)}")
+    run, rules = EXPERIMENT_PARAMS[name]
+    schema = {**rules, **RUN_RULES}
+    cfg = read_object(cfg, {"experiment": lambda obj, what: read_object(obj, schema, f"experiment {name!r}")},
+                      "experiment config")
+    params = {**cfg.get("experiment", {}), **overrides}
+    seed = params.pop("seed", 7)
+    params.pop("workers", None)  # read, and without effect
+    result = run(params, seed)
     rows = [{c: str(v).lower() if isinstance(v, bool) else v for c, v in row.items()} for row in result.rows]
     written = _write_outputs(out_dir, name, result.to_json_dict(), _csv_text(result.columns, rows), fmt)
     print(f"experiment {name}: {'PASS' if result.passed else 'FAIL'}; " + ", ".join(written))
@@ -228,16 +190,16 @@ def cmd_experiment(name: str, cfg: dict, out_dir: str, fmt: str, seed_override, 
 def cmd_cf(args, out_dir: str, fmt: str) -> int:
     if args.alpha is None and args.quotients is None and args.synthetic is None:
         raise ConfigError("cf needs --alpha, --quotients, or --synthetic")
-    depth = _count(args.depth, "depth")
+    depth = COUNT(args.depth, "depth")
     if args.alpha is not None:
-        cf = arithmetic.continued_fraction(_real(args.alpha, "alpha"), depth)
+        cf = arithmetic.continued_fraction(config_number(args.alpha, "alpha"), depth)
         source = f"alpha={args.alpha}"
     elif args.quotients is not None:
         try:
             a = [int(v) for v in args.quotients.split(",")]
         except ValueError:
             raise ConfigError(f"quotients must be comma-separated integers, got {args.quotients!r}") from None
-        cf = arithmetic.from_quotients(a[:1] + [_count(v, "partial quotient") for v in a[1:]])
+        cf = arithmetic.from_quotients(a[:1] + [COUNT(v, "partial quotient") for v in a[1:]])
         source = "quotients"
     elif args.synthetic == "non-bruno":
         cf = arithmetic.synthetic_non_bruno(depth)
@@ -289,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute.add_argument("--config", required=True)
 
     p_exp = sub.add_parser("experiment", help="run a named batch experiment")
-    p_exp.add_argument("name", choices=EXPERIMENTS)
+    p_exp.add_argument("name", choices=tuple(EXPERIMENT_PARAMS))
     p_exp.add_argument("--config", default=None)
 
     p_cf = sub.add_parser("cf", help="continued-fraction table of a number")
@@ -303,12 +265,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        flags = {key: getattr(args, key) for key in RUN_RULES if getattr(args, key) is not None}
+        overrides = read_object(flags, RUN_RULES, "command line")
         if args.command == "compute":
             cfg = _load_config(args.config)
-            return cmd_compute(cfg, args.out, args.format, args.seed, args.workers)
+            return cmd_compute(cfg, args.out, args.format, overrides)
         if args.command == "experiment":
             cfg = _load_config(args.config) if args.config else {}
-            return cmd_experiment(args.name, cfg, args.out, args.format, args.seed, args.workers)
+            return cmd_experiment(args.name, cfg, args.out, args.format, overrides)
         if args.command == "cf":
             return cmd_cf(args, args.out, args.format)
         raise ConfigError(f"unknown command {args.command!r}")

@@ -84,12 +84,11 @@ class ExperimentResult:
 
 
 def exp_c1_continuity(
-    scales,
+    scales=(0.04, 0.02, 0.01, 0.005),
     *,
     pairs: int = 4000,
     seed: int = 7,
     grid=D_GRID,
-    workers: int = 1,
 ) -> ExperimentResult:
     """Scaled twists tau*H (H the ``C1_TWIST`` profile) against the bound sqrt(2 eps)/pi.
 
@@ -108,7 +107,7 @@ def exp_c1_continuity(
         eps = sup_distance_to_identity(bundle, order=1, grid=grid, include_lift=True)
         if eps > 0.5:
             raise ScaleTooLarge(f"measured d1 = {eps:.3f} > 1/2 at tau = {tau}")
-        c2 = cal2_tilde(bundle, PairSampler(n=pairs, seed=seed), workers=workers)
+        c2 = cal2_tilde(bundle, PairSampler(n=pairs, seed=seed))
         c3 = cal3_tilde(bundle)
         bound = np.sqrt(2.0 * eps) / np.pi + 3.0 * c2.stderr
         rows.append({
@@ -124,7 +123,7 @@ def exp_c1_continuity(
 # C0 discontinuity: constant invariant on shrinking supports
 
 
-def exp_c0_discontinuity(ns, *, grid=(128, 256), cal_budget: float = 1e-3) -> ExperimentResult:
+def exp_c0_discontinuity(ns=(2, 4, 8, 16), *, grid=(128, 256), cal_budget: float = 1e-3) -> ExperimentResult:
     """Bump maps: invariant pinned at 2/pi while displacement shrinks like 2/n.
 
     PASS requires every invariant within ``cal_budget`` of 2/pi, every measured
@@ -174,7 +173,7 @@ def _far_pairs(rng, count: int, min_sep: float):
 
 
 def exp_rigidity(
-    alpha: float,
+    alpha: float = 0.6180339887498949,
     depth: int = 12,
     conjugator=None,
     tau: float = 0.5,
@@ -185,7 +184,8 @@ def exp_rigidity(
     d_grid=(192, 256),
     seed: int = 3,
 ) -> ExperimentResult:
-    """Iterates of a conjugated rotation along approximation denominators.
+    """Iterates of a conjugated rotation (by default of the golden rotation
+    number (sqrt 5 - 1)/2) along approximation denominators.
 
     For each denominator q the iterate is ``iterate(base, q)``, the conjugate
     of the rotation by q*alpha on the base map's conjugator pair (``h^-1`` is

@@ -623,17 +623,9 @@ class MapBundle:
         return self._lift
 
 
-def _as_isotopy(obj) -> Isotopy:
-    if isinstance(obj, MapBundle):
-        return obj.isotopy
-    if isinstance(obj, Isotopy):
-        return obj
-    raise TypeError(f"expected a bundle or isotopy, got {type(obj)!r}")
-
-
-def area_residual(bundle, seed: int = 0) -> float:
+def area_residual(bundle: MapBundle, seed: int = 0) -> float:
     """max over ``AREA_PROBES`` sampled points of |det(Df_1) - 1|."""
     rng = np.random.default_rng(seed)
     pts = uniform_disk_points(AREA_PROBES, rng) * 0.999
-    _, p, q = _as_isotopy(bundle).flow_wirtinger(1.0, pts)
+    _, p, q = bundle.isotopy.flow_wirtinger(1.0, pts)
     return float(np.max(np.abs(wirtinger_det(p, q) - 1.0)))

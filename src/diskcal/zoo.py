@@ -11,6 +11,9 @@ irrational pseudo-rotations: same rotation number, zero action average).
 
 from __future__ import annotations
 
+import functools
+import math
+
 import numpy as np
 from numpy.polynomial import Polynomial
 
@@ -266,105 +269,123 @@ def identity() -> MapBundle:
 
 
 # ---------------------------------------------------------------------------
-# serialization from configuration trees
+# reading configuration trees
+#
+# A rule ``rule(value, what)`` returns the value it reads or raises a
+# ConfigError that names ``what``.  Every object of the CLI's config tree is
+# read by ``read_object`` against a schema that lists each of its keys once,
+# with that key's rule.
 
 
-def _count(value, what: str, minimum=1) -> int:
-    """A parameter that must be an integer of at least ``minimum``.
+class ConfigObject(dict):
+    """The keys a config object holds, each read by its rule.  Indexing a key
+    the object does not hold is a ConfigError that names it, so a builder
+    indexes the keys it needs and passes the optional ones on with ``**``."""
 
-    One rule for map counts and CLI budgets: a non-integral number, a string
-    or a boolean is a ConfigError, never truncated or read as 0/1.
-    """
+    def __init__(self, items, what: str):
+        super().__init__(items)
+        self.what = what
+
+    def __missing__(self, key):
+        raise ConfigError(f"{self.what} needs a value for {key!r}")
+
+
+def config_number(value, what: str, minimum=-math.inf, integer=False):
+    """The one number rule of the config tree: a JSON int or float, never a
+    boolean or a string, finite and at least ``minimum``.  A count
+    (``integer``) is also integral and below 2^53 in size, where every
+    integer is exactly a float; it is returned as an int, a parameter as a float."""
     try:
-        if not isinstance(value, bool) and int(value) == value and int(value) >= minimum:
-            return int(value)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    bound = f" >= {minimum}" if np.isfinite(minimum) else ""
-    raise ConfigError(f"{what} must be an integer{bound}, got {value!r}")
+        number = float(value) if isinstance(value, (int, float)) and not isinstance(value, bool) else math.nan
+    except OverflowError:  # an integer beyond the float range
+        number = math.nan
+    ok = math.isfinite(number) and number >= minimum
+    if integer:
+        ok = ok and number.is_integer() and abs(number) < 2.0**53
+    if not ok:
+        bound = f" >= {minimum}" if math.isfinite(minimum) else ""
+        kind = f"an integer{bound} and below 2^53 in size" if integer else f"a finite number{bound}"
+        raise ConfigError(f"{what} must be {kind}, got {value!r}")
+    return int(number) if integer else number
 
 
-def _known_keys(obj: dict, allowed, what: str) -> dict:
-    """``obj`` when it holds only keys from ``allowed``; a stray key is a
-    ConfigError that names it.  One rule for every object of a config tree."""
-    unknown = sorted(set(obj) - set(allowed))
+def entries(rule, length=None):
+    """The rule of a non-empty list (of exactly ``length`` entries when given)
+    whose entries each follow ``rule``."""
+
+    def read(value, what: str) -> list:
+        if not isinstance(value, (list, tuple)) or not value or length not in (None, len(value)):
+            size = f"list of {length} entries" if length else "non-empty list"
+            raise ConfigError(f"{what} must be a {size}, got {value!r}")
+        return [rule(v, f"{what} entry") for v in value]
+
+    return read
+
+
+def read_object(obj, schema: dict, what: str) -> ConfigObject:
+    """The keys of the object ``obj``, each read by its rule in ``schema``.
+    A non-object, or a key the schema does not list, is a ConfigError."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{what} must be an object, got {obj!r}")
+    unknown = sorted(set(obj) - set(schema))
     if unknown:
-        raise ConfigError(f"{what} has unknown keys {unknown}; it reads {tuple(allowed)}")
-    return obj
+        raise ConfigError(f"{what} has unknown keys {unknown}; it reads {tuple(schema)}")
+    read = ((key, rule(obj[key], f"{what} {key}")) for key, rule in schema.items() if key in obj)
+    return ConfigObject(read, what)
 
 
-def _finite(value):
-    """A map parameter as float (or float array); booleans, NaN and infinities are rejected."""
-    out = np.asarray(value, dtype=float)
-    booleans = any(isinstance(v, bool) for v in np.ravel(np.asarray(value, dtype=object)))
-    if booleans or not np.all(np.isfinite(out)):
-        raise ConfigError(f"map parameters must be finite numbers, got {value!r}")
-    return float(out) if out.ndim == 0 else out
+def _build(spec, table: dict, tag: str, what: str):
+    """What ``spec`` describes: ``spec[tag]`` names a ``(builder, schema)``
+    entry of ``table``, and the builder takes the other keys as read by the schema."""
+    kind = spec.get(tag) if isinstance(spec, dict) else None
+    if not isinstance(kind, str) or kind not in table:
+        raise ConfigError(f"{what} must be an object whose {tag!r} is one of {tuple(table)}, got {spec!r}")
+    builder, schema = table[kind]
+    return builder(read_object({k: v for k, v in spec.items() if k != tag}, schema, f"{what} {kind!r}"))
 
 
-def _build_conjugator(spec: dict) -> HamiltonianField:
-    if not isinstance(spec, dict):
-        raise ConfigError(f"conjugator must be an object with a 'type' key, got {spec!r}")
-    kind = spec.get("type")
-    if kind == "off_center":
-        _known_keys(spec, ("type", "beta"), "off_center conjugator")
-        return off_center_conjugator(_finite(spec.get("beta", 0.5)))
-    if kind == "radial_twist":
-        _known_keys(spec, ("type", "coeffs"), "radial_twist conjugator")
-        return radial_twist(_finite(spec["coeffs"])).field
-    raise ConfigError(f"unknown conjugator type: {kind!r}")
+def _conjugated_rotation(p: ConfigObject) -> MapBundle:
+    if ("conjugator" in p) != ("tau" in p):
+        raise ConfigError("conjugated_rotation takes a 'conjugator' and its 'tau' together")
+    return conjugated_rotation(p["alpha"], p.get("conjugator"), p.get("tau", 0.0))
 
 
-FAMILY_PARAMS = {  # the keys each family of a map spec reads besides "family"
-    "identity": (),
-    "rotation": ("alpha",),
-    "radial_twist": ("coeffs",),
-    "quadratic_twist": ("beta",),
-    "bump": ("n",),
-    "conjugated_rotation": ("alpha", "conjugator", "tau"),
-    "compose": ("maps",),
-    "iterate": ("map", "n"),
-    "inverse": ("map",),
+def _composed(p: ConfigObject) -> MapBundle:
+    if len(p["maps"]) < 2:
+        raise ConfigError("compose needs at least two maps")
+    return functools.reduce(compose, p["maps"])
+
+
+def _map(spec, what: str) -> MapBundle:
+    """The rule of a nested map spec."""
+    return from_spec(spec)
+
+
+# The builders reach the family functions through the module globals, where
+# a caller may have rebound them.
+CONJUGATORS = {  # conjugator type -> (builder, the rule of each key besides "type")
+    "off_center": (lambda p: off_center_conjugator(**p), {"beta": config_number}),
+    "radial_twist": (lambda p: radial_twist(p["coeffs"]).field, {"coeffs": entries(config_number)}),
+}
+
+FAMILIES = {  # family -> (builder, the rule of each key besides "family")
+    "identity": (lambda p: identity(), {}),
+    "rotation": (lambda p: rotation(p["alpha"]), {"alpha": config_number}),
+    "radial_twist": (lambda p: radial_twist(p["coeffs"]), {"coeffs": entries(config_number)}),
+    "quadratic_twist": (lambda p: quadratic_twist(p["beta"]), {"beta": config_number}),
+    "bump": (lambda p: bump(p["n"]), {"n": functools.partial(config_number, minimum=2, integer=True)}),
+    "conjugated_rotation": (_conjugated_rotation, {
+        "alpha": config_number,
+        "conjugator": lambda spec, what: _build(spec, CONJUGATORS, "type", what),
+        "tau": config_number,
+    }),
+    "compose": (_composed, {"maps": entries(_map)}),
+    "iterate": (lambda p: iterate(p["map"], p["n"]),
+                {"map": _map, "n": functools.partial(config_number, integer=True)}),
+    "inverse": (lambda p: inverse(p["map"]), {"map": _map}),
 }
 
 
 def from_spec(spec: dict) -> MapBundle:
     """Build a bundle from a nested family description (the CLI map tree)."""
-    if not isinstance(spec, dict) or "family" not in spec:
-        raise ConfigError("map spec must be an object with a 'family' key")
-    fam = spec["family"]
-    if not isinstance(fam, str) or fam not in FAMILY_PARAMS:
-        raise ConfigError(f"unknown family: {fam!r}")
-    _known_keys(spec, ("family", *FAMILY_PARAMS[fam]), f"family {fam!r}")
-    try:
-        if fam == "identity":
-            return identity()
-        if fam == "rotation":
-            return rotation(_finite(spec["alpha"]))
-        if fam == "radial_twist":
-            return radial_twist(_finite(spec["coeffs"]))
-        if fam == "quadratic_twist":
-            return quadratic_twist(_finite(spec["beta"]))
-        if fam == "bump":
-            return bump(_count(spec["n"], "bump n", minimum=2))
-        if fam == "conjugated_rotation":
-            if ("conjugator" in spec) != ("tau" in spec):
-                raise ConfigError("conjugated_rotation takes a 'conjugator' and its 'tau' together")
-            conj = _build_conjugator(spec["conjugator"]) if "conjugator" in spec else None
-            return conjugated_rotation(_finite(spec["alpha"]), conj, _finite(spec.get("tau", 0.0)))
-        if fam == "compose":
-            maps = [from_spec(m) for m in spec["maps"]]
-            if len(maps) < 2:
-                raise ConfigError("compose needs at least two maps")
-            out = maps[-1]
-            for m in maps[:-1][::-1]:
-                out = compose(m, out)
-            return out
-        if fam == "iterate":
-            return iterate(from_spec(spec["map"]), _count(spec["n"], "iterate n", minimum=-np.inf))
-        if fam == "inverse":
-            return inverse(from_spec(spec["map"]))
-    except KeyError as exc:
-        raise ConfigError(f"family {fam!r} is missing parameter {exc}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"bad parameters for family {fam!r}: {exc}") from exc
+    return _build(spec, FAMILIES, "family", "map")

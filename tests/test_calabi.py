@@ -6,7 +6,6 @@ from diskcal import calabi
 from diskcal.calabi import (
     N_STRATA,
     ActionFunction,
-    DiskMeasure,
     PairSampler,
     c_mu_tilde,
     cal1,
@@ -15,13 +14,13 @@ from diskcal.calabi import (
     composite_gauss_radii,
     gauss_legendre,
     spectral_interp_average,
-    uniform_disk_measure,
     verify_link,
 )
 from diskcal.circle import BoundaryMeasure
 from diskcal.errors import BoundaryNotConstant, NotAreaPreserving, StepTooCoarse
 from diskcal.fields import HamiltonianField
 from diskcal.flow import ConjugatorPair, FieldIsotopy, MapBundle, chord_windings
+from diskcal.geometry import uniform_disk_points
 from diskcal.zoo import (
     boundary_shear_conjugator,
     bump,
@@ -479,14 +478,13 @@ class TestQuadratureCache:
 
 class TestCmu:
     def test_lebesgue_sample_matches_rotation(self):
-        measure = uniform_disk_measure(200, seed=5)
-        val = c_mu_tilde(rotation(0.3), measure)
+        points = uniform_disk_points(200, np.random.default_rng(5))
+        val = c_mu_tilde(rotation(0.3), points)
         # diagonal pairs are skipped: the plain double sum carries 1 - 1/N mass
         assert val == pytest.approx(0.3 * (1 - 1.0 / 200), abs=1e-9)
 
     def test_single_point_measure_degenerate(self):
-        measure = DiskMeasure(points=np.array([0.2 + 0j]), weights=np.array([1.0]))
-        assert c_mu_tilde(rotation(0.3), measure) == 0.0
+        assert c_mu_tilde(rotation(0.3), np.array([0.2 + 0j])) == 0.0
 
     def test_invariant_circle_windings_constant(self):
         bundle = quadratic_twist(0.3)
@@ -507,12 +505,10 @@ class TestCmu:
             r_a * np.exp(2j * np.pi * (0.13 + np.arange(3) / 3.0)),
             r_b * np.exp(2j * np.pi * (0.71 + np.arange(2) / 2.0)),
         ])
-        wts = np.array([0.2, 0.2, 0.2, 0.2, 0.2])
-        mu = DiskMeasure(points=pts, weights=wts)
+        # five atoms of weight 1/5 each, pushed forward by h
         conj_bundle = conjugate(tw, off_center_conjugator(0.4), 0.3)
-        pushed = DiskMeasure(points=conj_bundle.isotopy.pair.h.flow(1.0, mu.points), weights=mu.weights)
-        lhs = c_mu_tilde(tw, mu)
-        rhs = c_mu_tilde(conj_bundle, pushed)
+        lhs = c_mu_tilde(tw, pts)
+        rhs = c_mu_tilde(conj_bundle, conj_bundle.isotopy.pair.h.flow(1.0, pts))
         assert rhs == pytest.approx(lhs, abs=1e-6)
 
 

@@ -102,9 +102,11 @@ class TestCompute:
         ({"grid": [16, 32]}, 0.3),
         ({"pairs": 1}, 0.3),
         ({"c_mu_points": 1}, 0.3),
+        ({"rho_iterates": 10**400}, 0.3),
     ], ids=["grid0", "rho_iterates0", "pairs0", "alpha_nan", "quad_budget_nan",
             "quad_budget_negative", "strategy_bogus", "workers_str", "seed_str", "c_mu_points0",
-            "stratified_pairs64", "grid_without_richardson", "pairs1", "c_mu_points1"])
+            "stratified_pairs64", "grid_without_richardson", "pairs1", "c_mu_points1",
+            "rho_iterates_beyond_floats"])
     def test_degenerate_config_is_config_error(self, tmp_path, capsys, budgets, alpha):
         cfg_dict = {
             "map": {"family": "compose", "maps": [{"family": "quadratic_twist", "beta": 0.3},
@@ -122,9 +124,13 @@ class TestCompute:
         {"family": "bump", "n": 4.5},
         {"family": "bump", "n": "4"},
         {"family": "iterate", "map": {"family": "rotation", "alpha": 0.1}, "n": 2.5},
-    ], ids=["bump_fraction", "bump_str", "iterate_fraction"])
+        {"family": "bump", "n": 10**400},
+        {"family": "iterate", "n": 10**20, "map": {"family": "compose", "maps": [
+            {"family": "rotation", "alpha": 0.1}, {"family": "bump", "n": 4}]}},
+    ], ids=["bump_fraction", "bump_str", "iterate_fraction", "bump_beyond_floats", "iterate_beyond_2_53"])
     def test_non_integral_map_counts_are_config_errors(self, tmp_path, capsys, spec):
-        # map counts follow the CLI's own integer rule: no truncation, no strings
+        # map counts follow the CLI's own integer rule: no truncation, no
+        # strings, nothing 2^53 or more in size
         cfg = write_config(tmp_path, {"map": spec, "compute": ["cal3"], "budgets": {}})
         out = tmp_path / "x"
         assert main(["--out", str(out), "compute", "--config", cfg]) == 2
@@ -182,7 +188,8 @@ class TestExperimentCommand:
 class TestConfigShape:
     # every level of the tree must have its shape: a non-object config,
     # budgets block or conjugator, a compute entry that is not a non-empty
-    # list, or a key that nothing reads at any level, exits 2
+    # list, a key that nothing reads at any level, or a number that is not a
+    # JSON number, exits 2
     @pytest.mark.parametrize("command, cfg", [
         (["compute"], 5),
         (["compute"], None),
@@ -224,13 +231,24 @@ class TestConfigShape:
         (["compute"], dict(BASE_CFG, compute=["cal3"], map={"family": "radial_twist",
                                                             "coeffs": [True, -1.0]})),
         (["experiment", "c0-discontinuity"], {"experiment": {"ns": [2], "cal_budget": True}}),
+        # nor are numeric strings: each of these ran on the number it spells
+        (["compute"], dict(BASE_CFG, compute=["cal3"], map={"family": "rotation", "alpha": "0.3"})),
+        (["compute"], dict(BASE_CFG, compute=["cal3"], map={"family": "radial_twist",
+                                                            "coeffs": ["0.3", -0.6, 0.3]})),
+        (["compute"], dict(BASE_CFG, compute=["cal3"], map={
+            "family": "conjugated_rotation", "alpha": 0.3, "tau": 0.5,
+            "conjugator": {"type": "off_center", "beta": "0.5"}})),
+        (["compute"], dict(BASE_CFG, budgets=dict(BASE_CFG["budgets"], quad_budget="1e-4"))),
+        (["experiment", "rigidity"], {"experiment": {"depth": 10, "q_max": 2, "tau": "0.5"}}),
+        (["experiment", "c1-continuity"], {"experiment": {"scales": ["0.01"], "pairs": 100}}),
     ], ids=["compute_number", "compute_null", "experiment_number", "experiment_null",
             "budgets_list", "budgets_null", "compute_list_number", "conjugator_number",
             "compute_empty", "budgets_unknown_key", "compute_unknown_key", "map_unknown_key",
             "conjugator_unknown_key", "nested_map_unknown_key", "experiment_unknown_key",
             "experiment_outside_its_object", "rigidity_unknown_key", "conjugator_without_tau",
             "tau_without_conjugator", "pairs_true", "seed_false", "quad_budget_true",
-            "iterate_n_true", "alpha_true", "coeffs_true", "cal_budget_true"])
+            "iterate_n_true", "alpha_true", "coeffs_true", "cal_budget_true", "alpha_str",
+            "coeffs_entry_str", "beta_str", "quad_budget_str", "tau_str", "scales_entry_str"])
     def test_malformed_config_trees_are_config_errors(self, tmp_path, capsys, command, cfg):
         path = write_config(tmp_path, cfg)
         out = tmp_path / "x"
