@@ -7,8 +7,10 @@ them.  All angles are in turns; the area form is normalized to total mass 1.
 
 The command line and the experiments reach the paper through the three routes
 (``cal1``, ``cal2_tilde``, ``cal3_tilde``), ``verify_link``, the rotation
-number and the map zoo.  The chord winding ``chord_windings`` is the angle
-function of a pair and, on ``iterate(f, n)``, its sum along the orbit.
+number and the map zoo.  A map is a ``MapBundle``, the isotopy from the
+identity whose time-1 map it is: cal1 reads the map, cal2 and cal3 the
+isotopy.  The chord winding ``chord_windings`` of a map is the angle function
+of a pair and, on ``iterate(f, n)``, its sum along the orbit.
 """
 
 from .arithmetic import (

@@ -7,11 +7,11 @@
                     on the boundary circle, summed over the leaves of the
                     isotopy tree (concatenation adds, conjugation preserves).
 
-For any bundle built from a generator the three values satisfy
+For any map built from a generator the three values satisfy
 ``cal2 = cal1 + rho`` and ``cal2 = cal3`` up to quadrature and sampling error;
 ``verify_link`` evaluates all of them and reports the residuals against an
 explicit budget.  The winding of one chord (the angle function) is
-``flow.chord_windings`` on the bundle's isotopy; on ``zoo.iterate(f, n)`` it
+``flow.chord_windings`` on the map (its isotopy); on ``zoo.iterate(f, n)`` it
 is the cocycle sum along the orbit, so its Birkhoff average is that value / n.
 
 Quadrature rules are fixed objects: each Gauss-Legendre rule (by node count)
@@ -116,7 +116,7 @@ def _cached_polar_grid(grid, breakpoints):
 
 def _pullback_integrand(bundle, primitive_shift, pos, direction):
     """``lambda'_{f(p)}(Df . v) - lambda'_p(v)`` at points ``pos``, vectors ``direction``."""
-    f, p, q = bundle.isotopy.flow_wirtinger(1.0, pos)
+    f, p, q = bundle.flow_wirtinger(1.0, pos)
     jv = wirtinger_apply(p, q, direction)
     val = liouville_eval(f, jv) - liouville_eval(pos, direction)
     if primitive_shift is not None:
@@ -141,7 +141,7 @@ def _action_averages(bundle, mu, grid, primitive_shift=None):
     boundary profile ``a0(1) = int_0^1 g`` is a sum over the same composite
     Gauss-Legendre nodes (split at the isotopy's radial kinks).
     """
-    r, w, thetas, units, pos = _polar_grid(grid, bundle.isotopy.radial_breakpoints)
+    r, w, thetas, units, pos = _polar_grid(grid, bundle.radial_breakpoints)
     direction = np.broadcast_to(units[None, :], (r.size, units.size)).reshape(-1)
     g = _pullback_integrand(bundle, primitive_shift, pos, direction).reshape(r.size, units.size)
     area_a0 = float(np.sum(w * (1.0 - r * r) * np.mean(g, axis=1)))
@@ -172,7 +172,7 @@ class ActionFunction:
         self.bundle = bundle
         self.mu = mu
         self.primitive_shift = primitive_shift
-        self._breaks = bundle.isotopy.radial_breakpoints
+        self._breaks = bundle.radial_breakpoints
         _, self.c_mu = _action_averages(
             bundle, mu, (ACTION_RADIAL_NODES, BOUNDARY_PROFILE_SAMPLES), primitive_shift
         )
@@ -359,7 +359,7 @@ def cal2_tilde(bundle: MapBundle, sampler: PairSampler, workers: int = 1) -> Cal
     values = np.empty(x.size)
 
     def run(idx):
-        vals, ok = chord_windings(bundle.isotopy, x[idx], y[idx], raise_on_fail=False)
+        vals, ok = chord_windings(bundle, x[idx], y[idx], raise_on_fail=False)
         values[idx] = vals
         return idx[~ok]
 
@@ -399,7 +399,7 @@ def cal2_tilde(bundle: MapBundle, sampler: PairSampler, workers: int = 1) -> Cal
 def cal3_tilde(bundle_or_field, grid=(128, 256)) -> float:
     """``2 int_0^1 int_D H_t omega dt`` after normalizing ``H_t`` to vanish on S^1.
 
-    A bundle is integrated over its isotopy tree, as ``windings`` is, and the
+    A map is integrated over its isotopy tree, as ``windings`` is, and the
     tree carries all of the time dependence.  A leaf's generator ``H`` does not
     depend on time, so the leaf contributes ``2 int_D H omega``.  Each time
     slot of a concatenation integrates its own piece once, so the pieces'
@@ -410,7 +410,7 @@ def cal3_tilde(bundle_or_field, grid=(128, 256)) -> float:
     the constant is subtracted before the polar rule integrates it.
     """
     if isinstance(bundle_or_field, MapBundle):
-        return _cal3_tree(bundle_or_field.isotopy, grid, {})
+        return _cal3_tree(bundle_or_field, grid, {})
     return _cal3_leaf(bundle_or_field, grid)
 
 
@@ -455,7 +455,7 @@ def c_mu_tilde(bundle: MapBundle, points) -> float:
     off = ii != jj
     x, y = points[ii[off]], points[jj[off]]
     keep = np.abs(x - y) >= 1e-12
-    vals, _ = chord_windings(bundle.isotopy, x[keep], y[keep])
+    vals, _ = chord_windings(bundle, x[keep], y[keep])
     return float(np.sum(((1.0 / n) * (1.0 / n)) * vals))
 
 

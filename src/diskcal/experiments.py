@@ -51,10 +51,10 @@ def sup_distance_to_identity(
     circle = np.exp(2j * np.pi * np.arange(D_BOUNDARY) / D_BOUNDARY)
     pts = np.concatenate([(radii[:, None] * angles[None, :]).ravel(), circle])
     if order == 0:
-        sups = [np.abs(bundle.isotopy.flow(1.0, pts) - pts)]
+        sups = [np.abs(bundle.flow(1.0, pts) - pts)]
     else:
         # operator norm of a real-linear Wirtinger pair (p, q) is |p| + |q|
-        f, p, q = bundle.isotopy.flow_wirtinger(1.0, pts)
+        f, p, q = bundle.flow_wirtinger(1.0, pts)
         sups = [np.abs(f - pts), np.abs(p - 1.0) + np.abs(q)]
     if include_lift:
         sups.append(np.abs(bundle.boundary_lift().delta(np.linspace(0.0, 1.0, 512, endpoint=False))))
@@ -222,7 +222,7 @@ def exp_rigidity(
 
         min_sep = min(np.sqrt(eps), 1.2)
         x, y = _far_pairs(rng, far_pairs, min_sep)
-        w, _ = chord_windings(it.isotopy, x, y)
+        w, _ = chord_windings(it, x, y)
         k = int(np.round(np.median(w)))
         k_consistent = bool(np.all(np.round(w) == k))
         dev = float(np.max(np.abs(w - k)))

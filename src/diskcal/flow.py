@@ -3,7 +3,9 @@
 An isotopy is a path ``f_t`` (t in [0, 1]) of area-preserving diffeomorphisms
 starting at the identity, together with enough structure to evaluate the flow
 at arbitrary times, its Jacobian (as a Wirtinger pair), and the winding of
-chords ``f_t(x) - f_t(y)`` in turns.  Four realizations cover the package:
+chords ``f_t(x) - f_t(y)`` in turns.  Every map is such a node, whose time-1
+map it is: ``MapBundle``, the base class, also carries the map's name and its
+cached boundary lift.  Four realizations cover the package:
 
 * ``FieldIsotopy``     -- fixed-step 8th-order Dormand-Prince (DOP853)
                           integration of a generator field, with the
@@ -30,7 +32,6 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -129,13 +130,29 @@ def _rows(*zs):
     return np.stack([part for z in zs for part in (z.real, z.imag)])
 
 
-class Isotopy:
-    """Common interface; subclasses provide trajectories and Jacobians."""
+class MapBundle:
+    """An area-preserving disk map ``f_1`` (``__call__``), carried as its isotopy from the identity.
 
+    Subclasses provide trajectories and Jacobians.  The boundary lift is built
+    from the isotopy once, at the sample count ``circle`` chooses, and cached.
+    """
+
+    name = "map"
     field: Optional[HamiltonianField] = None  # a leaf's generator; composites carry none
     # radii where z -> f_t(z) may kink: a leaf's own, the union over the pieces
     # of a concatenation, none under a conjugation (h^-1 moves them off circles)
     radial_breakpoints: tuple = ()
+    _lift = None
+
+    def __call__(self, z):
+        return self.flow(1.0, z)
+
+    def boundary_lift(self):
+        from .circle import lift_from_isotopy
+
+        if self._lift is None:
+            self._lift = lift_from_isotopy(self)
+        return self._lift
 
     def flow(self, t, z):
         pts = _as_points(z)
@@ -150,7 +167,7 @@ class Isotopy:
         """(positions, dF/dz, dF/dz_bar) at time ``t``."""
         raise NotImplementedError
 
-    def inverse(self) -> "Isotopy":
+    def inverse(self) -> "MapBundle":
         raise NotImplementedError
 
     def windings(self, x, y):
@@ -164,7 +181,7 @@ class Isotopy:
         return _tracked_windings(self, x, y)
 
 
-class FieldIsotopy(Isotopy):
+class FieldIsotopy(MapBundle):
     """DOP853 integration of a generator on a fixed grid with step-doubling control.
 
     The step count is calibrated once: starting from ``base_steps`` per unit
@@ -291,7 +308,7 @@ class FieldIsotopy(Isotopy):
         return FieldIsotopy(scaled_field(self.field, -1.0), base_steps=self.n_steps // 2)
 
 
-class RadialIsotopy(Isotopy):
+class RadialIsotopy(MapBundle):
     """Exact flow of a radial generator.
 
     The profile supplies the angular speed ``w(s)`` in turns per unit time as
@@ -349,13 +366,13 @@ class RadialIsotopy(Isotopy):
         return turns, bound >= MIN_VECTOR_NORM
 
 
-class ConcatIsotopy(Isotopy):
+class ConcatIsotopy(MapBundle):
     """Concatenation of isotopies, each compressed to an equal time slot.
 
     ``pieces[0]`` runs first; the time-1 map is ``pieces[-1] o ... o pieces[0]``.
     """
 
-    def __init__(self, pieces: Sequence[Isotopy]):
+    def __init__(self, pieces: Sequence[MapBundle]):
         if not pieces:
             raise ValueError("need at least one piece")
         self.pieces = list(pieces)
@@ -417,7 +434,7 @@ class ConjugatorPair:
     threads missing on one key compute the same arrays and either is kept.
     """
 
-    def __init__(self, h: Isotopy):
+    def __init__(self, h: MapBundle):
         self.h = h
         self.h_inverse = h.inverse()
         self._memo = OrderedDict()
@@ -451,7 +468,7 @@ class ConjugatorPair:
         return self._memoized("wirtinger", pts, lambda p: self.h_inverse.flow_wirtinger(1.0, p))
 
 
-class ConjugatedIsotopy(Isotopy):
+class ConjugatedIsotopy(MapBundle):
     """``t -> h . f_t . h^-1`` for the time-1 map ``h`` of a fixed isotopy.
 
     ``pair`` is the ``ConjugatorPair`` of ``h``; every conjugation by the same
@@ -461,7 +478,7 @@ class ConjugatedIsotopy(Isotopy):
     trajectory.
     """
 
-    def __init__(self, pair: ConjugatorPair, inner: Isotopy):
+    def __init__(self, pair: ConjugatorPair, inner: MapBundle):
         self.pair = pair
         self.inner = inner
 
@@ -592,40 +609,9 @@ def position_windings(isotopy, x, **kw):
     return chord_windings(isotopy, x, None, **kw)
 
 
-# ---------------------------------------------------------------------------
-# bundles and module-level operations
-
-
-@dataclass
-class MapBundle:
-    """An area-preserving disk map carried together with its isotopy.
-
-    The three invariant computations read the isotopy; the boundary lift is
-    built from it once, at the sample count ``circle`` chooses, and cached.
-    """
-
-    isotopy: Isotopy
-    name: str = "map"
-    _lift: object = dc_field(default=None, init=False, repr=False, compare=False)
-
-    @property
-    def field(self) -> Optional[HamiltonianField]:
-        return self.isotopy.field
-
-    def __call__(self, z):
-        return self.isotopy.flow(1.0, z)
-
-    def boundary_lift(self):
-        from .circle import lift_from_isotopy
-
-        if self._lift is None:
-            self._lift = lift_from_isotopy(self.isotopy)
-        return self._lift
-
-
 def area_residual(bundle: MapBundle, seed: int = 0) -> float:
     """max over ``AREA_PROBES`` sampled points of |det(Df_1) - 1|."""
     rng = np.random.default_rng(seed)
     pts = uniform_disk_points(AREA_PROBES, rng) * 0.999
-    _, p, q = bundle.isotopy.flow_wirtinger(1.0, pts)
+    _, p, q = bundle.flow_wirtinger(1.0, pts)
     return float(np.max(np.abs(wirtinger_det(p, q) - 1.0)))

@@ -7,6 +7,9 @@ invariants have closed forms (stated in the family docstrings) that the
 generic machinery is tested against.  Conjugation by the time-tau map of a
 non-radial generator produces the non-trivial examples (stand-ins for
 irrational pseudo-rotations: same rotation number, zero action average).
+Every family returns the map as a fresh ``flow.MapBundle`` isotopy node named
+for it (``conjugate`` at tau = 0 returns its map), so the maps a derived map
+is built from keep their names and cached boundary lifts.
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ from numpy.polynomial import Polynomial
 from .errors import BoundaryNotConstant, ConfigError
 from .fields import HamiltonianField, scaled_field
 from .flow import ConcatIsotopy, ConjugatedIsotopy, ConjugatorPair, FieldIsotopy, MapBundle, RadialIsotopy
+
+MAX_ITERATE_PIECES = 2**20  # pieces of a concatenated iterate: 8 MB of pointers, far above any use
 
 
 class RadialProfile:
@@ -124,10 +129,16 @@ def bump_profile(n: int) -> RadialProfile:
 # families
 
 
+def _named(node: MapBundle, name: str) -> MapBundle:
+    """``node`` under ``name``; a family names only the node it has just built."""
+    node.name = name
+    return node
+
+
 def rotation(alpha: float) -> MapBundle:
     """Rigid rotation by ``alpha`` turns, generated by H = alpha (1 - |z|^2)."""
     profile = poly_profile(Polynomial([alpha, -alpha]), name=f"rotation({alpha})")
-    return MapBundle(isotopy=RadialIsotopy(profile), name=f"rotation({alpha})")
+    return _named(RadialIsotopy(profile), f"rotation({alpha})")
 
 
 def radial_twist(coeffs) -> MapBundle:
@@ -140,9 +151,9 @@ def radial_twist(coeffs) -> MapBundle:
     g = Polynomial(np.asarray(coeffs, dtype=float))
     if abs(g(1.0)) > 1e-12:
         raise BoundaryNotConstant(f"twist profile must vanish at s=1, got g(1)={g(1.0)}")
-    return MapBundle(
-        isotopy=RadialIsotopy(poly_profile(g, name="twist")),
-        name="twist(" + ",".join(f"{c:g}" for c in np.asarray(coeffs, dtype=float)) + ")",
+    return _named(
+        RadialIsotopy(poly_profile(g, name="twist")),
+        "twist(" + ",".join(f"{c:g}" for c in np.asarray(coeffs, dtype=float)) + ")",
     )
 
 
@@ -153,7 +164,7 @@ def quadratic_twist(beta: float) -> MapBundle:
 
 def bump(n: int) -> MapBundle:
     """Compactly supported bump with unit mass; invariant 2/pi for every n."""
-    return MapBundle(isotopy=RadialIsotopy(bump_profile(n)), name=f"bump({n})")
+    return _named(RadialIsotopy(bump_profile(n)), f"bump({n})")
 
 
 def off_center_conjugator(beta: float = 0.5) -> HamiltonianField:
@@ -220,7 +231,7 @@ def conjugate(bundle: MapBundle, conjugator: HamiltonianField, tau: float) -> Ma
     if tau == 0.0:
         return bundle
     pair = ConjugatorPair(FieldIsotopy(scaled_field(conjugator, tau)))
-    return MapBundle(isotopy=ConjugatedIsotopy(pair, bundle.isotopy), name=f"conj({bundle.name};tau={tau})")
+    return _named(ConjugatedIsotopy(pair, bundle), f"conj({bundle.name};tau={tau})")
 
 
 def conjugated_rotation(alpha: float, conjugator=None, tau: float = 0.0) -> MapBundle:
@@ -232,40 +243,40 @@ def conjugated_rotation(alpha: float, conjugator=None, tau: float = 0.0) -> MapB
 
 
 def compose(a: MapBundle, b: MapBundle) -> MapBundle:
-    """Bundle of ``a o b`` (b acts first), by time-concatenation of isotopies."""
+    """``a o b`` (b acts first), by time-concatenation of isotopies."""
     pieces = []
-    for part in (b.isotopy, a.isotopy):
+    for part in (b, a):
         pieces.extend(part.pieces if isinstance(part, ConcatIsotopy) else [part])
-    return MapBundle(isotopy=ConcatIsotopy(pieces), name=f"{a.name}o{b.name}")
-
-
-def _iterated(iso, n: int):
-    """The n-th iterate: a radial flow of n times the generator (a one-parameter
-    group), a conjugation of the iterated inner isotopy on the same conjugator
-    pair (``(h f h^-1)^n = h f^n h^-1``), else n concatenated copies."""
-    if isinstance(iso, RadialIsotopy):
-        return RadialIsotopy(iso.profile.scaled(n))
-    if isinstance(iso, ConjugatedIsotopy):
-        return ConjugatedIsotopy(iso.pair, _iterated(iso.inner, n))
-    return ConcatIsotopy((iso.pieces if isinstance(iso, ConcatIsotopy) else [iso]) * n)
+    return _named(ConcatIsotopy(pieces), f"{a.name}o{b.name}")
 
 
 def iterate(a: MapBundle, n: int) -> MapBundle:
+    """The n-th iterate: a radial flow of n times the generator (a one-parameter
+    group), a conjugation of the iterated inner isotopy on the same conjugator
+    pair (``(h f h^-1)^n = h f^n h^-1``), else n concatenated copies, at most
+    ``MAX_ITERATE_PIECES`` pieces."""
     if n == 0:
         return identity()
     if n < 0:
         return iterate(inverse(a), -n)
-    return MapBundle(isotopy=_iterated(a.isotopy, n), name=f"{a.name}^{n}")
+    if isinstance(a, RadialIsotopy):
+        out = RadialIsotopy(a.profile.scaled(n))
+    elif isinstance(a, ConjugatedIsotopy):
+        out = ConjugatedIsotopy(a.pair, iterate(a.inner, n))
+    else:
+        pieces = a.pieces if isinstance(a, ConcatIsotopy) else [a]
+        if len(pieces) * n > MAX_ITERATE_PIECES:
+            raise ConfigError(f"iterate {n} of {len(pieces)} concatenated pieces exceeds MAX_ITERATE_PIECES")
+        out = ConcatIsotopy(pieces * n)
+    return _named(out, f"{a.name}^{n}")
 
 
 def inverse(a: MapBundle) -> MapBundle:
-    return MapBundle(isotopy=a.isotopy.inverse(), name=f"{a.name}^-1")
+    return _named(a.inverse(), f"{a.name}^-1")
 
 
 def identity() -> MapBundle:
-    out = rotation(0.0)
-    out.name = "identity"
-    return out
+    return _named(rotation(0.0), "identity")
 
 
 # ---------------------------------------------------------------------------
@@ -387,5 +398,5 @@ FAMILIES = {  # family -> (builder, the rule of each key besides "family")
 
 
 def from_spec(spec: dict) -> MapBundle:
-    """Build a bundle from a nested family description (the CLI map tree)."""
+    """Build a map from a nested family description (the CLI map tree)."""
     return _build(spec, FAMILIES, "family", "map")

@@ -3,7 +3,7 @@ import pytest
 
 from diskcal.circle import LiftedCircleMap
 from diskcal.fields import central_vector_wirtinger
-from diskcal.flow import FieldIsotopy, MapBundle
+from diskcal.flow import FieldIsotopy
 
 
 class BrokenField:
@@ -34,7 +34,7 @@ def broken_bundle():
     from diskcal.zoo import quadratic_twist
 
     field = BrokenField(quadratic_twist(0.3).field, factor=0.5)
-    return MapBundle(isotopy=FieldIsotopy(field), name="broken")
+    return FieldIsotopy(field)
 
 
 def _rows(z):

@@ -105,9 +105,9 @@ def test_04_cocycle_identity():
         x, y = uniform_disk_points(1000, rng), uniform_disk_points(1000, rng)
         keep = np.abs(x - y) > 1e-6
         x, y = x[keep], y[keep]
-        lhs, _ = chord_windings(fg.isotopy, x, y)
-        part_g, _ = chord_windings(g.isotopy, x, y)
-        part_f, _ = chord_windings(f.isotopy, g(x), g(y))
+        lhs, _ = chord_windings(fg, x, y)
+        part_g, _ = chord_windings(g, x, y)
+        part_f, _ = chord_windings(f, g(x), g(y))
         assert np.max(np.abs(lhs - part_g - part_f)) <= 1e-6
 
 
@@ -180,7 +180,7 @@ def test_08_near_identity_bounds():
             assert abs(res.value) <= np.sqrt(2 * eps) / np.pi + 3 * res.stderr
             x, y = uniform_disk_points(1000, rng), uniform_disk_points(1000, rng)
             keep = np.abs(x - y) > 1e-6
-            w, _ = chord_windings(bundle.isotopy, x[keep], y[keep])
+            w, _ = chord_windings(bundle, x[keep], y[keep])
             assert np.max(np.abs(np.cos(2 * np.pi * w) - 1.0)) <= 2 * eps
 
 

@@ -28,7 +28,7 @@ def test_install_counts_and_uninstall_restores():
         originals = list(t._patches)
         assert all(vars(owner)[attr] is not original for owner, attr, original in originals)
         pts = np.array([0.3 + 0.1j, -0.5j])
-        quadratic_twist(0.3).isotopy.trajectory(pts, np.linspace(0.0, 1.0, 5))
+        quadratic_twist(0.3).trajectory(pts, np.linspace(0.0, 1.0, 5))
         assert t.take_counts()["flow.trajectory_samples.radial"] == 10
     finally:
         t.uninstall()

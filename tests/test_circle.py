@@ -30,12 +30,12 @@ def sin_lift(a, b):
 
 class TestLifts:
     def test_identity_isotopy(self):
-        lift = lift_from_isotopy(rotation(0.0).isotopy)
+        lift = lift_from_isotopy(rotation(0.0))
         xs = np.linspace(0, 1, 17)
         assert np.max(np.abs(lift(xs) - xs)) < 1e-12
 
     def test_rigid_rotation(self):
-        lift = lift_from_isotopy(rotation(0.3).isotopy)
+        lift = lift_from_isotopy(rotation(0.3))
         xs = np.linspace(0, 1, 17)
         assert np.max(np.abs(lift(xs) - xs - 0.3)) < 1e-12
 
@@ -55,7 +55,7 @@ class TestLifts:
         # the increments of phi over a grid are positive for a lift of a homeomorphism
         xs = np.linspace(0.0, 1.0, 4097)
         assert np.min(np.diff(sin_lift(0.05, 0.1)(xs))) > 0.0
-        lift = lift_from_isotopy(conjugate(rotation(0.5), boundary_shear_conjugator(0.3), 0.4).isotopy)
+        lift = lift_from_isotopy(conjugate(rotation(0.5), boundary_shear_conjugator(0.3), 0.4))
         assert np.min(np.diff(lift(xs))) > 0.0
 
 

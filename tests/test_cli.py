@@ -127,10 +127,15 @@ class TestCompute:
         {"family": "bump", "n": 10**400},
         {"family": "iterate", "n": 10**20, "map": {"family": "compose", "maps": [
             {"family": "rotation", "alpha": 0.1}, {"family": "bump", "n": 4}]}},
-    ], ids=["bump_fraction", "bump_str", "iterate_fraction", "bump_beyond_floats", "iterate_beyond_2_53"])
+        {"family": "iterate", "n": 2**45, "map": {"family": "compose", "maps": [
+            {"family": "rotation", "alpha": 0.1}, {"family": "quadratic_twist", "beta": 0.3}]}},
+    ], ids=["bump_fraction", "bump_str", "iterate_fraction", "bump_beyond_floats", "iterate_beyond_2_53",
+            "iterate_beyond_piece_bound"])
     def test_non_integral_map_counts_are_config_errors(self, tmp_path, capsys, spec):
         # map counts follow the CLI's own integer rule: no truncation, no
-        # strings, nothing 2^53 or more in size
+        # strings, nothing 2^53 or more in size; an iterate that concatenates
+        # copies stays within zoo.MAX_ITERATE_PIECES (2^46 pieces here, more
+        # pointers than the user address space holds)
         cfg = write_config(tmp_path, {"map": spec, "compute": ["cal3"], "budgets": {}})
         out = tmp_path / "x"
         assert main(["--out", str(out), "compute", "--config", cfg]) == 2

@@ -47,11 +47,11 @@ class TestSupDistance:
         angles = np.exp(2j * np.pi * (np.arange(nt) + 0.5) / nt)
         circle = np.exp(2j * np.pi * np.arange(512) / 512)
         pts = np.concatenate([(radii[:, None] * angles[None, :]).ravel(), circle])
-        inv = bundle.isotopy.inverse()
+        inv = bundle.inverse()
         if order == 0:
-            return max(float(np.max(np.abs(iso.flow(1.0, pts) - pts))) for iso in (bundle.isotopy, inv))
+            return max(float(np.max(np.abs(iso.flow(1.0, pts) - pts))) for iso in (bundle, inv))
         sups = []
-        for iso in (bundle.isotopy, inv):
+        for iso in (bundle, inv):
             f, p, q = iso.flow_wirtinger(1.0, pts)
             sups += [float(np.max(np.abs(f - pts))), float(np.max(np.abs(p - 1.0) + np.abs(q)))]
         return max(sups)

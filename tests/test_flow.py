@@ -22,7 +22,6 @@ from diskcal.flow import (
     ConjugatedIsotopy,
     ConjugatorPair,
     FieldIsotopy,
-    MapBundle,
     _rows,
     _tracked_windings,
     _windings_at,
@@ -113,7 +112,7 @@ class TestFlowMap:
         # same twist flows backward exactly
         iso = FieldIsotopy(quadratic_twist(0.3).field)
         z = 0.3 + 0.2j
-        assert quadratic_twist(0.3).isotopy.flow(-0.5, z) == pytest.approx(0.1788 - 0.3131j, abs=1e-4)
+        assert quadratic_twist(0.3).flow(-0.5, z) == pytest.approx(0.1788 - 0.3131j, abs=1e-4)
         for call in (lambda: iso.flow(-0.5, z), lambda: iso.flow_wirtinger(-0.5, z),
                      lambda: iso.trajectory(z, [0.0, 0.5, 0.25])):
             with pytest.raises(ValueError):
@@ -124,19 +123,19 @@ class TestFlowMap:
 
         bundle = bump(4)
         pts = np.array([0.3 + 0.1j, 0.9j, -0.5 - 0.5j])  # all outside radius 1/4
-        out = bundle.isotopy.flow(1.0, pts)
+        out = bundle.flow(1.0, pts)
         assert np.max(np.abs(out - pts)) == 0.0
 
     def test_exact_and_integrated_twist_agree(self):
         bundle = quadratic_twist(0.3)
         integrated = FieldIsotopy(bundle.field)
         pts = interior_points(50, seed=6)
-        exact = bundle.isotopy.flow(1.0, pts)
+        exact = bundle.flow(1.0, pts)
         approx = integrated.flow(1.0, pts)
         assert np.max(np.abs(exact - approx)) < 1e-7
 
     def test_partial_time_matches_trajectory(self):
-        iso = quadratic_twist(0.3).isotopy
+        iso = quadratic_twist(0.3)
         pts = interior_points(10, seed=7)
         times = np.array([0.0, 0.25, 0.5, 1.0])
         traj = iso.trajectory(pts, times)
@@ -144,15 +143,15 @@ class TestFlowMap:
             assert np.max(np.abs(iso.flow(t, pts) - traj[k])) < 1e-12
 
     def test_flow_composition_of_autonomous_pieces(self):
-        a = quadratic_twist(0.2).isotopy
-        b = rotation(0.15).isotopy
+        a = quadratic_twist(0.2)
+        b = rotation(0.15)
         both = ConcatIsotopy([b, a])  # b first, then a
         pts = interior_points(25, seed=8)
         assert np.max(np.abs(both.flow(1.0, pts) - a.flow(1.0, b.flow(1.0, pts)))) < 1e-9
 
     def test_inverse_undoes_flow(self):
         conjugator = FieldIsotopy(scaled_field(off_center_conjugator(0.5), 0.5))
-        for iso in (quadratic_twist(0.3).isotopy, FieldIsotopy(rotation_field(0.3)), conjugator):
+        for iso in (quadratic_twist(0.3), FieldIsotopy(rotation_field(0.3)), conjugator):
             pts = interior_points(20, seed=9)
             back = iso.inverse().flow(1.0, iso.flow(1.0, pts))
             assert np.max(np.abs(back - pts)) < 1e-7
@@ -179,7 +178,7 @@ class TestCalibration:
         except StepTooCoarse:
             return
         # the time-1 map of scale * H is the time-scale map of H
-        exact = bundle.isotopy.flow(scale, self.INNER)
+        exact = bundle.flow(scale, self.INNER)
         assert np.max(np.abs(iso.flow(1.0, self.INNER) - exact)) <= 10 * TOL_ODE
 
     @pytest.mark.parametrize("conjugator, tau", [
@@ -188,7 +187,7 @@ class TestCalibration:
         (off_center_conjugator(0.5), 1.0), (boundary_shear_conjugator(0.3), 1.0),
     ], ids=lambda v: getattr(v, "name", v))
     def test_conjugators_settle_low_with_equal_counts(self, conjugator, tau):
-        iso = conjugated_rotation(0.6180339887498949, conjugator, tau).isotopy
+        iso = conjugated_rotation(0.6180339887498949, conjugator, tau)
         assert iso.pair.h.n_steps == iso.pair.h_inverse.n_steps
         assert iso.pair.h.n_steps == (8 if tau < 1.0 else 16)
 
@@ -227,7 +226,7 @@ class TestCalibration:
         # at 4 steps the shear flow at tau = 1 takes two S^1 probes to
         # |z| = 1 + 1.3e-9; calibration doubles past it, a flow still raises
         bundle = conjugated_rotation(0.6180339887498949, boundary_shear_conjugator(0.3), tau=1.0)
-        h = bundle.isotopy.pair.h
+        h = bundle.pair.h
         assert h.n_steps == 16
         pts = np.exp(2j * np.pi * np.array([1, 3]) / 8)
         assert np.max(np.abs(bundle(pts))) <= 1.0
@@ -397,7 +396,7 @@ class TestJacobians:
             assert q[k] == pytest.approx(q_fd, abs=2e-5)
 
     def test_radial_jacobian_exact_determinant(self):
-        iso = quadratic_twist(0.3).isotopy
+        iso = quadratic_twist(0.3)
         pts = interior_points(100, seed=11)
         _, p, q = iso.flow_wirtinger(1.0, pts)
         assert np.max(np.abs(np.abs(p) ** 2 - np.abs(q) ** 2 - 1.0)) < 1e-12
@@ -408,7 +407,7 @@ class TestAreaResidual:
         assert area_residual(rotation(0.3), seed=0) < 1e-8
 
     def test_integrated_twist_within_budget(self):
-        bundle = MapBundle(isotopy=FieldIsotopy(quadratic_twist(0.3).field), name="dop853 twist")
+        bundle = FieldIsotopy(quadratic_twist(0.3).field)
         assert area_residual(bundle, seed=0) < 1e-6
 
     def test_non_symplectic_control_fails_loudly(self, broken_bundle):
@@ -417,7 +416,7 @@ class TestAreaResidual:
 
 class TestChordWindings:
     def test_rigid_rotation_all_pairs(self):
-        iso = rotation(0.3).isotopy
+        iso = rotation(0.3)
         x = interior_points(50, seed=12)
         y = interior_points(50, seed=13)
         vals, ok = chord_windings(iso, x, y)
@@ -425,7 +424,7 @@ class TestChordWindings:
         assert np.max(np.abs(vals - 0.3)) < 1e-10
 
     def test_many_turn_rotation_needs_and_gets_refinement(self):
-        iso = rotation(12.7).isotopy
+        iso = rotation(12.7)
         vals, ok = chord_windings(iso, np.array([0.5 + 0j]), np.array([-0.3j]))
         assert ok.all()
         assert vals[0] == pytest.approx(12.7, abs=1e-9)
@@ -452,7 +451,7 @@ class TestChordWindings:
             assert np.max(np.abs(vals - _tracked(iso, x, b, MIN_WINDING_STEPS))) <= 1e-11
 
     def test_colliding_pair_raises(self):
-        iso = rotation(0.2).isotopy
+        iso = rotation(0.2)
         with pytest.raises(StepTooCoarse):
             chord_windings(iso, np.array([0.1 + 0j]), np.array([0.1 + 1e-14j]))
 
@@ -460,16 +459,16 @@ class TestChordWindings:
         from diskcal.zoo import bump
 
         bundle = bump(4)
-        profile = bundle.isotopy.profile
+        profile = bundle.profile
         r = 0.8 / 4.0  # inside the transition annulus
         w_exact = float(profile.w_of_s(np.array([r * r]))[0])
         assert abs(w_exact) > 10  # genuinely many turns
         # a fixed point enclosed by the fast circle is lapped once per turn
-        vals, ok = chord_windings(bundle.isotopy, np.array([r + 0j]), np.array([0.05 + 0j]))
+        vals, ok = chord_windings(bundle, np.array([r + 0j]), np.array([0.05 + 0j]))
         assert ok.all()
         assert vals[0] == pytest.approx(w_exact, abs=0.1)
         # a fixed point outside the circle sees only bounded wobble
-        vals, ok = chord_windings(bundle.isotopy, np.array([r + 0j]), np.array([0.9 + 0j]))
+        vals, ok = chord_windings(bundle, np.array([r + 0j]), np.array([0.9 + 0j]))
         assert ok.all()
         assert abs(vals[0]) < 0.05
 
@@ -511,13 +510,13 @@ class TestRadialClosedForm:
     def test_random_pairs(self, bundle, steps):
         x = interior_points(300, seed=51, rmax=1.0)
         y = interior_points(300, seed=52, rmax=1.0)
-        _closed_form_close(bundle.isotopy, x, y, steps)
+        _closed_form_close(bundle, x, y, steps)
 
     @pytest.mark.parametrize("bundle, steps", RADIAL_CASES)
     def test_pairs_on_one_circle(self, bundle, steps):
         x = interior_points(200, seed=53, rmax=1.0)
         y = x * np.exp(2j * np.pi * np.random.default_rng(54).random(200))
-        _closed_form_close(bundle.isotopy, x, y, steps)
+        _closed_form_close(bundle, x, y, steps)
 
     @pytest.mark.parametrize("bundle, steps", RADIAL_CASES)
     def test_radial_gap_near_1e_minus_9(self, bundle, steps):
@@ -525,35 +524,32 @@ class TestRadialClosedForm:
         rng = np.random.default_rng(55)
         x = interior_points(200, seed=56, rmax=0.99)
         y = x * (1.0 + 1e-9 * rng.choice([-1.0, 1.0], 200)) * np.exp(2j * np.pi * rng.random(200))
-        _closed_form_close(bundle.isotopy, x, y, steps)
+        _closed_form_close(bundle, x, y, steps)
 
     @pytest.mark.parametrize("bundle, steps", RADIAL_CASES)
     def test_positions_wind_by_the_speed(self, bundle, steps):
-        iso = bundle.isotopy
         x = interior_points(200, seed=57, rmax=1.0)
-        vals, ok = iso.windings(x, None)
+        vals, ok = bundle.windings(x, None)
         assert ok.all()
-        assert np.array_equal(vals, iso.profile.w_of_s(np.abs(x) ** 2))
-        _closed_form_close(iso, x, None, steps)
+        assert np.array_equal(vals, bundle.profile.w_of_s(np.abs(x) ** 2))
+        _closed_form_close(bundle, x, None, steps)
 
     @pytest.mark.parametrize("bundle, steps", RADIAL_CASES)
     def test_inverse_undoes_the_flow(self, bundle, steps):
         # the inverse turns each circle back at exactly -w; what is left is
         # rounding of the phase 2 pi w and of w at |f(z)|^2, an ulp off |z|^2
-        iso = bundle.isotopy
         z = interior_points(300, seed=59, rmax=1.0)
-        back = iso.inverse().flow(1.0, iso.flow(1.0, z))
+        back = bundle.inverse().flow(1.0, bundle.flow(1.0, z))
         s = np.abs(z) ** 2
-        phase = 1.0 + TWO_PI * (np.abs(iso.profile.w_of_s(s)) + s * np.abs(iso.profile.dw_ds(s)))
+        phase = 1.0 + TWO_PI * (np.abs(bundle.profile.w_of_s(s)) + s * np.abs(bundle.profile.dw_ds(s)))
         assert np.all(np.abs(back - z) <= 1e-15 * np.abs(z) * phase)
 
     @pytest.mark.parametrize("bundle", [quadratic_twist(0.3), rotation(0.2)], ids=["twist", "rotation"])
     def test_ok_matches_on_near_collisions(self, bundle):
-        iso = bundle.isotopy
         x = interior_points(40, seed=58)
         d = np.repeat([1e-14, 1e-13, 1e-11, 1e-10], 10) * np.exp(2j * np.pi * np.arange(40) / 40)
-        _, ok = iso.windings(x, x + d)
-        _, tracked_ok = _tracked_windings(iso, x, x + d)
+        _, ok = bundle.windings(x, x + d)
+        _, tracked_ok = _tracked_windings(bundle, x, x + d)
         assert np.array_equal(ok, tracked_ok)
         assert np.array_equal(ok, np.abs(d) > 1e-12)
 
@@ -572,8 +568,8 @@ class TestRadialClosedForm:
         x = interior_points(12, seed=seed, rmax=1.0)
         y = interior_points(12, seed=seed + 1, rmax=1.0)
         steps = 8192 if kind == "bump" else None
-        _closed_form_close(bundle.isotopy, x, y, steps)
-        _closed_form_close(bundle.isotopy, x, None, steps)
+        _closed_form_close(bundle, x, y, steps)
+        _closed_form_close(bundle, x, None, steps)
 
 
 class TestConcatenatedWindings:
@@ -586,21 +582,20 @@ class TestConcatenatedWindings:
         compose(quadratic_twist(0.3), conjugate(rotation(0.3), off_center_conjugator(0.5), 0.4)),
     ], ids=["twist_o_rotation", "mixed_cubed", "twist_o_conjugated"])
     def test_decomposition_matches_tracking(self, bundle):
-        iso = bundle.isotopy
-        assert isinstance(iso, ConcatIsotopy)
+        assert isinstance(bundle, ConcatIsotopy)
         x = interior_points(40, seed=22)
         y = interior_points(40, seed=23)
-        vals, ok = chord_windings(iso, x, y)
+        vals, ok = chord_windings(bundle, x, y)
         assert ok.all()
         # The tracked path starts at the chord x - y (f_0 = id exactly).  The
         # decomposition of a conjugated piece starts at h(h^-1 x), off x by
         # the round trip of the DOP853 flow of h (~1.6e-14 here); the angle
         # of that jump stays below the tolerance at these pairs.
-        assert np.all(np.abs(vals - _tracked(iso, x, y)) <= 1e-12)
+        assert np.all(np.abs(vals - _tracked(bundle, x, y)) <= 1e-12)
         circle = np.exp(2j * np.pi * (np.arange(64) + 0.25) / 64)
-        vals, ok = position_windings(iso, circle)
+        vals, ok = position_windings(bundle, circle)
         assert ok.all()
-        assert np.max(np.abs(vals - _tracked(iso, circle))) <= 1e-12
+        assert np.max(np.abs(vals - _tracked(bundle, circle))) <= 1e-12
 
 
 class TestConjugatedPositionWindings:
@@ -611,7 +606,7 @@ class TestConjugatedPositionWindings:
         (boundary_shear_conjugator(0.3), 1e-10),  # h moves S^1
     ], ids=["off_center", "shear"])
     def test_composed_lift_matches_tracking(self, conjugator, tol):
-        iso = conjugate(rotation(0.5), conjugator, 0.4).isotopy
+        iso = conjugate(rotation(0.5), conjugator, 0.4)
         pts = np.exp(2j * np.pi * np.arange(256) / 256)
         vals, ok = position_windings(iso, pts)
         assert ok.all()
@@ -619,7 +614,7 @@ class TestConjugatedPositionWindings:
 
     def test_interior_points_never_take_the_parts_path(self, monkeypatch):
         # the parts path never follows the conjugated trajectory; tracking does
-        iso = conjugate(rotation(0.5), boundary_shear_conjugator(0.3), 0.4).isotopy
+        iso = conjugate(rotation(0.5), boundary_shear_conjugator(0.3), 0.4)
         calls = []
         trajectory = ConjugatedIsotopy.trajectory
 
@@ -643,7 +638,7 @@ class TestConjugatedTrajectory:
     def test_time_zero_is_the_identity(self):
         # f_0 = id: the t = 0 row is z itself, not the round trip h(h^-1 z)
         # of the DOP853 flow (~1.5e-13 off here)
-        iso = conjugate(rotation(0.6180339887498949), off_center_conjugator(0.5), 0.5).isotopy
+        iso = conjugate(rotation(0.6180339887498949), off_center_conjugator(0.5), 0.5)
         z = interior_points(200, seed=31, rmax=0.9)
         assert np.array_equal(iso.trajectory(z, np.array([0.0, 0.5, 1.0]))[0], z)
         assert np.array_equal(iso.flow(0.0, z), z)
@@ -656,7 +651,7 @@ class TestBoundaryLiftCache:
         lift = bundle.boundary_lift()
         assert bundle.boundary_lift() is lift
         xs = (np.arange(64) + 0.3) / 64
-        direct = lift_from_isotopy(bundle.isotopy)
+        direct = lift_from_isotopy(bundle)
         assert np.array_equal(lift.delta(xs), direct.delta(xs))
 
 
@@ -668,7 +663,7 @@ class TestConjugatorPair:
         return conjugate(rotation(0.3), off_center_conjugator(0.5), 0.5)
 
     def test_inverse_shares_the_pair(self):
-        conj = self._conjugated().isotopy
+        conj = self._conjugated()
         inv = conj.inverse()
         assert inv.pair is conj.pair
 
@@ -685,18 +680,18 @@ class TestConjugatorPair:
                 iso.inner.field.value(iso.pair.inverse_images(pts.copy()))],
         }
         for name, call in calls.items():
-            iso = self._conjugated().isotopy
+            iso = self._conjugated()
             cold, warm = call(iso), call(iso)
             assert all(np.array_equal(a, b) for a, b in zip(cold, warm)), name
         # warm calls are served by the memo, which holds what h^-1 computes
-        pair = self._conjugated().isotopy.pair
+        pair = self._conjugated().pair
         assert pair.inverse_images(pts.copy()) is pair.inverse_images(pts)
         assert pair.inverse_wirtinger(pts.copy()) is pair.inverse_wirtinger(pts)
         for x in (pts, other, circle):
             assert np.array_equal(pair.inverse_images(x), pair.h_inverse.flow(1.0, x))
 
     def test_cached_arrays_are_read_only(self):
-        pair = self._conjugated().isotopy.pair
+        pair = self._conjugated().pair
         pts = interior_points(10, seed=33)
         for arr in (pair.inverse_images(pts), *pair.inverse_wirtinger(pts)):
             with pytest.raises(ValueError):

@@ -195,20 +195,73 @@ class TestIterateOnTheTree:
     def test_radial_leaf_is_one_scaled_leaf(self, n):
         base = quadratic_twist(0.3)
         it = iterate(base, n)
-        assert isinstance(it.isotopy, RadialIsotopy)
+        assert isinstance(it, RadialIsotopy)
         x, y = interior_points(2000, seed=31, rmax=1.0), interior_points(2000, seed=32, rmax=1.0)
-        w, _ = chord_windings(it.isotopy, x, y)
-        w_concat, _ = chord_windings(ConcatIsotopy([base.isotopy] * n), x, y)
+        w, _ = chord_windings(it, x, y)
+        w_concat, _ = chord_windings(ConcatIsotopy([base] * n), x, y)
         assert np.max(np.abs(w - w_concat)) <= 1e-11
 
     def test_conjugated_rotation_iterates_on_its_own_pair(self):
         base = conjugated_rotation(GOLDEN, off_center_conjugator(0.5), 0.5)
         it = iterate(base, 5)
-        assert isinstance(it.isotopy, ConjugatedIsotopy)
-        assert it.isotopy.pair is base.isotopy.pair
+        assert isinstance(it, ConjugatedIsotopy)
+        assert it.pair is base.pair
         # the inner speed is the float 5 * alpha that rotation(5 * alpha) turns at
         s = np.linspace(0.0, 1.0, 9)
-        assert np.array_equal(it.isotopy.inner.profile.w_of_s(s), rotation(5 * GOLDEN).isotopy.profile.w_of_s(s))
+        assert np.array_equal(it.inner.profile.w_of_s(s), rotation(5 * GOLDEN).profile.w_of_s(s))
+
+
+    def test_long_iterate_of_a_concatenation_is_refused(self):
+        # n copies of the pieces are refused before the list is built: 2^46
+        # pointers exceed the user address space
+        with pytest.raises(ConfigError, match="MAX_ITERATE_PIECES"):
+            iterate(compose(rotation(0.1), quadratic_twist(0.3)), 2**45)
+
+
+def _tree_nodes(f):
+    """Every node of the isotopy tree of ``f``, its conjugators included."""
+    nodes, stack = [], [f]
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        if isinstance(node, ConcatIsotopy):
+            stack.extend(node.pieces)
+        if isinstance(node, ConjugatedIsotopy):
+            stack.extend([node.inner, node.pair.h, node.pair.h_inverse])
+    return nodes
+
+
+SOURCES = {  # a map of each kind of tree root
+    "radial": lambda: quadratic_twist(0.3),
+    "concat": lambda: compose(rotation(0.1), quadratic_twist(0.3)),
+    "conjugated": lambda: conjugated_rotation(GOLDEN, off_center_conjugator(0.5), 0.3),
+}
+
+
+class TestDerivedMapsLeaveTheirSources:
+    # a map is its isotopy node, and derived maps share the nodes of the maps
+    # they are built from, so a build must rename or re-cache none of them
+    @pytest.mark.parametrize("sources, build", [
+        pytest.param(("radial", "concat"), compose, id="compose"),
+        pytest.param(("concat", "conjugated"), compose, id="compose_concat_conjugated"),
+        *[pytest.param((kind,), lambda f, n=n: iterate(f, n), id=f"iterate{n}_{kind}")
+          for n in (0, 1, 3) for kind in SOURCES],
+        *[pytest.param((kind,), inverse, id=f"inverse_{kind}") for kind in SOURCES],
+        pytest.param(("radial",), lambda f: conjugate(f, off_center_conjugator(0.5), 0.0), id="conjugate_tau0"),
+        pytest.param(("conjugated",), lambda f: conjugate(f, boundary_shear_conjugator(0.3), 0.4), id="conjugate"),
+        pytest.param((), identity, id="identity"),
+    ])
+    def test_sources_keep_their_names_and_lifts(self, sources, build):
+        maps = [SOURCES[kind]() for kind in sources]
+        before = [(f, f.name, f.boundary_lift()) for f in maps]
+        # the nodes the sources hold; for identity, those of an earlier identity
+        held = [node for f in maps or [identity()] for node in _tree_nodes(f)]
+        out = build(*maps)
+        out.boundary_lift()
+        assert any(out is f for f in maps) or all(out is not node for node in held)
+        for f, name, lift in before:
+            assert f.name == name
+            assert f.boundary_lift() is lift
 
 
 class TestFamiliesAreaResidual:
