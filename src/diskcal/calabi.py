@@ -400,18 +400,20 @@ def cal3_tilde(bundle_or_field, grid=(128, 256)) -> float:
     """``2 int_0^1 int_D H_t omega dt`` after normalizing ``H_t`` to vanish on S^1.
 
     A map is integrated over its isotopy tree, as ``windings`` is, and the
-    tree carries all of the time dependence.  A leaf's generator ``H`` does not
-    depend on time, so the leaf contributes ``2 int_D H omega``.  Each time
+    tree carries all of the time dependence.  A leaf flows its generator ``H``,
+    which does not depend on time, for the signed time ``tau``, so the leaf
+    contributes ``tau 2 int_D H omega``.  Each time
     slot of a concatenation integrates its own piece once, so the pieces'
     values add.  Under a conjugation by an ``h`` preserving S^1 the generator
     ``H o h^-1`` has the same area integral and the same boundary constant, so
-    it contributes its inner value.  A leaf's generator must be constant on
+    it contributes its inner value.  A leaf's ``tau H`` must be constant on
     the circle (to ``TOL_GENERATOR_BOUNDARY``; BoundaryNotConstant otherwise);
-    the constant is subtracted before the polar rule integrates it.
+    the constant is subtracted before the polar rule integrates it.  A bare
+    generator is integrated as a leaf at ``tau = 1``.
     """
     if isinstance(bundle_or_field, MapBundle):
         return _cal3_tree(bundle_or_field, grid, {})
-    return _cal3_leaf(bundle_or_field, grid)
+    return _cal3_leaf(bundle_or_field, 1.0, grid)
 
 
 def _cal3_tree(isotopy, grid, memo) -> float:
@@ -423,17 +425,18 @@ def _cal3_tree(isotopy, grid, memo) -> float:
     if isotopy.field is None:
         raise ValueError("cal3 needs a bundle with a Hamiltonian generator")
     if id(isotopy) not in memo:
-        memo[id(isotopy)] = _cal3_leaf(isotopy.field, grid)
+        memo[id(isotopy)] = _cal3_leaf(isotopy.field, isotopy.tau, grid)
     return memo[id(isotopy)]
 
 
-def _cal3_leaf(field, grid) -> float:
-    bvals = field.boundary_values()
+def _cal3_leaf(field, tau, grid) -> float:
+    """``2 int_D tau H omega`` for the generator ``H = field``."""
+    bvals = tau * field.boundary_values()
     spread = float(np.max(bvals) - np.min(bvals))
     if spread > TOL_GENERATOR_BOUNDARY:
-        raise BoundaryNotConstant(f"generator varies by {spread:.2e} on the circle")
+        raise BoundaryNotConstant(f"generator {field.name} at tau={tau} varies by {spread:.2e} on the circle")
     r, w, _, units, pts = _polar_grid(grid, field.radial_breakpoints)
-    h = (field.value(pts) - float(np.mean(bvals))).reshape(r.size, units.size)
+    h = (tau * field.value(pts) - float(np.mean(bvals))).reshape(r.size, units.size)
     return 2.0 * float(np.sum(w * 2.0 * r * np.mean(h, axis=1)))
 
 

@@ -2,8 +2,8 @@
 
 The configuration is a single JSON tree (documented by example in the
 README); nested map specs express compose/iterate/conjugate.  Exit codes:
-0 success, 2 configuration error, 3 numerical failure (the error name is
-printed on stderr).
+0 success, 2 configuration error (including budgets that no memory holds, a
+MemoryError), 3 numerical failure (the error name is printed on stderr).
 
 Report CSV column order is frozen as ``CalabiReport.FLAT_FIELDS`` followed by
 the sorted ``diag_*`` keys; the JSON object is the superset of record.
@@ -188,8 +188,8 @@ def cmd_experiment(name: str, cfg: dict, out_dir: str, fmt: str, overrides: dict
 
 
 def cmd_cf(args, out_dir: str, fmt: str) -> int:
-    if args.alpha is None and args.quotients is None and args.synthetic is None:
-        raise ConfigError("cf needs --alpha, --quotients, or --synthetic")
+    if sum(source is not None for source in (args.alpha, args.quotients, args.synthetic)) != 1:
+        raise ConfigError("cf takes exactly one of --alpha, --quotients and --synthetic")
     depth = COUNT(args.depth, "depth")
     if args.alpha is not None:
         cf = arithmetic.continued_fraction(config_number(args.alpha, "alpha"), depth)
@@ -276,7 +276,7 @@ def main(argv=None) -> int:
         if args.command == "cf":
             return cmd_cf(args, args.out, args.format)
         raise ConfigError(f"unknown command {args.command!r}")
-    except ConfigError as exc:
+    except (ConfigError, MemoryError) as exc:  # a budget that no memory holds is a configuration error
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except DiskcalError as exc:

@@ -12,9 +12,10 @@ keeps its state in such rows, so no complex temporaries are built per stage.
 Only the value ``H(z)`` takes complex points.
 
 Generators carry no time.  Only leaf isotopies carry one, and the time
-dependence of an isotopy lives in its tree (``flow``): a concatenation runs
-its pieces in time slots and a conjugation reads its inner isotopy, so no
-composite or time-dependent generator is ever built.
+dependence of an isotopy lives in its tree (``flow``): a leaf flows its
+generator for a signed time ``tau``, a concatenation runs its pieces in time
+slots and a conjugation reads its inner isotopy, so no scaled, composite or
+time-dependent generator is ever built.
 """
 
 from __future__ import annotations
@@ -96,23 +97,3 @@ def central_vector_wirtinger(vector, u, v):
     du = (vector(u + hh, v) - vector(u - hh, v)) * scale
     dv = (vector(u, v + hh) - vector(u, v - hh)) * scale
     return 0.5 * (du[0] + dv[1]), 0.5 * (du[1] - dv[0]), 0.5 * (du[0] - dv[1]), 0.5 * (du[1] + dv[0])
-
-
-def scaled_field(base: HamiltonianField, scale: float) -> HamiltonianField:
-    """``scale * H``, whose time-1 map is the time-``scale`` map of ``H``.
-
-    ``scale=-1`` generates the inverse of the time-1 map.
-    """
-
-    def scaled(derivative):
-        if derivative is None:
-            return None
-        return lambda u, v: [scale * c for c in derivative(u, v)]
-
-    return HamiltonianField(
-        h=lambda z: scale * base.value(z),
-        grad=scaled(base._grad),
-        wirtinger=scaled(base._wirtinger),
-        name=f"{scale}*{base.name}",
-        radial_breakpoints=base.radial_breakpoints,
-    )

@@ -11,7 +11,7 @@ cached boundary lift.  Four realizations cover the package:
                           integration of a generator field, with the
                           variational equation alongside, on the float rows
                           of its complex state,
-* ``RadialIsotopy``    -- exact flow ``z -> z exp(2 pi i t w(|z|^2))`` of a
+* ``RadialIsotopy``    -- exact flow ``z -> z exp(2 pi i tau t w(|z|^2))`` of a
                           radial generator,
 * ``ConcatIsotopy``    -- time-concatenation (reparametrized to [0, 1]),
 * ``ConjugatedIsotopy``-- ``h . f_t . h^-1`` for a fixed symplectic ``h``.
@@ -23,8 +23,10 @@ resolved.  The one tracked composite case is the position winding of an
 interior point under a conjugation, which has no such identity and follows
 the conjugated trajectory.
 
-Only the two leaves carry a generator (``field``).  The composites carry
-none: the generator route and the radial kinks of the action route's grid
+Only the two leaves carry a generator (``field``), which they flow for the
+signed time ``tau * t``: a leaf's inverse runs ``-tau``, and no scaled or
+reversed generator is ever built.  The composites carry none: the generator
+route and the radial kinks of the action route's grid
 (``radial_breakpoints``) follow the tree of pieces and inner isotopies.
 """
 
@@ -37,7 +39,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import PointOutsideDisk, StepTooCoarse
-from .fields import HamiltonianField, scaled_field
+from .fields import HamiltonianField
 from .geometry import (
     MIN_VECTOR_NORM,
     TOL_BOUNDARY,
@@ -138,7 +140,7 @@ class MapBundle:
     """
 
     name = "map"
-    field: Optional[HamiltonianField] = None  # a leaf's generator; composites carry none
+    field: Optional[HamiltonianField] = None  # a leaf's generator, flowed for time tau; composites carry none
     # radii where z -> f_t(z) may kink: a leaf's own, the union over the pieces
     # of a concatenation, none under a conjugation (h^-1 moves them off circles)
     radial_breakpoints: tuple = ()
@@ -192,12 +194,15 @@ class FieldIsotopy(MapBundle):
     PointOutsideDisk is raised if the finest one still leaves it, and by any
     flow outside calibration.  The generator is a HamiltonianField or any
     field with its row methods ``vector(u, v, out)`` and
-    ``vector_wirtinger(u, v)``; neither reads a time, so the isotopy time is
-    the integration time alone.
+    ``vector_wirtinger(u, v)``; neither reads a time.  ``f_t`` is the flow
+    of the generator for the signed time ``tau * t``: each step of length h
+    in isotopy time is a DOP853 step of length ``tau * h``, so ``tau = -1``
+    flows the inverse isotopy and the steps per unit time count isotopy time.
     """
 
-    def __init__(self, generator, base_steps: int = DEFAULT_STEPS):
+    def __init__(self, generator, tau: float = 1.0, base_steps: int = DEFAULT_STEPS):
         self.generator = generator
+        self.tau = tau
         self.field = generator if isinstance(generator, HamiltonianField) else None
         self.radial_breakpoints = self.field.radial_breakpoints if self.field else ()
         self.n_steps = self._calibrate(base_steps)
@@ -218,7 +223,7 @@ class FieldIsotopy(MapBundle):
             prev = cur
             if diff > TOL_ODE * MAX_DOUBLING_CONTRACTION**left:
                 break
-        name = getattr(self.generator, "name", "field")
+        name = f"{getattr(self.generator, 'name', 'field')} for time tau={self.tau}"
         if np.isnan(prev).all():
             raise PointOutsideDisk(f"flow of {name} leaves the disk at {n} steps per unit time")
         raise StepTooCoarse(
@@ -252,7 +257,8 @@ class FieldIsotopy(MapBundle):
         ``y`` holds the float rows (real part, imaginary part) of each complex
         state component, the position first; it is projected back onto the
         disk after every step.  ``rhs`` writes a stage's derivative into
-        ``out``.  A time gap d takes ``ceil(d * n_steps)`` equal steps.  The
+        ``out``.  A time gap d takes ``ceil(d * n_steps)`` equal steps of
+        length h, each a step of ``tau * h`` in the generator's time.  The
         stages live in one (12, rows, N) workspace, and each stage point and
         step increment is one product of a coupling row with it, written into
         one reused buffer.  Times must be non-negative and non-decreasing.
@@ -268,7 +274,7 @@ class FieldIsotopy(MapBundle):
         for t1 in times:
             if t1 > t0:
                 n_sub = max(1, int(np.ceil((t1 - t0) * n_steps)))
-                h = (t1 - t0) / n_sub
+                h = self.tau * ((t1 - t0) / n_sub)
                 a, b = h * DOP853_A, h * DOP853_B
                 rows = [a[i, :i] for i in range(DOP853_STAGES)]
                 for _ in range(n_sub):
@@ -300,31 +306,36 @@ class FieldIsotopy(MapBundle):
         return tuple(out)
 
     def inverse(self):
-        if self.field is None:
-            raise ValueError("cannot invert an isotopy without a Hamiltonian generator")
-        # the negated field is as regular as this one, so calibration starts
+        # the reversed flow is as regular as this one, so calibration starts
         # from half the count: its TOL_ODE check then lands on n_steps
         # (calibration returns twice the count it starts from)
-        return FieldIsotopy(scaled_field(self.field, -1.0), base_steps=self.n_steps // 2)
+        return FieldIsotopy(self.generator, -self.tau, base_steps=self.n_steps // 2)
 
 
 class RadialIsotopy(MapBundle):
-    """Exact flow of a radial generator.
+    """Exact flow of a radial generator for the signed time ``tau * t``.
 
     The profile supplies the angular speed ``w(s)`` in turns per unit time as
-    a function of ``s = |z|^2``; every circle is invariant and rotates rigidly,
-    so flow, Jacobian and windings admit closed forms.
+    a function of ``s = |z|^2``; every circle is invariant and rotates rigidly
+    at ``tau * w``, so flow, Jacobian and windings admit closed forms.  The
+    inverse runs ``-tau`` and the n-th iterate ``n * tau`` (a one-parameter
+    group).
     """
 
-    def __init__(self, profile):
+    def __init__(self, profile, tau: float = 1.0):
         self.profile = profile
+        self.tau = tau
         self.field = profile.field()
         self.radial_breakpoints = profile.breakpoints
+
+    def _speed(self, s):
+        # 0.0 + tau w rather than tau w: at tau < 0 a speed of zero stays +0.0
+        return 0.0 + self.tau * self.profile.w_of_s(s)
 
     def trajectory(self, z, times):
         z = _as_points(z)
         times = np.asarray(times, dtype=float)
-        w = self.profile.w_of_s(np.abs(z) ** 2)
+        w = self._speed(np.abs(z) ** 2)
         # phase, exponential and product share one (T, N) buffer
         out = np.multiply.outer(2j * np.pi * times, w)
         np.exp(out, out=out)
@@ -333,8 +344,8 @@ class RadialIsotopy(MapBundle):
     def flow_wirtinger(self, t, z):
         z = _as_points(z)
         s = np.abs(z) ** 2
-        w = self.profile.w_of_s(s)
-        dw = self.profile.dw_ds(s)
+        w = self._speed(s)
+        dw = 0.0 + self.tau * self.profile.dw_ds(s)
         e = np.exp(2j * np.pi * t * w)
         rot = 2j * np.pi * t * dw
         p = e * (1.0 + rot * s)
@@ -342,7 +353,7 @@ class RadialIsotopy(MapBundle):
         return z * e, p, q
 
     def inverse(self):
-        return RadialIsotopy(self.profile.scaled(-1.0))
+        return RadialIsotopy(self.profile, -self.tau)
 
     def windings(self, x, y):
         # f_t(x) - f_t(y) = e^{2 pi i t c} (u - v e^{2 pi i t psi}) with |v| < |u|
@@ -350,10 +361,10 @@ class RadialIsotopy(MapBundle):
         # factor winds c turns, the second stays in the disk of radius |v|
         # about u, which misses 0, so it winds by the principal argument of
         # its endpoint ratio (Gambaudo-Ghys)
-        a = self.profile.w_of_s(np.abs(x) ** 2)
+        a = self._speed(np.abs(x) ** 2)
         if y is None:
             return a, np.abs(x) >= MIN_VECTOR_NORM
-        b = self.profile.w_of_s(np.abs(y) ** 2)
+        b = self._speed(np.abs(y) ** 2)
         rx, ry = np.abs(x), np.abs(y)
         phi = b - a
         inner = ry < rx

@@ -7,6 +7,8 @@ invariants have closed forms (stated in the family docstrings) that the
 generic machinery is tested against.  Conjugation by the time-tau map of a
 non-radial generator produces the non-trivial examples (stand-ins for
 irrational pseudo-rotations: same rotation number, zero action average).
+A leaf flows its unit generator for a signed time tau, so the inverse of a
+leaf and the iterate of a radial leaf change only that time.
 Every family returns the map as a fresh ``flow.MapBundle`` isotopy node named
 for it (``conjugate`` at tau = 0 returns its map), so the maps a derived map
 is built from keep their names and cached boundary lifts.
@@ -21,7 +23,7 @@ import numpy as np
 from numpy.polynomial import Polynomial
 
 from .errors import BoundaryNotConstant, ConfigError
-from .fields import HamiltonianField, scaled_field
+from .fields import HamiltonianField
 from .flow import ConcatIsotopy, ConjugatedIsotopy, ConjugatorPair, FieldIsotopy, MapBundle, RadialIsotopy
 
 MAX_ITERATE_PIECES = 2**20  # pieces of a concatenated iterate: 8 MB of pointers, far above any use
@@ -44,17 +46,6 @@ class RadialProfile:
         self.dw_ds = dw
         self.name = name
         self.breakpoints = tuple(breakpoints)
-
-    def scaled(self, c: float):
-        # 0.0 + c x rather than c x: at c = -1 a speed of zero stays +0.0
-        g, w, dw = self.g, self.w_of_s, self.dw_ds
-        return RadialProfile(
-            lambda s: 0.0 + c * g(s),
-            lambda s: 0.0 + c * w(s),
-            lambda s: 0.0 + c * dw(s),
-            name=f"{c}*{self.name}",
-            breakpoints=self.breakpoints,
-        )
 
     def field(self) -> HamiltonianField:
         g, w, dw = self.g, self.w_of_s, self.dw_ds
@@ -227,10 +218,10 @@ def boundary_shear_conjugator(beta: float = 0.3) -> HamiltonianField:
 
 
 def conjugate(bundle: MapBundle, conjugator: HamiltonianField, tau: float) -> MapBundle:
-    """``h . f . h^-1`` for ``h`` the time-tau map of a generator (the flow of ``tau H``)."""
+    """``h . f . h^-1`` for ``h`` the time-tau map of a generator; ``h^-1`` runs ``-tau``."""
     if tau == 0.0:
         return bundle
-    pair = ConjugatorPair(FieldIsotopy(scaled_field(conjugator, tau)))
+    pair = ConjugatorPair(FieldIsotopy(conjugator, tau))
     return _named(ConjugatedIsotopy(pair, bundle), f"conj({bundle.name};tau={tau})")
 
 
@@ -251,7 +242,7 @@ def compose(a: MapBundle, b: MapBundle) -> MapBundle:
 
 
 def iterate(a: MapBundle, n: int) -> MapBundle:
-    """The n-th iterate: a radial flow of n times the generator (a one-parameter
+    """The n-th iterate: a radial flow for n times as long (a one-parameter
     group), a conjugation of the iterated inner isotopy on the same conjugator
     pair (``(h f h^-1)^n = h f^n h^-1``), else n concatenated copies, at most
     ``MAX_ITERATE_PIECES`` pieces."""
@@ -260,7 +251,7 @@ def iterate(a: MapBundle, n: int) -> MapBundle:
     if n < 0:
         return iterate(inverse(a), -n)
     if isinstance(a, RadialIsotopy):
-        out = RadialIsotopy(a.profile.scaled(n))
+        out = RadialIsotopy(a.profile, n * a.tau)
     elif isinstance(a, ConjugatedIsotopy):
         out = ConjugatedIsotopy(a.pair, iterate(a.inner, n))
     else:

@@ -142,6 +142,22 @@ class TestCompute:
         assert "ConfigError" in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize("wanted, budgets", [
+        (["cal2"], {"seed": 7, "pairs": 2**45}),
+        (["c-mu"], {"seed": 7, "c_mu_points": 2**45}),
+        (["cal3"], {"grid": [64, 2**45]}),
+        (["verify-link"], {"seed": 7, "pairs": 2**45}),
+    ], ids=["cal2_pairs", "c_mu_points", "cal3_grid", "verify_link_pairs"])
+    def test_budgets_no_memory_holds_are_config_errors(self, tmp_path, capsys, wanted, budgets):
+        # 2^45 samples are 256 TiB of floats, more than the user address
+        # space holds, so the allocation is refused at once and nothing runs
+        cfg = write_config(tmp_path, {"map": {"family": "rotation", "alpha": 0.3}, "compute": wanted,
+                                      "budgets": budgets})
+        out = tmp_path / "x"
+        assert main(["--out", str(out), "compute", "--config", cfg]) == 2
+        assert "MemoryError" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
     def test_numerical_error_exit_code(self, tmp_path, capsys):
         # twist profile not vanishing on the boundary: a numerical-domain failure
         cfg = write_config(
@@ -344,7 +360,13 @@ class TestCfCommand:
         ["--quotients", "1,x"],
         ["--quotients", "0,2,0"],
         ["--synthetic", "non-bruno", "--depth", "0"],
-    ], ids=["depth0", "alpha_nan", "alpha_inf", "quotient_x", "quotient_0", "synthetic_depth0"])
+        # the table has one source; a second one was silently dropped
+        ["--alpha", "0.3", "--quotients", "1,2"],
+        ["--alpha", "0.3", "--synthetic", "non-bruno"],
+        ["--quotients", "1,2", "--synthetic", "super-liouville"],
+        ["--alpha", "0.3", "--quotients", "1,2", "--synthetic", "non-bruno"],
+    ], ids=["depth0", "alpha_nan", "alpha_inf", "quotient_x", "quotient_0", "synthetic_depth0",
+            "alpha_and_quotients", "alpha_and_synthetic", "quotients_and_synthetic", "three_sources"])
     def test_degenerate_arguments_are_config_errors(self, tmp_path, capsys, argv):
         assert main(["--out", str(tmp_path), "cf", *argv]) == 2
         assert "ConfigError" in capsys.readouterr().err

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from diskcal.errors import PointOutsideDisk, StepTooCoarse
 from diskcal.calabi import PairSampler, cal2_tilde
-from diskcal.fields import HamiltonianField, central_vector_wirtinger, scaled_field
+from diskcal.fields import HamiltonianField, central_vector_wirtinger
 from diskcal.circle import lift_from_isotopy
 from diskcal.flow import (
     DOP853_A,
@@ -149,17 +149,33 @@ class TestFlowMap:
         pts = interior_points(25, seed=8)
         assert np.max(np.abs(both.flow(1.0, pts) - a.flow(1.0, b.flow(1.0, pts)))) < 1e-9
 
-    def test_inverse_undoes_flow(self):
-        conjugator = FieldIsotopy(scaled_field(off_center_conjugator(0.5), 0.5))
-        for iso in (quadratic_twist(0.3), FieldIsotopy(rotation_field(0.3)), conjugator):
+    def test_inverse_undoes_flow(self, broken_bundle):
+        # a field leaf's inverse flows its own generator backwards, whatever
+        # field it is (the broken field has no Hamiltonian)
+        conjugator = FieldIsotopy(off_center_conjugator(0.5), 0.5)
+        for iso in (quadratic_twist(0.3), FieldIsotopy(rotation_field(0.3)), conjugator, broken_bundle):
             pts = interior_points(20, seed=9)
             back = iso.inverse().flow(1.0, iso.flow(1.0, pts))
             assert np.max(np.abs(back - pts)) < 1e-7
 
+    def test_time_tau_map_is_the_flow_of_tau_h(self):
+        # tau = 0.5 scales each step by a power of two, which commutes with
+        # rounding, so H flowed for time 0.5 is bitwise the flow of H / 2
+        # (off_center(0.25) is off_center(0.5) / 2), forward and inverse
+        pts = interior_points(50, seed=18, rmax=1.0)
+        pairs = [(FieldIsotopy(off_center_conjugator(0.5), 0.5), FieldIsotopy(off_center_conjugator(0.25)))]
+        pairs.append(tuple(iso.inverse() for iso in pairs[0]))
+        for timed, halved in pairs:
+            assert timed.n_steps == halved.n_steps
+            for t in (0.5, 1.0):
+                assert np.array_equal(timed.flow(t, pts), halved.flow(t, pts))
+                for a, b in zip(timed.flow_wirtinger(t, pts), halved.flow_wirtinger(t, pts)):
+                    assert np.array_equal(a, b)
+
     @pytest.mark.parametrize("conjugator", [off_center_conjugator(0.5), boundary_shear_conjugator(0.3)],
                              ids=["off_center", "shear"])
     def test_inverse_keeps_the_step_count(self, conjugator):
-        iso = FieldIsotopy(scaled_field(conjugator, 0.5))
+        iso = FieldIsotopy(conjugator, 0.5)
         assert iso.inverse().n_steps == iso.n_steps
 
 
@@ -174,7 +190,7 @@ class TestCalibration:
     def test_inner_support_flows_or_raises(self, scale):
         bundle = bump(4)
         try:
-            iso = FieldIsotopy(scaled_field(bundle.field, scale))
+            iso = FieldIsotopy(bundle.field, scale)
         except StepTooCoarse:
             return
         # the time-1 map of scale * H is the time-scale map of H
@@ -277,16 +293,16 @@ class TestDOP853:
                 ratio = np.max(np.abs(c - r)) / np.max(np.abs(f - r))
                 assert np.log2(ratio) >= 7.5, (n, ratio)
 
-    @pytest.mark.parametrize("field, jacobian_tol_on_s1", [
-        (off_center_conjugator(0.5), 1e-14),
-        (boundary_shear_conjugator(0.3), 1e-14),
-        # the negated field, which flows the inverse (reversed) isotopy
-        (scaled_field(off_center_conjugator(0.5), -1.0), 1e-14),
-        (quadratic_twist(0.3).field, 1e-14),
+    @pytest.mark.parametrize("field, tau, jacobian_tol_on_s1", [
+        (off_center_conjugator(0.5), 1.0, 1e-14),
+        (boundary_shear_conjugator(0.3), 1.0, 1e-14),
+        # the field flowed backwards, which is the inverse (reversed) isotopy
+        (off_center_conjugator(0.5), -1.0, 1e-14),
+        (quadratic_twist(0.3).field, 1.0, 1e-14),
         # a central-difference pair moves by ~ulp / H_GRAD_STEP when its point moves an ulp
-        (BrokenField(quadratic_twist(0.3).field), 1e-9),
+        (BrokenField(quadratic_twist(0.3).field), 1.0, 1e-9),
     ], ids=["offcenter", "shear", "offcenter_reversed", "twist", "broken"])
-    def test_row_stepper_matches_the_complex_reference(self, field, jacobian_tol_on_s1):
+    def test_row_stepper_matches_the_complex_reference(self, field, tau, jacobian_tol_on_s1):
         # Interior points are never projected, so their positions agree bit
         # for bit.  On S^1 the projection divides by hypot(u, v) where the
         # reference divides by abs(z), 1 ulp apart on a third of inputs; and
@@ -294,16 +310,17 @@ class TestDOP853:
         # the last bits everywhere.  Measured: positions on S^1 within
         # 2.9e-15, p and q within 3e-15 relative (1.3e-11 for the broken field
         # on S^1).
-        iso = FieldIsotopy(field)
+        iso = FieldIsotopy(field, tau)
         inner = interior_points(300, seed=67, rmax=0.99)
         z = np.concatenate([inner, np.exp(2j * np.pi * np.arange(32) / 32)])
         n = inner.size
-        (ref,) = _complex_dop853(_complex_rhs(field, jacobian=False), (z,), iso.n_steps)
+        (ref,) = _complex_dop853(_complex_rhs(field, jacobian=False), (z,), iso.n_steps, tau)
         got = iso.flow(1.0, z)
         assert np.array_equal(got[:n], ref[:n])
         assert np.max(np.abs(got - ref)) <= 1e-14
         one, zero = np.ones_like(z), np.zeros_like(z)
-        ref_z, ref_p, ref_q = _complex_dop853(_complex_rhs(field, jacobian=True), (z, one, zero), iso.n_steps)
+        rhs = _complex_rhs(field, jacobian=True)
+        ref_z, ref_p, ref_q = _complex_dop853(rhs, (z, one, zero), iso.n_steps, tau)
         got_z, got_p, got_q = iso.flow_wirtinger(1.0, z)
         assert np.array_equal(got_z, got) and np.array_equal(ref_z, ref)
         for g, w in ((got_p, ref_p), (got_q, ref_q)):
@@ -329,13 +346,13 @@ def _complex_rhs(field, jacobian):
     return rhs
 
 
-def _complex_dop853(rhs, state, n_sub):
-    """Reference stepper on complex arrays, t = 0 to 1 in ``n_sub`` steps.
+def _complex_dop853(rhs, state, n_sub, tau=1.0):
+    """Reference stepper on complex arrays, t = 0 to 1 in ``n_sub`` steps of ``tau / n_sub``.
 
     Each stage is ``y + a_i . k`` and each step ``y += b . k`` on the real view
     of the complex stages, then the position is projected back onto the disk.
     """
-    h = 1.0 / n_sub
+    h = tau * (1.0 / n_sub)
     a, b = h * DOP853_A, h * DOP853_B
     y = np.array(state, dtype=complex)
     k = np.empty((DOP853_STAGES,) + y.shape, dtype=complex)
@@ -440,7 +457,7 @@ class TestChordWindings:
             assert np.max(np.abs(vals - 7.3)) < 1e-9
 
     def test_slow_field_leaf_starts_at_its_step_count(self):
-        iso = FieldIsotopy(scaled_field(off_center_conjugator(0.5), 0.5))
+        iso = FieldIsotopy(off_center_conjugator(0.5), 0.5)
         assert iso.n_steps < MIN_WINDING_STEPS
         x = interior_points(40, seed=16)
         y = interior_points(40, seed=17)
@@ -700,7 +717,7 @@ class TestConjugatorPair:
     def test_concurrent_lookups_stay_exact(self):
         # more threads than cores and more point sets than memo entries, so
         # lookups, inserts and evictions interleave; a short flow keeps misses cheap
-        pair = ConjugatorPair(FieldIsotopy(scaled_field(off_center_conjugator(0.5), 0.1)))
+        pair = ConjugatorPair(FieldIsotopy(off_center_conjugator(0.5), 0.1))
         sets = [interior_points(16, seed=40 + k) for k in range(H_INVERSE_MEMO_SIZE + 4)]
         images = [pair.h_inverse.flow(1.0, x) for x in sets]
         jacobians = [pair.h_inverse.flow_wirtinger(1.0, x) for x in sets]
