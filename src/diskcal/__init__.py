@@ -23,7 +23,6 @@ from .arithmetic import (
     synthetic_super_liouville,
 )
 from .calabi import (
-    ActionFunction,
     CalabiReport,
     Cal1Result,
     Cal2Result,

@@ -36,9 +36,6 @@ from .geometry import TOL_AREA, liouville_eval, uniform_disk_points, wirtinger_a
 MIN_PAIR_SEPARATION = 1e-6
 STRATEGIES = ("uniform", "stratified")  # PairSampler.strategy
 N_STRATA = 8  # equal-area annuli per factor of the stratified sampler
-SEGMENT_NODES = 8
-ACTION_RADIAL_NODES = 64  # Gauss-Legendre nodes per ray of ActionFunction.a0
-BOUNDARY_PROFILE_SAMPLES = 512  # rays of the boundary profile behind c_mu
 TOL_GENERATOR_BOUNDARY = 1e-8  # spread of H_t on S^1 that cal3 accepts as constant
 MIN_RICHARDSON_GRID = (32, 64)  # smallest cal1 grid whose half grid is at least (16, 32)
 GAUSS_RULE_CACHE_SIZE = 32  # Gauss-Legendre rules kept, by node count
@@ -74,14 +71,6 @@ def composite_gauss_radii(n_nodes: int, breakpoints=()):
         weights.append(w * (hi - lo) / 2.0)
     # the segments ascend (np.unique) and so do numpy's nodes within each
     return np.concatenate(nodes), np.concatenate(weights)
-
-
-def _segment_nodes(edges_lo, edges_hi, m: int):
-    """GL-m nodes/weights on per-point segments [lo, hi] (vectorized)."""
-    x, w = gauss_legendre(m)
-    half = (edges_hi - edges_lo)[..., None] / 2.0
-    mid = (edges_hi + edges_lo)[..., None] / 2.0
-    return mid + half * x, half * w
 
 
 def spectral_interp_average(values: np.ndarray, offset: float, mu: BoundaryMeasure) -> float:
@@ -150,58 +139,6 @@ def _action_averages(bundle, mu, grid, primitive_shift=None):
 
 
 # ---------------------------------------------------------------------------
-# action function
-
-
-class ActionFunction:
-    """Primitive of ``f^* lambda - lambda`` with zero boundary-measure average.
-
-    ``a0`` integrates ``lambda_{f(t z)}(Df . z)`` along the radial path
-    ``t -> t z`` by composite Gauss-Legendre (the pure-lambda term along the
-    ray vanishes identically).  ``c_mu``, the mu-average of the boundary
-    profile, comes from the same per-ray rule as ``cal1``; mu defaults to the
-    orbit measure of the boundary lift.  An optional primitive shift
-    ``(u, grad u)`` evaluates the same construction for the perturbed
-    Liouville form ``lambda + du``.
-    """
-
-    def __init__(self, bundle: MapBundle, mu: Optional[BoundaryMeasure] = None, primitive_shift=None):
-        _checked_area_residual(bundle)
-        if mu is None:
-            mu = invariant_measure(bundle.boundary_lift())
-        self.bundle = bundle
-        self.mu = mu
-        self.primitive_shift = primitive_shift
-        self._breaks = bundle.radial_breakpoints
-        _, self.c_mu = _action_averages(
-            bundle, mu, (ACTION_RADIAL_NODES, BOUNDARY_PROFILE_SAMPLES), primitive_shift
-        )
-
-    def _integrand(self, pos, direction):
-        return _pullback_integrand(self.bundle, self.primitive_shift, pos, direction)
-
-    def a0(self, z):
-        """Radial-path primitive at point(s) ``z``, zero at the origin."""
-        pts = np.atleast_1d(np.asarray(z, dtype=complex))
-        r = np.abs(pts)
-        unit = np.where(r > 0, pts / np.where(r > 0, r, 1.0), 1.0)
-        edges = np.concatenate([[0.0], np.asarray(self._breaks, dtype=float), [1.0]])
-        lo = np.minimum(edges[:-1][None, :], r[:, None])
-        hi = np.minimum(edges[1:][None, :], r[:, None])
-        m = max(SEGMENT_NODES, ACTION_RADIAL_NODES // (edges.size - 1))
-        rho, w = _segment_nodes(lo, hi, m)  # (N, S, m)
-        shape = rho.shape
-        pos = (rho * unit[:, None, None]).reshape(-1)
-        direction = np.broadcast_to(unit[:, None, None], shape).reshape(-1)
-        vals = self._integrand(pos, direction).reshape(shape)
-        out = np.sum(vals * w, axis=(1, 2))
-        return out if np.ndim(z) else float(out[0])
-
-    def __call__(self, z):
-        return self.a0(z) - self.c_mu
-
-
-# ---------------------------------------------------------------------------
 # cal1: area average of the action function
 
 
@@ -258,12 +195,17 @@ def cal1(
 class PairSampler:
     """Draws pairs from the product of the normalized area form with itself.
 
-    ``stratified`` splits the disk into equal-area annuli for each factor and
-    allocates samples proportionally (deterministic largest-remainder rounding),
-    which sharpens the estimator for radially concentrated windings.  A
-    standard error needs two pairs per variance: ``n >= 2``, and for
-    ``stratified`` ``n >= 2 N_STRATA^2``, two per stratum pair.  Pairs closer
-    than ``MIN_PAIR_SEPARATION`` are redrawn.
+    A strategy is its draw, its ``redraw`` and its ``estimate``.  ``uniform``
+    draws every pair from omega x omega and estimates by the plain mean.
+    ``stratified`` splits the disk into equal-area annuli for each factor,
+    allocates samples proportionally (deterministic largest-remainder
+    rounding) and draws them cell by cell; it estimates by the equal-mass
+    mean of the cell means, which sharpens the estimator for radially
+    concentrated windings.  ``redraw`` draws each index inside its own cell,
+    so pairs closer than ``MIN_PAIR_SEPARATION`` and pairs whose winding stays
+    unresolved are replaced in their own stratum.  A standard error needs two
+    pairs per variance: ``n >= 2``, and for ``stratified``
+    ``n >= 2 N_STRATA^2``, two per stratum pair.
     """
 
     n: int
@@ -277,9 +219,6 @@ class PairSampler:
         if self.n < need:
             raise ValueError(f"{self.strategy} sampling needs at least {need} pairs, got {self.n}")
 
-    def _draw_uniform(self, rng, size):
-        return uniform_disk_points(size, rng), uniform_disk_points(size, rng)
-
     def _draw_stratum(self, rng, i, j, size):
         rx = np.sqrt((i + rng.random(size)) / N_STRATA)
         ry = np.sqrt((j + rng.random(size)) / N_STRATA)
@@ -287,53 +226,53 @@ class PairSampler:
         y = ry * np.exp(2j * np.pi * rng.random(size))
         return x, y
 
-    def _separate(self, rng, draw, x, y):
-        resampled = 0
-        for _ in range(100):
-            bad = np.abs(x - y) < MIN_PAIR_SEPARATION
-            if not np.any(bad):
-                break
-            resampled += int(np.sum(bad))
-            nx, ny = draw(rng, int(np.sum(bad)))
-            x[bad], y[bad] = nx, ny
-        return x, y, resampled
-
-    def sample_pairs(self):
-        """Returns (x, y, cell masses or None, cell slices or None, resampled)."""
-        rng = np.random.default_rng(self.seed)
-        if self.strategy == "uniform":
-            x, y = self._draw_uniform(rng, self.n)
-            x, y, resampled = self._separate(rng, self._draw_uniform, x, y)
-            return x, y, None, None, resampled
-        cells = [(i, j) for i in range(N_STRATA) for j in range(N_STRATA)]
-        counts = self._cell_counts()
-        xs, ys, slices = [], [], []
-        start = resampled = 0
-        for (i, j), c in zip(cells, counts):
-            draw = lambda r, s, _i=i, _j=j: self._draw_stratum(r, _i, _j, s)
-            x, y = draw(rng, int(c))
-            x, y, redrawn = self._separate(rng, draw, x, y)
-            xs.append(x)
-            ys.append(y)
-            slices.append(slice(start, start + int(c)))
-            start += int(c)
-            resampled += redrawn
-        masses = np.full(len(cells), 1.0 / len(cells))
-        return np.concatenate(xs), np.concatenate(ys), masses, slices, resampled
-
     def _cell_counts(self):
+        """Pairs per cell ``(i, j)``, row-major: equal shares, the remainder one
+        each to the first cells."""
         cells = N_STRATA * N_STRATA
         base = self.n // cells
         counts = np.full(cells, base, dtype=int)
         counts[: self.n - base * cells] += 1
         return counts
 
+    def sample_pairs(self):
+        """``(x, y, resampled)``: n pairs in sample order, then each pair
+        closer than ``MIN_PAIR_SEPARATION`` redrawn (``resampled`` counts the
+        redraws)."""
+        rng = np.random.default_rng(self.seed)
+        if self.strategy == "uniform":
+            x, y = uniform_disk_points(self.n, rng), uniform_disk_points(self.n, rng)
+        else:
+            cells = [self._draw_stratum(rng, *divmod(cell, N_STRATA), int(c))
+                     for cell, c in enumerate(self._cell_counts())]
+            x, y = (np.concatenate(part) for part in zip(*cells))
+        resampled = 0
+        for _ in range(100):
+            close = np.flatnonzero(np.abs(x - y) < MIN_PAIR_SEPARATION)
+            if close.size == 0:
+                break
+            resampled += close.size
+            x[close], y[close] = self.redraw(rng, close)
+        return x, y, resampled
+
     def redraw(self, rng, idx):
         """Fresh pairs for the sample indices ``idx``, each from its own stratum."""
         if self.strategy == "uniform":
-            return self._draw_uniform(rng, idx.size)
+            return uniform_disk_points(idx.size, rng), uniform_disk_points(idx.size, rng)
         cell = np.searchsorted(np.cumsum(self._cell_counts()), idx, side="right")
         return self._draw_stratum(rng, cell // N_STRATA, cell % N_STRATA, idx.size)
+
+    def estimate(self, values):
+        """``(value, stderr)`` of the double integral from per-pair ``values`` in
+        sample order."""
+        if self.strategy == "uniform":
+            return float(np.mean(values)), float(np.std(values, ddof=1) / np.sqrt(values.size))
+        m = 1.0 / N_STRATA**2  # the mass of each cell
+        value = var = 0.0
+        for v in np.split(values, np.cumsum(self._cell_counts())[:-1]):
+            value += m * float(np.mean(v))
+            var += m * m * float(np.var(v, ddof=1)) / v.size
+        return value, float(np.sqrt(var))
 
 
 @dataclass(frozen=True)
@@ -346,16 +285,17 @@ class Cal2Result:
 
 
 def cal2_tilde(bundle: MapBundle, sampler: PairSampler, workers: int = 1) -> Cal2Result:
-    """Monte-Carlo mean of the chord winding over area-form pairs.
+    """Monte-Carlo estimate of the chord winding's double integral over area-form pairs.
 
     Deterministic for fixed seed: windings land in a preallocated array in
-    sample order.  Pairs whose winding stays unresolved (nearly colliding
-    trajectories) are resampled within a small retry budget, each inside its
-    own stratum when the sampler is stratified.  ``workers`` is accepted for
-    existing callers and configs and has no effect: the windings of all pairs
-    are evaluated in one vectorized call.
+    sample order, and ``sampler.estimate`` reads value and stderr from it.
+    Pairs whose winding stays unresolved (nearly colliding trajectories) are
+    redrawn by ``sampler.redraw`` within a small retry budget (StepTooCoarse
+    after three rounds).  ``workers`` is accepted for existing callers and
+    configs and has no effect: the windings of all pairs are evaluated in one
+    vectorized call.
     """
-    x, y, masses, slices, resampled = sampler.sample_pairs()
+    x, y, resampled = sampler.sample_pairs()
     values = np.empty(x.size)
 
     def run(idx):
@@ -371,23 +311,12 @@ def cal2_tilde(bundle: MapBundle, sampler: PairSampler, workers: int = 1) -> Cal
         if bad.size == 0:
             break
         retried += bad.size
-        nx, ny = sampler.redraw(rng, bad)
-        x[bad], y[bad] = nx, ny
+        x[bad], y[bad] = sampler.redraw(rng, bad)
         bad = run(bad)
     if bad.size:
         raise StepTooCoarse(f"{bad.size} sampled pairs never resolved their winding")
 
-    if masses is None:
-        value = float(np.mean(values))
-        stderr = float(np.std(values, ddof=1) / np.sqrt(values.size))
-    else:
-        value = 0.0
-        var = 0.0
-        for m, sl in zip(masses, slices):
-            v = values[sl]
-            value += m * float(np.mean(v))
-            var += m * m * float(np.var(v, ddof=1)) / v.size
-        stderr = float(np.sqrt(var))
+    value, stderr = sampler.estimate(values)
     return Cal2Result(value=value, stderr=stderr, n_pairs=x.size,
                       resampled=resampled, retried=retried)
 
@@ -396,10 +325,10 @@ def cal2_tilde(bundle: MapBundle, sampler: PairSampler, workers: int = 1) -> Cal
 # cal3: time integral of the generator
 
 
-def cal3_tilde(bundle_or_field, grid=(128, 256)) -> float:
+def cal3_tilde(bundle: MapBundle, grid=(128, 256)) -> float:
     """``2 int_0^1 int_D H_t omega dt`` after normalizing ``H_t`` to vanish on S^1.
 
-    A map is integrated over its isotopy tree, as ``windings`` is, and the
+    The map is integrated over its isotopy tree, as ``windings`` is, and the
     tree carries all of the time dependence.  A leaf flows its generator ``H``,
     which does not depend on time, for the signed time ``tau``, so the leaf
     contributes ``tau 2 int_D H omega``.  Each time
@@ -408,12 +337,9 @@ def cal3_tilde(bundle_or_field, grid=(128, 256)) -> float:
     ``H o h^-1`` has the same area integral and the same boundary constant, so
     it contributes its inner value.  A leaf's ``tau H`` must be constant on
     the circle (to ``TOL_GENERATOR_BOUNDARY``; BoundaryNotConstant otherwise);
-    the constant is subtracted before the polar rule integrates it.  A bare
-    generator is integrated as a leaf at ``tau = 1``.
+    the constant is subtracted before the polar rule integrates it.
     """
-    if isinstance(bundle_or_field, MapBundle):
-        return _cal3_tree(bundle_or_field, grid, {})
-    return _cal3_leaf(bundle_or_field, 1.0, grid)
+    return _cal3_tree(bundle, grid, {})
 
 
 def _cal3_tree(isotopy, grid, memo) -> float:

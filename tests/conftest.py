@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
 
-from diskcal.circle import LiftedCircleMap
+from diskcal.calabi import _action_averages, _checked_area_residual, _pullback_integrand, gauss_legendre
+from diskcal.circle import LiftedCircleMap, invariant_measure
 from diskcal.fields import central_vector_wirtinger
 from diskcal.flow import FieldIsotopy
+
+SEGMENT_NODES = 8  # least Gauss-Legendre nodes per radial segment of ActionFunction.a0
+ACTION_RADIAL_NODES = 64  # Gauss-Legendre nodes per ray of ActionFunction.a0
+BOUNDARY_PROFILE_SAMPLES = 512  # rays of the boundary profile behind c_mu
 
 
 class BrokenField:
@@ -80,6 +85,63 @@ def composed(f, g):
 def encloses(est, target):
     """Whether a RotationNumberEstimate's rigorous enclosure contains ``target``."""
     return abs(est.value - target) <= est.rigorous_halfwidth
+
+
+def _segment_nodes(edges_lo, edges_hi, m: int):
+    """GL-m nodes/weights on per-point segments [lo, hi] (vectorized)."""
+    x, w = gauss_legendre(m)
+    half = (edges_hi - edges_lo)[..., None] / 2.0
+    mid = (edges_hi + edges_lo)[..., None] / 2.0
+    return mid + half * x, half * w
+
+
+class ActionFunction:
+    """Primitive of ``f^* lambda - lambda`` with zero boundary-measure average,
+    the pointwise reference for cal1's Fubini rule.
+
+    ``a0`` integrates ``lambda_{f(t z)}(Df . z)`` along the radial path
+    ``t -> t z`` by composite Gauss-Legendre (the pure-lambda term along the
+    ray vanishes identically).  ``c_mu``, the mu-average of the boundary
+    profile, comes from the same per-ray rule as ``cal1``; mu defaults to the
+    orbit measure of the boundary lift.  An optional primitive shift
+    ``(u, grad u)`` evaluates the same construction for the perturbed
+    Liouville form ``lambda + du``.
+    """
+
+    def __init__(self, bundle, mu=None, primitive_shift=None):
+        _checked_area_residual(bundle)
+        if mu is None:
+            mu = invariant_measure(bundle.boundary_lift())
+        self.bundle = bundle
+        self.mu = mu
+        self.primitive_shift = primitive_shift
+        self._breaks = bundle.radial_breakpoints
+        _, self.c_mu = _action_averages(
+            bundle, mu, (ACTION_RADIAL_NODES, BOUNDARY_PROFILE_SAMPLES), primitive_shift
+        )
+
+    def _integrand(self, pos, direction):
+        return _pullback_integrand(self.bundle, self.primitive_shift, pos, direction)
+
+    def a0(self, z):
+        """Radial-path primitive at point(s) ``z``, zero at the origin."""
+        pts = np.atleast_1d(np.asarray(z, dtype=complex))
+        r = np.abs(pts)
+        unit = np.where(r > 0, pts / np.where(r > 0, r, 1.0), 1.0)
+        edges = np.concatenate([[0.0], np.asarray(self._breaks, dtype=float), [1.0]])
+        lo = np.minimum(edges[:-1][None, :], r[:, None])
+        hi = np.minimum(edges[1:][None, :], r[:, None])
+        m = max(SEGMENT_NODES, ACTION_RADIAL_NODES // (edges.size - 1))
+        rho, w = _segment_nodes(lo, hi, m)  # (N, S, m)
+        shape = rho.shape
+        pos = (rho * unit[:, None, None]).reshape(-1)
+        direction = np.broadcast_to(unit[:, None, None], shape).reshape(-1)
+        vals = self._integrand(pos, direction).reshape(shape)
+        out = np.sum(vals * w, axis=(1, 2))
+        return out if np.ndim(z) else float(out[0])
+
+    def __call__(self, z):
+        return self.a0(z) - self.c_mu
 
 
 def pullback_defect(action, z):

@@ -13,7 +13,6 @@ import pytest
 
 from diskcal.arithmetic import best_approx_check, classify, continued_fraction, synthetic_non_bruno
 from diskcal.calabi import (
-    ActionFunction,
     PairSampler,
     cal1,
     cal2_tilde,
@@ -34,7 +33,7 @@ from diskcal.zoo import (
     rotation,
 )
 
-from conftest import composed, pullback_defect, translation
+from conftest import ActionFunction, composed, pullback_defect, translation
 from test_calabi import invariant_boundary_pair
 
 GOLDEN = 0.6180339887498949

@@ -5,7 +5,6 @@ from numpy.polynomial.legendre import leggauss
 from diskcal import calabi
 from diskcal.calabi import (
     N_STRATA,
-    ActionFunction,
     PairSampler,
     c_mu_tilde,
     cal1,
@@ -36,7 +35,7 @@ from diskcal.zoo import (
     rotation,
 )
 
-from conftest import interior_points, pullback_defect
+from conftest import ActionFunction, interior_points, pullback_defect
 
 GOLDEN = 0.6180339887498949
 POLYLINE_NODES = 48  # Gauss-Legendre nodes per leg of a0_along_polyline
@@ -65,6 +64,15 @@ def winding(bundle, x, y):
     """The angle function: the winding in turns of ``t -> f_t(x) - f_t(y)``."""
     vals, _ = chord_windings(bundle, np.array([x]), np.array([y]))
     return float(vals[0])
+
+
+def in_own_strata(sampler, idx, x, y):
+    """Whether the pairs ``(x, y)`` at the sample indices ``idx`` lie in their
+    strata: cell (i, j) is the annulus pair k|x|^2 in [i, i+1], k|y|^2 in [j, j+1]."""
+    k = N_STRATA
+    cell = np.repeat(np.arange(k * k), sampler._cell_counts())[idx]
+    return bool(np.all(np.abs(k * np.abs(x) ** 2 - (cell // k + 0.5)) <= 0.5 + 1e-12)
+                and np.all(np.abs(k * np.abs(y) ** 2 - (cell % k + 0.5)) <= 0.5 + 1e-12))
 
 
 def birkhoff(bundle, x, y, n):
@@ -290,12 +298,12 @@ class TestCal2:
     def test_stratified_redraw_stays_in_stratum(self):
         k = N_STRATA
         sampler = PairSampler(n=1000, seed=3, strategy="stratified")
-        _, _, _, slices, _ = sampler.sample_pairs()
+        stops = np.cumsum(sampler._cell_counts())
         idx = np.arange(0, 1000, 3)
         x, y = sampler.redraw(np.random.default_rng(1), idx)
-        for cell, sl in enumerate(slices):
+        for cell, (start, stop) in enumerate(zip(stops - sampler._cell_counts(), stops)):
             i, j = divmod(cell, k)
-            sel = (idx >= sl.start) & (idx < sl.stop)
+            sel = (idx >= start) & (idx < stop)
             assert np.any(sel)
             # stratum (i, j) is the annulus pair k|x|^2 in [i, i+1], k|y|^2 in [j, j+1]
             assert np.all(np.abs(k * np.abs(x[sel]) ** 2 - (i + 0.5)) <= 0.5 + 1e-12)
@@ -325,10 +333,69 @@ class TestCal2:
 
         monkeypatch.setattr(calabi, "MIN_PAIR_SEPARATION", 0.05)
         sampler = PairSampler(n=2000, seed=3, strategy=strategy)
-        x, y, _, _, resampled = sampler.sample_pairs()
+        x, y, resampled = sampler.sample_pairs()
         assert resampled > 0
         assert np.all(np.abs(x - y) >= 0.05)
+        assert strategy == "uniform" or in_own_strata(sampler, np.arange(x.size), x, y)
         assert cal2_tilde(quadratic_twist(0.3), sampler).resampled == resampled
+
+    @pytest.mark.parametrize("strategy", ["uniform", "stratified"])
+    def test_value_and_stderr_are_python_floats(self, strategy):
+        res = cal2_tilde(quadratic_twist(0.3), PairSampler(n=1000, seed=5, strategy=strategy))
+        assert type(res.value) is float and type(res.stderr) is float
+
+    def test_stratified_estimate_weighs_every_cell_equally(self):
+        # 130 pairs: the first two cells hold 3, the other 62 hold 2; each
+        # cell's values are its index plus offsets of variance 1 (3) or 2 (2)
+        sampler = PairSampler(n=130, seed=1, strategy="stratified")
+        counts = sampler._cell_counts()
+        values = np.concatenate([c + np.linspace(-1.0, 1.0, m) for c, m in enumerate(counts)])
+        value, stderr = sampler.estimate(values)
+        assert value == pytest.approx(31.5, abs=1e-12) and np.mean(values) < 31.4
+        assert stderr == pytest.approx(np.sqrt(2 * (1 / 3) + 62 * (2 / 2)) / 64, abs=1e-15)
+
+    @pytest.mark.parametrize("strategy", ["uniform", "stratified"])
+    def test_unresolved_pairs_are_redrawn_in_their_stratum(self, monkeypatch, strategy):
+        # the first evaluation leaves the chosen pairs unresolved (NaN); the
+        # retry redraws them through the sampler and winds them once more
+        chosen = np.array([0, 7, 15, 16, 500, 998, 999])
+        bundle = bump(4)
+        calls = []
+
+        def once_unresolved(f, x, y, raise_on_fail=True):
+            vals, ok = chord_windings(f, x, y, raise_on_fail=raise_on_fail)
+            calls.append((x.copy(), y.copy()))
+            if len(calls) == 1:
+                vals[chosen], ok[chosen] = np.nan, False
+            return vals, ok
+
+        monkeypatch.setattr(calabi, "chord_windings", once_unresolved)
+        sampler = PairSampler(n=1000, seed=3, strategy=strategy)
+        res = cal2_tilde(bundle, sampler)
+        assert res.retried == chosen.size and len(calls) == 2
+        rx, ry = calls[1]
+        assert strategy == "uniform" or in_own_strata(sampler, chosen, rx, ry)
+        x, y, _ = sampler.sample_pairs()
+        assert not np.any(np.isin(rx, x[chosen]))
+        x[chosen], y[chosen] = rx, ry
+        values, _ = chord_windings(bundle, x, y)
+        assert (res.value, res.stderr) == sampler.estimate(values)
+        assert np.isfinite(res.value)
+
+    @pytest.mark.parametrize("strategy", ["uniform", "stratified"])
+    def test_pairs_that_never_resolve_raise_after_three_rounds(self, monkeypatch, strategy):
+        calls = []
+
+        def never_resolved(f, x, y, raise_on_fail=True):
+            calls.append(x.size)
+            vals, ok = chord_windings(f, x, y, raise_on_fail=raise_on_fail)
+            ok[:2] = False
+            return vals, ok
+
+        monkeypatch.setattr(calabi, "chord_windings", never_resolved)
+        with pytest.raises(StepTooCoarse, match="2 sampled pairs"):
+            cal2_tilde(bump(4), PairSampler(n=1000, seed=3, strategy=strategy))
+        assert calls == [1000, 2, 2, 2]
 
     def test_stratified_agrees_and_tightens(self):
         uni = cal2_tilde(quadratic_twist(0.3), PairSampler(n=8000, seed=7))
@@ -382,8 +449,10 @@ class TestCal3:
 
     def test_boundary_constancy_enforced(self):
         bad = HamiltonianField(lambda z: np.real(z))
+        # the check every leaf passes through: no isotopy tree of Re z reaches
+        # it, since a FieldIsotopy of Re z leaves the disk while it calibrates
         with pytest.raises(BoundaryNotConstant):
-            cal3_tilde(bad)
+            calabi._cal3_leaf(bad, 1.0, (128, 256))
 
     def test_conjugated_generator_integrates_to_alpha(self):
         # the generator of h R h^-1 is K = H o h^-1; integrated directly on the

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from diskcal.calabi import PairSampler, cal2_tilde
 from diskcal.cli import main
+from diskcal.zoo import from_spec
 
 
 def write_config(tmp_path, cfg):
@@ -45,6 +47,20 @@ class TestCompute:
         assert abs(report["cal1"] - 0.2) < 1e-5
         assert abs(report["cal3"] - 0.2) < 1e-6
         assert report["cal2"] is None
+
+    @pytest.mark.parametrize("strategy", ["uniform", "stratified"])
+    def test_cal2_alone(self, tmp_path, strategy):
+        spec = {"family": "bump", "n": 4}
+        cfg_dict = {"map": spec, "compute": ["cal2"],
+                    "budgets": {"seed": 7, "pairs": 4000, "strategy": strategy}}
+        cfg = write_config(tmp_path, cfg_dict)
+        out = tmp_path / "o"
+        assert main(["--out", str(out), "compute", "--config", cfg]) == 0
+        report = json.loads((out / "report.json").read_text())
+        res = cal2_tilde(from_spec(spec), PairSampler(n=4000, seed=7, strategy=strategy))
+        assert (report["cal2"], report["cal2_stderr"]) == (res.value, res.stderr)
+        assert report["diag_n_pairs"] == res.n_pairs == 4000
+        assert report["cal1"] is None and report["cal3"] is None
 
     @pytest.mark.parametrize("wanted, code", [(["cal1"], 2), (["cal3"], 0)])
     def test_small_grid_refused_where_richardson_runs(self, tmp_path, wanted, code):
