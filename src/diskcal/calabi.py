@@ -31,7 +31,7 @@ from numpy.polynomial.legendre import leggauss
 from .circle import BoundaryMeasure, invariant_measure, rotation_number
 from .errors import BoundaryNotConstant, NotAreaPreserving, StepTooCoarse
 from .flow import ConcatIsotopy, ConjugatedIsotopy, MapBundle, area_residual, chord_windings
-from .geometry import TOL_AREA, liouville_eval, uniform_disk_points, wirtinger_apply
+from .geometry import TOL_AREA, liouville_eval, uniform_disk_points
 
 MIN_PAIR_SEPARATION = 1e-6
 STRATEGIES = ("uniform", "stratified")  # PairSampler.strategy
@@ -104,9 +104,12 @@ def _cached_polar_grid(grid, breakpoints):
 
 
 def _pullback_integrand(bundle, primitive_shift, pos, direction):
-    """``lambda'_{f(p)}(Df . v) - lambda'_p(v)`` at points ``pos``, vectors ``direction``."""
-    f, p, q = bundle.flow_wirtinger(1.0, pos)
-    jv = wirtinger_apply(p, q, direction)
+    """``lambda'_{f(p)}(Df . v) - lambda'_p(v)`` at points ``pos``, vectors ``direction``.
+
+    Only the derivative along ``v`` enters, so the flow pushes the one vector
+    per point (``flow_tangent``), not the whole Jacobian.
+    """
+    f, jv = bundle.flow_tangent(1.0, pos, direction)
     val = liouville_eval(f, jv) - liouville_eval(pos, direction)
     if primitive_shift is not None:
         _, grad_u = primitive_shift

@@ -2,15 +2,18 @@
 
 An isotopy is a path ``f_t`` (t in [0, 1]) of area-preserving diffeomorphisms
 starting at the identity, together with enough structure to evaluate the flow
-at arbitrary times, its Jacobian (as a Wirtinger pair), and the winding of
-chords ``f_t(x) - f_t(y)`` in turns.  Every map is such a node, whose time-1
-map it is: ``MapBundle``, the base class, also carries the map's name and its
-cached boundary lift.  Four realizations cover the package:
+at arbitrary times, its derivative, and the winding of chords
+``f_t(x) - f_t(y)`` in turns.  The one derivative primitive is the
+push-forward of tangent vectors, ``flow_tangent(t, z, v) = (f_t(z), Df_t(z)
+v)``; the Wirtinger pair of ``Df_t`` (``flow_wirtinger``) is the push-forward
+of the frame ``(1, i)``, or a radial leaf's closed form.  Every map is such a
+node, whose time-1 map it is: ``MapBundle``, the base class, also carries the
+map's name and its cached boundary lift.  Four realizations cover the package:
 
 * ``FieldIsotopy``     -- fixed-step 8th-order Dormand-Prince (DOP853)
                           integration of a generator field, with the
-                          variational equation alongside, on the float rows
-                          of its complex state,
+                          variational equation of each tangent vector
+                          alongside, on the float rows of its complex state,
 * ``RadialIsotopy``    -- exact flow ``z -> z exp(2 pi i tau t w(|z|^2))`` of a
                           radial generator,
 * ``ConcatIsotopy``    -- time-concatenation (reparametrized to [0, 1]),
@@ -47,8 +50,9 @@ from .geometry import (
     project_to_disk,
     uniform_disk_points,
     unwrap_turns_along,
-    wirtinger_compose,
+    wirtinger_apply,
     wirtinger_det,
+    wirtinger_from_images,
 )
 
 TOL_ODE = 1e-8
@@ -58,10 +62,11 @@ MAX_DOUBLING_CONTRACTION = 2.0**10  # twice the largest seen in a calibration la
 MAX_WINDING_DOUBLINGS = 8
 MIN_WINDING_STEPS = 64
 MAX_TRAJ_ELEMENTS = 4_000_000
-# points a field trajectory steps at once, so its (12, 2, STEP_BLOCK) stage
+# points a field flow steps at once, so its (12, 2, STEP_BLOCK) stage
 # workspace (1.5 MB) stays in a core's L2 cache instead of streaming from
 # memory at every stage: the 49,664-point d0 grid flows by the off-center
-# conjugator in 42 ms instead of 55 ms on a 2-vCPU Xeon with 2 MB of L2
+# conjugator in 42 ms instead of 55 ms on a 2-vCPU Xeon with 2 MB of L2;
+# such blocks also took 10% off pushing tangent vectors along that grid
 STEP_BLOCK = 8192
 AREA_PROBES = 100  # points of area_residual's determinant check
 # h^-1 images kept per conjugator (LRU): a rigidity pass reuses four point
@@ -132,6 +137,23 @@ def _rows(*zs):
     return np.stack([part for z in zs for part in (z.real, z.imag)])
 
 
+def _tangents(z, v):
+    """Points as a 1-d complex array, and vectors ``v`` broadcast to their shape,
+    (N,) for one vector per point or (k, N) for k."""
+    z = _as_points(z)
+    v = np.asarray(v, dtype=complex)
+    return z, np.broadcast_to(v, v.shape[:-1] + z.shape)
+
+
+_FRAME = np.array([[1.0], [1j]])  # the vectors (1, i) at every point
+
+
+def _pushed_frame(bundle, t, z):
+    """(f_t(z), p, q) from ``bundle.flow_tangent`` of the frame (1, i) at each point."""
+    f, (e1, ei) = bundle.flow_tangent(t, z, _FRAME)
+    return (f, *wirtinger_from_images(e1, ei))
+
+
 class MapBundle:
     """An area-preserving disk map ``f_1`` (``__call__``), carried as its isotopy from the identity.
 
@@ -163,6 +185,11 @@ class MapBundle:
 
     def trajectory(self, z, times) -> np.ndarray:
         """Positions at the given non-decreasing times, shape (T, N)."""
+        raise NotImplementedError
+
+    def flow_tangent(self, t, z, v):
+        """``(f_t(z), Df_t(z) v)`` for N points ``z`` and vectors ``v`` of shape
+        (N,) or (k, N), or broadcast to one; the pushed vectors keep that shape."""
         raise NotImplementedError
 
     def flow_wirtinger(self, t, z):
@@ -241,15 +268,34 @@ class FieldIsotopy(MapBundle):
     def _rhs(self, y, out):
         self.generator.vector(y[0], y[1], out)
 
-    def _rhs_var(self, y, out):
-        # variational equation in Wirtinger form alongside the flow,
-        # p' = a p + b conj(q) and q' = a q + b conj(p), on the real rows
-        # (p, q) and the imaginary rows at once; [::-1] swaps p and q
-        self.generator.vector(y[0], y[1], out[:2])
-        ar, ai, br, bi = self.generator.vector_wirtinger(y[0], y[1])
-        real, imag = y[2::2], y[3::2]
-        out[2::2] = ar * real - ai * imag + br * real[::-1] + bi * imag[::-1]
-        out[3::2] = ar * imag + ai * real + bi * real[::-1] - br * imag[::-1]
+    def _tangent_rhs(self, k, n):
+        """Right-hand side of n positions with k tangent vectors each.
+
+        The rows ``Re w, Im w`` of each vector follow ``w' = a w + b conj(w)``,
+        with the generator's Wirtinger pair ``(a, b)`` evaluated once per stage:
+        ``Re w' = (Re a + Re b) Re w + (Im b - Im a) Im w`` and
+        ``Im w' = (Im a + Im b) Re w + (Re a - Re b) Im w``.  The ``Re a``
+        products are skipped when a kernel returns the scalar 0.0 (a
+        Hamiltonian field has no divergence).  Every product is written into
+        ``out`` or one reused buffer.
+        """
+        c_re, c_im, tmp = np.empty(n), np.empty(n), np.empty((k, n))
+
+        def rhs(y, out):
+            self.generator.vector(y[0], y[1], out[:2])
+            ar, ai, br, bi = self.generator.vector_wirtinger(y[0], y[1])
+            w_re, w_im, d_re, d_im = y[2::2], y[3::2], out[2::2], out[3::2]
+            np.subtract(bi, ai, out=c_re)
+            np.add(ai, bi, out=c_im)
+            np.multiply(w_re, br, out=d_re)
+            d_re += np.multiply(w_im, c_re, out=tmp)
+            np.multiply(w_re, c_im, out=d_im)
+            d_im -= np.multiply(w_im, br, out=tmp)
+            if isinstance(ar, np.ndarray) or ar != 0.0:
+                d_re += np.multiply(w_re, ar, out=tmp)
+                d_im += np.multiply(w_im, ar, out=tmp)
+
+        return rhs
 
     def _dop853(self, rhs, y, times, n_steps):
         """Advance ``y' = rhs(y, out)`` in place from t = 0, yielding ``y`` at each of ``times``.
@@ -298,12 +344,19 @@ class FieldIsotopy(MapBundle):
                 out[j, sl].real, out[j, sl].imag = y
         return out
 
+    def flow_tangent(self, t, z, v):
+        z, v = _tangents(z, v)
+        vs = v.reshape(-1, z.size)
+        out = np.empty((1 + len(vs), z.size), dtype=complex)
+        for k in range(0, z.size, STEP_BLOCK):
+            sl = slice(k, k + STEP_BLOCK)
+            rhs = self._tangent_rhs(len(vs), z[sl].size)
+            (y,) = self._dop853(rhs, _rows(z[sl], *vs[:, sl]), [t], self.n_steps)
+            out[:, sl].real, out[:, sl].imag = y[0::2], y[1::2]
+        return out[0], out[1:].reshape(v.shape)
+
     def flow_wirtinger(self, t, z):
-        z = _as_points(z)
-        (y,) = self._dop853(self._rhs_var, _rows(z, np.ones_like(z), np.zeros_like(z)), [t], self.n_steps)
-        out = np.empty((3, z.size), dtype=complex)
-        out.real, out.imag = y[0::2], y[1::2]
-        return tuple(out)
+        return _pushed_frame(self, t, z)
 
     def inverse(self):
         # the reversed flow is as regular as this one, so calibration starts
@@ -341,8 +394,15 @@ class RadialIsotopy(MapBundle):
         np.exp(out, out=out)
         return np.multiply(z, out, out=out)
 
+    def flow_tangent(self, t, z, v):
+        z, v = _tangents(z, v)
+        f, p, q = self._pair(t, z)
+        return f, wirtinger_apply(p, q, v)
+
     def flow_wirtinger(self, t, z):
-        z = _as_points(z)
+        return self._pair(t, _as_points(z))
+
+    def _pair(self, t, z):
         s = np.abs(z) ** 2
         w = self._speed(s)
         dw = 0.0 + self.tau * self.profile.dw_ds(s)
@@ -405,20 +465,21 @@ class ConcatIsotopy(MapBundle):
             state = rows[-1]
         return out
 
-    def flow_wirtinger(self, t, z):
-        z = _as_points(z)
+    def flow_tangent(self, t, z, v):
+        # each piece pushes the points and vectors the previous ones left
+        z, v = _tangents(z, v)
         m = len(self.pieces)
-        p = np.ones_like(z)
-        q = np.zeros_like(z)
         remaining = t
-        for i, piece in enumerate(self.pieces):
+        for piece in self.pieces:
             if remaining <= 0.0:
                 break
             local = min(1.0, remaining * m)
-            z, pp, qq = piece.flow_wirtinger(local, z)
-            p, q = wirtinger_compose((pp, qq), (p, q))
+            z, v = piece.flow_tangent(local, z, v)
             remaining -= local / m
-        return z, p, q
+        return z, v
+
+    def flow_wirtinger(self, t, z):
+        return _pushed_frame(self, t, z)
 
     def inverse(self):
         return ConcatIsotopy([p.inverse() for p in self.pieces[::-1]])
@@ -441,7 +502,8 @@ class ConjugatorPair:
     inverse, the iterates of a conjugated rotation), so ``h^-1`` is calibrated
     once, and a point set it has mapped before is not flowed again.  The memo
     is an LRU of ``H_INVERSE_MEMO_SIZE`` entries keyed by the exact bytes and
-    shape of the input; its arrays are read-only.  It is thread-safe: two
+    shape of the input (of both the points and the vectors of a tangent
+    push-forward); its arrays are read-only.  It is thread-safe: two
     threads missing on one key compute the same arrays and either is kept.
     """
 
@@ -451,14 +513,14 @@ class ConjugatorPair:
         self._memo = OrderedDict()
         self._lock = threading.Lock()
 
-    def _memoized(self, kind, pts, compute):
-        key = (kind, pts.shape, pts.tobytes())
+    def _memoized(self, inputs, compute):
+        key = tuple(part for arr in inputs for part in (arr.shape, arr.tobytes()))
         with self._lock:
             hit = self._memo.get(key)
             if hit is not None:
                 self._memo.move_to_end(key)
                 return hit
-        out = compute(pts)
+        out = compute(*inputs)
         for arr in out:
             arr.setflags(write=False)
         with self._lock:
@@ -471,12 +533,15 @@ class ConjugatorPair:
         """``h^-1(z)`` pointwise, for an array of any shape (a complex for a scalar)."""
         pts = np.asarray(z, dtype=complex)
         flow = self.h_inverse.flow
-        (out,) = self._memoized("flow", pts, lambda p: (flow(1.0, p.ravel()).reshape(p.shape),))
+        (out,) = self._memoized((pts,), lambda p: (flow(1.0, p.ravel()).reshape(p.shape),))
         return out if out.ndim else complex(out)
 
-    def inverse_wirtinger(self, pts):
-        """``h_inverse.flow_wirtinger(1, pts)`` for a 1-d array of points."""
-        return self._memoized("wirtinger", pts, lambda p: self.h_inverse.flow_wirtinger(1.0, p))
+    def inverse_tangents(self, z, v):
+        """``h_inverse.flow_tangent(1, z, v)``, keyed by the points and by the
+        vectors as given (the frame (1, i) before broadcasting), since a
+        points-only key would return a stale ``Dh^-1 v``."""
+        z, v = _as_points(z), np.asarray(v, dtype=complex)
+        return self._memoized((z, v), lambda p, w: self.h_inverse.flow_tangent(1.0, p, w))
 
 
 class ConjugatedIsotopy(MapBundle):
@@ -500,13 +565,12 @@ class ConjugatedIsotopy(MapBundle):
         out[np.asarray(times) == 0.0] = pts  # f_0 = id exactly, not h(h^-1 z)
         return out
 
+    def flow_tangent(self, t, z, v):
+        w, dw = self.pair.inverse_tangents(z, v)
+        return self.pair.h.flow_tangent(1.0, *self.inner.flow_tangent(t, w, dw))
+
     def flow_wirtinger(self, t, z):
-        w, pi_, qi_ = self.pair.inverse_wirtinger(_as_points(z))
-        mid, pm, qm = self.inner.flow_wirtinger(t, w)
-        out, po, qo = self.pair.h.flow_wirtinger(1.0, mid)
-        p, q = wirtinger_compose((pm, qm), (pi_, qi_))
-        p, q = wirtinger_compose((po, qo), (p, q))
-        return out, p, q
+        return _pushed_frame(self, t, z)
 
     def inverse(self):
         return ConjugatedIsotopy(self.pair, self.inner.inverse())

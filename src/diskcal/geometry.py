@@ -21,6 +21,7 @@ TOL_BOUNDARY = 1e-9
 TOL_AREA = 1e-6
 GAP_LIMIT_TURNS = 0.25
 MIN_VECTOR_NORM = 1e-12
+INSIDE_MARGIN = 1e-12  # project_to_disk's early return, far above the rounding of |z|^2
 
 TWO_PI = 2.0 * np.pi
 
@@ -60,11 +61,13 @@ def wirtinger_apply(p, q, w):
     return p * w + q * np.conj(w)
 
 
-def wirtinger_compose(outer, inner):
-    """Compose real-linear maps given as Wirtinger pairs: outer after inner."""
-    a, b = outer
-    p, q = inner
-    return a * p + b * np.conj(q), a * q + b * np.conj(p)
+def wirtinger_from_images(e1, ei):
+    """Wirtinger pair (p, q) of the real-linear map taking 1 to ``e1`` and i to ``ei``.
+
+    ``e1 = p + q`` and ``ei = i (p - q)``, so ``p = (e1 - i ei)/2`` and
+    ``q = (e1 + i ei)/2``.
+    """
+    return 0.5 * (e1 - 1j * ei), 0.5 * (e1 + 1j * ei)
 
 
 def project_to_disk(u, v):
@@ -72,8 +75,14 @@ def project_to_disk(u, v):
 
     ``u`` and ``v`` are float rows.  Points farther outside raise
     PointOutsideDisk: flows of boundary-tangent fields must not leave the
-    closed disk beyond numerical drift.
+    closed disk beyond numerical drift.  Rows whose largest ``u^2 + v^2`` is
+    below ``1 - INSIDE_MARGIN`` return at once: the rounding of that sum and
+    of ``hypot`` is far below the margin, so no ``hypot`` exceeds 1 there.
     """
+    s = u * u
+    s += v * v
+    if np.max(s, initial=0.0) < 1.0 - INSIDE_MARGIN:  # NaN compares False
+        return
     r = np.hypot(u, v)
     outside = r > 1.0
     if not np.any(outside):

@@ -1,3 +1,4 @@
+import copy
 import sys
 import threading
 
@@ -18,6 +19,7 @@ from diskcal.flow import (
     MAX_DOUBLING_CONTRACTION,
     MIN_WINDING_STEPS,
     TOL_ODE,
+    _FRAME,
     ConcatIsotopy,
     ConjugatedIsotopy,
     ConjugatorPair,
@@ -275,15 +277,17 @@ class TestDOP853:
         # 2^8 per halving (2^7.5 asked; finer steps reach rounding)
         iso = FieldIsotopy(off_center_conjugator(0.5))
         z = interior_points(64, seed=61, rmax=0.999)
-        one, zero = np.ones_like(z), np.zeros_like(z)
+
+        def at_steps(n):
+            stepped = copy.copy(iso)
+            stepped.n_steps = n
+            return stepped
 
         def with_jacobian(n):
-            (y,) = iso._dop853(iso._rhs_var, _rows(z, one, zero), [1.0], n)
-            return y[0::2] + 1j * y[1::2]
+            return at_steps(n).flow_wirtinger(1.0, z)
 
         def flow_only(n):
-            (y,) = iso._dop853(iso._rhs, _rows(z), [1.0], n)
-            return y[0] + 1j * y[1]
+            return at_steps(n).flow(1.0, z)
 
         ref = with_jacobian(256)
         for n in (4, 8):
@@ -417,6 +421,45 @@ class TestJacobians:
         pts = interior_points(100, seed=11)
         _, p, q = iso.flow_wirtinger(1.0, pts)
         assert np.max(np.abs(np.abs(p) ** 2 - np.abs(q) ** 2 - 1.0)) < 1e-12
+
+
+TANGENT_CASES = {
+    "field": lambda: FieldIsotopy(off_center_conjugator(0.4), 0.7),
+    # central-difference Wirtinger rows, so Re a is a row, not the scalar 0.0
+    "broken": lambda: FieldIsotopy(BrokenField(quadratic_twist(0.3).field)),
+    "radial": lambda: quadratic_twist(0.3),
+    "concat": lambda: compose(quadratic_twist(0.3), FieldIsotopy(boundary_shear_conjugator(0.3), 0.5)),
+    "conjugation": lambda: conjugated_rotation(0.3, off_center_conjugator(0.5), 0.5),
+    "nested": lambda: conjugate(conjugated_rotation(0.3, off_center_conjugator(0.5), 0.5),
+                                boundary_shear_conjugator(0.3), 0.5),
+    "inverse": lambda: conjugated_rotation(0.3, off_center_conjugator(0.5), 0.5).inverse(),
+}
+
+
+class TestFlowTangent:
+    # flow_tangent is the one derivative primitive: it must push each vector
+    # as the Wirtinger pair maps it (rounding only, measured <= 1.5e-14 at
+    # |Df v| ~ 25, so 1e-14 relative to the largest pushed vector), and as
+    # the central-difference Jacobian of the flow map does (step 1e-5:
+    # measured <= 2.6e-7 at |Df v| ~ 22, so 1e-6 relative)
+    @pytest.mark.parametrize("name", list(TANGENT_CASES))
+    def test_pushes_vectors_as_the_wirtinger_pair_and_the_fd_jacobian(self, name):
+        iso = TANGENT_CASES[name]()
+        t = 0.8  # a concatenation stops inside its second piece
+        z = interior_points(20, seed=5, rmax=0.9)
+        rng = np.random.default_rng(3)
+        vectors = rng.normal(size=(2, z.size)) + 1j * rng.normal(size=(2, z.size))
+        f, p, q = iso.flow_wirtinger(t, z)
+        for v in (vectors[0], vectors):  # k = 1 and k = 2 vectors per point
+            pos, pushed = iso.flow_tangent(t, z, v)
+            assert pushed.shape == v.shape
+            assert np.array_equal(pos, f)
+            scale = max(1.0, float(np.max(np.abs(pushed))))
+            assert np.max(np.abs(pushed - wirtinger_apply(p, q, v))) <= 1e-14 * scale
+            for k in range(0, z.size, 4):
+                p_fd, q_fd = flow_jacobian_fd(iso, t, complex(z[k]))
+                fd = wirtinger_apply(p_fd, q_fd, v[..., k])
+                assert np.max(np.abs(pushed[..., k] - fd)) <= 1e-6 * scale
 
 
 class TestAreaResidual:
@@ -703,14 +746,27 @@ class TestConjugatorPair:
         # warm calls are served by the memo, which holds what h^-1 computes
         pair = self._conjugated().pair
         assert pair.inverse_images(pts.copy()) is pair.inverse_images(pts)
-        assert pair.inverse_wirtinger(pts.copy()) is pair.inverse_wirtinger(pts)
+        assert pair.inverse_tangents(pts.copy(), other.copy()) is pair.inverse_tangents(pts, other)
         for x in (pts, other, circle):
             assert np.array_equal(pair.inverse_images(x), pair.h_inverse.flow(1.0, x))
+            for got, want in zip(pair.inverse_tangents(x, _FRAME), pair.h_inverse.flow_tangent(1.0, x, _FRAME)):
+                assert np.array_equal(got, want)
+
+    def test_other_vectors_at_the_same_points_miss_the_memo(self):
+        # a points-only key would hand back the pushed vectors of the first call
+        pair = self._conjugated().pair
+        pts = interior_points(40, seed=34)
+        for v in (np.ones_like(pts), 1j * np.ones_like(pts), np.stack([pts, 1j * pts])):
+            w, dw = pair.inverse_tangents(pts, v)
+            want_w, want_dw = pair.h_inverse.flow_tangent(1.0, pts, v)
+            assert np.array_equal(w, want_w) and np.array_equal(dw, want_dw)
+            assert dw.shape == v.shape
+            assert pair.inverse_tangents(pts.copy(), v.copy()) is pair.inverse_tangents(pts, v)
 
     def test_cached_arrays_are_read_only(self):
         pair = self._conjugated().pair
         pts = interior_points(10, seed=33)
-        for arr in (pair.inverse_images(pts), *pair.inverse_wirtinger(pts)):
+        for arr in (pair.inverse_images(pts), *pair.inverse_tangents(pts, _FRAME)):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
 
@@ -720,7 +776,7 @@ class TestConjugatorPair:
         pair = ConjugatorPair(FieldIsotopy(off_center_conjugator(0.5), 0.1))
         sets = [interior_points(16, seed=40 + k) for k in range(H_INVERSE_MEMO_SIZE + 4)]
         images = [pair.h_inverse.flow(1.0, x) for x in sets]
-        jacobians = [pair.h_inverse.flow_wirtinger(1.0, x) for x in sets]
+        jacobians = [pair.h_inverse.flow_tangent(1.0, x, _FRAME) for x in sets]
         errors = []
 
         def worker(offset):
@@ -729,7 +785,7 @@ class TestConjugatorPair:
                     k = (offset + 5 * i) % len(sets)
                     same = np.array_equal(pair.inverse_images(sets[k].copy()), images[k]) and all(
                         np.array_equal(a, b)
-                        for a, b in zip(pair.inverse_wirtinger(sets[k].copy()), jacobians[k])
+                        for a, b in zip(pair.inverse_tangents(sets[k].copy(), _FRAME), jacobians[k])
                     )
                     if not same:
                         errors.append(k)

@@ -4,12 +4,13 @@ from hypothesis import given, strategies as st
 
 from diskcal.errors import PointOutsideDisk
 from diskcal.geometry import (
+    TOL_BOUNDARY,
     circle_point,
     liouville_eval,
     project_to_disk,
     unwrap_turns_along,
     wirtinger_apply,
-    wirtinger_compose,
+    wirtinger_from_images,
     wirtinger_det,
 )
 
@@ -135,9 +136,11 @@ class TestJacobian2:
         assert wirtinger_apply(p, q, 1.0 + 0j) == pytest.approx(np.exp(1j * 0.7), abs=1e-14)
 
     def test_wirtinger_composition_matches_matrix_product(self):
+        # the pair of a composite is read off the images of 1 and i pushed
+        # through both maps in turn, as the isotopy tree chains its pieces
         rng = np.random.default_rng(0)
         p1, q1, p2, q2 = (rng.normal(size=2) @ np.array([1, 1j]) for _ in range(4))
-        pc, qc = wirtinger_compose((p1, q1), (p2, q2))
+        pc, qc = wirtinger_from_images(*(wirtinger_apply(p1, q1, wirtinger_apply(p2, q2, e)) for e in (1.0, 1j)))
         w = 0.3 - 0.8j
         direct = wirtinger_apply(p1, q1, wirtinger_apply(p2, q2, w))
         assert wirtinger_apply(pc, qc, w) == pytest.approx(direct, abs=1e-12)
@@ -162,3 +165,34 @@ class TestDiskProjection:
     def test_large_excursion_rejected(self):
         with pytest.raises(PointOutsideDisk):
             project_to_disk(np.array([1.001]), np.array([0.0]))
+
+    @staticmethod
+    def _hypot_projection(u, v):
+        # the projection without the early return for rows well inside S^1
+        r = np.hypot(u, v)
+        if np.any(r > 1.0 + TOL_BOUNDARY):
+            raise PointOutsideDisk(f"|z| = {float(np.max(r))}")
+        outside = r > 1.0
+        scale = 1.0 / r[outside]
+        u[outside] *= scale
+        v[outside] *= scale
+
+    @pytest.mark.parametrize("radius", [
+        1.0 - 2.0**-52, 1.0, 1.0 + 2.0**-52, 1.0 + TOL_BOUNDARY / 2, 1.0 - 1e-12, np.nan,
+    ], ids=["below_one_ulp", "one", "above_one_ulp", "half_tol", "margin", "nan"])
+    def test_rows_match_the_hypot_path(self, radius):
+        # rows well inside (the early return), and rows with points at the
+        # radius: one on the real axis, where |z| is exactly the radius
+        angles = np.exp(2j * np.pi * (np.arange(64) + 0.5) / 64)
+        inside = 0.999 * angles
+        for z in (inside, np.concatenate([inside, [radius], radius * angles[:6]])):
+            u, v = z.real.copy(), z.imag.copy()
+            ref_u, ref_v = u.copy(), v.copy()
+            project_to_disk(u, v)
+            self._hypot_projection(ref_u, ref_v)
+            assert np.array_equal(u, ref_u, equal_nan=True) and np.array_equal(v, ref_v, equal_nan=True)
+
+    def test_beyond_the_tolerance_still_raises(self):
+        z = np.concatenate([0.5 * np.ones(63), [(1.0 + 2 * TOL_BOUNDARY) * np.exp(0.3j)]])
+        with pytest.raises(PointOutsideDisk):
+            project_to_disk(z.real.copy(), z.imag.copy())
