@@ -7,6 +7,10 @@ invariants have closed forms (stated in the family docstrings) that the
 generic machinery is tested against.  Conjugation by the time-tau map of a
 non-radial generator produces the non-trivial examples (stand-ins for
 irrational pseudo-rotations: same rotation number, zero action average).
+The non-radial generators are one family, ``H = beta (1 - s)^m u`` with
+``s = |z|^2``, at m = 1 (the boundary shear) and m = 2 (off-center): with
+``k = m - 1``, ``(1 - s)^(m-1) = 1 - k s``, and the field's Wirtinger pair is
+``(i c u (2 - 3 k s), -(i c / 2) z (k (z^2 + 3 s) - 2))``, ``c = 2 pi beta m``.
 A leaf flows its unit generator for a signed time tau, so the inverse of a
 leaf and the iterate of a radial leaf change only that time.
 Every family returns the map as a fresh ``flow.MapBundle`` isotopy node named
@@ -158,63 +162,56 @@ def bump(n: int) -> MapBundle:
     return _named(RadialIsotopy(bump_profile(n)), f"bump({n})")
 
 
-def off_center_conjugator(beta: float = 0.5) -> HamiltonianField:
-    """Non-radial generator ``H = beta (1 - |z|^2)^2 u`` vanishing on the circle.
+def _vanishing_generator(beta: float, m: int, name: str) -> HamiltonianField:
+    """``H = beta (1 - s)^m u`` with ``s = |z|^2``, for m = 1 or 2 only.
 
-    Both H and dH vanish on the boundary, so its flow fixes S^1 pointwise;
-    conjugating by its time-tau map preserves boundary dynamics exactly.
+    ``(1 - s)^(m-1) = 1 - k s`` with ``k = m - 1``, so m enters the rows only
+    through coefficients fixed here: ``H_u + i H_v = beta (1 - k s)((1 - s) -
+    2 m u z)``, and with ``c = 2 pi beta m`` the Wirtinger pair has ``Re a = 0``
+    (the scalar 0.0), ``Im a = -c u (3 k s - 2)``, ``Re b = c v (k (3 u^2 + v^2) - 1)``
+    and ``Im b = -c u (2 k u^2 - 1)``.
     """
+    if m not in (1, 2):
+        raise ValueError(f"the generator beta (1 - |z|^2)^m u takes m = 1 or 2, got {m!r}")
+    k = m - 1.0
+    g, c = -2.0 * m, 2.0 * m * np.pi * beta
+    kb, b0 = k * beta, (1.0 - k) * beta  # beta (1 - k s) = kb (1 - s) + b0, exact at k = 0 and 1
+    k3, k2 = 3.0 * k, 2.0 * k
 
     def h(z):
         z = np.asarray(z)
         s = np.abs(z) ** 2
-        return beta * (1.0 - s) ** 2 * np.real(z)
+        return beta * (1.0 - s) ** m * np.real(z)
 
-    # H_u + i H_v = beta (1 - s)((1 - s) - 4 u z), in place on the rows
     def grad(u, v):
         w = 1.0 - (u * u + v * v)
-        m = -4.0 * u
-        hu = m * u
+        gu = g * u
+        hu = gu * u
         hu += w
-        hv = m * v
-        w *= beta
+        hv = gu * v
+        w *= kb
+        w += b0
         hu *= w
         hv *= w
         return hu, hv
 
-    # (dX/dz, dX/dz_bar) = (-4 i pi beta u (3s - 2), -2 i pi beta z (z^2 + 3s - 2)),
-    # z (z^2 + 3s - 2) = 2 u (2 u^2 - 1) + 2 i v (3 u^2 + v^2 - 1)
     def wirt(u, v):
-        c, uu, vv = 4.0 * np.pi * beta, u * u, v * v
+        uu, vv = u * u, v * v
         cu = -c * u
-        return 0.0, cu * (3.0 * (uu + vv) - 2.0), (c * v) * (3.0 * uu + vv - 1.0), cu * (2.0 * uu - 1.0)
+        return 0.0, cu * (k3 * (uu + vv) - 2.0), (c * v) * (k * (3.0 * uu + vv) - 1.0), cu * (k2 * uu - 1.0)
 
-    return HamiltonianField(h, grad=grad, wirtinger=wirt, name=f"offcenter({beta})")
+    return HamiltonianField(h, grad=grad, wirtinger=wirt, name=name)
+
+
+def off_center_conjugator(beta: float = 0.5) -> HamiltonianField:
+    """``H = beta (1 - |z|^2)^2 u``: H and dH vanish on S^1, so its flow fixes S^1 pointwise."""
+    return _vanishing_generator(beta, 2, f"offcenter({beta})")
 
 
 def boundary_shear_conjugator(beta: float = 0.3) -> HamiltonianField:
-    """Non-radial generator ``H = beta (1 - |z|^2) u``, constant (0) on the circle.
-
-    Unlike the off-center conjugator its differential does not vanish on the
-    boundary, so its flow moves S^1 non-rigidly (with fixed points at +-i);
-    conjugating a rational rotation by it yields distinct periodic boundary
-    orbits carrying genuinely different action values.
-    """
-
-    def h(z):
-        z = np.asarray(z)
-        return beta * (1.0 - np.abs(z) ** 2) * np.real(z)
-
-    # H_u + i H_v = beta ((1 - s) - 2 u z)
-    def grad(u, v):
-        return beta * ((1.0 - (u * u + v * v)) - 2.0 * u * u), (-2.0 * beta) * (u * v)
-
-    # (dX/dz, dX/dz_bar) = (2 i pi beta (z + z_bar), 2 i pi beta z)
-    def wirt(u, v):
-        c = 2.0 * np.pi * beta
-        return 0.0, (2.0 * c) * u, -c * v, c * u
-
-    return HamiltonianField(h, grad=grad, wirtinger=wirt, name=f"shear({beta})")
+    """``H = beta (1 - |z|^2) u``: H vanishes on S^1 but dH does not, so its flow moves S^1
+    (fixing +-i), and the periodic boundary orbits of a conjugated rotation differ in action."""
+    return _vanishing_generator(beta, 1, f"shear({beta})")
 
 
 def conjugate(bundle: MapBundle, conjugator: HamiltonianField, tau: float) -> MapBundle:
@@ -366,7 +363,7 @@ def _map(spec, what: str) -> MapBundle:
 # The builders reach the family functions through the module globals, where
 # a caller may have rebound them.
 CONJUGATORS = {  # conjugator type -> (builder, the rule of each key besides "type")
-    "off_center": (lambda p: off_center_conjugator(**p), {"beta": config_number}),
+    "off_center": (lambda p: off_center_conjugator(p["beta"]), {"beta": config_number}),
     "radial_twist": (lambda p: radial_twist(p["coeffs"]).field, {"coeffs": entries(config_number)}),
 }
 

@@ -293,6 +293,18 @@ class TestConfigShape:
         assert "ConfigError" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_a_conjugator_needs_its_beta(self, tmp_path, capsys):
+        # every key of a conjugator is required: without "beta" the off-center
+        # row built offcenter(0.5) from the library default
+        cfg = dict(BASE_CFG, compute=["cal3"], map={
+            "family": "conjugated_rotation", "alpha": 0.3, "tau": 0.5,
+            "conjugator": {"type": "off_center"}})
+        out = tmp_path / "x"
+        assert main(["--out", str(out), "compute", "--config", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "ConfigError" in err and "'beta'" in err
+        assert not out.exists()
+
 
 class TestCsvOutputs:
     # one writer serves the report, the cf table and the experiments: a header

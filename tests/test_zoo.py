@@ -3,8 +3,10 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 
 from diskcal.errors import BoundaryNotConstant, ConfigError
+from diskcal.fields import HamiltonianField, central_vector_wirtinger
 from diskcal.flow import ConcatIsotopy, ConjugatedIsotopy, RadialIsotopy, area_residual, chord_windings
 from diskcal.zoo import (
+    _vanishing_generator,
     boundary_shear_conjugator,
     bump,
     bump_profile,
@@ -158,6 +160,75 @@ class TestConjugatorKernels:
         a, b = wirtinger_at(field, z)
         self._close(a, 2j * np.pi * beta * (z + np.conj(z)))
         self._close(b, 2j * np.pi * beta * z)
+
+
+class TestVanishingGeneratorKernel:
+    # the one kernel of H = beta (1 - |z|^2)^m u behind both conjugators:
+    # m = 2 is the off-center conjugator, m = 1 the boundary shear.  The
+    # central differences (step 1e-5 (1 + |z|)) are off by their truncation
+    # error, at most 3.2e-9 |beta| for the gradient and 1.5e-8 |beta| for the
+    # Wirtinger rows on the unit disk
+    CONJUGATORS = {2: off_center_conjugator, 1: boundary_shear_conjugator}
+    cases = pytest.mark.parametrize("m", [1, 2])
+    betas = pytest.mark.parametrize("beta", [0.3, 0.5, 1.7, -0.41])
+
+    @staticmethod
+    def _rows(seed):
+        z = interior_points(2000, seed=seed, rmax=1.0)
+        return z.real.copy(), z.imag.copy()
+
+    @cases
+    @betas
+    def test_gradient_is_the_derivative_of_the_value(self, m, beta):
+        field = self.CONJUGATORS[m](beta)
+        u, v = self._rows(31)
+        hu, hv = field.gradient(u, v)
+        fu, fv = HamiltonianField(field.value).gradient(u, v)
+        assert max(np.max(np.abs(hu - fu)), np.max(np.abs(hv - fv))) <= 1e-8 * abs(beta)
+
+    @cases
+    @betas
+    def test_wirtinger_rows_are_the_derivative_of_the_vector(self, m, beta):
+        field = self.CONJUGATORS[m](beta)
+        u, v = self._rows(37)
+        rows = np.broadcast_arrays(*field.vector_wirtinger(u, v))
+        fd = central_vector_wirtinger(field.vector, u, v)
+        for row, ref in zip(rows, fd):
+            assert np.max(np.abs(row - ref)) <= 5e-8 * abs(beta)
+
+    @cases
+    def test_re_a_is_the_scalar_zero(self, m):
+        # FieldIsotopy._tangent_rhs skips the Re a products on the scalar 0.0
+        ar = self.CONJUGATORS[m](0.5).vector_wirtinger(*self._rows(41))[0]
+        assert type(ar) is float and ar == 0.0
+
+    @cases
+    def test_a_call_leaves_its_inputs_and_earlier_rows_alone(self, m):
+        field = self.CONJUGATORS[m](0.5)
+        u, v = self._rows(43)
+        u0, v0 = u.copy(), v.copy()
+        grad = field.gradient(u, v)
+        wirt = field.vector_wirtinger(u, v)
+        kept = [np.copy(row) for row in (*grad, *wirt)]
+        field.gradient(*self._rows(47))
+        field.vector_wirtinger(*self._rows(47))
+        for row, copy in zip((*grad, *wirt), kept):
+            assert np.array_equal(row, copy)
+        assert np.array_equal(u, u0) and np.array_equal(v, v0)
+
+    @cases
+    def test_what_vanishes_on_the_circle(self, m):
+        # H vanishes on S^1 for both; dH only for m = 2, so only that flow fixes S^1
+        field = self.CONJUGATORS[m](0.5)
+        z = np.exp(2j * np.pi * np.arange(256) / 256)
+        assert np.max(np.abs(field.value(z))) <= 1e-15
+        grad = np.max(np.abs(gradient_at(field, z)))
+        assert grad <= 1e-15 if m == 2 else grad >= 0.5
+
+    @pytest.mark.parametrize("m", [0, 3, 1.5])
+    def test_other_powers_are_refused(self, m):
+        with pytest.raises(ValueError, match="m = 1 or 2"):
+            _vanishing_generator(0.5, m, "x")
 
 
 class TestComposition:
@@ -349,6 +420,8 @@ class TestFromSpec:
             {"family": "compose", "maps": [{"family": "rotation", "alpha": 0.1}]},
             {"family": "conjugated_rotation", "alpha": 0.1, "tau": 0.5,
              "conjugator": {"type": "weird"}},
+            {"family": "conjugated_rotation", "alpha": 0.1, "tau": 0.5,
+             "conjugator": {"type": "off_center"}},
         ],
     )
     def test_bad_specs_raise_config_error(self, bad):
