@@ -1,0 +1,25 @@
+"""The canonical reports against their stored golden copies (``tests/golden``).
+
+A value that moves by more than 1e-12, a key, its order or any exact field
+that changes, fails here; ``tests/golden/regenerate.py`` rewrites the copies
+and lists every moved field.
+"""
+
+import pytest
+
+from golden.regenerate import CASES, moved_fields, run_case, stored
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_report_matches_its_golden_copy(case, tmp_path):
+    assert moved_fields(stored(case), run_case(case, tmp_path)) == []
+
+
+def test_moved_fields_reads_every_kind_of_change():
+    old = {"a": 1.0, "b": [1, "x", True, None], "c": {"d": 0.5}}
+    assert moved_fields(old, {"a": 1.0 + 5e-13, "b": [1, "x", True, None], "c": {"d": 0.5}}) == []
+    assert moved_fields(old, {"a": 1.0 + 2e-12, "b": [1, "x", True, None], "c": {"d": 0.5}})[0][0] == ".a"
+    assert moved_fields(old, {"b": [1, "x", True, None], "a": 1.0, "c": {"d": 0.5}})[0][0] == ".keys"
+    for b in ([2, "x", True, None], [1, "y", True, None], [1, "x", False, None], [1, "x", True, 0],
+              [1.0, "x", True, None], [1, "x", True]):
+        assert moved_fields(old, {"a": 1.0, "b": b, "c": {"d": 0.5}}), b
