@@ -37,6 +37,7 @@ from .circle import (
     BoundaryMeasure,
     LiftedCircleMap,
     RotationNumberEstimate,
+    boundary_displacement,
     invariant_measure,
     lift_from_isotopy,
     rotation_number,

@@ -28,7 +28,7 @@ from typing import ClassVar, Optional
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .circle import BoundaryMeasure, invariant_measure, rotation_number
+from .circle import BoundaryMeasure, boundary_displacement, invariant_measure, rotation_number
 from .errors import BoundaryNotConstant, NotAreaPreserving, StepTooCoarse
 from .flow import ConcatIsotopy, ConjugatedIsotopy, MapBundle, area_residual, chord_windings
 from .geometry import TOL_AREA, liouville_eval, uniform_disk_points
@@ -73,20 +73,6 @@ def composite_gauss_radii(n_nodes: int, breakpoints=()):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def spectral_interp_average(values: np.ndarray, offset: float, mu: BoundaryMeasure) -> float:
-    """``int p dmu`` for the trigonometric interpolant ``p`` of ``values[j] = f(offset + j/N)``.
-
-    The Fourier pairing ``Re sum_k c_k e^{-2 pi i k offset} mu_k`` of the FFT
-    coefficients with the moments of mu (``mu_{-k} = conj(mu_k)``).
-    """
-    n = values.size
-    k = np.fft.fftfreq(n, d=1.0 / n).astype(int)
-    moments = mu.moments(n // 2)[np.abs(k)]
-    mu_k = np.where(k >= 0, moments, np.conj(moments))
-    c = np.fft.fft(values) / n * np.exp(-2j * np.pi * k * offset)
-    return float(np.real(np.sum(c * mu_k)))
-
-
 def _polar_grid(grid, breakpoints):
     """Composite Gauss-Legendre radii (split at the radial kinks ``breakpoints``)
     times midpoint angles: ``(r, w, thetas, units, points)``, points radius-major.
@@ -125,20 +111,39 @@ def _checked_area_residual(bundle) -> float:
     return res
 
 
-def _action_averages(bundle, mu, grid, primitive_shift=None):
-    """(area average of ``a0 - c_mu``, ``c_mu``) from one radial rule per ray.
+def _action_averages(bundle, mu, grids, primitive_shift=None):
+    """(area average of ``a0 - c_mu``, ``c_mu``) on each grid, from one radial
+    rule per ray.
 
     For the pullback integrand ``g`` along a ray, Fubini gives exactly
     ``int_0^1 2 r a0(r) dr = int_0^1 g(rho) (1 - rho^2) d rho``, and the
     boundary profile ``a0(1) = int_0^1 g`` is a sum over the same composite
-    Gauss-Legendre nodes (split at the isotopy's radial kinks).
+    Gauss-Legendre nodes (split at the isotopy's radial kinks).  On S^1 the
+    Liouville form pulls back to ``d delta``, for the boundary displacement
+    ``delta``, so ``a0(1) = K + delta`` and ``c_mu = int a0(1) dmu = K + rho_mu``
+    with ``rho_mu = int delta dmu``.  ``K`` is the mean of ``a0(1) - delta``
+    over the grid's angles.  A primitive shift ``(u, grad u)`` adds
+    ``u o f - u`` to ``a0(1)``, which is taken out of ``K``: its mu-average
+    is 0.  One ``boundary_displacement`` call winds mu's atoms and the angles
+    of every grid.
     """
-    r, w, thetas, units, pos = _polar_grid(grid, bundle.radial_breakpoints)
-    direction = np.broadcast_to(units[None, :], (r.size, units.size)).reshape(-1)
-    g = _pullback_integrand(bundle, primitive_shift, pos, direction).reshape(r.size, units.size)
-    area_a0 = float(np.sum(w * (1.0 - r * r) * np.mean(g, axis=1)))
-    c_mu = spectral_interp_average(w @ g, thetas[0], mu)
-    return area_a0 - c_mu, c_mu
+    rules = [_polar_grid(grid, bundle.radial_breakpoints) for grid in grids]
+    xs = [mu.points] + [thetas for _, _, thetas, _, _ in rules]
+    delta = boundary_displacement(bundle, np.concatenate(xs))
+    at_atoms, *at_angles = np.split(delta, np.cumsum([x.size for x in xs[:-1]]))
+    rho_mu = float(np.sum(mu.weights * at_atoms))
+    out = []
+    for (r, w, _, units, pos), delta_theta in zip(rules, at_angles):
+        direction = np.broadcast_to(units[None, :], (r.size, units.size)).reshape(-1)
+        g = _pullback_integrand(bundle, primitive_shift, pos, direction).reshape(r.size, units.size)
+        area_a0 = float(np.sum(w * (1.0 - r * r) * np.mean(g, axis=1)))
+        profile = w @ g - delta_theta
+        if primitive_shift is not None:
+            u, _ = primitive_shift
+            profile -= u(bundle.flow(1.0, units)) - u(units)
+        c_mu = float(np.mean(profile)) + rho_mu
+        out.append((area_a0 - c_mu, c_mu))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +176,8 @@ def cal1(
 ) -> Cal1Result:
     """Area integral of the normalized action function.
 
+    The action is normalized by ``c_mu = K + int delta dmu`` for an invariant
+    boundary measure mu, by default the orbit measure of the boundary lift.
     One radial quadrature per ray by Fubini (exact for every map), times
     uniform angles; ``richardson_delta`` is the difference against the
     half-resolution value, which needs a grid of at least
@@ -178,15 +185,12 @@ def cal1(
     when the bundle fails the determinant check, whose residual
     ``area_residual`` reports.
     """
-    half = richardson_grid(grid) if richardson else None
+    grids = (grid, richardson_grid(grid)) if richardson else (grid,)
     res = _checked_area_residual(bundle)
     if mu is None:
         mu = invariant_measure(bundle.boundary_lift())
-    value, c_mu = _action_averages(bundle, mu, grid, primitive_shift)
-    delta = np.nan
-    if richardson:
-        coarse, _ = _action_averages(bundle, mu, half, primitive_shift)
-        delta = abs(value - coarse)
+    (value, c_mu), *coarse = _action_averages(bundle, mu, grids, primitive_shift)
+    delta = abs(value - coarse[0][0]) if richardson else np.nan
     return Cal1Result(value=value, richardson_delta=float(delta), c_mu=c_mu, area_residual=res)
 
 

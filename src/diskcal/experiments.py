@@ -193,7 +193,8 @@ def exp_rigidity(
     integer k, that k/q tracks the rotation number within 1/q + 2 eps^(1/4)/pi,
     and that the action average grows like q times a value pinned at 0.
     Every ``cal1`` is normalized by the base map's invariant boundary measure
-    mu: an f-invariant mu is f^q-invariant, so iterates build no lift or orbit.
+    mu: an f-invariant mu is f^q-invariant, so iterates build no lift or orbit;
+    each winds mu's atoms for its own boundary displacement.
     """
     cf = continued_fraction(alpha, depth)
     qs = sorted({q for q in cf.q if 1 <= q <= q_max})

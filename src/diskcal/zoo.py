@@ -203,12 +203,12 @@ def _vanishing_generator(beta: float, m: int, name: str) -> HamiltonianField:
     return HamiltonianField(h, grad=grad, wirtinger=wirt, name=name)
 
 
-def off_center_conjugator(beta: float = 0.5) -> HamiltonianField:
+def off_center_conjugator(beta: float) -> HamiltonianField:
     """``H = beta (1 - |z|^2)^2 u``: H and dH vanish on S^1, so its flow fixes S^1 pointwise."""
     return _vanishing_generator(beta, 2, f"offcenter({beta})")
 
 
-def boundary_shear_conjugator(beta: float = 0.3) -> HamiltonianField:
+def boundary_shear_conjugator(beta: float) -> HamiltonianField:
     """``H = beta (1 - |z|^2) u``: H vanishes on S^1 but dH does not, so its flow moves S^1
     (fixing +-i), and the periodic boundary orbits of a conjugated rotation differ in action."""
     return _vanishing_generator(beta, 1, f"shear({beta})")

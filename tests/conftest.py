@@ -116,8 +116,8 @@ class ActionFunction:
         self.mu = mu
         self.primitive_shift = primitive_shift
         self._breaks = bundle.radial_breakpoints
-        _, self.c_mu = _action_averages(
-            bundle, mu, (ACTION_RADIAL_NODES, BOUNDARY_PROFILE_SAMPLES), primitive_shift
+        [(_, self.c_mu)] = _action_averages(
+            bundle, mu, [(ACTION_RADIAL_NODES, BOUNDARY_PROFILE_SAMPLES)], primitive_shift
         )
 
     def _integrand(self, pos, direction):

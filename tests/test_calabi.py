@@ -12,10 +12,9 @@ from diskcal.calabi import (
     cal3_tilde,
     composite_gauss_radii,
     gauss_legendre,
-    spectral_interp_average,
     verify_link,
 )
-from diskcal.circle import BoundaryMeasure
+from diskcal.circle import BoundaryMeasure, invariant_measure
 from diskcal.errors import BoundaryNotConstant, NotAreaPreserving, StepTooCoarse
 from diskcal.fields import HamiltonianField
 from diskcal.flow import ConjugatorPair, FieldIsotopy, chord_windings
@@ -130,6 +129,15 @@ class TestActionFunction:
         vals = a(np.exp(2j * np.pi * mu.points))
         assert float(np.sum(mu.weights * vals)) == pytest.approx(0.0, abs=1e-8)
 
+    def test_zero_average_over_a_weighted_orbit_measure(self):
+        # the atoms of a non-periodic mu lie off the theta grid, where c_mu
+        # reads delta; the profile on each atom's own ray must average to c_mu
+        bundle = conjugated_rotation(GOLDEN, boundary_shear_conjugator(0.3), 0.5)
+        mu = invariant_measure(bundle.boundary_lift(), samples=200)
+        assert not mu.periodic
+        vals = ActionFunction(bundle, mu=mu)(np.exp(2j * np.pi * mu.points))
+        assert abs(float(np.sum(mu.weights * vals))) <= 1e-12
+
     def test_non_area_preserving_rejected(self, broken_bundle):
         with pytest.raises(NotAreaPreserving):
             ActionFunction(broken_bundle, mu=BoundaryMeasure(np.array([0.0]), np.array([1.0])))
@@ -140,42 +148,6 @@ def invariant_boundary_pair(bundle, x0):
     lift = bundle.boundary_lift()
     x1 = float(np.mod(lift(np.array([x0]))[0], 1.0))
     return BoundaryMeasure(points=np.array([x0, x1]), weights=np.array([0.5, 0.5]))
-
-
-def dense_interp_average(values, offset, mu):
-    """``sum_j w_j p(x_j)``, the interpolant ``p`` evaluated by the whole phase matrix."""
-    n = values.size
-    t = np.mod(mu.points, 1.0) - offset
-    k = np.fft.fftfreq(n, d=1.0 / n)
-    p = np.real(np.exp(2j * np.pi * np.outer(t, k)) @ (np.fft.fft(values) / n))
-    return float(np.sum(mu.weights * p))
-
-
-class TestSpectralInterp:
-    # c_mu is the Fourier pairing of the profile's FFT with mu's moments; it
-    # must equal the mu-average of the interpolant from the whole phase matrix
-    @pytest.mark.parametrize("points", [1, 1024, 1025, 2049, 3000])
-    def test_blocks_match_the_whole_phase_matrix(self, points):
-        rng = np.random.default_rng(61)
-        values = rng.standard_normal(128)
-        weights = rng.random(points)
-        mu = BoundaryMeasure(points=rng.random(points), weights=weights / np.sum(weights))
-        dense = dense_interp_average(values, 0.5 / 128, mu)
-        assert abs(spectral_interp_average(values, 0.5 / 128, mu) - dense) <= 1e-13
-
-    @pytest.mark.parametrize("points", [np.array([0.3]), np.array([0.1, 0.1 + 1 / 3, 0.1 + 2 / 3])],
-                             ids=["period1", "period3"])
-    def test_periodic_measures(self, points):
-        # the exact atoms of a fixed point and of a 3-periodic orbit, against
-        # a smooth profile at 512 samples (the ActionFunction resolution) and
-        # an odd sample count whose modes have no Nyquist term
-        mu = BoundaryMeasure(points=points, weights=np.full(points.size, 1.0 / points.size),
-                             periodic=True)
-        for n in (512, 129):
-            x = (np.arange(n) + 0.5) / n
-            values = np.exp(np.cos(2 * np.pi * x)) + 0.3 * np.sin(6 * np.pi * x)
-            dense = dense_interp_average(values, 0.5 / n, mu)
-            assert abs(spectral_interp_average(values, 0.5 / n, mu) - dense) <= 1e-13
 
 
 class TestCal1:
@@ -224,20 +196,20 @@ class TestCal1:
     def test_richardson_grid_must_be_coarser(self, grid):
         # at (16, 32) the old floored half grid was (16, 32) itself, so the
         # Richardson delta read exactly 0 whatever the grid's error.  cal1 read
-        # 1.43e-5 there (true value 0), but that is mu's orbit error, not the
-        # grid's: it reads 1.38e-5 at every grid from (32, 64) to (128, 256)
+        # 1.43e-5 there (true value 0), but that was mu's orbit error, not the
+        # grid's: it read 1.38e-5 at every grid from (32, 64) to (128, 256)
         bundle = conjugated_rotation(GOLDEN, boundary_shear_conjugator(0.3), 0.5)
         with pytest.raises(ValueError, match="Richardson"):
             cal1(bundle, grid=grid)
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 12: mu's orbit-sampling error enters cal1 "
-                       "(1.38e-5 at every grid) and no reported term holds it")
-    def test_zero_on_a_boundary_only_conjugate_to_a_rotation(self):
+    @pytest.mark.parametrize("alpha", [GOLDEN, np.sqrt(2.0) - 1.0], ids=["golden", "sqrt2_minus_1"])
+    def test_zero_on_a_boundary_only_conjugate_to_a_rotation(self, alpha):
         # cal1 of a conjugated rotation is 0; the shear moves S^1, so the
         # boundary map is conjugate to R_alpha but not rigid, and the
-        # normalization by the 10k-point orbit measure is off by 1.4e-5 while
-        # the Richardson delta reads 2.2e-10
-        bundle = conjugated_rotation(GOLDEN, boundary_shear_conjugator(0.3), 0.5)
+        # boundary displacement is not constant.  A plain orbit average of it
+        # misses rho by O(1/N) (1.4e-5 at N = 10k); the weighted one leaves
+        # the linear lift's error, about 1.5e-8
+        bundle = conjugated_rotation(alpha, boundary_shear_conjugator(0.3), 0.5)
         assert abs(cal1(bundle, grid=(64, 128)).value) <= 1e-7
 
     @pytest.mark.parametrize("bundle", [quadratic_twist(0.3), bump(4)], ids=["twist", "bump4"])
