@@ -29,6 +29,8 @@ CASES = {
     "readme": (["compute"], "report.json"),
     "conjugated": (["compute"], "report.json"),
     "rigidity": (["experiment", "rigidity"], "rigidity.json"),
+    "c0": (["experiment", "c0-discontinuity"], "c0-discontinuity.json"),
+    "c1": (["experiment", "c1-continuity"], "c1-continuity.json"),
 }
 
 
