@@ -87,8 +87,9 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, allow_nan=True) + "\n"
 
 
-def _csv_text(columns, rows) -> str:
-    """CSV of the dicts ``rows`` in the order of ``columns``; None is an empty cell."""
+def _csv_text(rows) -> str:
+    """CSV of the dicts ``rows``, its columns the first row's keys; None is an empty cell."""
+    columns = list(rows[0])
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
@@ -165,14 +166,12 @@ def cmd_compute(cfg: dict, out_dir: str, fmt: str, overrides: dict) -> int:
         report.diagnostics["c_mu_points"] = budgets["c_mu_points"]
 
     flat = report.to_flat_dict()
-    written = _write_outputs(out_dir, "report", flat, _csv_text(list(flat), [flat]), fmt)
+    written = _write_outputs(out_dir, "report", flat, _csv_text([flat]), fmt)
     print(f"report for {bundle.name}: " + ", ".join(written))
     return 0
 
 
 def cmd_experiment(name: str, cfg: dict, out_dir: str, fmt: str, overrides: dict) -> int:
-    if name not in EXPERIMENT_PARAMS:
-        raise ConfigError(f"unknown experiment {name!r}; choose from {tuple(EXPERIMENT_PARAMS)}")
     run, rules = EXPERIMENT_PARAMS[name]
     schema = {**rules, **RUN_RULES}
     cfg = read_object(cfg, {"experiment": lambda obj, what: read_object(obj, schema, f"experiment {name!r}")},
@@ -182,7 +181,7 @@ def cmd_experiment(name: str, cfg: dict, out_dir: str, fmt: str, overrides: dict
     params.pop("workers", None)  # read, and without effect
     result = run(params, seed)
     rows = [{c: str(v).lower() if isinstance(v, bool) else v for c, v in row.items()} for row in result.rows]
-    written = _write_outputs(out_dir, name, result.to_json_dict(), _csv_text(result.columns, rows), fmt)
+    written = _write_outputs(out_dir, name, result.to_json_dict(), _csv_text(rows), fmt)
     print(f"experiment {name}: {'PASS' if result.passed else 'FAIL'}; " + ", ".join(written))
     return 0
 
@@ -204,17 +203,14 @@ def cmd_cf(args, out_dir: str, fmt: str) -> int:
     elif args.synthetic == "non-bruno":
         cf = arithmetic.synthetic_non_bruno(depth)
         source = "synthetic non-bruno"
-    elif args.synthetic == "super-liouville":
+    else:  # argparse's choices leave only super-liouville
         cf = arithmetic.synthetic_super_liouville(depth)
         source = "synthetic super-liouville"
-    else:
-        raise ConfigError(f"unknown synthetic sequence {args.synthetic!r}")
 
     diag = arithmetic.classify(cf) if cf.depth >= 3 else None
     checks = (
         arithmetic.best_approx_check(cf, float(args.alpha)) if args.alpha is not None else None
     )
-    columns = ["n", "a_n", "p_n", "q_n", "log_q_ratio", "running_sum", "best_approx"]
     rows = []
     for n in range(cf.depth):
         rows.append({
@@ -233,7 +229,7 @@ def cmd_cf(args, out_dir: str, fmt: str) -> int:
         "caveat": diag.caveat if diag else "",
         "rows": rows,
     }
-    written = _write_outputs(out_dir, "cf", json_obj, _csv_text(columns, rows), fmt)
+    written = _write_outputs(out_dir, "cf", json_obj, _csv_text(rows), fmt)
     label = ",".join(diag.labels) if diag else "n/a"
     print(f"cf table ({source}; {label}): " + ", ".join(written))
     return 0
@@ -273,9 +269,7 @@ def main(argv=None) -> int:
         if args.command == "experiment":
             cfg = _load_config(args.config) if args.config else {}
             return cmd_experiment(args.name, cfg, args.out, args.format, overrides)
-        if args.command == "cf":
-            return cmd_cf(args, args.out, args.format)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return cmd_cf(args, args.out, args.format)  # argparse's subcommands leave only cf
     except (ConfigError, MemoryError) as exc:  # a budget that no memory holds is a configuration error
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

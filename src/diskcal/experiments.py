@@ -26,6 +26,9 @@ D_BOUNDARY = 512
 C1_TWIST = (0.3, -0.6, 0.3)  # the twist exp_c1_continuity scales
 C0_D0_TARGET = 0.05  # d0 the last bump of exp_c0_discontinuity must reach
 RIGIDITY_CAL_BUDGET = 1e-4  # per-iterate allowance of exp_rigidity's cal1 drift
+RIGIDITY_CONJUGATOR = off_center_conjugator(0.5)  # the h of exp_rigidity's h R_alpha h^-1
+RIGIDITY_CAL_GRID = (64, 128)  # the grid of exp_rigidity's cal1
+RIGIDITY_D_GRID = (192, 256)  # the grid of exp_rigidity's d0
 
 
 def sup_distance_to_identity(
@@ -64,16 +67,20 @@ def sup_distance_to_identity(
 @dataclass
 class ExperimentResult:
     name: str
-    columns: list
     rows: list
     passed: bool
     meta: dict = dc_field(default_factory=dict)
+
+    @property
+    def columns(self) -> list:
+        """The table's columns: the keys of its rows, in their order."""
+        return list(self.rows[0])
 
     def to_json_dict(self) -> dict:
         return {
             "experiment": self.name,
             "passed": self.passed,
-            "columns": list(self.columns),
+            "columns": self.columns,
             "rows": self.rows,
             "meta": self.meta,
         }
@@ -88,23 +95,19 @@ def exp_c1_continuity(
     *,
     pairs: int = 4000,
     seed: int = 7,
-    grid=D_GRID,
 ) -> ExperimentResult:
     """Scaled twists tau*H (H the ``C1_TWIST`` profile) against the bound sqrt(2 eps)/pi.
 
     eps is the measured lifted d1 distance to the identity; scales producing
     eps > 1/2 are outside the bound's range and raise ScaleTooLarge.
     """
-    columns = ["tau", "eps_d1", "cal2", "cal2_stderr", "cal3", "bound", "pass"]
+    if not scales:
+        raise ValueError("exp_c1_continuity needs at least one scale")
     rows = []
     coeffs = np.asarray(C1_TWIST, dtype=float)
     for tau in scales:
-        if tau == 0.0:
-            rows.append({"tau": 0.0, "eps_d1": 0.0, "cal2": 0.0, "cal2_stderr": 0.0,
-                         "cal3": 0.0, "bound": 0.0, "pass": True})
-            continue
         bundle = radial_twist(tau * coeffs)
-        eps = sup_distance_to_identity(bundle, order=1, grid=grid, include_lift=True)
+        eps = sup_distance_to_identity(bundle, order=1, include_lift=True)
         if eps > 0.5:
             raise ScaleTooLarge(f"measured d1 = {eps:.3f} > 1/2 at tau = {tau}")
         c2 = cal2_tilde(bundle, PairSampler(n=pairs, seed=seed))
@@ -115,7 +118,7 @@ def exp_c1_continuity(
             "cal3": c3, "bound": float(bound), "pass": bool(abs(c2.value) <= bound),
         })
     passed = all(r["pass"] for r in rows)
-    return ExperimentResult("c1-continuity", columns, rows, passed,
+    return ExperimentResult("c1-continuity", rows, passed,
                             meta={"pairs": pairs, "seed": seed, "bound": "sqrt(2 eps)/pi + 3 stderr"})
 
 
@@ -123,19 +126,20 @@ def exp_c1_continuity(
 # C0 discontinuity: constant invariant on shrinking supports
 
 
-def exp_c0_discontinuity(ns=(2, 4, 8, 16), *, grid=(128, 256), cal_budget: float = 1e-3) -> ExperimentResult:
+def exp_c0_discontinuity(ns=(2, 4, 8, 16), *, cal_budget: float = 1e-3) -> ExperimentResult:
     """Bump maps: invariant pinned at 2/pi while displacement shrinks like 2/n.
 
     PASS requires every invariant within ``cal_budget`` of 2/pi, every measured
     d0 below its 2/n bound, a decreasing d0 column, and a final d0 at most
     ``max(C0_D0_TARGET, 2/max(ns))``.
     """
+    if not ns:
+        raise ValueError("exp_c0_discontinuity needs at least one n")
     target = 2.0 / np.pi
-    columns = ["n", "cal3", "cal_error", "d0", "d0_bound", "pass"]
     rows = []
     for n in ns:
         bundle = bump(n)
-        c3 = cal3_tilde(bundle, grid=grid)
+        c3 = cal3_tilde(bundle)
         d0 = sup_distance_to_identity(bundle, order=0)
         ok = bool(abs(c3 - target) <= cal_budget and d0 <= 2.0 / n + 1e-9)
         rows.append({"n": int(n), "cal3": c3, "cal_error": abs(c3 - target),
@@ -144,7 +148,7 @@ def exp_c0_discontinuity(ns=(2, 4, 8, 16), *, grid=(128, 256), cal_budget: float
     decreasing = all(b < a for a, b in zip(d0s[:-1], d0s[1:]))
     reached = d0s[-1] <= max(C0_D0_TARGET, 2.0 / max(ns)) + 1e-9
     passed = all(r["pass"] for r in rows) and decreasing and reached
-    return ExperimentResult("c0-discontinuity", columns, rows, passed,
+    return ExperimentResult("c0-discontinuity", rows, passed,
                             meta={"target": target, "cal_budget": cal_budget,
                                   "d0_decreasing": decreasing, "d0_reached": reached})
 
@@ -175,49 +179,45 @@ def _far_pairs(rng, count: int, min_sep: float):
 def exp_rigidity(
     alpha: float = 0.6180339887498949,
     depth: int = 12,
-    conjugator=None,
     tau: float = 0.5,
     *,
     q_max: int = 200,
     far_pairs: int = 1000,
-    cal_grid=(64, 128),
-    d_grid=(192, 256),
     seed: int = 3,
 ) -> ExperimentResult:
     """Iterates of a conjugated rotation (by default of the golden rotation
     number (sqrt 5 - 1)/2) along approximation denominators.
 
-    For each denominator q the iterate is ``iterate(base, q)``, the conjugate
-    of the rotation by q*alpha on the base map's conjugator pair (``h^-1`` is
-    calibrated once).  The rows check that far pairs wind by nearly the same
-    integer k, that k/q tracks the rotation number within 1/q + 2 eps^(1/4)/pi,
-    and that the action average grows like q times a value pinned at 0.
-    Every ``cal1`` is normalized by the base map's invariant boundary measure
-    mu: an f-invariant mu is f^q-invariant, so iterates build no lift or orbit;
-    each winds mu's atoms for its own boundary displacement.
+    The base map is ``h R_alpha h^-1`` for ``h`` the time-tau map of
+    ``RIGIDITY_CONJUGATOR``, the off-center generator at beta = 0.5.  For each
+    denominator q the iterate is ``iterate(base, q)``, the conjugate of the
+    rotation by q*alpha on the base map's conjugator pair (``h^-1`` is
+    calibrated once).  Its d0 is sampled on ``RIGIDITY_D_GRID`` (192, 256) and
+    its cal1 taken on ``RIGIDITY_CAL_GRID`` (64, 128).  The rows check that far
+    pairs wind by nearly the same integer k, that k/q tracks the rotation
+    number within 1/q + 2 eps^(1/4)/pi, and that the action average grows like
+    q times a value pinned at 0.  Every ``cal1`` is normalized by the base
+    map's invariant boundary measure mu: an f-invariant mu is f^q-invariant,
+    so iterates build no lift or orbit; each winds mu's atoms for its own
+    boundary displacement.
     """
     cf = continued_fraction(alpha, depth)
     qs = sorted({q for q in cf.q if 1 <= q <= q_max})
     if not qs:
         raise QMaxExceeded(f"no approximation denominators of {alpha} fit the budget {q_max}")
-    if conjugator is None:
-        conjugator = off_center_conjugator(0.5)
-    base = conjugated_rotation(alpha, conjugator, tau)
+    base = conjugated_rotation(alpha, RIGIDITY_CONJUGATOR, tau)
     lift = base.boundary_lift()
     rho = rotation_number(lift, n=100_000)
     mu = invariant_measure(lift)
-    cal_f = cal1(base, mu=mu, grid=cal_grid, richardson=False).value
+    cal_f = cal1(base, mu=mu, grid=RIGIDITY_CAL_GRID, richardson=False).value
     rng = np.random.default_rng(seed)
 
-    columns = ["q", "eps_d0", "cal1_iter", "cal1_drift", "drift_budget", "k",
-               "k_consistent", "ang_dev_max", "lemma_applies", "lemma_ok",
-               "kq_residual", "kq_bound", "pass"]
     rows = []
     for q in qs:
         it = iterate(base, q)
-        eps = sup_distance_to_identity(it, order=0, grid=d_grid)
+        eps = sup_distance_to_identity(it, order=0, grid=RIGIDITY_D_GRID)
         # the q = 1 iterate is the base map on the same conjugator pair
-        c1 = cal_f if q == 1 else cal1(it, mu=mu, grid=cal_grid, richardson=False).value
+        c1 = cal_f if q == 1 else cal1(it, mu=mu, grid=RIGIDITY_CAL_GRID, richardson=False).value
         drift = abs(c1 - q * cal_f)
         drift_budget = (q + 1) * RIGIDITY_CAL_BUDGET
 
@@ -240,7 +240,7 @@ def exp_rigidity(
             "kq_residual": kq_res, "kq_bound": kq_bound, "pass": row_pass,
         })
     passed = all(r["pass"] for r in rows) and abs(cal_f) <= RIGIDITY_CAL_BUDGET
-    return ExperimentResult("rigidity", columns, rows, passed,
+    return ExperimentResult("rigidity", rows, passed,
                             meta={"alpha": alpha, "tau": tau, "cal1_base": cal_f,
                                   "rho": rho.value, "qs": [int(q) for q in qs],
                                   "cal_budget": RIGIDITY_CAL_BUDGET, "seed": seed})

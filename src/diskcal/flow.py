@@ -69,9 +69,11 @@ MAX_TRAJ_ELEMENTS = 4_000_000
 # such blocks also took 10% off pushing tangent vectors along that grid
 STEP_BLOCK = 8192
 AREA_PROBES = 100  # points of area_residual's determinant check
-# h^-1 images kept per conjugator (LRU): a rigidity pass reuses four point
-# sets (d0 grid, cal1 nodes, area-residual probes, S^1 lift samples) and maps
-# two fresh far-pair sets per iterate between two uses of one of them
+# h^-1 images kept per conjugator (LRU): a rigidity pass at q <= 2 reuses four
+# point sets (the d0 grid of 49,664 points, the 100 area probes with the frame,
+# mu's 1,000 atoms with the 128 theta nodes, the 8,192 cal1 nodes with their
+# directions) and maps two fresh far-pair sets per iterate between two uses of
+# one of them; the S^1 lift samples are looked up once
 H_INVERSE_MEMO_SIZE = 8
 
 # DOP853, the 8th-order Dormand-Prince method of Hairer, Norsett and Wanner,

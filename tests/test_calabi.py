@@ -212,6 +212,14 @@ class TestCal1:
         bundle = conjugated_rotation(alpha, boundary_shear_conjugator(0.3), 0.5)
         assert abs(cal1(bundle, grid=(64, 128)).value) <= 1e-7
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 17: the linear boundary lift's error enters cal1 "
+                                           "through rho_mu, which cancels from the Richardson delta")
+    def test_richardson_delta_holds_the_error_on_a_sheared_boundary(self):
+        # cal1 of a conjugated rotation is 0, so |cal1| is its error: 1.45e-8
+        # at (64, 128), against a delta of 8.5e-14
+        res = cal1(conjugated_rotation(GOLDEN, boundary_shear_conjugator(0.3), 0.5), grid=(64, 128))
+        assert abs(res.value) <= res.richardson_delta
+
     @pytest.mark.parametrize("bundle", [quadratic_twist(0.3), bump(4)], ids=["twist", "bump4"])
     def test_fubini_matches_polar_average_of_pointwise_primitive(self, bundle):
         # brute force: the pointwise radial primitive a0 averaged over a polar
@@ -602,6 +610,19 @@ class TestVerifyLink:
     def test_identity_inverse_rho_is_positive_zero(self):
         rep = verify_link(inverse(identity()), pairs=500, seed=1, grid=(32, 64), rho_iterates=1000)
         assert rep.rho == 0.0 and not np.signbit(rep.rho)
+
+    @pytest.mark.parametrize("make", [
+        lambda: quadratic_twist(0.3),
+        lambda: conjugated_rotation(GOLDEN, off_center_conjugator(0.5), 0.5),
+    ], ids=["twist", "offcenter"])
+    def test_a_full_turn_loop_shifts_all_but_cal1(self, make):
+        # compose(f, rotation(1)) is the map f on an isotopy changed by the
+        # generator of pi_1: cal2, cal3 and rho shift by 1 and cal1 stays
+        f = make()
+        plain, looped = (verify_link(g, pairs=2000, seed=5, grid=(64, 128)) for g in (f, compose(f, rotation(1.0))))
+        for key in ("cal2", "cal3", "rho"):
+            assert abs(getattr(looped, key) - getattr(plain, key) - 1.0) <= 1e-12, key
+        assert abs(looped.cal1 - plain.cal1) <= 1e-12
 
     def test_flat_dict_field_order(self):
         rep = verify_link(rotation(0.1), pairs=500, seed=1, grid=(32, 64), rho_iterates=1000)

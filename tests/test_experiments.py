@@ -82,7 +82,7 @@ class TestSupDistance:
 
 class TestC1Continuity:
     def test_small_scales_pass(self):
-        res = exp_c1_continuity([0.02, 0.01, 0.0], pairs=1500, seed=5, grid=(64, 64))
+        res = exp_c1_continuity([0.02, 0.01, 0.0], pairs=1500, seed=5)
         assert res.passed
         # invariant scales linearly with the generator
         cal3s = {r["tau"]: r["cal3"] for r in res.rows}
@@ -90,7 +90,7 @@ class TestC1Continuity:
 
     def test_large_scale_rejected(self):
         with pytest.raises(ScaleTooLarge):
-            exp_c1_continuity([2.0], pairs=100, grid=(32, 32))
+            exp_c1_continuity([2.0], pairs=100)
 
     def test_csv_round_trip(self, tmp_path):
         # the experiment CSV is written by the CLI's one CSV writer
@@ -105,7 +105,7 @@ class TestC1Continuity:
 
 class TestC0Discontinuity:
     def test_invariant_pinned_while_d0_shrinks(self):
-        res = exp_c0_discontinuity([2, 4, 8], grid=(64, 128))
+        res = exp_c0_discontinuity([2, 4, 8])
         assert res.passed
         cals = [r["cal3"] for r in res.rows]
         assert max(abs(c - 2.0 / np.pi) for c in cals) < 1e-9
@@ -113,16 +113,20 @@ class TestC0Discontinuity:
         assert d0s == sorted(d0s, reverse=True)
 
     def test_single_row_degenerate(self):
-        res = exp_c0_discontinuity([4], grid=(64, 128))
+        res = exp_c0_discontinuity([4])
         assert len(res.rows) == 1 and res.rows[0]["pass"]
+
+
+@pytest.mark.parametrize("run", [exp_c1_continuity, exp_c0_discontinuity], ids=["c1", "c0"])
+def test_an_empty_table_is_refused(run):
+    # every table has a first row to name its columns
+    with pytest.raises(ValueError):
+        run([])
 
 
 class TestRigidity:
     def test_small_depth_run(self):
-        res = exp_rigidity(
-            GOLDEN, depth=7, tau=0.4, q_max=5, far_pairs=200,
-            cal_grid=(48, 96), d_grid=(96, 128), seed=3,
-        )
+        res = exp_rigidity(GOLDEN, depth=7, tau=0.4, q_max=5, far_pairs=200, seed=3)
         assert res.passed
         qs = [r["q"] for r in res.rows]
         assert qs == [1, 2, 3, 5]
@@ -133,61 +137,47 @@ class TestRigidity:
         assert [r["k"] for r in res.rows][-2:] == [2, 3]
         assert abs(res.meta["cal1_base"]) < 1e-4
 
-    def test_iterates_share_the_conjugator(self, monkeypatch):
+    @pytest.fixture(scope="class")
+    def counted_run(self):
+        """One run at q <= 2, counting the field isotopies built, the lifts
+        and orbit walks made and the calls of cal1."""
+        counts = {"isotopies": 0, "lifts": 0, "walks": 0, "cal1": 0}
+
+        def counting(fn, key):
+            def counted(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(FieldIsotopy, "__init__", counting(FieldIsotopy.__init__, "isotopies"))
+            mp.setattr(diskcal.circle, "lift_from_isotopy", counting(diskcal.circle.lift_from_isotopy, "lifts"))
+            walk = counting(invariant_measure, "walks")
+            mp.setattr(diskcal.experiments, "invariant_measure", walk)
+            mp.setattr(diskcal.calabi, "invariant_measure", walk)
+            mp.setattr(diskcal.experiments, "cal1", counting(cal1, "cal1"))
+            res = exp_rigidity(GOLDEN, depth=10, tau=0.5, q_max=2, far_pairs=50, seed=3)
+        assert [r["q"] for r in res.rows] == [1, 2]
+        return res, counts
+
+    def test_iterates_share_the_conjugator(self, counted_run):
         # h and h^-1 of the base map serve every iterate and its inverse
-        built = []
-        init = FieldIsotopy.__init__
+        assert counted_run[1]["isotopies"] == 2
 
-        def counting_init(iso, *args, **kwargs):
-            init(iso, *args, **kwargs)
-            built.append(iso)
-
-        monkeypatch.setattr(FieldIsotopy, "__init__", counting_init)
-        res = exp_rigidity(GOLDEN, depth=10, tau=0.5, q_max=2, far_pairs=50,
-                           cal_grid=(16, 32), d_grid=(32, 32), seed=3)
-        assert [r["q"] for r in res.rows] == [1, 2]
-        assert len(built) == 2
-
-    def test_one_lift_and_one_measure_per_run(self, monkeypatch):
+    def test_one_lift_and_one_measure_per_run(self, counted_run):
         # the base map's lift gives rho and mu; every iterate's cal1 reuses mu
-        lifts, walks = [], []
-        lift_from_isotopy = diskcal.circle.lift_from_isotopy
+        assert counted_run[1]["lifts"] == 1 and counted_run[1]["walks"] == 1
 
-        def counting_lift(*args, **kwargs):
-            lifts.append(args)
-            return lift_from_isotopy(*args, **kwargs)
-
-        def counting_walk(*args, **kwargs):
-            walks.append(args)
-            return invariant_measure(*args, **kwargs)
-
-        monkeypatch.setattr(diskcal.circle, "lift_from_isotopy", counting_lift)
-        monkeypatch.setattr(diskcal.experiments, "invariant_measure", counting_walk)
-        monkeypatch.setattr(diskcal.calabi, "invariant_measure", counting_walk)
-        res = exp_rigidity(GOLDEN, depth=10, tau=0.5, q_max=2, far_pairs=50,
-                           cal_grid=(16, 32), d_grid=(32, 32), seed=3)
-        assert [r["q"] for r in res.rows] == [1, 2]
-        assert len(lifts) == 1 and len(walks) == 1
-
-    def test_q1_row_reuses_the_base_maps_cal1(self, monkeypatch):
+    def test_q1_row_reuses_the_base_maps_cal1(self, counted_run):
         # denominators start at q = 1, whose iterate is the base map itself:
         # one cal1 per row, the base map's serving the q = 1 row
-        calls = []
-
-        def counting_cal1(*args, **kwargs):
-            calls.append(args)
-            return cal1(*args, **kwargs)
-
-        monkeypatch.setattr(diskcal.experiments, "cal1", counting_cal1)
-        res = exp_rigidity(GOLDEN, depth=10, tau=0.5, q_max=2, far_pairs=50,
-                           cal_grid=(16, 32), d_grid=(32, 32), seed=3)
-        assert [r["q"] for r in res.rows] == [1, 2]
-        assert len(calls) == len(res.rows)
+        res, counts = counted_run
+        assert counts["cal1"] == len(res.rows)
         # what a cal1 of the q = 1 iterate itself gives, bit for bit
         conj = off_center_conjugator(0.5)
         base = conjugated_rotation(GOLDEN, conj, 0.5)
         mu = invariant_measure(base.boundary_lift())
-        own = cal1(iterate(base, 1), mu=mu, grid=(16, 32), richardson=False)
+        own = cal1(iterate(base, 1), mu=mu, grid=(64, 128), richardson=False)
         assert res.rows[0]["cal1_iter"] == own.value == res.meta["cal1_base"]
         assert res.rows[0]["cal1_drift"] == 0.0
 
@@ -209,8 +199,7 @@ class TestRigidity:
             exp_rigidity(GOLDEN, depth=6, q_max=0)
 
     def test_plain_rotation_rows_exact(self):
-        res = exp_rigidity(GOLDEN, depth=6, tau=0.0, q_max=3, far_pairs=100,
-                           cal_grid=(32, 64), d_grid=(64, 64), seed=1)
+        res = exp_rigidity(GOLDEN, depth=6, tau=0.0, q_max=3, far_pairs=100, seed=1)
         assert res.passed
         for row in res.rows:
             assert abs(row["cal1_iter"]) < 1e-9
