@@ -35,10 +35,15 @@ class HamiltonianField:
     ----------
     h : callable z -> real, vectorized over a complex array ``z``
     grad : optional callable (u, v) -> (H_u, H_v) on float rows
-    wirtinger : optional callable (u, v) -> (Re a, Im a, Re b, Im b) of the
-        Wirtinger pair ``(a, b) = (dX/dz, dX/dz_bar)`` of the induced vector
-        field, used by the variational equation when available
+    wirtinger : optional callable (u, v, out) -> (Re a, Im a, Re b, Im b) of
+        the Wirtinger pair ``(a, b) = (dX/dz, dX/dz_bar)`` of the induced
+        vector field, written into the rows of ``out`` (shape (4, N)) but for
+        a ``Re a`` it may return as the scalar 0.0; used by the variational
+        equation when available
     radial_breakpoints : radii where ``H`` may be non-smooth
+    fixes_circle : whether the flow fixes S^1 pointwise, declared for a field
+        with ``|X(z)| <= C |1 - |z|^2|`` (so H and dH vanish on S^1); a flow
+        of such a field moves no point of S^1 (``flow.FieldIsotopy``)
     """
 
     def __init__(
@@ -49,12 +54,14 @@ class HamiltonianField:
         *,
         name: str = "field",
         radial_breakpoints: Sequence[float] = (),
+        fixes_circle: bool = False,
     ):
         self._h = h
         self._grad = grad
         self._wirtinger = wirtinger
         self.name = name
         self.radial_breakpoints = tuple(radial_breakpoints)
+        self.fixes_circle = fixes_circle
 
     def value(self, z):
         return self._h(z)
@@ -74,19 +81,22 @@ class HamiltonianField:
         np.multiply(hu, -np.pi, out=out[1])
         return out
 
-    def vector_wirtinger(self, u, v):
-        """Rows ``(Re a, Im a, Re b, Im b)``, analytic when supplied, else central differences."""
+    def vector_wirtinger(self, u, v, out=None):
+        """Rows ``(Re a, Im a, Re b, Im b)``, analytic when supplied, else central
+        differences, written into ``out`` (shape (4, N)) if given; an analytic
+        ``Re a`` may come back as the scalar 0.0, leaving ``out[0]`` unwritten."""
         if self._wirtinger is not None:
-            return self._wirtinger(u, v)
-        return central_vector_wirtinger(self.vector, u, v)
+            return self._wirtinger(u, v, np.empty((4,) + np.shape(u)) if out is None else out)
+        return central_vector_wirtinger(self.vector, u, v, out)
 
     def boundary_values(self):
         theta = np.arange(BOUNDARY_SAMPLES) / BOUNDARY_SAMPLES
         return self.value(np.exp(2j * np.pi * theta))
 
 
-def central_vector_wirtinger(vector, u, v):
-    """Rows ``(Re a, Im a, Re b, Im b)`` of a row field by central differences.
+def central_vector_wirtinger(vector, u, v, out=None):
+    """Rows ``(Re a, Im a, Re b, Im b)`` of a row field by central differences,
+    written into ``out`` (shape (4, N)) if given.
 
     ``vector(u, v)`` returns the rows ``(X_u, X_v)``; the increment is
     ``H_GRAD_STEP * (1 + |z|)`` along each axis, and ``a = (X_u - i X_v) / 2``,
@@ -96,4 +106,10 @@ def central_vector_wirtinger(vector, u, v):
     scale = 1.0 / (2.0 * hh)
     du = (vector(u + hh, v) - vector(u - hh, v)) * scale
     dv = (vector(u, v + hh) - vector(u, v - hh)) * scale
-    return 0.5 * (du[0] + dv[1]), 0.5 * (du[1] - dv[0]), 0.5 * (du[0] - dv[1]), 0.5 * (du[1] + dv[0])
+    out = np.empty((4,) + np.shape(du[0])) if out is None else out
+    np.add(du[0], dv[1], out=out[0])
+    np.subtract(du[1], dv[0], out=out[1])
+    np.subtract(du[0], dv[1], out=out[2])
+    np.add(du[1], dv[0], out=out[3])
+    out *= 0.5
+    return out

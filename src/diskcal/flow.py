@@ -26,6 +26,12 @@ resolved.  The one tracked composite case is the position winding of an
 interior point under a conjugation, which has no such identity and follows
 the conjugated trajectory.
 
+A field leaf flows only the points that move: a generator that fixes S^1
+pointwise (``fixes_circle``, the off-center conjugator) leaves every point
+of S^1 in place, so no boundary quantity of a map conjugated by it (the
+lift, cal1's boundary angles, d0's circle points) flows a boundary point,
+and both ``h`` terms of a boundary winding read exactly 0.
+
 Only the two leaves carry a generator (``field``), which they flow for the
 signed time ``tau * t``: a leaf's inverse runs ``-tau``, and no scaled or
 reversed generator is ever built.  The composites carry none: the generator
@@ -75,6 +81,10 @@ AREA_PROBES = 100  # points of area_residual's determinant check
 # directions) and maps two fresh far-pair sets per iterate between two uses of
 # one of them; the S^1 lift samples are looked up once
 H_INVERSE_MEMO_SIZE = 8
+# |1 - |z|^2| up to which a flow that fixes S^1 leaves z in place: four ulp of
+# 1, twice the rounding of |z|^2 at a point of S^1 computed as exp(2 pi i x)
+# and rotated once more (measured: at most 1 and 2 ulp)
+FIXED_CIRCLE_TOL = 4.0 * np.finfo(float).eps
 
 # DOP853, the 8th-order Dormand-Prince method of Hairer, Norsett and Wanner,
 # "Solving Ordinary Differential Equations I" (2nd ed.), ch. II: coupling
@@ -128,6 +138,25 @@ DOP853_B = np.array([
     2.01365400804030348374776537501e-1,
     4.47106157277725905176885569043e-2,
 ])
+# The order in which _dop853 stores its stages.  Stage 0 feeds every coupling
+# row and the weights, stages 1 and 2 only rows 2 to 4, and stages 3 and 4 no
+# weight: with k2 and k1 stored ahead of k0, each coupling row and the weight
+# vector reads one contiguous span of computed stages that holds all its
+# nonzero entries, 62 products a step where the full rows take 78.
+DOP853_ORDER = (2, 1, 0, 3, 4, 5, 6, 7, 8, 9, 10, 11)
+DOP853_SLOTS = tuple(DOP853_ORDER.index(i) for i in range(DOP853_STAGES))  # stage -> stored slot
+
+
+def _span(coefficients):
+    """(coefficients, slots): the stored slots from the first to the last
+    nonzero of a coefficient vector, and its entries for them in stored order."""
+    nonzero = [slot for slot, stage in enumerate(DOP853_ORDER) if coefficients[stage] != 0.0]
+    slots = slice(nonzero[0], nonzero[-1] + 1)
+    return coefficients[list(DOP853_ORDER[slots])], slots
+
+
+DOP853_SPANS = tuple(_span(row) for row in DOP853_A[1:])  # the coupling rows of stages 1 to 11
+DOP853_WEIGHT_SPAN = _span(DOP853_B)
 
 
 def _as_points(z):
@@ -137,6 +166,15 @@ def _as_points(z):
 def _rows(*zs):
     """The float rows ``Re z, Im z`` of each 1-d complex array, stacked in order."""
     return np.stack([part for z in zs for part in (z.real, z.imag)])
+
+
+def _forward_times(times):
+    """``times`` as a float array; a field flow runs forward from t = 0, so
+    they must be non-negative and non-decreasing."""
+    times = np.asarray(times, dtype=float)
+    if np.any(times < 0.0) or np.any(np.diff(times) < 0.0):
+        raise ValueError(f"a field flow runs forward from t = 0, not through times {times}")
+    return times
 
 
 def _tangents(z, v):
@@ -223,10 +261,21 @@ class FieldIsotopy(MapBundle):
     PointOutsideDisk is raised if the finest one still leaves it, and by any
     flow outside calibration.  The generator is a HamiltonianField or any
     field with its row methods ``vector(u, v, out)`` and
-    ``vector_wirtinger(u, v)``; neither reads a time.  ``f_t`` is the flow
+    ``vector_wirtinger(u, v, out)``; neither reads a time.  ``f_t`` is the flow
     of the generator for the signed time ``tau * t``: each step of length h
     in isotopy time is a DOP853 step of length ``tau * h``, so ``tau = -1``
     flows the inverse isotopy and the steps per unit time count isotopy time.
+
+    The flow of a HamiltonianField that declares ``fixes_circle`` moves no
+    point of S^1: the points with ``|1 - |z|^2| <= FIXED_CIRCLE_TOL`` stay
+    where they are at every time, and only the rest are flowed.  Such a field
+    has ``|X(z)| <= C |1 - |z|^2|``, and as H vanishes to second order on
+    S^1, ``1 - |z|^2`` changes at a rate ``O((1 - |z|^2)^2)``; so a point
+    within the bound moves by at most about ``C |tau| FIXED_CIRCLE_TOL``, a
+    few ulp (3.5e-15 for off-center(0.5), ``C = 5 pi beta``, at tau = 0.5).
+    ``flow_tangent`` still pushes their tangent vectors, since Df is not the
+    identity on S^1, and returns their positions unchanged, so
+    ``flow_wirtinger(t, z)[0]`` equals ``flow(t, z)``.
     """
 
     def __init__(self, generator, tau: float = 1.0, base_steps: int = DEFAULT_STEPS):
@@ -234,6 +283,7 @@ class FieldIsotopy(MapBundle):
         self.tau = tau
         self.field = generator if isinstance(generator, HamiltonianField) else None
         self.radial_breakpoints = self.field.radial_breakpoints if self.field else ()
+        self.fixes_circle = self.field.fixes_circle if self.field else False
         self.n_steps = self._calibrate(base_steps)
 
     def _calibrate(self, n0: int) -> int:
@@ -278,14 +328,14 @@ class FieldIsotopy(MapBundle):
         ``Re w' = (Re a + Re b) Re w + (Im b - Im a) Im w`` and
         ``Im w' = (Im a + Im b) Re w + (Re a - Re b) Im w``.  The ``Re a``
         products are skipped when a kernel returns the scalar 0.0 (a
-        Hamiltonian field has no divergence).  Every product is written into
-        ``out`` or one reused buffer.
+        Hamiltonian field has no divergence).  The pair's rows and every
+        product are written into ``out`` or buffers reused at every stage.
         """
-        c_re, c_im, tmp = np.empty(n), np.empty(n), np.empty((k, n))
+        wirt, c_re, c_im, tmp = np.empty((4, n)), np.empty(n), np.empty(n), np.empty((k, n))
 
         def rhs(y, out):
             self.generator.vector(y[0], y[1], out[:2])
-            ar, ai, br, bi = self.generator.vector_wirtinger(y[0], y[1])
+            ar, ai, br, bi = self.generator.vector_wirtinger(y[0], y[1], wirt)
             w_re, w_im, d_re, d_im = y[2::2], y[3::2], out[2::2], out[3::2]
             np.subtract(bi, ai, out=c_re)
             np.add(ai, bi, out=c_im)
@@ -307,54 +357,76 @@ class FieldIsotopy(MapBundle):
         disk after every step.  ``rhs`` writes a stage's derivative into
         ``out``.  A time gap d takes ``ceil(d * n_steps)`` equal steps of
         length h, each a step of ``tau * h`` in the generator's time.  The
-        stages live in one (12, rows, N) workspace, and each stage point and
-        step increment is one product of a coupling row with it, written into
-        one reused buffer.  Times must be non-negative and non-decreasing.
+        stages live in one (12, rows, N) workspace in the order
+        ``DOP853_ORDER``, and each stage point and step increment is one
+        product of a coupling row's span of nonzeros (``DOP853_SPANS``,
+        ``DOP853_WEIGHT_SPAN``) with the stages it reads, written into one
+        reused buffer.  Times must be non-negative and non-decreasing
+        (``_forward_times``).
         """
-        times = np.asarray(times, dtype=float)
-        if np.any(times < 0.0) or np.any(np.diff(times) < 0.0):
-            raise ValueError(f"a field flow runs forward from t = 0, not through times {times}")
         k = np.empty((DOP853_STAGES,) + y.shape)
         stage = np.empty_like(y)
         k_flat, stage_flat, y_flat = k.reshape(DOP853_STAGES, -1), stage.reshape(-1), y.reshape(-1)
-        stages = [(i, k_flat[:i], k[i]) for i in range(1, DOP853_STAGES)]
+        first = k[DOP853_SLOTS[0]]
+        stages = [(k_flat[slots], k[slot]) for (_, slots), slot in zip(DOP853_SPANS, DOP853_SLOTS[1:])]
+        weights, slots = DOP853_WEIGHT_SPAN
+        weighted = k_flat[slots]
         t0 = 0.0
         for t1 in times:
             if t1 > t0:
                 n_sub = max(1, int(np.ceil((t1 - t0) * n_steps)))
                 h = self.tau * ((t1 - t0) / n_sub)
-                a, b = h * DOP853_A, h * DOP853_B
-                rows = [a[i, :i] for i in range(DOP853_STAGES)]
+                rows, b = [h * coefficients for coefficients, _ in DOP853_SPANS], h * weights
                 for _ in range(n_sub):
-                    rhs(y, k[0])
-                    for i, head, k_i in stages:
-                        np.matmul(rows[i], head, out=stage_flat)
+                    rhs(y, first)
+                    for row, (head, k_i) in zip(rows, stages):
+                        np.matmul(row, head, out=stage_flat)
                         stage_flat += y_flat
                         rhs(stage, k_i)
-                    np.matmul(b, k_flat, out=stage_flat)
+                    np.matmul(b, weighted, out=stage_flat)
                     y_flat += stage_flat
                     project_to_disk(y[0], y[1])
                 t0 = t1
             yield y
 
+    def _fixed(self, z):
+        """The mask of the points of S^1 this flow leaves in place, or None if there are none."""
+        if not self.fixes_circle:
+            return None
+        fixed = np.abs(1.0 - (z.real * z.real + z.imag * z.imag)) <= FIXED_CIRCLE_TOL
+        return fixed if fixed.any() else None
+
     def trajectory(self, z, times):
-        z = _as_points(z)
-        out = np.empty((np.size(times), z.size), dtype=complex)
-        for k in range(0, z.size, STEP_BLOCK):
-            sl = slice(k, k + STEP_BLOCK)
-            for j, y in enumerate(self._dop853(self._rhs, _rows(z[sl]), times, self.n_steps)):
-                out[j, sl].real, out[j, sl].imag = y
+        """Positions at the given times; the moved points are flowed in blocks
+        of ``STEP_BLOCK`` and written straight into the output."""
+        z, times = _as_points(z), _forward_times(times)
+        out = np.empty((times.size, z.size), dtype=complex)
+        fixed = self._fixed(z)
+        if fixed is None:
+            blocks = [slice(k, k + STEP_BLOCK) for k in range(0, z.size, STEP_BLOCK)]
+        else:
+            out[:, fixed] = z[fixed]
+            moving = np.flatnonzero(~fixed)
+            blocks = [moving[k:k + STEP_BLOCK] for k in range(0, moving.size, STEP_BLOCK)]
+        parts = out.view(float).reshape(out.shape + (2,))  # (Re, Im) of each entry
+        for sel in blocks:
+            for j, y in enumerate(self._dop853(self._rhs, _rows(z[sel]), times, self.n_steps)):
+                parts[j, sel] = y.T
         return out
 
     def flow_tangent(self, t, z, v):
         z, v = _tangents(z, v)
+        times = _forward_times([t])
         vs = v.reshape(-1, z.size)
         out = np.empty((1 + len(vs), z.size), dtype=complex)
         for k in range(0, z.size, STEP_BLOCK):
             sl = slice(k, k + STEP_BLOCK)
             rhs = self._tangent_rhs(len(vs), z[sl].size)
-            (y,) = self._dop853(rhs, _rows(z[sl], *vs[:, sl]), [t], self.n_steps)
+            (y,) = self._dop853(rhs, _rows(z[sl], *vs[:, sl]), times, self.n_steps)
             out[:, sl].real, out[:, sl].imag = y[0::2], y[1::2]
+        fixed = self._fixed(z)
+        if fixed is not None:
+            out[0, fixed] = z[fixed]
         return out[0], out[1:].reshape(v.shape)
 
     def flow_wirtinger(self, t, z):

@@ -62,11 +62,15 @@ class RadialProfile:
             return c * u, c * v
 
         # b = 2 pi i w'(s) z^2, z^2 = (u^2 - v^2) + 2 i u v
-        def wirt(u, v):
+        def wirt(u, v, out):
+            _, ai, br, bi = out
             s = u * u + v * v
             dws = dw(s)
             c = 2.0 * np.pi * dws
-            return 0.0, 2.0 * np.pi * (w(s) + s * dws), -c * (2.0 * u * v), c * (u * u - v * v)
+            np.multiply(2.0 * np.pi, w(s) + s * dws, out=ai)
+            np.multiply(-c, 2.0 * u * v, out=br)
+            np.multiply(c, u * u - v * v, out=bi)
+            return 0.0, ai, br, bi
 
         return HamiltonianField(h, grad=grad, wirtinger=wirt, name=self.name,
                                 radial_breakpoints=self.breakpoints)
@@ -169,7 +173,9 @@ def _vanishing_generator(beta: float, m: int, name: str) -> HamiltonianField:
     through coefficients fixed here: ``H_u + i H_v = beta (1 - k s)((1 - s) -
     2 m u z)``, and with ``c = 2 pi beta m`` the Wirtinger pair has ``Re a = 0``
     (the scalar 0.0), ``Im a = -c u (3 k s - 2)``, ``Re b = c v (k (3 u^2 + v^2) - 1)``
-    and ``Im b = -c u (2 k u^2 - 1)``.
+    and ``Im b = -c u (2 k u^2 - 1)``.  At m = 2 the field vanishes to first
+    order on S^1, ``|X| <= 5 pi |beta| |1 - s|`` in the disk, and declares
+    ``fixes_circle``; at m = 1 it does not vanish there and moves S^1.
     """
     if m not in (1, 2):
         raise ValueError(f"the generator beta (1 - |z|^2)^m u takes m = 1 or 2, got {m!r}")
@@ -195,12 +201,27 @@ def _vanishing_generator(beta: float, m: int, name: str) -> HamiltonianField:
         hv *= w
         return hu, hv
 
-    def wirt(u, v):
+    # each row written in place with the operations of the formulas above in
+    # their order, so bit for bit as the formulas evaluate; vv is reused for c v
+    def wirt(u, v, out):
+        _, ai, br, bi = out
         uu, vv = u * u, v * v
         cu = -c * u
-        return 0.0, cu * (k3 * (uu + vv) - 2.0), (c * v) * (k * (3.0 * uu + vv) - 1.0), cu * (k2 * uu - 1.0)
+        np.add(uu, vv, out=ai)
+        ai *= k3
+        ai -= 2.0
+        ai *= cu
+        np.multiply(uu, 3.0, out=br)
+        br += vv
+        br *= k
+        br -= 1.0
+        br *= np.multiply(c, v, out=vv)
+        np.multiply(uu, k2, out=bi)
+        bi -= 1.0
+        bi *= cu
+        return 0.0, ai, br, bi
 
-    return HamiltonianField(h, grad=grad, wirtinger=wirt, name=name)
+    return HamiltonianField(h, grad=grad, wirtinger=wirt, name=name, fixes_circle=m == 2)
 
 
 def off_center_conjugator(beta: float) -> HamiltonianField:

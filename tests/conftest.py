@@ -29,9 +29,9 @@ class BrokenField:
         out *= 1.0 + self.factor * u
         return out
 
-    def vector_wirtinger(self, u, v):
+    def vector_wirtinger(self, u, v, out=None):
         # central differences keep Re a, the divergence the determinant checks see
-        return central_vector_wirtinger(self.vector, u, v)
+        return central_vector_wirtinger(self.vector, u, v, out)
 
 
 @pytest.fixture(scope="session")

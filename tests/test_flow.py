@@ -9,11 +9,15 @@ from hypothesis import given, settings, strategies as st
 from diskcal.errors import PointOutsideDisk, StepTooCoarse
 from diskcal.calabi import PairSampler, cal2_tilde
 from diskcal.fields import HamiltonianField, central_vector_wirtinger
-from diskcal.circle import lift_from_isotopy
+from diskcal.circle import lift_from_isotopy, rotation_number
 from diskcal.flow import (
     DOP853_A,
     DOP853_B,
+    DOP853_ORDER,
+    DOP853_SPANS,
     DOP853_STAGES,
+    DOP853_WEIGHT_SPAN,
+    FIXED_CIRCLE_TOL,
     H_INVERSE_MEMO_SIZE,
     MAX_CALIBRATION_DOUBLINGS,
     MAX_DOUBLING_CONTRACTION,
@@ -272,6 +276,19 @@ class TestDOP853:
         assert np.array_equal(DOP853_A, ref.A[:n, :n])
         assert np.array_equal(DOP853_B, ref.B)
 
+    def test_spans_cover_every_nonzero_coupling(self):
+        # a span reads only stages computed before its own, and everything
+        # the stepper skips outside the spans is an exact zero of the tableau
+        rows = [(DOP853_A[i], i) for i in range(1, DOP853_STAGES)] + [(DOP853_B, DOP853_STAGES)]
+        spans = list(DOP853_SPANS) + [DOP853_WEIGHT_SPAN]
+        assert sorted(DOP853_ORDER) == list(range(DOP853_STAGES))
+        for (full, computed), (coefficients, slots) in zip(rows, spans):
+            read = list(DOP853_ORDER[slots])
+            assert set(read) <= set(range(computed))
+            assert np.array_equal(coefficients, full[read])
+            assert np.all(np.delete(full, read) == 0.0)
+        assert sum(len(c) for c, _ in spans) == 62  # of 78 in the full rows
+
     def test_observed_order_of_flow_and_jacobian(self):
         # off-center(0.5) at tau = 1: the error against 256 steps falls by
         # 2^8 per halving (2^7.5 asked; finer steps reach rounding)
@@ -355,17 +372,26 @@ def _complex_dop853(rhs, state, n_sub, tau=1.0):
 
     Each stage is ``y + a_i . k`` and each step ``y += b . k`` on the real view
     of the complex stages, then the position is projected back onto the disk.
+    The stages are stored in ``DOP853_ORDER``, and each product runs over the
+    stored slots of its row's span in ``DOP853_SPANS`` (of the weights',
+    ``DOP853_WEIGHT_SPAN``) with the tableau's entries for them: the zeros
+    the stepper skips, summed in its order.
     """
     h = tau * (1.0 / n_sub)
     a, b = h * DOP853_A, h * DOP853_B
     y = np.array(state, dtype=complex)
     k = np.empty((DOP853_STAGES,) + y.shape, dtype=complex)
     k_real = k.reshape(DOP853_STAGES, -1).view(float)
+
+    def product(coefficients, slots):
+        stages = list(DOP853_ORDER[slots])
+        return (coefficients[stages] @ k_real[slots]).view(complex).reshape(y.shape)
+
     for _ in range(n_sub):
         for i in range(DOP853_STAGES):
-            stage = y + (a[i, :i] @ k_real[:i]).view(complex).reshape(y.shape) if i else y
-            k[i] = rhs(stage)
-        y += (b @ k_real).view(complex).reshape(y.shape)
+            stage = y + product(a[i], DOP853_SPANS[i - 1][1]) if i else y
+            k[DOP853_ORDER.index(i)] = rhs(stage)
+        y += product(b, DOP853_WEIGHT_SPAN[1])
         r = np.abs(y[0])
         assert np.all(r <= 1.0 + TOL_BOUNDARY)
         y[0] = np.where(r > 1.0, y[0] / r, y[0])
@@ -702,6 +728,59 @@ class TestConjugatedTrajectory:
         z = interior_points(200, seed=31, rmax=0.9)
         assert np.array_equal(iso.trajectory(z, np.array([0.0, 0.5, 1.0]))[0], z)
         assert np.array_equal(iso.flow(0.0, z), z)
+
+
+class TestFixedCircle:
+    # a generator whose flow fixes S^1 pointwise (off-center) leaves its
+    # points in place; one that moves S^1 (the shear) declares no such thing
+    CIRCLE = np.exp(2j * np.pi * np.arange(512) / 512)
+
+    @pytest.mark.parametrize("tau", [0.5, -0.5])
+    def test_circle_points_stay_in_place(self, tau):
+        iso = FieldIsotopy(off_center_conjugator(0.5), tau)
+        plain = copy.copy(iso)
+        plain.fixes_circle = False
+        times = np.array([0.0, 0.25, 1.0])
+        assert np.all(np.abs(1.0 - np.abs(self.CIRCLE) ** 2) <= FIXED_CIRCLE_TOL)
+        assert np.array_equal(iso.trajectory(self.CIRCLE, times), np.broadcast_to(self.CIRCLE, (3, 512)))
+        # the plain flow moves them by its rounding (1.28e-15 measured at tau =
+        # -0.5, 9.7e-16 at 0.5), within FieldIsotopy's bound C |tau| tol, C = 5 pi beta
+        bound = 5 * np.pi * 0.5 * abs(tau) * FIXED_CIRCLE_TOL
+        assert np.max(np.abs(plain.flow(1.0, self.CIRCLE) - self.CIRCLE)) <= bound
+        f, p, q = iso.flow_wirtinger(1.0, self.CIRCLE)
+        assert np.array_equal(f, self.CIRCLE)
+        # the tangent vectors are still pushed: Df is not the identity on S^1
+        _, plain_p, plain_q = plain.flow_wirtinger(1.0, self.CIRCLE)
+        assert np.array_equal(p, plain_p) and np.array_equal(q, plain_q)
+        assert np.max(np.abs(q)) > 0.1
+
+    def test_interior_points_flow_as_without_the_circle(self):
+        # more moving points than one step block, interleaved with S^1 points
+        iso = FieldIsotopy(off_center_conjugator(0.5), 0.5)
+        inner = interior_points(9000, seed=71, rmax=0.999)
+        mixed = np.insert(inner, np.arange(0, inner.size, 18), self.CIRCLE[:500])
+        moved = np.abs(1.0 - np.abs(mixed) ** 2) > FIXED_CIRCLE_TOL
+        times = np.array([0.0, 0.5, 1.0])
+        assert np.array_equal(iso.trajectory(mixed, times)[:, moved], iso.trajectory(inner, times))
+        f = iso.flow_wirtinger(1.0, mixed)[0]
+        assert np.array_equal(f, iso.flow(1.0, mixed))
+        assert np.array_equal(f[moved], iso.flow(1.0, inner))
+
+    def test_only_the_off_center_generator_declares_it(self):
+        assert off_center_conjugator(0.5).fixes_circle
+        assert not boundary_shear_conjugator(0.3).fixes_circle
+        assert not quadratic_twist(0.3).field.fixes_circle
+        moved = np.abs(FieldIsotopy(boundary_shear_conjugator(0.3), 0.5).flow(1.0, self.CIRCLE) - self.CIRCLE)
+        assert np.max(moved) > 0.1
+
+    def test_conjugated_golden_rotation_has_a_constant_lift(self):
+        alpha = 0.6180339887498949
+        lift = conjugated_rotation(alpha, off_center_conjugator(0.5), 0.5).boundary_lift()
+        xs = np.arange(4096) / 4096
+        assert np.all(lift.delta(xs) == alpha)
+        est = rotation_number(lift)
+        assert est.value == alpha
+        assert est.rigorous_halfwidth <= 2 * np.spacing(alpha)
 
 
 class TestBoundaryLiftCache:

@@ -217,6 +217,29 @@ class TestVanishingGeneratorKernel:
         assert np.array_equal(u, u0) and np.array_equal(v, v0)
 
     @cases
+    @betas
+    def test_rows_written_in_place_are_the_formulas_bit_for_bit(self, m, beta):
+        # the kernel writes into the rows of out, with the formulas' operations
+        # in their order, so it must equal them evaluated with temporaries
+        u, v = self._rows(53)
+        k, c = m - 1.0, 2.0 * m * np.pi * beta
+        uu, vv, cu = u * u, v * v, -c * u
+        ref = (cu * (3.0 * k * (uu + vv) - 2.0), (c * v) * (k * (3.0 * uu + vv) - 1.0), cu * (2.0 * k * uu - 1.0))
+        out = np.full((4, u.size), np.nan)
+        ar, *rows = self.CONJUGATORS[m](beta).vector_wirtinger(u, v, out)
+        assert type(ar) is float and ar == 0.0
+        for row, target, ref_row in zip(rows, out[1:], ref):
+            assert np.shares_memory(row, target)
+            assert np.array_equal(target, ref_row)
+
+    def test_the_central_fallback_fills_out(self):
+        field = HamiltonianField(off_center_conjugator(0.5).value)
+        u, v = self._rows(59)
+        out = np.full((4, u.size), np.nan)
+        assert field.vector_wirtinger(u, v, out) is out
+        assert np.array_equal(out, central_vector_wirtinger(field.vector, u, v))
+
+    @cases
     def test_what_vanishes_on_the_circle(self, m):
         # H vanishes on S^1 for both; dH only for m = 2, so only that flow fixes S^1
         field = self.CONJUGATORS[m](0.5)
