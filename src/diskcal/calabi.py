@@ -355,8 +355,6 @@ def _cal3_tree(isotopy, grid, memo) -> float:
         return sum(_cal3_tree(piece, grid, memo) for piece in isotopy.pieces)
     if isinstance(isotopy, ConjugatedIsotopy):
         return _cal3_tree(isotopy.inner, grid, memo)
-    if isotopy.field is None:
-        raise ValueError("cal3 needs a bundle with a Hamiltonian generator")
     if id(isotopy) not in memo:
         memo[id(isotopy)] = _cal3_leaf(isotopy.field, isotopy.tau, grid)
     return memo[id(isotopy)]

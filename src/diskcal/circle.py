@@ -1,11 +1,13 @@
 """Lifted circle maps, rotation numbers, and invariant boundary measures.
 
 A lift of an orientation-preserving circle homeomorphism is a map
-``phi: R -> R`` with ``phi(x + 1) = phi(x) + 1``; it is stored through its
-1-periodic displacement ``delta(x) = phi(x) - x``, so the commutation relation
-holds exactly by construction.  The rotation number is returned as a
-rigorous enclosure, from the displacement range of a grid lift or from the
-order of many iterated starts, stopped as soon as its half-width reaches 1/n.
+``phi: R -> R`` with ``phi(x + 1) = phi(x) + 1``; it is stored as equally
+spaced samples of its 1-periodic displacement ``delta(x) = phi(x) - x``,
+interpolated linearly with period 1, so the commutation relation holds
+exactly by construction.  A boundary lift samples the isotopy's boundary
+windings.  The rotation number is returned as a rigorous enclosure, from the
+range of the samples or from the order of many iterated starts, stopped as
+soon as its half-width reaches 1/n.
 """
 
 from __future__ import annotations
@@ -26,35 +28,27 @@ ORBIT_SAMPLES = 1000  # weighted points of a non-periodic orbit measure
 
 
 class LiftedCircleMap:
-    """A lift represented by its displacement function.
+    """A lift represented by N samples of its displacement.
 
-    ``delta`` is either a vectorized callable on [0, 1) or a sampled grid
-    (interpolated periodically); both give an exact commutation invariant.
+    ``values[j]`` is ``delta(j / N)``; between the samples ``delta`` is
+    interpolated linearly with period 1, so the commutation relation is
+    exact.  The sample count of a boundary lift is ``DEFAULT_LIFT_SAMPLES``.
     """
 
-    def __init__(self, delta_fn=None, grid_values=None):
-        if (delta_fn is None) == (grid_values is None):
-            raise ValueError("provide exactly one of delta_fn, grid_values")
-        self._delta_fn = delta_fn
-        if grid_values is not None:
-            vals = np.asarray(grid_values, dtype=float)
-            self._grid = np.concatenate([vals, vals[:1]])
-            self._xs = np.linspace(0.0, 1.0, vals.size + 1)
+    def __init__(self, grid_values):
+        self.values = np.asarray(grid_values, dtype=float)
+        self._grid = np.concatenate([self.values, self.values[:1]])
+        self._xs = np.linspace(0.0, 1.0, self.values.size + 1)
 
     def delta(self, x):
-        frac = np.mod(x, 1.0)
-        if self._delta_fn is not None:
-            return self._delta_fn(frac)
-        return np.interp(frac, self._xs, self._grid)
+        return np.interp(np.mod(x, 1.0), self._xs, self._grid)
 
     def __call__(self, x):
         return np.asarray(x, dtype=float) + self.delta(x)
 
     def scalar_delta(self):
-        """``delta`` of one Python float, for orbit walks: a grid lift interpolates
-        in Python floats as ``np.interp`` does, so the values agree bit for bit."""
-        if self._delta_fn is not None:
-            return lambda x: float(self.delta(x))
+        """``delta`` of one Python float, for orbit walks: it interpolates in
+        Python floats as ``np.interp`` does, so the values agree bit for bit."""
         xs, fs = memoryview(self._xs), memoryview(self._grid)  # items read as Python floats
 
         def delta(x):
@@ -67,13 +61,11 @@ class LiftedCircleMap:
         return delta
 
     def interpolation_error(self) -> float:
-        """Estimated sup error of a grid lift (0 for a ``delta_fn`` lift).
+        """Estimated sup distance to the lift the samples were taken from.
 
         The distance to the interpolant of every other sample, attained at the
         dropped samples: ``max_j |delta_{2j+1} - (delta_{2j} + delta_{2j+2}) / 2|``.
         """
-        if self._delta_fn is not None:
-            return 0.0
         g = self._grid
         return float(np.max(np.abs(g[1:-1:2] - 0.5 * (g[:-2:2] + g[2::2])), initial=0.0))
 
@@ -97,9 +89,6 @@ class BoundaryMeasure:
         if abs(float(np.sum(self.weights)) - 1.0) > 1e-12:
             raise ValueError("weights must sum to 1")
 
-    def integrate(self, psi) -> float:
-        return float(np.sum(self.weights * psi(self.points)))
-
 
 def boundary_displacement(isotopy, xs) -> np.ndarray:
     """The displacement ``delta`` of the boundary lift at the angles ``xs``.
@@ -118,13 +107,13 @@ def lift_from_isotopy(isotopy) -> LiftedCircleMap:
     """Lift of the boundary restriction, sampled at ``DEFAULT_LIFT_SAMPLES``
     equally spaced angles."""
     xs = np.arange(DEFAULT_LIFT_SAMPLES) / DEFAULT_LIFT_SAMPLES
-    return LiftedCircleMap(grid_values=boundary_displacement(isotopy, xs))
+    return LiftedCircleMap(boundary_displacement(isotopy, xs))
 
 
 def rotation_number(lift: LiftedCircleMap, n: int = 100_000, x0: float = 0.0) -> RotationNumberEstimate:
     """Rigorous enclosure of the rotation number, returned once its half-width is 1/n.
 
-    rho is an orbit average of delta, so a grid lift whose sample range is
+    rho is an orbit average of delta, so a lift whose sample range is
     within ``2/n`` returns it at once.  Otherwise the ``K = RHO_STARTS`` + 1
     starts ``x_k = x0 + k/K`` are iterated as one array: ``F^m`` is
     increasing, so ``m rho`` lies in ``[min_k (F^m(x_k) - x_{k+1}),
@@ -138,8 +127,8 @@ def rotation_number(lift: LiftedCircleMap, n: int = 100_000, x0: float = 0.0) ->
     if n < 1:
         raise ValueError("need n >= 1")
     interp = lift.interpolation_error()
-    if lift._delta_fn is None and np.ptp(lift._grid) <= 2.0 / n:
-        lo, hi = float(np.min(lift._grid)), float(np.max(lift._grid))
+    if np.ptp(lift.values) <= 2.0 / n:
+        lo, hi = float(np.min(lift.values)), float(np.max(lift.values))
         ulp = float(np.spacing(max(-lo, hi)))
         return RotationNumberEstimate(0.5 * (lo + hi), 0.5 * (hi - lo) + ulp + interp, 1)
     starts = float(x0) + np.arange(RHO_STARTS + 1) / RHO_STARTS

@@ -75,11 +75,13 @@ MAX_TRAJ_ELEMENTS = 4_000_000
 # such blocks also took 10% off pushing tangent vectors along that grid
 STEP_BLOCK = 8192
 AREA_PROBES = 100  # points of area_residual's determinant check
-# h^-1 images kept per conjugator (LRU): a rigidity pass at q <= 2 reuses four
-# point sets (the d0 grid of 49,664 points, the 100 area probes with the frame,
-# mu's 1,000 atoms with the 128 theta nodes, the 8,192 cal1 nodes with their
-# directions) and maps two fresh far-pair sets per iterate between two uses of
-# one of them; the S^1 lift samples are looked up once
+# h^-1 images kept per conjugator (LRU).  At seed 7 a rigidity pass at q <= 2
+# makes 13 lookups and hits 4, one per reused point set (the d0 grid of 49,664
+# points, the 100 area probes with the frame, mu's 1,000 atoms with the 128
+# theta nodes, the 8,192 cal1 nodes with their directions), while the S^1
+# lift samples and two fresh far-pair sets per iterate miss; bypassing the
+# memo raises its least time over seven passes from 0.25 s to 0.31 s on a
+# 2-vCPU Xeon.  A conjugated_link pass makes 7 lookups and hits none
 H_INVERSE_MEMO_SIZE = 8
 # |1 - |z|^2| up to which a flow that fixes S^1 leaves z in place: four ulp of
 # 1, twice the rounding of |z|^2 at a point of S^1 computed as exp(2 pi i x)
@@ -259,15 +261,14 @@ class FieldIsotopy(MapBundle):
     difference with r doublings left exceeds ``TOL_ODE * MAX_DOUBLING_CONTRACTION**r``.
     A resolution whose flow leaves the disk counts as unresolved;
     PointOutsideDisk is raised if the finest one still leaves it, and by any
-    flow outside calibration.  The generator is a HamiltonianField or any
-    field with its row methods ``vector(u, v, out)`` and
-    ``vector_wirtinger(u, v, out)``; neither reads a time.  ``f_t`` is the flow
-    of the generator for the signed time ``tau * t``: each step of length h
-    in isotopy time is a DOP853 step of length ``tau * h``, so ``tau = -1``
-    flows the inverse isotopy and the steps per unit time count isotopy time.
+    flow outside calibration.  ``f_t`` is the flow of the HamiltonianField
+    ``field``, whose row methods read no time, for the signed time
+    ``tau * t``: each step of length h in isotopy time is a DOP853 step of
+    length ``tau * h``, so ``tau = -1`` flows the inverse isotopy and the
+    steps per unit time count isotopy time.
 
-    The flow of a HamiltonianField that declares ``fixes_circle`` moves no
-    point of S^1: the points with ``|1 - |z|^2| <= FIXED_CIRCLE_TOL`` stay
+    The flow of a field that declares ``fixes_circle`` moves no point of
+    S^1: the points with ``|1 - |z|^2| <= FIXED_CIRCLE_TOL`` stay
     where they are at every time, and only the rest are flowed.  Such a field
     has ``|X(z)| <= C |1 - |z|^2|``, and as H vanishes to second order on
     S^1, ``1 - |z|^2`` changes at a rate ``O((1 - |z|^2)^2)``; so a point
@@ -278,12 +279,11 @@ class FieldIsotopy(MapBundle):
     ``flow_wirtinger(t, z)[0]`` equals ``flow(t, z)``.
     """
 
-    def __init__(self, generator, tau: float = 1.0, base_steps: int = DEFAULT_STEPS):
-        self.generator = generator
+    def __init__(self, field: HamiltonianField, tau: float = 1.0, base_steps: int = DEFAULT_STEPS):
+        self.field = field
         self.tau = tau
-        self.field = generator if isinstance(generator, HamiltonianField) else None
-        self.radial_breakpoints = self.field.radial_breakpoints if self.field else ()
-        self.fixes_circle = self.field.fixes_circle if self.field else False
+        self.radial_breakpoints = field.radial_breakpoints
+        self.fixes_circle = field.fixes_circle
         self.n_steps = self._calibrate(base_steps)
 
     def _calibrate(self, n0: int) -> int:
@@ -302,7 +302,7 @@ class FieldIsotopy(MapBundle):
             prev = cur
             if diff > TOL_ODE * MAX_DOUBLING_CONTRACTION**left:
                 break
-        name = f"{getattr(self.generator, 'name', 'field')} for time tau={self.tau}"
+        name = f"{self.field.name} for time tau={self.tau}"
         if np.isnan(prev).all():
             raise PointOutsideDisk(f"flow of {name} leaves the disk at {n} steps per unit time")
         raise StepTooCoarse(
@@ -318,7 +318,7 @@ class FieldIsotopy(MapBundle):
         return y[0] + 1j * y[1]
 
     def _rhs(self, y, out):
-        self.generator.vector(y[0], y[1], out)
+        self.field.vector(y[0], y[1], out)
 
     def _tangent_rhs(self, k, n):
         """Right-hand side of n positions with k tangent vectors each.
@@ -334,8 +334,8 @@ class FieldIsotopy(MapBundle):
         wirt, c_re, c_im, tmp = np.empty((4, n)), np.empty(n), np.empty(n), np.empty((k, n))
 
         def rhs(y, out):
-            self.generator.vector(y[0], y[1], out[:2])
-            ar, ai, br, bi = self.generator.vector_wirtinger(y[0], y[1], wirt)
+            self.field.vector(y[0], y[1], out[:2])
+            ar, ai, br, bi = self.field.vector_wirtinger(y[0], y[1], wirt)
             w_re, w_im, d_re, d_im = y[2::2], y[3::2], out[2::2], out[3::2]
             np.subtract(bi, ai, out=c_re)
             np.add(ai, bi, out=c_im)
@@ -429,14 +429,13 @@ class FieldIsotopy(MapBundle):
             out[0, fixed] = z[fixed]
         return out[0], out[1:].reshape(v.shape)
 
-    def flow_wirtinger(self, t, z):
-        return _pushed_frame(self, t, z)
+    flow_wirtinger = _pushed_frame
 
     def inverse(self):
         # the reversed flow is as regular as this one, so calibration starts
         # from half the count: its TOL_ODE check then lands on n_steps
         # (calibration returns twice the count it starts from)
-        return FieldIsotopy(self.generator, -self.tau, base_steps=self.n_steps // 2)
+        return FieldIsotopy(self.field, -self.tau, base_steps=self.n_steps // 2)
 
 
 class RadialIsotopy(MapBundle):
@@ -552,8 +551,7 @@ class ConcatIsotopy(MapBundle):
             remaining -= local / m
         return z, v
 
-    def flow_wirtinger(self, t, z):
-        return _pushed_frame(self, t, z)
+    flow_wirtinger = _pushed_frame
 
     def inverse(self):
         return ConcatIsotopy([p.inverse() for p in self.pieces[::-1]])
@@ -643,8 +641,7 @@ class ConjugatedIsotopy(MapBundle):
         w, dw = self.pair.inverse_tangents(z, v)
         return self.pair.h.flow_tangent(1.0, *self.inner.flow_tangent(t, w, dw))
 
-    def flow_wirtinger(self, t, z):
-        return _pushed_frame(self, t, z)
+    flow_wirtinger = _pushed_frame
 
     def inverse(self):
         return ConjugatedIsotopy(self.pair, self.inner.inverse())

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from diskcal.calabi import _action_averages, _checked_area_residual, _pullback_integrand, gauss_legendre
-from diskcal.circle import LiftedCircleMap, invariant_measure
-from diskcal.fields import central_vector_wirtinger
+from diskcal.circle import DEFAULT_LIFT_SAMPLES, LiftedCircleMap, invariant_measure
+from diskcal.fields import HamiltonianField, central_vector_wirtinger
 from diskcal.flow import FieldIsotopy
 
 SEGMENT_NODES = 8  # least Gauss-Legendre nodes per radial segment of ActionFunction.a0
@@ -11,16 +11,16 @@ ACTION_RADIAL_NODES = 64  # Gauss-Legendre nodes per ray of ActionFunction.a0
 BOUNDARY_PROFILE_SAMPLES = 512  # rays of the boundary profile behind c_mu
 
 
-class BrokenField:
+class BrokenField(HamiltonianField):
     """A deliberately non-Hamiltonian field: X scaled by a position factor.
 
     Scaling keeps tangency to the circle but destroys area preservation;
-    used as the negative control for determinant checks.
+    used as the negative control for determinant checks.  Its ``value`` is
+    the base field's H, which does not generate it.
     """
 
-    name = "broken"
-
     def __init__(self, base, factor=0.5):
+        super().__init__(base.value, name="broken")
         self.base = base
         self.factor = factor
 
@@ -72,14 +72,19 @@ def interior_points(n, seed, rmax=0.95):
     return r * np.exp(2j * np.pi * rng.random(n))
 
 
+def sampled(delta, n=DEFAULT_LIFT_SAMPLES):
+    """The lift of the displacement ``delta`` (vectorized, 1-periodic), sampled at n points."""
+    return LiftedCircleMap(delta(np.arange(n) / n))
+
+
 def translation(alpha):
-    """The lift ``x -> x + alpha`` as a displacement function."""
-    return LiftedCircleMap(delta_fn=lambda x: np.full_like(np.asarray(x, dtype=float), alpha))
+    """The lift ``x -> x + alpha``."""
+    return sampled(lambda x: np.full_like(x, alpha))
 
 
 def composed(f, g):
-    """The lift ``f o g`` (g acts first) as a displacement function."""
-    return LiftedCircleMap(delta_fn=lambda x: f(g(x)) - x)
+    """The lift ``f o g`` (g acts first)."""
+    return sampled(lambda x: f(g(x)) - x)
 
 
 def encloses(est, target):

@@ -19,7 +19,7 @@ from diskcal.calabi import (
     cal3_tilde,
     verify_link,
 )
-from diskcal.circle import LiftedCircleMap, rotation_number
+from diskcal.circle import rotation_number
 from diskcal.cli import main
 from diskcal.experiments import exp_c0_discontinuity, exp_rigidity, sup_distance_to_identity
 from diskcal.flow import chord_windings
@@ -33,7 +33,7 @@ from diskcal.zoo import (
     rotation,
 )
 
-from conftest import ActionFunction, composed, pullback_defect, translation
+from conftest import ActionFunction, composed, pullback_defect, sampled, translation
 from test_calabi import invariant_boundary_pair
 
 GOLDEN = 0.6180339887498949
@@ -145,8 +145,8 @@ def test_06_rotation_number_certificate():
         for _ in range(20):
             a1, a2 = rng.uniform(0, 1, 2)
             b1, b2 = rng.uniform(0, 0.12, 2)
-            f = LiftedCircleMap(delta_fn=lambda x, a=a1, b=b1: a + b * np.sin(2 * np.pi * x))
-            g = LiftedCircleMap(delta_fn=lambda x, a=a2, b=b2: a + b * np.sin(2 * np.pi * x))
+            f = sampled(lambda x: a1 + b1 * np.sin(2 * np.pi * x))
+            g = sampled(lambda x: a2 + b2 * np.sin(2 * np.pi * x))
             defect = abs(
                 rotation_number(composed(f, g), n=n).value
                 - rotation_number(f, n=n).value

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from diskcal.circle import (
+    DEFAULT_LIFT_SAMPLES,
     LiftedCircleMap,
     invariant_measure,
     lift_from_isotopy,
@@ -19,13 +22,14 @@ from diskcal.zoo import (
     rotation,
 )
 
-from conftest import composed, encloses, translation
+from conftest import composed, encloses, sampled, translation
 
 GOLDEN = 0.6180339887498949
 
 
-def sin_lift(a, b):
-    return LiftedCircleMap(delta_fn=lambda x, _a=a, _b=b: _a + _b * np.sin(2 * np.pi * x))
+def sin_lift(a, b, n=DEFAULT_LIFT_SAMPLES):
+    """The lift of ``x -> x + a + b sin(2 pi x)``, sampled at n points."""
+    return sampled(lambda x: a + b * np.sin(2 * np.pi * x), n)
 
 
 class TestLifts:
@@ -79,14 +83,24 @@ class TestRotationNumber:
         assert encloses(est, rho)
         assert est.rigorous_halfwidth <= 1e-14
 
+    @pytest.mark.parametrize("a, b", [(0.05, 0.02), (0.3, 0.15), (0.618, 0.1), (1.7, -0.12)])
+    def test_encloses_the_analytic_orbit_average(self, a, b):
+        # x_n / n of the analytic map, iterated in Python floats, is within 1/n
+        # of its rotation number (|F^n(x) - x - n rho| < 1)
+        n = 20_000
+        x = 0.0
+        for _ in range(n):
+            x += a + b * math.sin(2.0 * math.pi * x)
+        est = rotation_number(sin_lift(a, b), n=n)
+        assert abs(est.value - x / n) <= est.rigorous_halfwidth + 1.0 / n
+
     @settings(max_examples=30, deadline=None)
     @given(a=st.floats(-2.0, 2.0), b=st.floats(-0.155, 0.155), n=st.integers(10, 300),
-           sampled=st.booleans())
-    def test_enclosures_at_n_and_10n_intersect(self, a, b, n, sampled):
-        # |b| < 1/(2 pi): x + a + b sin(2 pi x) is increasing
-        lift = sin_lift(a, b)
-        if sampled:
-            lift = LiftedCircleMap(grid_values=lift.delta(np.arange(4096) / 4096))
+           samples=st.sampled_from([64, 512, 4096]))
+    def test_enclosures_at_n_and_10n_intersect(self, a, b, n, samples):
+        # |b| < 1/(2 pi): x + a + b sin(2 pi x) is increasing, and so is the
+        # interpolant of its samples; a coarse one has a large estimate eps
+        lift = sin_lift(a, b, samples)
         eps = lift.interpolation_error()
         coarse, fine = rotation_number(lift, n=n), rotation_number(lift, n=10 * n)
         assert abs(coarse.value - fine.value) <= coarse.rigorous_halfwidth + fine.rigorous_halfwidth
@@ -139,7 +153,7 @@ class TestRotationNumber:
     def test_integer_equivariance(self):
         lift = sin_lift(0.05, 0.02)
         base = rotation_number(lift, n=500).value
-        shifted_lift = LiftedCircleMap(delta_fn=lambda x: lift.delta(x) + 1)
+        shifted_lift = LiftedCircleMap(lift.values + 1)
         shifted = rotation_number(shifted_lift, n=500).value
         assert shifted - base == pytest.approx(1.0, abs=1e-12)
 
@@ -186,17 +200,17 @@ class TestInvariantMeasure:
         assert weyl <= 1.0 / (n * np.sin(np.pi * alpha)) + 1e-12
 
     def test_attracting_fixed_point_concentrates(self):
-        lift = LiftedCircleMap(delta_fn=lambda x: 0.1 * np.sin(2 * np.pi * x))
+        lift = sin_lift(0.0, 0.1)
         # x0 = 0 is itself (repelling) fixed; start off it to see the attractor
         mu = invariant_measure(lift, burn_in=2000, samples=500, x0=0.1)
         # orbit converges to the attracting fixed point at x = 1/2
         assert np.max(np.abs(mu.points - 0.5)) < 1e-3
-        assert abs(mu.integrate(lift.delta)) < 1e-6
+        assert abs(np.sum(mu.weights * lift.delta(mu.points))) < 1e-6
         est = rotation_number(lift, n=2000, x0=0.1)
         assert abs(est.value) <= est.rigorous_halfwidth
 
     def test_exact_fixed_point_detected_as_period_one(self):
-        lift = LiftedCircleMap(delta_fn=lambda x: 0.1 * np.sin(2 * np.pi * x))
+        lift = sin_lift(0.0, 0.1)
         mu = invariant_measure(lift, samples=100, x0=0.0)
         assert mu.periodic and mu.points.size == 1
 
@@ -230,15 +244,16 @@ class TestInvariantMeasure:
         # the period is found at the last step searched, k = limit = samples
         (translation(1.0 / 7.0), 0, 7, 0.0, 7),
     ], ids=["periodic", "burn_in", "no_burn_in", "past_search_limit", "period_at_limit"])
-    def test_one_walk_matches_two_walks(self, lift, burn_in, samples, x0, calls):
+    def test_one_walk_matches_two_walks(self, lift, burn_in, samples, x0, calls, monkeypatch):
         counted = []
+        delta = lift.scalar_delta()
 
-        def delta(x):
+        def counted_delta(x):
             counted.append(1)
-            return lift.delta(x)
+            return delta(x)
 
-        walker = LiftedCircleMap(delta_fn=delta)
-        mu = invariant_measure(walker, burn_in=burn_in, samples=samples, x0=x0)
+        monkeypatch.setattr(lift, "scalar_delta", lambda: counted_delta)
+        mu = invariant_measure(lift, burn_in=burn_in, samples=samples, x0=x0)
         pts, weights, periodic = self._two_walk_reference(lift, burn_in, samples, x0)
         assert mu.periodic == periodic
         assert np.array_equal(mu.points, pts) and np.array_equal(mu.weights, weights)
@@ -251,7 +266,7 @@ class TestInvariantMeasure:
         conjugated_rotation(0.4, boundary_shear_conjugator(0.3), 0.5),
     ], ids=["offcenter_golden", "shear_golden", "twist", "shear_rotation_0.4"])
     def test_grid_walk_equals_the_interp_walk(self, bundle):
-        # a grid lift's Python-float interpolation against np.interp, bit for
+        # a lift's Python-float interpolation against np.interp, bit for
         # bit: along an orbit started on a grid node (0.25 = 1024/4096), at
         # other nodes, and on either side of 1, where x mod 1 can round to 1
         lift = bundle.boundary_lift()
@@ -287,5 +302,5 @@ class TestInvariantMeasure:
         lift = sin_lift(0.05, 0.02)
         mu = invariant_measure(lift, burn_in=1000, samples=5000)
         est = rotation_number(lift, n=5000)
-        avg = mu.integrate(lift.delta)
+        avg = np.sum(mu.weights * lift.delta(mu.points))
         assert abs(est.value - avg) <= est.rigorous_halfwidth + 1.0 / 5000
