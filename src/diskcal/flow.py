@@ -22,9 +22,8 @@ map's name and its cached boundary lift.  Four realizations cover the package:
 Each isotopy has one ``windings`` method.  A radial leaf winds in closed form;
 the two composites sum the windings of their parts by exact identities; a
 field leaf is tracked on a time grid refined until every argument step is
-resolved.  The one tracked composite case is the position winding of an
-interior point under a conjugation, which has no such identity and follows
-the conjugated trajectory.
+resolved.  A conjugation winds positions only on S^1, where its identity
+holds, and raises ValueError for an interior one: no composite is tracked.
 
 A field leaf flows only the points that move: a generator that fixes S^1
 pointwise (``fixes_circle``, the off-center conjugator) leaves every point
@@ -41,8 +40,7 @@ route and the radial kinks of the action route's grid
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
+import functools
 from typing import Optional, Sequence
 
 import numpy as np
@@ -75,13 +73,14 @@ MAX_TRAJ_ELEMENTS = 4_000_000
 # such blocks also took 10% off pushing tangent vectors along that grid
 STEP_BLOCK = 8192
 AREA_PROBES = 100  # points of area_residual's determinant check
-# h^-1 images kept per conjugator (LRU).  At seed 7 a rigidity pass at q <= 2
-# makes 13 lookups and hits 4, one per reused point set (the d0 grid of 49,664
-# points, the 100 area probes with the frame, mu's 1,000 atoms with the 128
-# theta nodes, the 8,192 cal1 nodes with their directions), while the S^1
-# lift samples and two fresh far-pair sets per iterate miss; bypassing the
-# memo raises its least time over seven passes from 0.25 s to 0.31 s on a
-# 2-vCPU Xeon.  A conjugated_link pass makes 7 lookups and hits none
+# h^-1 images kept per conjugator by its functools.lru_cache.  At seed 7 a
+# rigidity pass at q <= 2 makes 13 lookups and hits 4, one per reused point
+# set (the d0 grid of 49,664 points, the 100 area probes with the frame, mu's
+# 1,000 atoms with the 128 theta nodes, the 8,192 cal1 nodes with their
+# directions), while the S^1 lift samples and two fresh far-pair sets per
+# iterate miss; bypassing the memo raises its least time over seven passes
+# from 0.25 s to 0.31 s on a 2-vCPU Xeon.  A conjugated_link pass makes 7
+# lookups and hits none
 H_INVERSE_MEMO_SIZE = 8
 # |1 - |z|^2| up to which a flow that fixes S^1 leaves z in place: four ulp of
 # 1, twice the rounding of |z|^2 at a point of S^1 computed as exp(2 pi i x)
@@ -402,14 +401,13 @@ class FieldIsotopy(MapBundle):
         z, times = _as_points(z), _forward_times(times)
         out = np.empty((times.size, z.size), dtype=complex)
         fixed = self._fixed(z)
-        if fixed is None:
-            blocks = [slice(k, k + STEP_BLOCK) for k in range(0, z.size, STEP_BLOCK)]
-        else:
+        moving = np.arange(z.size)
+        if fixed is not None:
             out[:, fixed] = z[fixed]
-            moving = np.flatnonzero(~fixed)
-            blocks = [moving[k:k + STEP_BLOCK] for k in range(0, moving.size, STEP_BLOCK)]
+            moving = moving[~fixed]
         parts = out.view(float).reshape(out.shape + (2,))  # (Re, Im) of each entry
-        for sel in blocks:
+        for k in range(0, moving.size, STEP_BLOCK):
+            sel = moving[k:k + STEP_BLOCK]
             for j, y in enumerate(self._dop853(self._rhs, _rows(z[sel]), times, self.n_steps)):
                 parts[j, sel] = y.T
         return out
@@ -573,47 +571,42 @@ class ConjugatorPair:
     Every conjugation by one ``h`` shares one pair (a conjugation and its
     inverse, the iterates of a conjugated rotation), so ``h^-1`` is calibrated
     once, and a point set it has mapped before is not flowed again.  The memo
-    is an LRU of ``H_INVERSE_MEMO_SIZE`` entries keyed by the exact bytes and
-    shape of the input (of both the points and the vectors of a tangent
-    push-forward); its arrays are read-only.  It is thread-safe: two
-    threads missing on one key compute the same arrays and either is kept.
+    is a ``functools.lru_cache`` of ``H_INVERSE_MEMO_SIZE`` entries keyed by
+    the exact bytes of the points, and of the vectors with their shape for a
+    tangent push-forward; its arrays are read-only, and ``cache_info()``
+    reports its traffic.  The cache's own lock keeps it thread-safe.  It
+    closes over ``h^-1`` alone, so a pair holds no reference cycle and is
+    freed with its last reference.
     """
 
     def __init__(self, h: MapBundle):
         self.h = h
-        self.h_inverse = h.inverse()
-        self._memo = OrderedDict()
-        self._lock = threading.Lock()
+        self.h_inverse = h_inverse = h.inverse()
 
-    def _memoized(self, inputs, compute):
-        key = tuple(part for arr in inputs for part in (arr.shape, arr.tobytes()))
-        with self._lock:
-            hit = self._memo.get(key)
-            if hit is not None:
-                self._memo.move_to_end(key)
-                return hit
-        out = compute(*inputs)
-        for arr in out:
-            arr.setflags(write=False)
-        with self._lock:
-            self._memo[key] = out
-            if len(self._memo) > H_INVERSE_MEMO_SIZE:
-                self._memo.popitem(last=False)
-        return out
+        @functools.lru_cache(maxsize=H_INVERSE_MEMO_SIZE)
+        def images(points, vectors=None, shape=None):
+            z = np.frombuffer(points, dtype=complex)
+            if vectors is None:
+                out = (h_inverse.flow(1.0, z),)
+            else:
+                out = h_inverse.flow_tangent(1.0, z, np.frombuffer(vectors, dtype=complex).reshape(shape))
+            for arr in out:
+                arr.setflags(write=False)
+            return out
+
+        self._images = images
+        self.cache_info = images.cache_info
 
     def inverse_images(self, z):
-        """``h^-1(z)`` pointwise, for an array of any shape (a complex for a scalar)."""
-        pts = np.asarray(z, dtype=complex)
-        flow = self.h_inverse.flow
-        (out,) = self._memoized((pts,), lambda p: (flow(1.0, p.ravel()).reshape(p.shape),))
-        return out if out.ndim else complex(out)
+        """``h^-1(z)`` pointwise, for a 1-d array of points."""
+        return self._images(np.asarray(z, dtype=complex).tobytes())[0]
 
     def inverse_tangents(self, z, v):
         """``h_inverse.flow_tangent(1, z, v)``, keyed by the points and by the
         vectors as given (the frame (1, i) before broadcasting), since a
         points-only key would return a stale ``Dh^-1 v``."""
-        z, v = _as_points(z), np.asarray(v, dtype=complex)
-        return self._memoized((z, v), lambda p, w: self.h_inverse.flow_tangent(1.0, p, w))
+        v = np.asarray(v, dtype=complex)
+        return self._images(_as_points(z).tobytes(), v.tobytes(), v.shape)
 
 
 class ConjugatedIsotopy(MapBundle):
@@ -623,7 +616,7 @@ class ConjugatedIsotopy(MapBundle):
     ``h`` shares its inverse and memo.  Chord windings, and position windings
     on S^1 (the boundary lift), are sums of windings of ``f_t`` and ``h`` at
     ``W = h^-1 x`` (an exact identity), never tracked along the conjugated
-    trajectory.
+    trajectory; a position winding off S^1 raises ValueError.
     """
 
     def __init__(self, pair: ConjugatorPair, inner: MapBundle):
@@ -652,9 +645,10 @@ class ConjugatedIsotopy(MapBundle):
         # with W = h^-1 applied pointwise.  Exact: the square (s, t) -> h_s f_t W
         # deforms its side s = 1 (the conjugated path) rel endpoints into the
         # other three, and chords never vanish on it.  Positions (y=None) miss
-        # the origin on it only on S^1, which every h_s and f_t preserve.
+        # the origin on it only on S^1, which every h_s and f_t preserve, so
+        # only positions on S^1 are wound.
         if y is None and np.any(np.abs(np.abs(x) - 1.0) > TOL_BOUNDARY):
-            return _tracked_windings(self, x, y)
+            raise ValueError("a conjugated map winds positions only on S^1")
         wx = self.pair.inverse_images(x)
         wy = None if y is None else self.pair.inverse_images(y)
         fx = self.inner.flow(1.0, wx)

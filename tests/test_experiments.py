@@ -20,10 +20,12 @@ from diskcal.flow import FieldIsotopy
 from diskcal.zoo import (
     boundary_shear_conjugator,
     bump,
+    compose,
     conjugated_rotation,
     iterate,
     off_center_conjugator,
     quadratic_twist,
+    radial_twist,
     rotation,
 )
 
@@ -140,8 +142,14 @@ class TestRigidity:
     @pytest.fixture(scope="class")
     def counted_run(self):
         """One run at q <= 2, counting the field isotopies built, the lifts
-        and orbit walks made and the calls of cal1."""
+        and orbit walks made and the calls of cal1, with the base map's
+        ``h^-1`` memo traffic (its conjugator pair's ``cache_info()``)."""
         counts = {"isotopies": 0, "lifts": 0, "walks": 0, "cal1": 0}
+        bases = []
+
+        def recording(*args, **kwargs):
+            bases.append(conjugated_rotation(*args, **kwargs))
+            return bases[-1]
 
         def counting(fn, key):
             def counted(*args, **kwargs):
@@ -156,9 +164,20 @@ class TestRigidity:
             mp.setattr(diskcal.experiments, "invariant_measure", walk)
             mp.setattr(diskcal.calabi, "invariant_measure", walk)
             mp.setattr(diskcal.experiments, "cal1", counting(cal1, "cal1"))
+            mp.setattr(diskcal.experiments, "conjugated_rotation", recording)
             res = exp_rigidity(GOLDEN, depth=10, tau=0.5, q_max=2, far_pairs=50, seed=3)
         assert [r["q"] for r in res.rows] == [1, 2]
+        (base,) = bases
+        counts["memo"] = base.pair.cache_info()
         return res, counts
+
+    def test_iterates_reuse_the_inverse_images(self, counted_run):
+        # the q = 2 iterate maps four point sets through h^-1 that the base map
+        # mapped already (the d0 grid, the area probes with the frame, mu's
+        # atoms with the theta nodes, cal1's nodes with their directions); the
+        # lift samples and each iterate's far pairs are fresh
+        memo = counted_run[1]["memo"]
+        assert (memo.hits, memo.misses) == (4, 9)
 
     def test_iterates_share_the_conjugator(self, counted_run):
         # h and h^-1 of the base map serve every iterate and its inverse
@@ -193,6 +212,18 @@ class TestRigidity:
         own = cal1(it, grid=(32, 64), richardson=False)
         assert abs(shared.value - own.value) <= 1e-12
         assert abs(shared.c_mu - own.c_mu) <= 1e-12
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 21: a row passes when the lemma does not "
+                       "apply, so a map that is not rigid passes")
+    def test_a_twisted_rotation_does_not_pass(self, monkeypatch):
+        # R_alpha after a twist that fixes S^1 with zero Calabi invariant: cal3
+        # = rho = alpha and cal1 = 0 as for a rigid map, but f^q is the rotation
+        # by q alpha after a twist q times as strong, so no iterate nears the
+        # identity (eps_d0 reads 1.35 to 1.96 on every row)
+        twisted = compose(rotation(GOLDEN), radial_twist(0.3 * np.array([1.0, -6.0, 9.0, -4.0])))
+        monkeypatch.setattr(diskcal.experiments, "conjugated_rotation", lambda *args, **kwargs: twisted)
+        res = exp_rigidity(GOLDEN, depth=12, q_max=13, far_pairs=1000, seed=3)
+        assert not res.passed
 
     def test_budget_exhausted_raises(self):
         with pytest.raises(QMaxExceeded):

@@ -1,6 +1,8 @@
 import copy
+import gc
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -699,7 +701,8 @@ class TestConjugatedPositionWindings:
         assert np.max(np.abs(vals - _tracked(iso, pts))) <= tol
 
     def test_interior_points_never_take_the_parts_path(self, monkeypatch):
-        # the parts path never follows the conjugated trajectory; tracking does
+        # the parts path never follows the conjugated trajectory, and positions
+        # off S^1, where the identity fails, are refused rather than tracked
         iso = conjugate(rotation(0.5), boundary_shear_conjugator(0.3), 0.4)
         calls = []
         trajectory = ConjugatedIsotopy.trajectory
@@ -714,10 +717,9 @@ class TestConjugatedPositionWindings:
         assert calls == []
         pts = interior_points(8, seed=21)
         for x in (pts, np.concatenate([circle, [0.5 + 0j]])):
-            del calls[:]
-            vals, _ = position_windings(iso, x)
-            assert len(calls) >= 1
-            assert np.array_equal(vals, _tracked(iso, x))
+            with pytest.raises(ValueError, match="only on S\\^1"):
+                position_windings(iso, x)
+        assert calls == []
 
 
 class TestConjugatedTrajectory:
@@ -883,7 +885,22 @@ class TestConjugatorPair:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert errors == []
-        assert len(pair._memo) <= H_INVERSE_MEMO_SIZE
+        assert pair.cache_info().currsize <= H_INVERSE_MEMO_SIZE
+
+    def test_last_reference_frees_the_pair(self):
+        # the memo closes over h^-1 alone: a cache of a bound method would
+        # hold the pair in a cycle, freed only by the cyclic collector
+        pair = ConjugatorPair(FieldIsotopy(off_center_conjugator(0.5), 0.1))
+        pair.inverse_images(interior_points(16, seed=50))
+        pair.inverse_tangents(interior_points(16, seed=51), _FRAME)
+        assert pair.cache_info().currsize == 2
+        ref = weakref.ref(pair)
+        gc.disable()
+        try:
+            del pair
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_threaded_cal2_matches_serial(self):
         bundle = self._conjugated()
