@@ -30,7 +30,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .circle import BoundaryMeasure, boundary_displacement, invariant_measure, rotation_number
 from .errors import BoundaryNotConstant, NotAreaPreserving, StepTooCoarse
-from .flow import ConcatIsotopy, ConjugatedIsotopy, MapBundle, area_residual, chord_windings
+from .flow import ConcatIsotopy, ConjugatedIsotopy, MapBundle, area_residual, blocks, chord_windings
 from .geometry import TOL_AREA, liouville_eval, uniform_disk_points
 
 MIN_PAIR_SEPARATION = 1e-6
@@ -93,14 +93,19 @@ def _pullback_integrand(bundle, primitive_shift, pos, direction):
     """``lambda'_{f(p)}(Df . v) - lambda'_p(v)`` at points ``pos``, vectors ``direction``.
 
     Only the derivative along ``v`` enters, so the flow pushes the one vector
-    per point (``flow_tangent``), not the whole Jacobian.
+    per point (``flow_tangent``), not the whole Jacobian.  The points are
+    evaluated one block at a time (``flow.blocks``) into one row.
     """
-    f, jv = bundle.flow_tangent(1.0, pos, direction)
-    val = liouville_eval(f, jv) - liouville_eval(pos, direction)
-    if primitive_shift is not None:
-        _, grad_u = primitive_shift
-        val = val + np.real(np.conj(grad_u(f)) * jv) - np.real(np.conj(grad_u(pos)) * direction)
-    return val
+    out = np.empty(pos.size)
+    for sl in blocks(pos.size):
+        p, v = pos[sl], direction[sl]
+        f, jv = bundle.flow_tangent(1.0, p, v)
+        val = liouville_eval(f, jv) - liouville_eval(p, v)
+        if primitive_shift is not None:
+            _, grad_u = primitive_shift
+            val = val + np.real(np.conj(grad_u(f)) * jv) - np.real(np.conj(grad_u(p)) * v)
+        out[sl] = val
+    return out
 
 
 def _checked_area_residual(bundle) -> float:
@@ -294,23 +299,17 @@ class Cal2Result:
 def cal2_tilde(bundle: MapBundle, sampler: PairSampler, workers: int = 1) -> Cal2Result:
     """Monte-Carlo estimate of the chord winding's double integral over area-form pairs.
 
-    Deterministic for fixed seed: windings land in a preallocated array in
-    sample order, and ``sampler.estimate`` reads value and stderr from it.
-    Pairs whose winding stays unresolved (nearly colliding trajectories) are
+    Deterministic for fixed seed: windings land in one array in sample
+    order, and ``sampler.estimate`` reads value and stderr from it.  Pairs
+    whose winding stays unresolved (nearly colliding trajectories) are
     redrawn by ``sampler.redraw`` within a small retry budget (StepTooCoarse
-    after three rounds).  ``workers`` is accepted for existing callers and
-    configs and has no effect: the windings of all pairs are evaluated in one
-    vectorized call.
+    after three rounds); only the retries index the pairs.  ``workers`` is
+    accepted for existing callers and configs and has no effect: the pairs
+    are wound in one thread, one block at a time (``chord_windings``).
     """
     x, y, resampled = sampler.sample_pairs()
-    values = np.empty(x.size)
-
-    def run(idx):
-        vals, ok = chord_windings(bundle, x[idx], y[idx], raise_on_fail=False)
-        values[idx] = vals
-        return idx[~ok]
-
-    bad = run(np.arange(x.size))
+    values, ok = chord_windings(bundle, x, y, raise_on_fail=False)
+    bad = np.flatnonzero(~ok)
 
     retried = 0
     rng = np.random.default_rng(sampler.seed + 1)
@@ -319,7 +318,8 @@ def cal2_tilde(bundle: MapBundle, sampler: PairSampler, workers: int = 1) -> Cal
             break
         retried += bad.size
         x[bad], y[bad] = sampler.redraw(rng, bad)
-        bad = run(bad)
+        values[bad], ok = chord_windings(bundle, x[bad], y[bad], raise_on_fail=False)
+        bad = bad[~ok]
     if bad.size:
         raise StepTooCoarse(f"{bad.size} sampled pairs never resolved their winding")
 
@@ -380,17 +380,25 @@ def c_mu_tilde(bundle: MapBundle, points) -> float:
 
     The points are the n equal atoms of a measure, so each pair weighs
     ``1/n^2``.  Coincident pairs (separation below 1e-12) are skipped; for an
-    atomless measure approximation they carry no mass.
+    atomless measure approximation they carry no mass.  The pairs ``(i, j)``,
+    ``i != j``, are taken in row-major order one block of the flat
+    off-diagonal index at a time (``flow.blocks``), and the kept windings
+    fill one row of ``n (n - 1)`` floats, allocated first: a point count
+    whose row no memory holds raises MemoryError before any winding.
     """
     n = points.size
     if n < 2:
         return 0.0
-    ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    off = ii != jj
-    x, y = points[ii[off]], points[jj[off]]
-    keep = np.abs(x - y) >= 1e-12
-    vals, _ = chord_windings(bundle, x[keep], y[keep])
-    return float(np.sum(((1.0 / n) * (1.0 / n)) * vals))
+    values = np.empty(n * (n - 1))
+    kept = 0
+    for sl in blocks(values.size):
+        i, r = np.divmod(np.arange(sl.start, sl.stop), n - 1)
+        x, y = points[i], points[r + (r >= i)]  # the r-th j != i of row i
+        keep = np.abs(x - y) >= 1e-12
+        vals, _ = chord_windings(bundle, x[keep], y[keep])
+        values[kept:kept + vals.size] = vals
+        kept += vals.size
+    return float(np.sum(((1.0 / n) * (1.0 / n)) * values[:kept]))
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +487,7 @@ def verify_link(
             "grid_r": grid[0],
             "grid_theta": grid[1],
             "strategy": strategy,
-            "workers": 1,  # one vectorized evaluation; the CLI records its --workers here
+            "workers": 1,  # one thread winds every pair; the CLI records its --workers here
             "mu_periodic": mu.periodic,
         },
     )

@@ -66,11 +66,22 @@ MAX_DOUBLING_CONTRACTION = 2.0**10  # twice the largest seen in a calibration la
 MAX_WINDING_DOUBLINGS = 8
 MIN_WINDING_STEPS = 64
 MAX_TRAJ_ELEMENTS = 4_000_000
-# points a field flow steps at once, so its (12, 2, STEP_BLOCK) stage
-# workspace (1.5 MB) stays in a core's L2 cache instead of streaming from
-# memory at every stage: the 49,664-point d0 grid flows by the off-center
-# conjugator in 42 ms instead of 55 ms on a 2-vCPU Xeon with 2 MB of L2;
-# such blocks also took 10% off pushing tangent vectors along that grid
+# points, pairs or nodes evaluated at once by every layer that takes many
+# (``blocks``): a field flow's steps, chord_windings' isotopy calls, and
+# through them cal2's pairs, c-mu's pairs and cal1's nodes.  A field flow's
+# (12, 2, STEP_BLOCK) stage workspace (1.5 MB) stays in a core's L2 cache
+# instead of streaming from memory at every stage: the 49,664-point d0 grid
+# flows by the off-center conjugator in 42 ms instead of 55 ms on a 2-vCPU
+# Xeon with 2 MB of L2, and pushing tangent vectors along it took 10% less.
+# A block of complex values (128 KiB) also stays below NumPy's 256 KiB
+# threshold for computing on a temporary in place, which swaps the operands
+# of a complex product, and under AVX-512 FMA such a product is not
+# commutative to the last bit: with every pair wound at once, 157 of 1,000
+# pairs of the twist wound to other bits in a batch of 20,000 than alone.
+# Blocks bound the working set too: on a 2-vCPU Xeon the benchmark's peak
+# RSS fell from 69.5 to 49.6 MB on radial_link and from 64.4 to 51.2 MB on
+# mc_pairs (medians at seed 7), and the traced peak of c-mu at 300 points
+# from 22.3 to 2.9 MiB, of cal2 at 100k stratified pairs from 19.9 to 8.4 MiB
 STEP_BLOCK = 8192
 AREA_PROBES = 100  # points of area_residual's determinant check
 # h^-1 images kept per conjugator by its functools.lru_cache.  At seed 7 a
@@ -160,6 +171,12 @@ DOP853_SPANS = tuple(_span(row) for row in DOP853_A[1:])  # the coupling rows of
 DOP853_WEIGHT_SPAN = _span(DOP853_B)
 
 
+def blocks(n: int):
+    """Consecutive slices of at most ``STEP_BLOCK`` indices covering ``range(n)``."""
+    for k in range(0, n, STEP_BLOCK):
+        yield slice(k, min(k + STEP_BLOCK, n))
+
+
 def _as_points(z):
     return np.atleast_1d(np.asarray(z, dtype=complex))
 
@@ -167,6 +184,18 @@ def _as_points(z):
 def _rows(*zs):
     """The float rows ``Re z, Im z`` of each 1-d complex array, stacked in order."""
     return np.stack([part for z in zs for part in (z.real, z.imag)])
+
+
+def _even_rows(*zs):
+    """``_rows`` of 1-d complex arrays of one length, each with its last entry
+    repeated if that length is odd.  DOP853 combines its stages by BLAS
+    matrix-vector products over the flattened rows, and OpenBLAS's kernel
+    rounds the last ``size % 4`` entries in another order; with an even point
+    count the size (an even number of rows times the points) is a multiple of
+    4, so a point flows to the same bits in any block."""
+    if zs[0].size % 2:
+        zs = [np.append(z, z[-1:]) for z in zs]
+    return _rows(*zs)
 
 
 def _forward_times(times):
@@ -406,10 +435,10 @@ class FieldIsotopy(MapBundle):
             out[:, fixed] = z[fixed]
             moving = moving[~fixed]
         parts = out.view(float).reshape(out.shape + (2,))  # (Re, Im) of each entry
-        for k in range(0, moving.size, STEP_BLOCK):
-            sel = moving[k:k + STEP_BLOCK]
-            for j, y in enumerate(self._dop853(self._rhs, _rows(z[sel]), times, self.n_steps)):
-                parts[j, sel] = y.T
+        for block in blocks(moving.size):
+            sel = moving[block]
+            for j, y in enumerate(self._dop853(self._rhs, _even_rows(z[sel]), times, self.n_steps)):
+                parts[j, sel] = y[:, :sel.size].T
         return out
 
     def flow_tangent(self, t, z, v):
@@ -417,11 +446,11 @@ class FieldIsotopy(MapBundle):
         times = _forward_times([t])
         vs = v.reshape(-1, z.size)
         out = np.empty((1 + len(vs), z.size), dtype=complex)
-        for k in range(0, z.size, STEP_BLOCK):
-            sl = slice(k, k + STEP_BLOCK)
-            rhs = self._tangent_rhs(len(vs), z[sl].size)
-            (y,) = self._dop853(rhs, _rows(z[sl], *vs[:, sl]), times, self.n_steps)
-            out[:, sl].real, out[:, sl].imag = y[0::2], y[1::2]
+        for sl in blocks(z.size):
+            y = _even_rows(z[sl], *vs[:, sl])
+            (y,) = self._dop853(self._tangent_rhs(len(vs), y.shape[1]), y, times, self.n_steps)
+            n = z[sl].size
+            out[:, sl].real, out[:, sl].imag = y[0::2, :n], y[1::2, :n]
         fixed = self._fixed(z)
         if fixed is not None:
             out[0, fixed] = z[fixed]
@@ -669,6 +698,10 @@ def _windings_at(isotopy, x, y, n_steps):
 
     ``y=None`` winds the positions themselves around the origin.  Returns
     (turns, ok); chunked so a trajectory block stays within the memory cap.
+    ``chord_windings`` passes at most ``STEP_BLOCK`` pairs, whose two
+    trajectories on 64 intervals fill about a quarter of
+    ``MAX_TRAJ_ELEMENTS``, so the cap binds only once the pairs of a block
+    that are still unresolved have doubled their grid twice.
     """
     n = x.size
     out = np.empty(n)
@@ -733,12 +766,17 @@ def chord_windings(isotopy, x, y, *, raise_on_fail: bool = True):
     """Winding in turns of ``f_t(x) - f_t(y)`` for arrays of pairs.
 
     ``y=None`` winds ``f_t(x)`` around the origin.  Returns ``(turns, ok)``
-    from ``isotopy.windings``; with ``raise_on_fail`` an unresolved pair
-    raises StepTooCoarse (nearly colliding trajectories).
+    from ``isotopy.windings``, called on one block of ``STEP_BLOCK`` pairs at
+    a time (``blocks``): every ``windings`` is elementwise per pair, so a
+    pair winds to the same bits in any batch, and the working set stays that
+    of one block.  With ``raise_on_fail`` an unresolved pair raises
+    StepTooCoarse (nearly colliding trajectories).
     """
     x = _as_points(x)
     y = None if y is None else _as_points(y)
-    values, ok = isotopy.windings(x, y)
+    values, ok = np.empty(x.size), np.empty(x.size, dtype=bool)
+    for sl in blocks(x.size):
+        values[sl], ok[sl] = isotopy.windings(x[sl], None if y is None else y[sl])
     if raise_on_fail and not np.all(ok):
         raise StepTooCoarse("chord winding not resolved after maximal refinement")
     return values, ok

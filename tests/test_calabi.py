@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
-from diskcal import calabi
+from diskcal import calabi, flow
 from diskcal.calabi import (
     N_STRATA,
     PairSampler,
@@ -661,3 +663,118 @@ class TestNearIdentityBounds:
         keep = np.abs(x - y) >= np.sqrt(eps)
         w, _ = chord_windings(bundle, x[keep], y[keep])
         assert np.max(np.abs(np.cos(2 * np.pi * w) - 1.0)) <= 4 * np.sqrt(eps)
+
+
+def _same_bits(a, b):
+    """Equal arrays or results, bit for bit (NaN matches NaN in the same place)."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestBlocks:
+    # every layer that takes many pairs or nodes evaluates them one
+    # flow.STEP_BLOCK block at a time, so a pair's bits cannot depend on the
+    # pairs it is evaluated with, nor on the block size
+    ODD_BLOCK = 97  # leaves a ragged last block at every size below
+
+    @pytest.mark.parametrize("bundle", [
+        quadratic_twist(0.3),
+        bump(4),
+        compose(rotation(0.2), quadratic_twist(0.3)),
+    ], ids=["twist", "bump4", "rotation_o_twist"])
+    def test_a_pair_winds_to_the_same_bits_in_any_batch(self, bundle):
+        rng = np.random.default_rng(5)
+        x, y = uniform_disk_points(20_000, rng), uniform_disk_points(20_000, rng)
+        batch, _ = chord_windings(bundle, x, y)
+        alone, _ = chord_windings(bundle, x[:1000], y[:1000])
+        assert np.count_nonzero(batch[:1000] != alone) == 0
+
+    @pytest.mark.parametrize("make, circle", [
+        (lambda: quadratic_twist(0.3), False),
+        (lambda: compose(quadratic_twist(0.3), rotation(0.2)), False),
+        (lambda: conjugate(rotation(0.3), off_center_conjugator(0.5), 0.4), False),
+        (lambda: conjugate(rotation(0.5), boundary_shear_conjugator(0.3), 0.4), True),
+        (lambda: FieldIsotopy(off_center_conjugator(0.5), 0.5), False),
+    ], ids=["radial", "concat", "conjugated_chords", "conjugated_circle", "field_leaf"])
+    def test_chord_windings_do_not_depend_on_the_block(self, monkeypatch, make, circle):
+        # fresh bundles per block size, so no h^-1 image is shared through the memo
+        if circle:
+            x, y = np.exp(2j * np.pi * (np.arange(300) + 0.5) / 300), None
+        else:
+            x, y = interior_points(300, seed=61), interior_points(300, seed=62)
+        default = chord_windings(make(), x, y)
+        monkeypatch.setattr(flow, "STEP_BLOCK", self.ODD_BLOCK)
+        small = chord_windings(make(), x, y)
+        assert all(map(_same_bits, default, small))
+        assert default[1].all()
+
+    def test_calabi_routes_do_not_depend_on_the_block(self, monkeypatch):
+        def routes():
+            twist, bumped = quadratic_twist(0.3), bump(4)
+            points = interior_points(40, seed=63)
+            points = np.concatenate([points, points[:3]])  # 6 coincident pairs
+            return (cal2_tilde(twist, PairSampler(n=300, seed=3)),
+                    cal2_tilde(bumped, PairSampler(n=300, seed=3, strategy="stratified")),
+                    c_mu_tilde(compose(twist, rotation(0.2)), points),
+                    cal1(twist, grid=(32, 64)),
+                    cal1(conjugated_rotation(GOLDEN, off_center_conjugator(0.5), 0.5), grid=(32, 64)))
+
+        default = routes()
+        monkeypatch.setattr(flow, "STEP_BLOCK", self.ODD_BLOCK)
+        assert routes() == default
+
+    def test_a_field_flow_pushes_a_frame_to_the_same_bits_in_any_block(self, monkeypatch):
+        # three rows per complex component: an odd block leaves BLAS tail
+        # entries unless the point count is evened
+        iso = FieldIsotopy(off_center_conjugator(0.5), 0.5)
+        z = interior_points(301, seed=65)
+        default = iso.flow_wirtinger(1.0, z)
+        monkeypatch.setattr(flow, "STEP_BLOCK", self.ODD_BLOCK)
+        assert all(map(_same_bits, default, iso.flow_wirtinger(1.0, z)))
+
+    def test_c_mu_sums_the_row_major_off_diagonal_pairs(self, monkeypatch):
+        # the reference builds every pair at once from the n x n index grid
+        bundle = compose(quadratic_twist(0.3), rotation(0.2))
+        points = interior_points(40, seed=64)
+        points = np.concatenate([points, points[:2]])
+        n = points.size
+        ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+        off = ii != jj
+        x, y = points[ii[off]], points[jj[off]]
+        keep = np.abs(x - y) >= 1e-12
+        assert np.count_nonzero(~keep) == 4
+        vals, _ = chord_windings(bundle, x[keep], y[keep])
+        reference = float(np.sum(((1.0 / n) * (1.0 / n)) * vals))
+        monkeypatch.setattr(flow, "STEP_BLOCK", self.ODD_BLOCK)
+        assert c_mu_tilde(bundle, points) == reference
+
+    def test_an_empty_pair_set_gives_two_empty_arrays(self):
+        empty = np.array([], dtype=complex)
+        for y in (empty, None):
+            values, ok = chord_windings(quadratic_twist(0.3), empty, y)
+            assert values.shape == ok.shape == (0,)
+            assert values.dtype == float and ok.dtype == bool
+
+
+def _traced_peak(run):
+    """Peak bytes traced by tracemalloc while ``run()`` executes."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestWorkingSet:
+    # with every pair wound at once these calls peaked at 22.3 MiB (c-mu)
+    # and 19.9 MiB (cal2); one block at a time they peak at 2.9 and 8.4 MiB
+    def test_c_mu_of_the_readme_map(self):
+        bundle = compose(quadratic_twist(0.3), rotation(0.2))
+        points = uniform_disk_points(300, np.random.default_rng(7 + 17))
+        assert _traced_peak(lambda: c_mu_tilde(bundle, points)) < 6 * 2**20
+
+    def test_stratified_cal2_of_bump4(self):
+        bundle = bump(4)
+        sampler = PairSampler(n=100_000, seed=7, strategy="stratified")
+        assert _traced_peak(lambda: cal2_tilde(bundle, sampler)) < 14 * 2**20

@@ -161,12 +161,15 @@ class TestCompute:
     @pytest.mark.parametrize("wanted, budgets", [
         (["cal2"], {"seed": 7, "pairs": 2**45}),
         (["c-mu"], {"seed": 7, "c_mu_points": 2**45}),
+        (["c-mu"], {"seed": 7, "c_mu_points": 2**20}),
         (["cal3"], {"grid": [64, 2**45]}),
         (["verify-link"], {"seed": 7, "pairs": 2**45}),
-    ], ids=["cal2_pairs", "c_mu_points", "cal3_grid", "verify_link_pairs"])
+    ], ids=["cal2_pairs", "c_mu_points", "c_mu_value_row", "cal3_grid", "verify_link_pairs"])
     def test_budgets_no_memory_holds_are_config_errors(self, tmp_path, capsys, wanted, budgets):
         # 2^45 samples are 256 TiB of floats, more than the user address
-        # space holds, so the allocation is refused at once and nothing runs
+        # space holds, so the allocation is refused at once and nothing runs.
+        # 2^20 c-mu points fit in 16 MiB, but their row of 2^20 (2^20 - 1)
+        # pair windings (8.8 TB) is allocated before the first winding
         cfg = write_config(tmp_path, {"map": {"family": "rotation", "alpha": 0.3}, "compute": wanted,
                                       "budgets": budgets})
         out = tmp_path / "x"
