@@ -8,11 +8,13 @@
                     isotopy tree (concatenation adds, conjugation preserves).
 
 For any map built from a generator the three values satisfy
-``cal2 = cal1 + rho`` and ``cal2 = cal3`` up to quadrature and sampling error;
-``verify_link`` evaluates all of them and reports the residuals against an
-explicit budget.  The winding of one chord (the angle function) is
-``flow.chord_windings`` on the map (its isotopy); on ``zoo.iterate(f, n)`` it
-is the cocycle sum along the orbit, so its Birkhoff average is that value / n.
+``cal2 = cal1 + rho`` and ``cal2 = cal3`` up to quadrature and sampling error.
+``route_report`` is the one place where a route (one of ``ROUTES``) fills its
+report fields and diagnostics; ``verify_link`` runs it on every route and
+adds the residuals against an explicit budget.  The winding of one chord
+(the angle function) is ``flow.chord_windings`` on the map (its isotopy); on
+``zoo.iterate(f, n)`` it is the cocycle sum along the orbit, so its Birkhoff
+average is that value / n.
 
 Quadrature rules are fixed objects: each Gauss-Legendre rule (by node count)
 and each polar grid (by grid and radial kinks) is built once per process,
@@ -438,6 +440,40 @@ class CalabiReport:
 CalabiReport.FLAT_FIELDS = tuple(f.name for f in fields(CalabiReport) if f.name != "diagnostics")
 
 
+ROUTES = ("cal1", "cal2", "cal3", "rho")  # the routes a report can be asked for
+
+
+def route_report(bundle: MapBundle, routes, sampler: PairSampler, *, grid, rho_iterates: int) -> CalabiReport:
+    """The fields and ``diagnostics`` of each of ``ROUTES`` named in ``routes``,
+    run in this order: rho on the bundle's cached boundary lift; cal1 with
+    that lift's orbit measure mu (``area_residual``, ``mu_periodic``, the
+    grid); cal2 on ``sampler`` (its pair counts and ``strategy``); cal3 (the
+    grid).  Every report records the sampler's ``seed``, and ``workers`` = 1:
+    one thread winds every pair (the CLI records its --workers there)."""
+    report = CalabiReport(map_name=bundle.name)
+    diag = report.diagnostics
+    diag.update(seed=sampler.seed, workers=1)
+    if "rho" in routes:
+        rho = rotation_number(bundle.boundary_lift(), n=rho_iterates)
+        report.rho, report.rho_halfwidth = rho.value, rho.rigorous_halfwidth
+        report.rho_iterates = rho.iterates_used
+    if "cal1" in routes or "cal3" in routes:
+        diag.update(grid_r=grid[0], grid_theta=grid[1])
+    if "cal1" in routes:
+        mu = invariant_measure(bundle.boundary_lift())
+        c1 = cal1(bundle, mu=mu, grid=grid)
+        report.cal1, report.cal1_richardson = c1.value, c1.richardson_delta
+        diag.update(area_residual=c1.area_residual, mu_periodic=mu.periodic)
+    if "cal2" in routes:
+        c2 = cal2_tilde(bundle, sampler)
+        report.cal2, report.cal2_stderr = c2.value, c2.stderr
+        diag.update(n_pairs=c2.n_pairs, resampled_pairs=c2.resampled, retried_pairs=c2.retried,
+                    strategy=sampler.strategy)
+    if "cal3" in routes:
+        report.cal3 = cal3_tilde(bundle, grid=grid)
+    return report
+
+
 def verify_link(
     bundle: MapBundle,
     *,
@@ -448,46 +484,17 @@ def verify_link(
     quad_budget: float = 1e-4,
     strategy: str = "uniform",
 ) -> CalabiReport:
-    """Compute cal1, cal2, cal3 and the rotation number; check both identities.
+    """The report of every route (``route_report``) with both identities checked.
 
     PASS thresholds: ``|cal2 - cal1 - rho|`` and ``|cal2 - cal3|`` within
     ``3 stderr + quad_budget`` (the statistical envelope of the Monte-Carlo
     route plus the stated quadrature/rotation-number allowance).
     """
-    lift = bundle.boundary_lift()
-    rho = rotation_number(lift, n=rho_iterates)
-    mu = invariant_measure(lift)
-    c1 = cal1(bundle, mu=mu, grid=grid)
-    c2 = cal2_tilde(bundle, PairSampler(n=pairs, seed=seed, strategy=strategy))
-    c3 = cal3_tilde(bundle, grid=grid)
-    budget = 3.0 * c2.stderr + quad_budget
-    residual_link = abs(c2.value - c1.value - rho.value)
-    residual_23 = abs(c2.value - c3)
-    return CalabiReport(
-        map_name=bundle.name,
-        cal1=c1.value,
-        cal1_richardson=c1.richardson_delta,
-        cal2=c2.value,
-        cal2_stderr=c2.stderr,
-        cal3=c3,
-        rho=rho.value,
-        rho_halfwidth=rho.rigorous_halfwidth,
-        rho_iterates=rho.iterates_used,
-        residual_link=residual_link,
-        residual_23=residual_23,
-        budget=budget,
-        pass_link=bool(residual_link <= budget),
-        pass_23=bool(residual_23 <= budget),
-        diagnostics={
-            "area_residual": c1.area_residual,
-            "n_pairs": c2.n_pairs,
-            "resampled_pairs": c2.resampled,
-            "retried_pairs": c2.retried,
-            "seed": seed,
-            "grid_r": grid[0],
-            "grid_theta": grid[1],
-            "strategy": strategy,
-            "workers": 1,  # one thread winds every pair; the CLI records its --workers here
-            "mu_periodic": mu.periodic,
-        },
-    )
+    report = route_report(bundle, ROUTES, PairSampler(n=pairs, seed=seed, strategy=strategy),
+                          grid=grid, rho_iterates=rho_iterates)
+    report.budget = 3.0 * report.cal2_stderr + quad_budget
+    report.residual_link = abs(report.cal2 - report.cal1 - report.rho)
+    report.residual_23 = abs(report.cal2 - report.cal3)
+    report.pass_link = bool(report.residual_link <= report.budget)
+    report.pass_23 = bool(report.residual_23 <= report.budget)
+    return report

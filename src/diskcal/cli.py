@@ -22,17 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import arithmetic
-from .calabi import (
-    CalabiReport,
-    PairSampler,
-    c_mu_tilde,
-    cal1,
-    cal2_tilde,
-    cal3_tilde,
-    richardson_grid,
-    verify_link,
-)
-from .circle import rotation_number
+from .calabi import ROUTES, PairSampler, c_mu_tilde, richardson_grid, route_report, verify_link
 from .errors import ConfigError, DiskcalError
 from .experiments import exp_c0_discontinuity, exp_c1_continuity, exp_rigidity
 from .geometry import uniform_disk_points
@@ -59,7 +49,7 @@ COMPUTE_CONFIG = {  # key -> rule of a compute config; the map is built once the
     "compute": entries(lambda name, what: name),
     "budgets": lambda obj, what: read_object(obj, {k: rule for k, (rule, _) in BUDGETS.items()}, what),
 }
-COMPUTATIONS = ("cal1", "cal2", "cal3", "rho", "verify-link", "c-mu")
+COMPUTATIONS = ROUTES + ("verify-link", "c-mu")
 # experiment -> (runner of (params, seed), the rule of each key besides seed and workers)
 EXPERIMENT_PARAMS = {
     "c1-continuity": (lambda p, seed: exp_c1_continuity(**p, seed=seed),
@@ -73,14 +63,24 @@ EXPERIMENT_PARAMS = {
 
 
 def _load_config(path: str) -> dict:
+    """The JSON tree at ``path``; ConfigError when it cannot be read (missing,
+    a directory, not UTF-8) or is not JSON."""
     try:
-        with open(path) as fh:
-            cfg = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    return cfg
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+
+
+def _check_out_dir(path: str) -> None:
+    """ConfigError unless ``path`` is a directory or can be made one: its
+    nearest existing ancestor must be a directory.  Checked before a command
+    runs; the directory is made only when the command writes, so a command
+    that fails leaves none behind."""
+    out = Path(path).absolute()
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"--out {path}: {existing} is not a directory")
 
 
 def _json_text(obj) -> str:
@@ -140,24 +140,7 @@ def cmd_compute(cfg: dict, out_dir: str, fmt: str, overrides: dict) -> int:
             quad_budget=budgets["quad_budget"], strategy=budgets["strategy"],
         )
     else:
-        report = CalabiReport(map_name=bundle.name)
-        report.diagnostics["seed"] = seed
-        if "cal1" in wanted:
-            res = cal1(bundle, grid=grid)
-            report.cal1 = res.value
-            report.cal1_richardson = res.richardson_delta
-        if "cal2" in wanted:
-            res2 = cal2_tilde(bundle, sampler)
-            report.cal2 = res2.value
-            report.cal2_stderr = res2.stderr
-            report.diagnostics["n_pairs"] = res2.n_pairs
-        if "cal3" in wanted:
-            report.cal3 = cal3_tilde(bundle, grid=grid)
-        if "rho" in wanted:
-            est = rotation_number(bundle.boundary_lift(), n=budgets["rho_iterates"])
-            report.rho = est.value
-            report.rho_halfwidth = est.rigorous_halfwidth
-            report.rho_iterates = est.iterates_used
+        report = route_report(bundle, wanted, sampler, grid=grid, rho_iterates=budgets["rho_iterates"])
     report.diagnostics["workers"] = budgets["workers"]
 
     if "c-mu" in wanted:
@@ -263,6 +246,7 @@ def main(argv=None) -> int:
     try:
         flags = {key: getattr(args, key) for key in RUN_RULES if getattr(args, key) is not None}
         overrides = read_object(flags, RUN_RULES, "command line")
+        _check_out_dir(args.out)
         if args.command == "compute":
             cfg = _load_config(args.config)
             return cmd_compute(cfg, args.out, args.format, overrides)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from diskcal import cli
 from diskcal.calabi import PairSampler, cal2_tilde
 from diskcal.cli import main
 from diskcal.zoo import from_spec
@@ -60,6 +61,7 @@ class TestCompute:
         res = cal2_tilde(from_spec(spec), PairSampler(n=4000, seed=7, strategy=strategy))
         assert (report["cal2"], report["cal2_stderr"]) == (res.value, res.stderr)
         assert report["diag_n_pairs"] == res.n_pairs == 4000
+        assert (report["diag_strategy"], report["diag_retried_pairs"]) == (strategy, res.retried)
         assert report["cal1"] is None and report["cal3"] is None
 
     @pytest.mark.parametrize("wanted, code", [(["cal1"], 2), (["cal3"], 0)])
@@ -188,6 +190,47 @@ class TestCompute:
         assert "BoundaryNotConstant" in capsys.readouterr().err
 
 
+ROUTE_KEYS = {  # route -> (the report fields it writes, the diag_* keys it writes)
+    "cal1": (("cal1", "cal1_richardson"),
+             ("diag_area_residual", "diag_mu_periodic", "diag_grid_r", "diag_grid_theta")),
+    "cal2": (("cal2", "cal2_stderr"),
+             ("diag_n_pairs", "diag_resampled_pairs", "diag_retried_pairs", "diag_strategy")),
+    "cal3": (("cal3",), ("diag_grid_r", "diag_grid_theta")),
+    "rho": (("rho", "rho_halfwidth", "rho_iterates"), ()),
+}
+
+
+class TestRouteReports:
+    # a partial report is the verify-link report without the identity fields:
+    # each route writes its own fields and diag_* keys, the bytes of the full
+    # report, and every report its seed and workers
+    CFG = {
+        "map": {"family": "compose", "maps": [{"family": "quadratic_twist", "beta": 0.3},
+                                              {"family": "rotation", "alpha": 0.2}]},
+        "budgets": dict(BASE_CFG["budgets"], strategy="stratified"),
+    }
+
+    def _report(self, tmp_path, compute):
+        cfg = write_config(tmp_path, dict(self.CFG, compute=compute))
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "--workers", "2", "compute", "--config", cfg]) == 0
+        return json.loads((out / "report.json").read_text())
+
+    @pytest.fixture(scope="class")
+    def full(self, tmp_path_factory):
+        return self._report(tmp_path_factory.mktemp("full"), ["verify-link"])
+
+    @pytest.mark.parametrize("routes", [["cal1"], ["cal2"], ["cal3"], ["rho"], list(ROUTE_KEYS)],
+                             ids=["cal1", "cal2", "cal3", "rho", "all"])
+    def test_a_partial_report_is_the_full_one_cut_to_its_routes(self, tmp_path, full, routes):
+        report = self._report(tmp_path, routes)
+        own = {"map_name", "diag_seed", "diag_workers"}.union(*(sum(ROUTE_KEYS[r], ()) for r in routes))
+        assert {k for k, v in report.items() if v is not None or k.startswith("diag_")} == own
+        for key in own:
+            assert json.dumps(report[key]) == json.dumps(full[key]), key
+        assert report["diag_workers"] == 2
+
+
 class TestExperimentCommand:
     @pytest.mark.parametrize("name, params", [
         ("rigidity", {"depth": "abc"}),
@@ -295,6 +338,35 @@ class TestConfigShape:
         assert main(["--out", str(out), *command, "--config", path]) == 2
         assert "ConfigError" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["compute"], ["experiment", "rigidity"]], ids=["compute", "rigidity"])
+    @pytest.mark.parametrize("make", [lambda path: path.mkdir(),
+                                      lambda path: path.write_bytes(b'{"map": "\xff"}')],
+                             ids=["directory", "not_utf8"])
+    def test_unreadable_config_is_config_error(self, tmp_path, capsys, command, make):
+        # a config that cannot be read (here IsADirectoryError and
+        # UnicodeDecodeError) is a configuration error, not a traceback
+        path = tmp_path / "config.json"
+        make(path)
+        out = tmp_path / "x"
+        assert main(["--out", str(out), *command, "--config", str(path)]) == 2
+        assert "ConfigError" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["compute"], ["cf", "--synthetic", "non-bruno"]], ids=["compute", "cf"])
+    @pytest.mark.parametrize("out", ["file", "file/sub"])
+    def test_out_through_a_file_exits_before_any_work(self, tmp_path, capsys, monkeypatch, command, out):
+        # --out is checked before the command runs: the map is never built
+        def no_map(spec):
+            raise AssertionError("the map was built")
+
+        monkeypatch.setattr(cli, "from_spec", no_map)
+        (tmp_path / "file").write_text("kept")
+        if command == ["compute"]:
+            command = ["compute", "--config", write_config(tmp_path, BASE_CFG)]
+        assert main(["--out", str(tmp_path / out), *command]) == 2
+        assert "ConfigError" in capsys.readouterr().err
+        assert (tmp_path / "file").read_text() == "kept"
 
     def test_a_conjugator_needs_its_beta(self, tmp_path, capsys):
         # every key of a conjugator is required: without "beta" the off-center
