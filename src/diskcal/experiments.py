@@ -4,7 +4,10 @@ Every PASS/FAIL column derives from an explicitly quoted bound plus stated
 numerical budgets; the sup-distances d0/d1 are measured on dense sample grids
 and therefore reported as lower bounds.  They flow the map only, since
 ``sup |f^-1(p) - p| = sup |f(x) - x|`` and, for ``det Df = 1``, the inverse's
-Wirtinger pair at ``f(x)`` is ``(conj(p), -q)`` of the same d1 norm.
+Wirtinger pair at ``f(x)`` is ``(conj(p), -q)`` of the same d1 norm.  d0
+visits its sample set rim first and stops once no point left has the a-priori
+bound ``1 + TOL_BOUNDARY + |x|`` to beat the running max, which leaves its
+value unchanged (``sup_distance_to_identity``).
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ from .arithmetic import continued_fraction
 from .calabi import PairSampler, cal1, cal2_tilde, cal3_tilde
 from .circle import invariant_measure, rotation_number
 from .errors import QMaxExceeded, ScaleTooLarge
-from .flow import MapBundle, chord_windings
-from .geometry import uniform_disk_points
+from .flow import MapBundle, blocks, chord_windings
+from .geometry import TOL_BOUNDARY, uniform_disk_points
 from .zoo import bump, conjugated_rotation, iterate, off_center_conjugator, radial_twist
 
 D_GRID = (256, 256)
@@ -29,6 +32,21 @@ RIGIDITY_CAL_BUDGET = 1e-4  # per-iterate allowance of exp_rigidity's cal1 drift
 RIGIDITY_CONJUGATOR = off_center_conjugator(0.5)  # the h of exp_rigidity's h R_alpha h^-1
 RIGIDITY_CAL_GRID = (64, 128)  # the grid of exp_rigidity's cal1
 RIGIDITY_D_GRID = (192, 256)  # the grid of exp_rigidity's d0
+# relative margin of _d0_reach for rounding: a computed |f(x) - x| is at most
+# (|f(x)| + |x|)(1 + 3 ulp) (two rounded differences, then hypot), and a
+# computed |x| is within 1 ulp of the exact one; eight ulp cover both
+D0_ROUNDING = 8.0 * np.finfo(float).eps
+
+
+def _sample_points(grid):
+    """The sample set of a sup distance, rim first: the ``D_BOUNDARY`` points
+    of S^1, then the grid's rings by descending radius, so ``|x|`` never
+    increases along it."""
+    nr, nt = grid
+    radii = (np.arange(nr)[::-1] + 0.5) / nr
+    angles = np.exp(2j * np.pi * (np.arange(nt) + 0.5) / nt)
+    circle = np.exp(2j * np.pi * np.arange(D_BOUNDARY) / D_BOUNDARY)
+    return np.concatenate([circle, (radii[:, None] * angles[None, :]).ravel()])
 
 
 def sup_distance_to_identity(
@@ -47,14 +65,26 @@ def sup_distance_to_identity(
     distance into the lifted-pair distance (the near-identity angle bounds are
     stated for the latter; an iterate whose lift has drifted by an integer is
     then far from the identity lift even if the map is close).
+
+    The sample points are S^1's and the grid's rings, visited rim first
+    (``_sample_points``).  d0 flows them one ``blocks`` block at a time and
+    stops before a block from which on no point's a-priori bound
+    (``_d0_reach``) reaches the running max.  Every bundle maps the closed
+    disk into itself within ``TOL_BOUNDARY`` (field flows project onto it or
+    raise PointOutsideDisk, radial flows rotate each point), so ``|f(x) - x|
+    <= 1 + TOL_BOUNDARY + |x|`` and no point left unflowed can beat the max:
+    the value is the max over the whole sample set, bit for bit.  d1 has no
+    such bound and flows every point.
     """
-    nr, nt = grid
-    radii = (np.arange(nr) + 0.5) / nr
-    angles = np.exp(2j * np.pi * (np.arange(nt) + 0.5) / nt)
-    circle = np.exp(2j * np.pi * np.arange(D_BOUNDARY) / D_BOUNDARY)
-    pts = np.concatenate([(radii[:, None] * angles[None, :]).ravel(), circle])
+    pts = _sample_points(grid)
     if order == 0:
-        sups = [np.abs(bundle.flow(1.0, pts) - pts)]
+        reach = _d0_reach(pts)
+        best = 0.0
+        for sl in blocks(pts.size):
+            if reach[sl.start] < best:
+                break
+            best = max(best, float(np.max(np.abs(bundle.flow(1.0, pts[sl]) - pts[sl]))))
+        sups = [best]
     else:
         # operator norm of a real-linear Wirtinger pair (p, q) is |p| + |q|
         f, p, q = bundle.flow_wirtinger(1.0, pts)
@@ -62,6 +92,15 @@ def sup_distance_to_identity(
     if include_lift:
         sups.append(np.abs(bundle.boundary_lift().delta(np.linspace(0.0, 1.0, 512, endpoint=False))))
     return max(float(np.max(s)) for s in sups)
+
+
+def _d0_reach(pts):
+    """At each index, an upper bound of the computed ``|f(x) - x|`` over that
+    point and every later one, for any map of the closed disk: the suffix max
+    of ``1 + TOL_BOUNDARY + |x|``, raised by ``D0_ROUNDING`` for the rounding
+    of the difference and of both moduli."""
+    bound = (1.0 + TOL_BOUNDARY + np.abs(pts)) * (1.0 + D0_ROUNDING)
+    return np.maximum.accumulate(bound[::-1])[::-1]
 
 
 @dataclass

@@ -84,15 +84,18 @@ MAX_TRAJ_ELEMENTS = 4_000_000
 # from 22.3 to 2.9 MiB, of cal2 at 100k stratified pairs from 19.9 to 8.4 MiB
 STEP_BLOCK = 8192
 AREA_PROBES = 100  # points of area_residual's determinant check
-# h^-1 images kept per conjugator by its functools.lru_cache.  At seed 7 a
-# rigidity pass at q <= 2 makes 13 lookups and hits 4, one per reused point
-# set (the d0 grid of 49,664 points, the 100 area probes with the frame, mu's
-# 1,000 atoms with the 128 theta nodes, the 8,192 cal1 nodes with their
-# directions), while the S^1 lift samples and two fresh far-pair sets per
-# iterate miss; bypassing the memo raises its least time over seven passes
-# from 0.25 s to 0.31 s on a 2-vCPU Xeon.  A conjugated_link pass makes 7
-# lookups and hits none
-H_INVERSE_MEMO_SIZE = 8
+# h^-1 images kept per conjugator by its functools.lru_cache.  d0 looks up
+# its sample set one block at a time (experiments.sup_distance_to_identity),
+# so exp_rigidity reuses ten point sets per iterate: the seven blocks of the
+# 49,664-point d0 grid, the 100 area probes with the frame, mu's 1,000 atoms
+# with the 128 theta nodes and the 8,192 cal1 nodes with their directions;
+# the S^1 lift samples and two fresh far-pair sets per iterate miss.  At seed
+# 3 the acceptance run (q <= 144) makes 121 lookups; from 12 entries on it
+# hits 88, every reuse, and took 1.2 s on a 2-vCPU Xeon, where at 8 entries
+# the blocks evict each other, it hits 7 and took 2.2 s.  Sixteen leave room
+# for a few more sets.  A rigidity pass at q <= 2 makes 15 lookups and hits 4;
+# a conjugated_link pass makes 7 and hits none
+H_INVERSE_MEMO_SIZE = 16
 # |1 - |z|^2| up to which a flow that fixes S^1 leaves z in place: four ulp of
 # 1, twice the rounding of |z|^2 at a point of S^1 computed as exp(2 pi i x)
 # and rotated once more (measured: at most 1 and 2 ulp)

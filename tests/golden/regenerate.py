@@ -8,8 +8,10 @@ strings, booleans, integers and nulls exactly, floats within ``FLOAT_TOL``.
 
 Run ``python tests/golden/regenerate.py`` to rewrite the stored reports; it
 prints every field that moved, with its size, down to the last bit.  With
-``--check`` it prints the same and writes nothing.  A change that
-regenerates them states each moved field in CHANGES.md.
+``--check`` it prints the same and writes nothing.  Any other argument is
+rejected with a usage line and exit code 2, before a report is run or
+written.  A change that regenerates them states each moved field in
+CHANGES.md.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import tempfile
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
+USAGE = "usage: python tests/golden/regenerate.py [--check]"
 FLOAT_TOL = 1e-12
 # case -> the CLI command that runs its config, and the report file it writes
 CASES = {
@@ -95,6 +98,15 @@ def regenerate(write: bool = True) -> None:
                 print(f"  {p}: {a!r} -> {b!r}" + ("" if size is None else f"  (by {size:.3g})"))
 
 
+def main(argv) -> int:
+    """Regenerate (no argument) or check (``--check``); 2 for anything else."""
+    if argv not in ([], ["--check"]):
+        print(USAGE, file=sys.stderr)
+        return 2
+    regenerate(write=not argv)
+    return 0
+
+
 if __name__ == "__main__":
     sys.path.insert(0, str(HERE.parents[1] / "src"))
-    regenerate(write="--check" not in sys.argv[1:])
+    sys.exit(main(sys.argv[1:]))

@@ -11,12 +11,14 @@ from diskcal.cli import main
 from diskcal.circle import invariant_measure
 from diskcal.errors import QMaxExceeded, ScaleTooLarge
 from diskcal.experiments import (
+    D_GRID,
+    RIGIDITY_D_GRID,
     exp_c0_discontinuity,
     exp_c1_continuity,
     exp_rigidity,
     sup_distance_to_identity,
 )
-from diskcal.flow import FieldIsotopy
+from diskcal.flow import STEP_BLOCK, FieldIsotopy
 from diskcal.zoo import (
     boundary_shear_conjugator,
     bump,
@@ -42,13 +44,18 @@ class TestSupDistance:
         assert d0 == pytest.approx(2.0 * np.sin(np.pi * alpha), abs=1e-3)
 
     @staticmethod
-    def _two_flow_reference(bundle, order, grid):
-        # the sup over the flows of the map and of its inverse on one sample set
+    def _grid_points(grid):
+        # the sample set in the grid's own order: rings outward, then S^1
         nr, nt = grid
         radii = (np.arange(nr) + 0.5) / nr
         angles = np.exp(2j * np.pi * (np.arange(nt) + 0.5) / nt)
         circle = np.exp(2j * np.pi * np.arange(512) / 512)
-        pts = np.concatenate([(radii[:, None] * angles[None, :]).ravel(), circle])
+        return np.concatenate([(radii[:, None] * angles[None, :]).ravel(), circle])
+
+    @classmethod
+    def _two_flow_reference(cls, bundle, order, grid):
+        # the sup over the flows of the map and of its inverse on one sample set
+        pts = cls._grid_points(grid)
         inv = bundle.inverse()
         if order == 0:
             return max(float(np.max(np.abs(iso.flow(1.0, pts) - pts))) for iso in (bundle, inv))
@@ -73,6 +80,46 @@ class TestSupDistance:
         ref = self._two_flow_reference(bundle, order, (64, 64))
         one = sup_distance_to_identity(bundle, order=order, grid=(64, 64))
         assert abs(one - ref) <= 1e-12 * ref
+
+    @staticmethod
+    def _counting_flow(bundle):
+        """Count, in the returned list, the points that reach ``bundle.flow``."""
+        flowed = [0]
+        flow = bundle.flow
+
+        def counted(t, z):
+            flowed[0] += np.size(z)
+            return flow(t, z)
+
+        bundle.flow = counted
+        return flowed
+
+    @pytest.mark.parametrize("make, grid, stops", [
+        (lambda: rotation(0.5), D_GRID, True),
+        (lambda: conjugated_rotation(GOLDEN, off_center_conjugator(0.5), 0.5), RIGIDITY_D_GRID, True),
+        (lambda: iterate(conjugated_rotation(GOLDEN, off_center_conjugator(0.5), 0.5), 2),
+         RIGIDITY_D_GRID, True),
+        (lambda: quadratic_twist(0.3), D_GRID, True),  # d0 = 1.155 skips only |x| < 0.155
+        (lambda: quadratic_twist(0.1), D_GRID, False),  # d0 = 0.470 < 1 flows every point
+        (lambda: bump(4), D_GRID, False),
+    ], ids=["rotation_half", "offcenter", "offcenter_second_iterate", "twist", "twist_weak", "bump4"])
+    def test_rim_first_d0_is_the_max_over_every_point(self, make, grid, stops):
+        # the early stop skips only points that cannot beat the max: the value
+        # is the brute-force max over the whole sample set, bit for bit
+        bundle = make()
+        pts = self._grid_points(grid)
+        brute = float(np.max(np.abs(bundle.flow(1.0, pts) - pts)))
+        flowed = self._counting_flow(bundle)
+        assert sup_distance_to_identity(bundle, order=0, grid=grid) == brute
+        assert (flowed[0] < pts.size) == stops
+
+    def test_rotation_by_half_flows_one_block(self):
+        # d0 = 2 is reached on S^1, the first block; every later point has
+        # |x| < 0.9, so |f(x) - x| < 1.9 there and no later block is flowed
+        bundle = rotation(0.5)
+        flowed = self._counting_flow(bundle)
+        assert sup_distance_to_identity(bundle, order=0) == pytest.approx(2.0, abs=1e-12)
+        assert 0 < flowed[0] <= STEP_BLOCK
 
     def test_lift_term_counts_whole_turns(self):
         # the map of a full turn is the identity, its lift is the +1 translation
@@ -173,11 +220,12 @@ class TestRigidity:
 
     def test_iterates_reuse_the_inverse_images(self, counted_run):
         # the q = 2 iterate maps four point sets through h^-1 that the base map
-        # mapped already (the d0 grid, the area probes with the frame, mu's
-        # atoms with the theta nodes, cal1's nodes with their directions); the
-        # lift samples and each iterate's far pairs are fresh
+        # mapped already (the first block of the d0 grid, the area probes with
+        # the frame, mu's atoms with the theta nodes, cal1's nodes with their
+        # directions); the lift samples, each iterate's far pairs and the two
+        # further d0 blocks the q = 2 row flows (eps_d0 = 1.667 < 1.9) are fresh
         memo = counted_run[1]["memo"]
-        assert (memo.hits, memo.misses) == (4, 9)
+        assert (memo.hits, memo.misses) == (4, 11)
 
     def test_iterates_share_the_conjugator(self, counted_run):
         # h and h^-1 of the base map serve every iterate and its inverse

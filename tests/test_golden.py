@@ -5,9 +5,12 @@ that changes, fails here; ``tests/golden/regenerate.py`` rewrites the copies
 and lists every moved field.
 """
 
+import subprocess
+import sys
+
 import pytest
 
-from golden.regenerate import CASES, moved_fields, run_case, stored
+from golden.regenerate import CASES, HERE, USAGE, moved_fields, run_case, stored
 
 
 @pytest.mark.parametrize("case", list(CASES))
@@ -23,3 +26,14 @@ def test_moved_fields_reads_every_kind_of_change():
     for b in ([2, "x", True, None], [1, "y", True, None], [1, "x", False, None], [1, "x", True, 0],
               [1.0, "x", True, None], [1, "x", True]):
         assert moved_fields(old, {"a": 1.0, "b": b, "c": {"d": 0.5}}), b
+
+
+@pytest.mark.parametrize("args", [["--chek"], ["--help"], ["--check", "extra"]])
+def test_regenerate_rejects_unknown_arguments(args):
+    # a typo must not rewrite the stored reports: usage on stderr, exit 2
+    before = {case: (HERE / f"{case}.report.json").read_bytes() for case in CASES}
+    run = subprocess.run([sys.executable, str(HERE / "regenerate.py"), *args],
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 2
+    assert run.stderr.strip() == USAGE and run.stdout == ""
+    assert {case: (HERE / f"{case}.report.json").read_bytes() for case in CASES} == before

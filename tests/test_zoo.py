@@ -5,6 +5,7 @@ from numpy.polynomial.legendre import leggauss
 from diskcal.errors import BoundaryNotConstant, ConfigError
 from diskcal.fields import HamiltonianField, central_vector_wirtinger
 from diskcal.flow import ConcatIsotopy, ConjugatedIsotopy, RadialIsotopy, area_residual, chord_windings
+from diskcal.geometry import TOL_AREA
 from diskcal.zoo import (
     _vanishing_generator,
     boundary_shear_conjugator,
@@ -391,6 +392,14 @@ class TestFamiliesAreaResidual:
     )
     def test_within_budget(self, mk):
         assert area_residual(mk(), seed=0) <= 1e-6
+
+    @pytest.mark.xfail(strict=True, reason="the determinant check of bump(16) passes at seed 0 by "
+                       "rounding luck: one probe lies in the support, where |Df| ~ 1e6 puts the "
+                       "rounding floor of |p|^2 - |q|^2 near 1e-4 (ROADMAP items 1 and 15)")
+    def test_bump16_within_budget_at_every_seed(self):
+        # reads 0.0 at seeds 0 and 11, but 6.1e-5, 1.2e-4 and 1.2e-3 at seeds 3, 5 and 7
+        b = bump(16)
+        assert max(area_residual(b, seed=s) for s in range(12)) <= TOL_AREA
 
 
 class TestFromSpec:
