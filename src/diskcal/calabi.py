@@ -23,6 +23,7 @@ kept in a small LRU cache and returned as read-only arrays.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field, fields
 from functools import lru_cache
 from typing import ClassVar, Optional
@@ -33,11 +34,11 @@ from numpy.polynomial.legendre import leggauss
 from .circle import BoundaryMeasure, boundary_displacement, invariant_measure, rotation_number
 from .errors import BoundaryNotConstant, NotAreaPreserving, StepTooCoarse
 from .flow import ConcatIsotopy, ConjugatedIsotopy, MapBundle, area_residual, blocks, chord_windings
-from .geometry import TOL_AREA, liouville_eval, uniform_disk_points
+from .geometry import TOL_AREA, circle_point, liouville_eval
 
 MIN_PAIR_SEPARATION = 1e-6
-STRATEGIES = ("uniform", "stratified")  # PairSampler.strategy
 N_STRATA = 8  # equal-area annuli per factor of the stratified sampler
+STRATEGIES = {"uniform": 1, "stratified": N_STRATA}  # PairSampler.strategy -> its annuli per factor
 TOL_GENERATOR_BOUNDARY = 1e-8  # spread of H_t on S^1 that cal3 accepts as constant
 MIN_RICHARDSON_GRID = (32, 64)  # smallest cal1 grid whose half grid is at least (16, 32)
 GAUSS_RULE_CACHE_SIZE = 32  # Gauss-Legendre rules kept, by node count
@@ -209,17 +210,17 @@ def cal1(
 class PairSampler:
     """Draws pairs from the product of the normalized area form with itself.
 
-    A strategy is its draw, its ``redraw`` and its ``estimate``.  ``uniform``
-    draws every pair from omega x omega and estimates by the plain mean.
-    ``stratified`` splits the disk into equal-area annuli for each factor,
-    allocates samples proportionally (deterministic largest-remainder
-    rounding) and draws them cell by cell; it estimates by the equal-mass
-    mean of the cell means, which sharpens the estimator for radially
-    concentrated windings.  ``redraw`` draws each index inside its own cell,
-    so pairs closer than ``MIN_PAIR_SEPARATION`` and pairs whose winding stays
-    unresolved are replaced in their own stratum.  A standard error needs two
-    pairs per variance: ``n >= 2``, and for ``stratified``
-    ``n >= 2 N_STRATA^2``, two per stratum pair.
+    The draw splits the disk into k equal-area annuli for each factor, k =
+    ``STRATEGIES[strategy]`` (1 for ``uniform``, ``N_STRATA`` for
+    ``stratified``), and allocates the n pairs to the k x k cells in equal
+    shares (deterministic largest-remainder rounding).  Cell by cell it draws
+    x (radius, then angle) before y; at k = 1 that is two calls of
+    ``geometry.uniform_disk_points``.  ``redraw`` draws each index inside its
+    own cell, so pairs closer than ``MIN_PAIR_SEPARATION`` and pairs whose
+    winding stays unresolved are replaced in their own cell.  ``estimate`` is
+    the equal-mass mean of the cell means, which sharpens the estimator for
+    radially concentrated windings, and at k = 1 the plain mean.  A standard
+    error needs two pairs per cell: ``n >= 2 k^2``.
     """
 
     n: int
@@ -228,22 +229,26 @@ class PairSampler:
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
-            raise ValueError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
-        need = 2 * N_STRATA**2 if self.strategy == "stratified" else 2
+            raise ValueError(f"strategy must be one of {tuple(STRATEGIES)}, got {self.strategy!r}")
+        need = 2 * self.k**2
         if self.n < need:
             raise ValueError(f"{self.strategy} sampling needs at least {need} pairs, got {self.n}")
 
-    def _draw_stratum(self, rng, i, j, size):
-        rx = np.sqrt((i + rng.random(size)) / N_STRATA)
-        ry = np.sqrt((j + rng.random(size)) / N_STRATA)
-        x = rx * np.exp(2j * np.pi * rng.random(size))
-        y = ry * np.exp(2j * np.pi * rng.random(size))
+    @property
+    def k(self) -> int:
+        """Equal-area annuli per factor."""
+        return STRATEGIES[self.strategy]
+
+    def _draw(self, rng, i, j, size):
+        """``size`` pairs of cell ``(i, j)``: x uniform in the i-th annulus
+        ``k|x|^2 in [i, i + 1]``, then y in the j-th, each radius before its angle."""
+        x, y = (np.sqrt((c + rng.random(size)) / self.k) * circle_point(rng.random(size)) for c in (i, j))
         return x, y
 
     def _cell_counts(self):
         """Pairs per cell ``(i, j)``, row-major: equal shares, the remainder one
         each to the first cells."""
-        cells = N_STRATA * N_STRATA
+        cells = self.k * self.k
         base = self.n // cells
         counts = np.full(cells, base, dtype=int)
         counts[: self.n - base * cells] += 1
@@ -254,12 +259,8 @@ class PairSampler:
         closer than ``MIN_PAIR_SEPARATION`` redrawn (``resampled`` counts the
         redraws)."""
         rng = np.random.default_rng(self.seed)
-        if self.strategy == "uniform":
-            x, y = uniform_disk_points(self.n, rng), uniform_disk_points(self.n, rng)
-        else:
-            cells = [self._draw_stratum(rng, *divmod(cell, N_STRATA), int(c))
-                     for cell, c in enumerate(self._cell_counts())]
-            x, y = (np.concatenate(part) for part in zip(*cells))
+        cells = [self._draw(rng, *divmod(cell, self.k), int(c)) for cell, c in enumerate(self._cell_counts())]
+        x, y = (np.concatenate(part) for part in zip(*cells))
         resampled = 0
         for _ in range(100):
             close = np.flatnonzero(np.abs(x - y) < MIN_PAIR_SEPARATION)
@@ -270,23 +271,19 @@ class PairSampler:
         return x, y, resampled
 
     def redraw(self, rng, idx):
-        """Fresh pairs for the sample indices ``idx``, each from its own stratum."""
-        if self.strategy == "uniform":
-            return uniform_disk_points(idx.size, rng), uniform_disk_points(idx.size, rng)
+        """Fresh pairs for the sample indices ``idx``, each from its own cell."""
         cell = np.searchsorted(np.cumsum(self._cell_counts()), idx, side="right")
-        return self._draw_stratum(rng, cell // N_STRATA, cell % N_STRATA, idx.size)
+        return self._draw(rng, *divmod(cell, self.k), idx.size)
 
     def estimate(self, values):
         """``(value, stderr)`` of the double integral from per-pair ``values`` in
-        sample order."""
-        if self.strategy == "uniform":
-            return float(np.mean(values)), float(np.std(values, ddof=1) / np.sqrt(values.size))
-        m = 1.0 / N_STRATA**2  # the mass of each cell
-        value = var = 0.0
-        for v in np.split(values, np.cumsum(self._cell_counts())[:-1]):
-            value += m * float(np.mean(v))
-            var += m * m * float(np.var(v, ddof=1)) / v.size
-        return value, float(np.sqrt(var))
+        sample order: the mean of the k^2 cell means, each of mass ``m = 1/k^2``,
+        and ``sqrt(sum_c (m std_c / sqrt(n_c))^2)``."""
+        m = 1.0 / self.k**2
+        cells = np.split(values, np.cumsum(self._cell_counts())[:-1])
+        value = np.mean([np.mean(v) for v in cells])
+        stderr = math.hypot(*(m * np.std(v, ddof=1) / np.sqrt(v.size) for v in cells))
+        return float(value), stderr
 
 
 @dataclass(frozen=True)

@@ -53,18 +53,16 @@ def sup_distance_to_identity(
     bundle: MapBundle,
     order: int = 0,
     grid=D_GRID,
-    include_lift: bool = False,
 ) -> float:
-    """Sampled d0 (order=0) or d1 (order=1) distance between the bundle and id.
+    """Sampled d0 (order=0) or lifted d1 (order=1) distance between the bundle and id.
 
     The sup over the sample points of ``|f(x) - x|``, and for d1 also of
-    ``|p - 1| + |q|`` for the Wirtinger pair ``(p, q)`` of Df.  The inverse's
-    sups are the same: ``f^-1`` moves ``f(x)`` by ``|f(x) - x|``, and for
-    ``det Df = 1`` its pair at ``f(x)`` is ``(conj(p), -q)``.  ``include_lift``
-    adds the sup of the boundary-lift displacement, turning the plain map
-    distance into the lifted-pair distance (the near-identity angle bounds are
-    stated for the latter; an iterate whose lift has drifted by an integer is
-    then far from the identity lift even if the map is close).
+    ``|p - 1| + |q|`` for the Wirtinger pair ``(p, q)`` of Df and of the
+    boundary-lift displacement.  The inverse's sups are the same: ``f^-1``
+    moves ``f(x)`` by ``|f(x) - x|``, and for ``det Df = 1`` its pair at
+    ``f(x)`` is ``(conj(p), -q)``.  d1 is the lifted-pair distance, for which
+    the near-identity angle bound is stated: an iterate whose lift has drifted
+    by an integer is far from the identity lift even if the map is close.
 
     The sample points are S^1's and the grid's rings, visited rim first
     (``_sample_points``).  d0 flows them one ``blocks`` block at a time and
@@ -84,14 +82,11 @@ def sup_distance_to_identity(
             if reach[sl.start] < best:
                 break
             best = max(best, float(np.max(np.abs(bundle.flow(1.0, pts[sl]) - pts[sl]))))
-        sups = [best]
-    else:
-        # operator norm of a real-linear Wirtinger pair (p, q) is |p| + |q|
-        f, p, q = bundle.flow_wirtinger(1.0, pts)
-        sups = [np.abs(f - pts), np.abs(p - 1.0) + np.abs(q)]
-    if include_lift:
-        sups.append(np.abs(bundle.boundary_lift().delta(np.linspace(0.0, 1.0, 512, endpoint=False))))
-    return max(float(np.max(s)) for s in sups)
+        return best
+    # operator norm of a real-linear Wirtinger pair (p, q) is |p| + |q|
+    f, p, q = bundle.flow_wirtinger(1.0, pts)
+    lift = bundle.boundary_lift().delta(np.linspace(0.0, 1.0, 512, endpoint=False))
+    return max(float(np.max(s)) for s in (np.abs(f - pts), np.abs(p - 1.0) + np.abs(q), np.abs(lift)))
 
 
 def _d0_reach(pts):
@@ -146,7 +141,7 @@ def exp_c1_continuity(
     coeffs = np.asarray(C1_TWIST, dtype=float)
     for tau in scales:
         bundle = radial_twist(tau * coeffs)
-        eps = sup_distance_to_identity(bundle, order=1, include_lift=True)
+        eps = sup_distance_to_identity(bundle, order=1)
         if eps > 0.5:
             raise ScaleTooLarge(f"measured d1 = {eps:.3f} > 1/2 at tau = {tau}")
         c2 = cal2_tilde(bundle, PairSampler(n=pairs, seed=seed))

@@ -20,26 +20,25 @@ time-dependent generator is ever built.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-H_GRAD_STEP = 1e-5
 BOUNDARY_SAMPLES = 64  # points of S^1 in HamiltonianField.boundary_values
 
 
 class HamiltonianField:
-    """Generator ``H(z)`` with optional analytic derivatives.
+    """Generator ``H(z)`` with its analytic derivatives.
 
     Parameters
     ----------
     h : callable z -> real, vectorized over a complex array ``z``
-    grad : optional callable (u, v) -> (H_u, H_v) on float rows
-    wirtinger : optional callable (u, v, out) -> (Re a, Im a, Re b, Im b) of
-        the Wirtinger pair ``(a, b) = (dX/dz, dX/dz_bar)`` of the induced
-        vector field, written into the rows of ``out`` (shape (4, N)) but for
-        a ``Re a`` it may return as the scalar 0.0; used by the variational
-        equation when available
+    grad : callable (u, v) -> (H_u, H_v) on float rows
+    wirtinger : callable (u, v, out) -> (Re a, Im a, Re b, Im b) of the
+        Wirtinger pair ``(a, b) = (dX/dz, dX/dz_bar)`` of the induced vector
+        field, written into the rows of ``out`` (shape (4, N)) but for a
+        ``Re a`` it may return as the scalar 0.0; used by the variational
+        equation
     radial_breakpoints : radii where ``H`` may be non-smooth
     fixes_circle : whether the flow fixes S^1 pointwise, declared for a field
         with ``|X(z)| <= C |1 - |z|^2|`` (so H and dH vanish on S^1); a flow
@@ -49,8 +48,8 @@ class HamiltonianField:
     def __init__(
         self,
         h: Callable,
-        grad: Optional[Callable] = None,
-        wirtinger: Optional[Callable] = None,
+        grad: Callable,
+        wirtinger: Callable,
         *,
         name: str = "field",
         radial_breakpoints: Sequence[float] = (),
@@ -67,11 +66,8 @@ class HamiltonianField:
         return self._h(z)
 
     def gradient(self, u, v):
-        """Rows ``(H_u, H_v)``, analytic when supplied, else central differences."""
-        if self._grad is not None:
-            return self._grad(u, v)
-        z, hh = u + 1j * v, H_GRAD_STEP * (1.0 + np.hypot(u, v))
-        return tuple((self._h(z + d) - self._h(z - d)) / (2.0 * hh) for d in (hh, 1j * hh))
+        """Rows ``(H_u, H_v)``."""
+        return self._grad(u, v)
 
     def vector(self, u, v, out=None):
         """Rows ``(X_u, X_v) = pi (H_v, -H_u)``, written into ``out`` (shape (2, N)) if given."""
@@ -82,34 +78,11 @@ class HamiltonianField:
         return out
 
     def vector_wirtinger(self, u, v, out=None):
-        """Rows ``(Re a, Im a, Re b, Im b)``, analytic when supplied, else central
-        differences, written into ``out`` (shape (4, N)) if given; an analytic
-        ``Re a`` may come back as the scalar 0.0, leaving ``out[0]`` unwritten."""
-        if self._wirtinger is not None:
-            return self._wirtinger(u, v, np.empty((4,) + np.shape(u)) if out is None else out)
-        return central_vector_wirtinger(self.vector, u, v, out)
+        """Rows ``(Re a, Im a, Re b, Im b)``, written into ``out`` (shape (4, N))
+        if given; ``Re a`` may come back as the scalar 0.0, leaving ``out[0]``
+        unwritten."""
+        return self._wirtinger(u, v, np.empty((4,) + np.shape(u)) if out is None else out)
 
     def boundary_values(self):
         theta = np.arange(BOUNDARY_SAMPLES) / BOUNDARY_SAMPLES
         return self.value(np.exp(2j * np.pi * theta))
-
-
-def central_vector_wirtinger(vector, u, v, out=None):
-    """Rows ``(Re a, Im a, Re b, Im b)`` of a row field by central differences,
-    written into ``out`` (shape (4, N)) if given.
-
-    ``vector(u, v)`` returns the rows ``(X_u, X_v)``; the increment is
-    ``H_GRAD_STEP * (1 + |z|)`` along each axis, and ``a = (X_u - i X_v) / 2``,
-    ``b = (X_u + i X_v) / 2`` for the partials of the complex field ``X``.
-    """
-    hh = H_GRAD_STEP * (1.0 + np.hypot(u, v))
-    scale = 1.0 / (2.0 * hh)
-    du = (vector(u + hh, v) - vector(u - hh, v)) * scale
-    dv = (vector(u, v + hh) - vector(u, v - hh)) * scale
-    out = np.empty((4,) + np.shape(du[0])) if out is None else out
-    np.add(du[0], dv[1], out=out[0])
-    np.subtract(du[1], dv[0], out=out[1])
-    np.subtract(du[0], dv[1], out=out[2])
-    np.add(du[1], dv[0], out=out[3])
-    out *= 0.5
-    return out

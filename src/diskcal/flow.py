@@ -540,6 +540,18 @@ class RadialIsotopy(MapBundle):
         return turns, bound >= MIN_VECTOR_NORM
 
 
+def _in_slot(t, i, m):
+    """Whether time ``t`` of an m-piece concatenation has entered piece i's slot
+    ``(i/m, (i+1)/m]``, up to 1e-15."""
+    return np.greater(t, i / m + 1e-15)
+
+
+def _slot_time(t, i, m):
+    """Piece i's local time at time ``t`` of an m-piece concatenation:
+    ``clip(t m - i, 0, 1)``, exactly 1 for every piece at t = 1."""
+    return np.clip(np.multiply(t, m) - i, 0.0, 1.0)
+
+
 class ConcatIsotopy(MapBundle):
     """Concatenation of isotopies, each compressed to an equal time slot.
 
@@ -560,10 +572,8 @@ class ConcatIsotopy(MapBundle):
         out[times <= 1e-15] = z
         state = z
         for i, piece in enumerate(self.pieces):
-            lo, hi = i / m, (i + 1) / m
-            sel = np.nonzero((times > lo + 1e-15) & (times <= hi + 1e-15))[0]
-            local = np.clip(times[sel] * m - i, 0.0, 1.0)
-            rows = piece.trajectory(state, np.concatenate([local, [1.0]]))
+            sel = np.nonzero(_in_slot(times, i, m) & ~_in_slot(times, i + 1, m))[0]
+            rows = piece.trajectory(state, np.concatenate([_slot_time(times[sel], i, m), [1.0]]))
             out[sel] = rows[:-1]
             state = rows[-1]
         return out
@@ -572,13 +582,10 @@ class ConcatIsotopy(MapBundle):
         # each piece pushes the points and vectors the previous ones left
         z, v = _tangents(z, v)
         m = len(self.pieces)
-        remaining = t
-        for piece in self.pieces:
-            if remaining <= 0.0:
+        for i, piece in enumerate(self.pieces):
+            if not _in_slot(t, i, m):
                 break
-            local = min(1.0, remaining * m)
-            z, v = piece.flow_tangent(local, z, v)
-            remaining -= local / m
+            z, v = piece.flow_tangent(float(_slot_time(t, i, m)), z, v)
         return z, v
 
     flow_wirtinger = _pushed_frame

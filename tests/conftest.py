@@ -3,15 +3,52 @@ import pytest
 
 from diskcal.calabi import _action_averages, _checked_area_residual, _pullback_integrand, gauss_legendre
 from diskcal.circle import DEFAULT_LIFT_SAMPLES, LiftedCircleMap, invariant_measure
-from diskcal.fields import HamiltonianField, central_vector_wirtinger
+from diskcal.fields import HamiltonianField
 from diskcal.flow import FieldIsotopy
 
 SEGMENT_NODES = 8  # least Gauss-Legendre nodes per radial segment of ActionFunction.a0
 ACTION_RADIAL_NODES = 64  # Gauss-Legendre nodes per ray of ActionFunction.a0
 BOUNDARY_PROFILE_SAMPLES = 512  # rays of the boundary profile behind c_mu
+H_GRAD_STEP = 1e-5  # relative increment of the central differences below
 
 
-class BrokenField(HamiltonianField):
+def central_vector_wirtinger(vector, u, v, out=None):
+    """Rows ``(Re a, Im a, Re b, Im b)`` of a row field by central differences,
+    written into ``out`` (shape (4, N)) if given.
+
+    ``vector(u, v)`` returns the rows ``(X_u, X_v)``; the increment is
+    ``H_GRAD_STEP * (1 + |z|)`` along each axis, and ``a = (X_u - i X_v) / 2``,
+    ``b = (X_u + i X_v) / 2`` for the partials of the complex field ``X``.
+    """
+    hh = H_GRAD_STEP * (1.0 + np.hypot(u, v))
+    scale = 1.0 / (2.0 * hh)
+    du = (vector(u + hh, v) - vector(u - hh, v)) * scale
+    dv = (vector(u, v + hh) - vector(u, v - hh)) * scale
+    out = np.empty((4,) + np.shape(du[0])) if out is None else out
+    np.add(du[0], dv[1], out=out[0])
+    np.subtract(du[1], dv[0], out=out[1])
+    np.subtract(du[0], dv[1], out=out[2])
+    np.add(du[1], dv[0], out=out[3])
+    out *= 0.5
+    return out
+
+
+class DifferencedField(HamiltonianField):
+    """A field from H alone: its gradient and its vector field's Wirtinger
+    pair are central differences, the oracle of the analytic forms."""
+
+    def __init__(self, h, **kwargs):
+        super().__init__(h, self._differenced_gradient, self._differenced_wirtinger, **kwargs)
+
+    def _differenced_gradient(self, u, v):
+        z, hh = u + 1j * v, H_GRAD_STEP * (1.0 + np.hypot(u, v))
+        return tuple((self._h(z + d) - self._h(z - d)) / (2.0 * hh) for d in (hh, 1j * hh))
+
+    def _differenced_wirtinger(self, u, v, out):
+        return central_vector_wirtinger(self.vector, u, v, out)
+
+
+class BrokenField(DifferencedField):
     """A deliberately non-Hamiltonian field: X scaled by a position factor.
 
     Scaling keeps tangency to the circle but destroys area preservation;
@@ -20,6 +57,7 @@ class BrokenField(HamiltonianField):
     """
 
     def __init__(self, base, factor=0.5):
+        # central differences keep Re a, the divergence the determinant checks see
         super().__init__(base.value, name="broken")
         self.base = base
         self.factor = factor
@@ -28,10 +66,6 @@ class BrokenField(HamiltonianField):
         out = self.base.vector(u, v, out)
         out *= 1.0 + self.factor * u
         return out
-
-    def vector_wirtinger(self, u, v, out=None):
-        # central differences keep Re a, the divergence the determinant checks see
-        return central_vector_wirtinger(self.vector, u, v, out)
 
 
 @pytest.fixture(scope="session")

@@ -8,7 +8,8 @@ strings, booleans, integers and nulls exactly, floats within ``FLOAT_TOL``.
 
 Run ``python tests/golden/regenerate.py`` to rewrite the stored reports; it
 prints every field that moved, with its size, down to the last bit.  With
-``--check`` it prints the same and writes nothing.  Any other argument is
+``--check`` it prints the same, writes nothing, and exits 1 if any field
+moved, below ``FLOAT_TOL`` too, else 0.  Any other argument is
 rejected with a usage line and exit code 2, before a report is run or
 written.  A change that regenerates them states each moved field in
 CHANGES.md.
@@ -79,9 +80,11 @@ def moved_fields(old, new, tol=FLOAT_TOL, path="") -> list:
     return [] if old == new else [(path, old, new, None)]
 
 
-def regenerate(write: bool = True) -> None:
+def regenerate(write: bool = True) -> int:
     """Print each field that moved, with its size; rewrite the stored reports
-    when ``write``."""
+    when ``write``.  Returns the number of moved fields, a case without a
+    stored report counting as one."""
+    moved = 0
     with tempfile.TemporaryDirectory() as tmp:
         for case in CASES:
             fresh = run_case(case, Path(tmp) / case)
@@ -91,20 +94,24 @@ def regenerate(write: bool = True) -> None:
                 path.write_text(json.dumps(fresh, indent=2, allow_nan=True) + "\n")
             if old is None:
                 print(f"{case}: no stored report")
+                moved += 1
                 continue
             moves = moved_fields(old, fresh, tol=0.0)  # below FLOAT_TOL too
+            moved += len(moves)
             print(f"{case}: {len(moves)} field(s) moved")
             for p, a, b, size in moves:
                 print(f"  {p}: {a!r} -> {b!r}" + ("" if size is None else f"  (by {size:.3g})"))
+    return moved
 
 
 def main(argv) -> int:
-    """Regenerate (no argument) or check (``--check``); 2 for anything else."""
+    """Regenerate (no argument, 0) or check (``--check``, 1 if any field
+    moved); 2 for anything else."""
     if argv not in ([], ["--check"]):
         print(USAGE, file=sys.stderr)
         return 2
-    regenerate(write=not argv)
-    return 0
+    moved = regenerate(write=not argv)
+    return 1 if argv and moved else 0
 
 
 if __name__ == "__main__":

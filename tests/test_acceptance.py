@@ -173,7 +173,7 @@ def test_08_near_identity_bounds():
         rng = np.random.default_rng(31)
         for tau in (0.05, 0.02, 0.01):
             bundle = quadratic_twist(0.3 * tau)  # tau times the base generator
-            eps = sup_distance_to_identity(bundle, order=1, include_lift=True)
+            eps = sup_distance_to_identity(bundle, order=1)
             assert eps <= 0.5
             res = cal2_tilde(bundle, PairSampler(n=4000, seed=33))
             assert abs(res.value) <= np.sqrt(2 * eps) / np.pi + 3 * res.stderr

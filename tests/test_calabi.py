@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -18,7 +19,6 @@ from diskcal.calabi import (
 )
 from diskcal.circle import BoundaryMeasure, invariant_measure, rotation_number
 from diskcal.errors import BoundaryNotConstant, NotAreaPreserving, StepTooCoarse
-from diskcal.fields import HamiltonianField
 from diskcal.flow import ConjugatorPair, FieldIsotopy, chord_windings
 from diskcal.geometry import uniform_disk_points
 from diskcal.zoo import (
@@ -36,7 +36,7 @@ from diskcal.zoo import (
     rotation,
 )
 
-from conftest import ActionFunction, interior_points, pullback_defect
+from conftest import ActionFunction, DifferencedField, interior_points, pullback_defect
 
 GOLDEN = 0.6180339887498949
 POLYLINE_NODES = 48  # Gauss-Legendre nodes per leg of a0_along_polyline
@@ -440,7 +440,7 @@ class TestCal3:
         assert cal3_tilde(compose(a, b)) == cal3_tilde(b) + cal3_tilde(a)
 
     def test_boundary_constancy_enforced(self):
-        bad = HamiltonianField(lambda z: np.real(z))
+        bad = DifferencedField(lambda z: np.real(z))
         # the check every leaf passes through: no isotopy tree of Re z reaches
         # it, since a FieldIsotopy of Re z leaves the disk while it calibrates
         with pytest.raises(BoundaryNotConstant):
@@ -626,6 +626,35 @@ class TestVerifyLink:
             assert abs(getattr(looped, key) - getattr(plain, key) - 1.0) <= 1e-12, key
         assert abs(looped.cal1 - plain.cal1) <= 1e-12
 
+    # negative controls: a route shifted by twice the run's budget fails the
+    # identity that reads it and leaves the other passing
+    CONTROL = dict(pairs=2000, seed=7, grid=(64, 128), rho_iterates=20_000)
+
+    @pytest.fixture(scope="class")
+    def clean(self):
+        rep = verify_link(quadratic_twist(0.3), **self.CONTROL)
+        assert rep.pass_link and rep.pass_23
+        return rep
+
+    def test_a_shifted_cal3_fails_only_the_23_identity(self, monkeypatch, clean):
+        cal3 = calabi.cal3_tilde
+        monkeypatch.setattr(calabi, "cal3_tilde", lambda *a, **k: cal3(*a, **k) + 2.0 * clean.budget)
+        rep = verify_link(quadratic_twist(0.3), **self.CONTROL)
+        assert rep.budget == clean.budget
+        assert (rep.pass_link, rep.pass_23) == (True, False)
+
+    def test_a_shifted_rho_fails_only_the_link(self, monkeypatch, clean):
+        rho = calabi.rotation_number
+
+        def shifted(*args, **kwargs):
+            est = rho(*args, **kwargs)
+            return dataclasses.replace(est, value=est.value + 2.0 * clean.budget)
+
+        monkeypatch.setattr(calabi, "rotation_number", shifted)
+        rep = verify_link(quadratic_twist(0.3), **self.CONTROL)
+        assert rep.budget == clean.budget
+        assert (rep.pass_link, rep.pass_23) == (False, True)
+
     def test_flat_dict_field_order(self):
         rep = verify_link(rotation(0.1), pairs=500, seed=1, grid=(32, 64), rho_iterates=1000)
         flat = rep.to_flat_dict()
@@ -693,7 +722,7 @@ class TestNearIdentityBounds:
         from diskcal.geometry import uniform_disk_points
 
         bundle = quadratic_twist(0.3 * 0.02)
-        eps = sup_distance_to_identity(bundle, order=1, grid=(64, 64), include_lift=True)
+        eps = sup_distance_to_identity(bundle, order=1, grid=(64, 64))
         assert eps <= 0.5
         rng = np.random.default_rng(8)
         x, y = uniform_disk_points(1000, rng), uniform_disk_points(1000, rng)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -36,7 +37,7 @@ GOLDEN = 0.6180339887498949
 
 class TestSupDistance:
     def test_identity_is_at_zero(self):
-        assert sup_distance_to_identity(rotation(0.0), order=1, grid=(32, 32), include_lift=True) < 1e-12
+        assert sup_distance_to_identity(rotation(0.0), order=1, grid=(32, 32)) < 1e-12
 
     def test_rotation_d0_matches_chord_formula(self):
         alpha = 0.1
@@ -54,12 +55,13 @@ class TestSupDistance:
 
     @classmethod
     def _two_flow_reference(cls, bundle, order, grid):
-        # the sup over the flows of the map and of its inverse on one sample set
+        # the sup over the flows of the map and of its inverse on one sample
+        # set; d1 also takes the sup of the boundary lift's displacement
         pts = cls._grid_points(grid)
         inv = bundle.inverse()
         if order == 0:
             return max(float(np.max(np.abs(iso.flow(1.0, pts) - pts))) for iso in (bundle, inv))
-        sups = []
+        sups = [float(np.max(np.abs(bundle.boundary_lift().delta(np.arange(512) / 512))))]
         for iso in (bundle, inv):
             f, p, q = iso.flow_wirtinger(1.0, pts)
             sups += [float(np.max(np.abs(f - pts))), float(np.max(np.abs(p - 1.0) + np.abs(q)))]
@@ -122,9 +124,10 @@ class TestSupDistance:
         assert 0 < flowed[0] <= STEP_BLOCK
 
     def test_lift_term_counts_whole_turns(self):
-        # the map of a full turn is the identity, its lift is the +1 translation
+        # the map of a full turn is the identity, its lift is the +1 translation,
+        # which the lifted d1 counts
         plain = sup_distance_to_identity(rotation(1.0), order=0, grid=(32, 32))
-        lifted = sup_distance_to_identity(rotation(1.0), order=0, grid=(32, 32), include_lift=True)
+        lifted = sup_distance_to_identity(rotation(1.0), order=1, grid=(32, 32))
         assert plain < 1e-9
         assert lifted == pytest.approx(1.0, abs=1e-9)
 
@@ -164,6 +167,16 @@ class TestC0Discontinuity:
     def test_single_row_degenerate(self):
         res = exp_c0_discontinuity([4])
         assert len(res.rows) == 1 and res.rows[0]["pass"]
+
+    def test_a_d0_above_its_bound_fails_only_its_row(self, monkeypatch):
+        # negative control: d0(bump(4)) = 2/4 + 1e-6 keeps the column
+        # decreasing and the last d0 reached
+        d0 = diskcal.experiments.sup_distance_to_identity
+        monkeypatch.setattr(diskcal.experiments, "sup_distance_to_identity",
+                            lambda b, **k: 0.5 + 1e-6 if b.name == bump(4).name else d0(b, **k))
+        res = exp_c0_discontinuity([2, 4, 8])
+        assert [r["pass"] for r in res.rows] == [True, False, True]
+        assert res.meta["d0_decreasing"] and res.meta["d0_reached"] and not res.passed
 
 
 @pytest.mark.parametrize("run", [exp_c1_continuity, exp_c0_discontinuity], ids=["c1", "c0"])
@@ -272,6 +285,52 @@ class TestRigidity:
         monkeypatch.setattr(diskcal.experiments, "conjugated_rotation", lambda *args, **kwargs: twisted)
         res = exp_rigidity(GOLDEN, depth=12, q_max=13, far_pairs=1000, seed=3)
         assert not res.passed
+
+    # negative controls: one fault injected into the CI config (q <= 2) fails
+    # the row checks that read it, and only those
+    @staticmethod
+    def _control_run():
+        return exp_rigidity(GOLDEN, depth=10, tau=0.5, q_max=2, far_pairs=1000, seed=3)
+
+    @staticmethod
+    def _checks(row):
+        return {"lemma": row["lemma_ok"], "kq": row["kq_residual"] <= row["kq_bound"],
+                "drift": row["cal1_drift"] <= row["drift_budget"]}
+
+    def _failing(self, res):
+        """q -> the names of the checks its row fails, for each row that fails."""
+        for row in res.rows:
+            assert row["pass"] == all(self._checks(row).values())
+        assert res.passed == all(r["pass"] for r in res.rows)
+        return {r["q"]: sorted(k for k, ok in self._checks(r).items() if not ok)
+                for r in res.rows if not r["pass"]}
+
+    @pytest.mark.parametrize("eps, applies", [(0.06, True), (0.07, False)])
+    def test_the_lemma_applies_below_one_sixteenth(self, monkeypatch, eps, applies):
+        # far pairs at separation sqrt(eps) wind apart by up to 0.93 turns,
+        # beyond the lemma's 2 eps^(1/4)/pi once it applies
+        monkeypatch.setattr(diskcal.experiments, "sup_distance_to_identity", lambda *a, **k: eps)
+        res = self._control_run()
+        assert [r["lemma_applies"] for r in res.rows] == [applies, applies]
+        assert self._failing(res) == ({1: ["lemma"], 2: ["lemma"]} if applies else {})
+
+    def test_a_shifted_rho_fails_only_the_kq_checks(self, monkeypatch):
+        rho = diskcal.experiments.rotation_number
+
+        def shifted(*args, **kwargs):
+            est = rho(*args, **kwargs)
+            return dataclasses.replace(est, value=est.value + 3.0)
+
+        monkeypatch.setattr(diskcal.experiments, "rotation_number", shifted)
+        assert self._failing(self._control_run()) == {1: ["kq"], 2: ["kq"]}
+
+    def test_a_shifted_iterate_cal1_fails_only_its_drift(self, monkeypatch):
+        def shifted(bundle, **kwargs):
+            out = cal1(bundle, **kwargs)
+            return dataclasses.replace(out, value=out.value + 1e-2) if bundle.name.endswith("^2") else out
+
+        monkeypatch.setattr(diskcal.experiments, "cal1", shifted)
+        assert self._failing(self._control_run()) == {2: ["drift"]}
 
     def test_budget_exhausted_raises(self):
         with pytest.raises(QMaxExceeded):

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from diskcal.errors import PointOutsideDisk, StepTooCoarse
 from diskcal.calabi import PairSampler, cal2_tilde
-from diskcal.fields import HamiltonianField, central_vector_wirtinger
 from diskcal.circle import lift_from_isotopy, rotation_number
 from diskcal.flow import (
     DOP853_A,
@@ -30,6 +29,7 @@ from diskcal.flow import (
     ConjugatedIsotopy,
     ConjugatorPair,
     FieldIsotopy,
+    RadialIsotopy,
     _rows,
     _tracked_windings,
     _windings_at,
@@ -51,7 +51,15 @@ from diskcal.zoo import (
     rotation,
 )
 
-from conftest import BrokenField, gradient_at, interior_points, vector_at, wirtinger_at
+from conftest import (
+    BrokenField,
+    DifferencedField,
+    central_vector_wirtinger,
+    gradient_at,
+    interior_points,
+    vector_at,
+    wirtinger_at,
+)
 
 
 def rotation_field(alpha):
@@ -65,7 +73,7 @@ class TestHamiltonianVectorField:
         assert x == pytest.approx(0.5j * np.pi, abs=1e-12)
 
     def test_zero_generator(self):
-        field = HamiltonianField(lambda z: np.zeros_like(np.real(z)))
+        field = DifferencedField(lambda z: np.zeros_like(np.real(z)))
         x = vector_at(field, 0.2 + 0.1j)[0]
         assert abs(x) < 1e-9
 
@@ -86,17 +94,16 @@ class TestHamiltonianVectorField:
         r = np.array([0.05, 0.1, 0.14, 0.17, 0.2, 0.23, 0.3, 0.6, 0.9])
         pts = (r[:, None] * np.exp(2j * np.pi * np.arange(7) / 7)[None, :]).ravel()
         field = bundle.field
-        assert field._grad is not None and field._wirtinger is not None
         grad = gradient_at(field, pts)
-        grad_fd = gradient_at(HamiltonianField(field.value), pts)
+        grad_fd = gradient_at(DifferencedField(field.value), pts)
         ar, ai, br, bi = central_vector_wirtinger(field.vector, pts.real, pts.imag)
         pair_fd = (ar + 1j * ai, br + 1j * bi)
         for exact, fd in zip((grad, *wirtinger_at(field, pts)), (grad_fd, *pair_fd)):
             assert np.max(np.abs(exact - fd)) <= 1e-7 * (1.0 + np.max(np.abs(exact)))
 
-    def test_finite_difference_gradient_fallback(self):
+    def test_differenced_field_matches_the_analytic_one(self):
         exact = rotation_field(0.25)
-        fd = HamiltonianField(exact._h)
+        fd = DifferencedField(exact.value)
         pts = interior_points(30, seed=5)
         assert np.max(np.abs(vector_at(fd, pts) - vector_at(exact, pts))) < 1e-9
 
@@ -110,7 +117,7 @@ class TestFlowMap:
         assert abs(abs(z) - 1.0) < 1e-9
 
     def test_zero_field_identity(self):
-        field = HamiltonianField(lambda z: np.zeros_like(np.real(z)))
+        field = DifferencedField(lambda z: np.zeros_like(np.real(z)))
         iso = FieldIsotopy(field)
         for z in (0.0j, 0.3 + 0.4j, 1.0 + 0j):
             assert iso.flow(0.7, z) == pytest.approx(z, abs=1e-15)
@@ -260,7 +267,7 @@ class TestCalibration:
 
     def test_a_field_that_leaves_the_disk_raises(self):
         # H = 0.3 v is not constant on S^1: its flow translates the disk
-        leaky = HamiltonianField(lambda z: 0.3 * np.imag(z), name="leaky")
+        leaky = DifferencedField(lambda z: 0.3 * np.imag(z), name="leaky")
         with pytest.raises(PointOutsideDisk):
             FieldIsotopy(leaky)
 
@@ -423,7 +430,7 @@ class TestJacobians:
         assert wirtinger_det(p, q)[0] == pytest.approx(1.0, abs=1e-8)
 
     def test_identity_field_gives_identity_matrix(self):
-        field = HamiltonianField(lambda z: np.zeros_like(np.real(z)))
+        field = DifferencedField(lambda z: np.zeros_like(np.real(z)))
         _, p, q = FieldIsotopy(field).flow_wirtinger(1.0, 0.2 + 0.2j)
         assert np.allclose(_matrix(p, q), [1, 0, 0, 1], atol=1e-12)
 
@@ -684,6 +691,32 @@ class TestConcatenatedWindings:
         vals, ok = position_windings(bundle, circle)
         assert ok.all()
         assert np.max(np.abs(vals - _tracked(bundle, circle))) <= 1e-12
+
+
+class TestConcatenatedTimes:
+    # a concatenation runs piece i at local time clip(t m - i, 0, 1) in its
+    # tangent push as in its trajectory: exactly 1 for every piece at t = 1,
+    # where a running remainder t - sum(1/m) drifts by rounding
+    def test_tangent_push_lands_where_the_flow_does(self):
+        bundle = iterate(compose(quadratic_twist(0.3), rotation(0.2)), 10)
+        assert len(bundle.pieces) == 20
+        z = interior_points(30, seed=8)
+        pos, _ = bundle.flow_tangent(1.0, z, 1.0)
+        assert np.array_equal(pos, bundle.flow(1.0, z))
+
+    def test_every_piece_is_pushed_to_its_end(self):
+        class Spy(RadialIsotopy):
+            def flow_tangent(self, t, z, v):
+                seen.append(t)
+                return super().flow_tangent(t, z, v)
+
+        seen = []
+        spy = Spy(rotation(0.0).profile)
+        ConcatIsotopy([spy] * 1000).flow_tangent(1.0, np.array([0.5j]), 1.0)
+        assert seen == [1.0] * 1000
+        seen.clear()
+        ConcatIsotopy([spy] * 4).flow_tangent(0.6, np.array([0.5j]), 1.0)
+        assert seen == [1.0, 1.0, pytest.approx(0.4, abs=1e-15)]
 
 
 class TestConjugatedPositionWindings:

@@ -5,11 +5,13 @@ that changes, fails here; ``tests/golden/regenerate.py`` rewrites the copies
 and lists every moved field.
 """
 
+import math
 import subprocess
 import sys
 
 import pytest
 
+from golden import regenerate
 from golden.regenerate import CASES, HERE, USAGE, moved_fields, run_case, stored
 
 
@@ -36,4 +38,24 @@ def test_regenerate_rejects_unknown_arguments(args):
                          capture_output=True, text=True, timeout=60)
     assert run.returncode == 2
     assert run.stderr.strip() == USAGE and run.stdout == ""
+    assert {case: (HERE / f"{case}.report.json").read_bytes() for case in CASES} == before
+
+
+def test_check_exits_1_when_a_field_moved_by_one_ulp(monkeypatch, capsys):
+    # --check compares at tolerance 0 and writes nothing; a fresh run is
+    # stubbed by the stored report, once as it is and once one ulp off
+    before = {case: (HERE / f"{case}.report.json").read_bytes() for case in CASES}
+    monkeypatch.setattr(regenerate, "run_case", lambda case, out_dir: stored(case))
+    assert regenerate.main(["--check"]) == 0
+
+    def nudged(case, out_dir):
+        report = stored(case)
+        if case == "twist":
+            report["cal2"] = math.nextafter(report["cal2"], 1.0)
+        return report
+
+    monkeypatch.setattr(regenerate, "run_case", nudged)
+    capsys.readouterr()
+    assert regenerate.main(["--check"]) == 1
+    assert "twist: 1 field(s) moved" in capsys.readouterr().out
     assert {case: (HERE / f"{case}.report.json").read_bytes() for case in CASES} == before

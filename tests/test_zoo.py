@@ -3,7 +3,6 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 
 from diskcal.errors import BoundaryNotConstant, ConfigError
-from diskcal.fields import HamiltonianField, central_vector_wirtinger
 from diskcal.flow import ConcatIsotopy, ConjugatedIsotopy, RadialIsotopy, area_residual, chord_windings
 from diskcal.geometry import TOL_AREA
 from diskcal.zoo import (
@@ -24,7 +23,7 @@ from diskcal.zoo import (
     rotation,
 )
 
-from conftest import gradient_at, interior_points, wirtinger_at
+from conftest import DifferencedField, central_vector_wirtinger, gradient_at, interior_points, wirtinger_at
 
 GOLDEN = 0.6180339887498949
 
@@ -184,7 +183,7 @@ class TestVanishingGeneratorKernel:
         field = self.CONJUGATORS[m](beta)
         u, v = self._rows(31)
         hu, hv = field.gradient(u, v)
-        fu, fv = HamiltonianField(field.value).gradient(u, v)
+        fu, fv = DifferencedField(field.value).gradient(u, v)
         assert max(np.max(np.abs(hu - fu)), np.max(np.abs(hv - fv))) <= 1e-8 * abs(beta)
 
     @cases
@@ -233,8 +232,8 @@ class TestVanishingGeneratorKernel:
             assert np.shares_memory(row, target)
             assert np.array_equal(target, ref_row)
 
-    def test_the_central_fallback_fills_out(self):
-        field = HamiltonianField(off_center_conjugator(0.5).value)
+    def test_a_differenced_field_fills_out(self):
+        field = DifferencedField(off_center_conjugator(0.5).value)
         u, v = self._rows(59)
         out = np.full((4, u.size), np.nan)
         assert field.vector_wirtinger(u, v, out) is out
