@@ -16,9 +16,9 @@ adds the residuals against an explicit budget.  The winding of one chord
 ``zoo.iterate(f, n)`` it is the cocycle sum along the orbit, so its Birkhoff
 average is that value / n.
 
-Quadrature rules are fixed objects: each Gauss-Legendre rule (by node count)
-and each polar grid (by grid and radial kinks) is built once per process,
-kept in a small LRU cache and returned as read-only arrays.
+Quadrature rules are fixed objects: each polar grid (by grid and radial
+kinks) is built once per process, kept in a small LRU cache and returned as
+read-only arrays.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ N_STRATA = 8  # equal-area annuli per factor of the stratified sampler
 STRATEGIES = {"uniform": 1, "stratified": N_STRATA}  # PairSampler.strategy -> its annuli per factor
 TOL_GENERATOR_BOUNDARY = 1e-8  # spread of H_t on S^1 that cal3 accepts as constant
 MIN_RICHARDSON_GRID = (32, 64)  # smallest cal1 grid whose half grid is at least (16, 32)
-GAUSS_RULE_CACHE_SIZE = 32  # Gauss-Legendre rules kept, by node count
 POLAR_GRID_CACHE_SIZE = 8  # polar grids kept, by (grid, radial kinks)
 
 
@@ -55,12 +54,6 @@ def _read_only(*arrays):
     return arrays
 
 
-@lru_cache(maxsize=GAUSS_RULE_CACHE_SIZE)
-def gauss_legendre(n: int):
-    """Read-only Gauss-Legendre nodes and weights on [-1, 1], built once per ``n``."""
-    return _read_only(*leggauss(n))
-
-
 def composite_gauss_radii(n_nodes: int, breakpoints=()):
     """Gauss-Legendre nodes/weights on [0, 1] split at interior breakpoints."""
     edges = np.unique(np.concatenate([[0.0, 1.0], np.asarray(breakpoints, dtype=float)]))
@@ -69,7 +62,7 @@ def composite_gauss_radii(n_nodes: int, breakpoints=()):
     nodes, weights = [], []
     for lo, hi in segs:
         k = max(8, int(round(n_nodes * (hi - lo))))
-        x, w = gauss_legendre(k)
+        x, w = leggauss(k)
         nodes.append(lo + (hi - lo) * (x + 1.0) / 2.0)
         weights.append(w * (hi - lo) / 2.0)
     # the segments ascend (np.unique) and so do numpy's nodes within each
@@ -377,27 +370,29 @@ def _cal3_leaf(field, tau, grid) -> float:
 def c_mu_tilde(bundle: MapBundle, points) -> float:
     """Double sum of the chord winding over distinct pairs of the n ``points``.
 
-    The points are the n equal atoms of a measure, so each pair weighs
-    ``1/n^2``.  Coincident pairs (separation below 1e-12) are skipped; for an
-    atomless measure approximation they carry no mass.  The pairs ``(i, j)``,
-    ``i != j``, are taken in row-major order one block of the flat
-    off-diagonal index at a time (``flow.blocks``), and the kept windings
-    fill one row of ``n (n - 1)`` floats, allocated first: a point count
-    whose row no memory holds raises MemoryError before any winding.
+    The points are the n equal atoms of a measure.  The winding is symmetric
+    bit for bit, so each unordered pair is wound once, at weight ``2/n^2``.
+    Coincident pairs (separation below 1e-12) are skipped; for an atomless
+    measure approximation they carry no mass.  The flat index ``k < n (n -
+    1) / 2`` names the pair ``(i, i + d + 1 mod n)``, ``d, i = divmod(k,
+    n)``; the pairs are taken one block of k at a time (``flow.blocks``),
+    and the kept windings fill one row of ``n (n - 1) / 2`` floats,
+    allocated first: a point count whose row no memory holds raises
+    MemoryError before any winding.
     """
     n = points.size
     if n < 2:
         return 0.0
-    values = np.empty(n * (n - 1))
+    values = np.empty(n * (n - 1) // 2)
     kept = 0
     for sl in blocks(values.size):
-        i, r = np.divmod(np.arange(sl.start, sl.stop), n - 1)
-        x, y = points[i], points[r + (r >= i)]  # the r-th j != i of row i
+        d, i = np.divmod(np.arange(sl.start, sl.stop), n)
+        x, y = points[i], points[(i + d + 1) % n]
         keep = np.abs(x - y) >= 1e-12
         vals, _ = chord_windings(bundle, x[keep], y[keep])
         values[kept:kept + vals.size] = vals
         kept += vals.size
-    return float(np.sum(((1.0 / n) * (1.0 / n)) * values[:kept]))
+    return float(np.sum((2.0 * (1.0 / n) * (1.0 / n)) * values[:kept]))
 
 
 # ---------------------------------------------------------------------------

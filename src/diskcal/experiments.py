@@ -18,7 +18,7 @@ import numpy as np
 
 from .arithmetic import continued_fraction
 from .calabi import PairSampler, cal1, cal2_tilde, cal3_tilde
-from .circle import invariant_measure, rotation_number
+from .circle import boundary_displacement, invariant_measure, rotation_number
 from .errors import QMaxExceeded, ScaleTooLarge
 from .flow import MapBundle, blocks, chord_windings
 from .geometry import TOL_BOUNDARY, uniform_disk_points
@@ -58,11 +58,13 @@ def sup_distance_to_identity(
 
     The sup over the sample points of ``|f(x) - x|``, and for d1 also of
     ``|p - 1| + |q|`` for the Wirtinger pair ``(p, q)`` of Df and of the
-    boundary-lift displacement.  The inverse's sups are the same: ``f^-1``
-    moves ``f(x)`` by ``|f(x) - x|``, and for ``det Df = 1`` its pair at
-    ``f(x)`` is ``(conj(p), -q)``.  d1 is the lifted-pair distance, for which
-    the near-identity angle bound is stated: an iterate whose lift has drifted
-    by an integer is far from the identity lift even if the map is close.
+    boundary lift's displacement at the ``D_BOUNDARY`` angles of S^1, which
+    are wound directly (``boundary_displacement``; no lift is built).  The
+    inverse's sups are the same: ``f^-1`` moves ``f(x)`` by ``|f(x) - x|``,
+    and for ``det Df = 1`` its pair at ``f(x)`` is ``(conj(p), -q)``.  d1 is
+    the lifted-pair distance, for which the near-identity angle bound is
+    stated: an iterate whose lift has drifted by an integer is far from the
+    identity lift even if the map is close.
 
     The sample points are S^1's and the grid's rings, visited rim first
     (``_sample_points``).  d0 flows them one ``blocks`` block at a time and
@@ -85,8 +87,8 @@ def sup_distance_to_identity(
         return best
     # operator norm of a real-linear Wirtinger pair (p, q) is |p| + |q|
     f, p, q = bundle.flow_wirtinger(1.0, pts)
-    lift = bundle.boundary_lift().delta(np.linspace(0.0, 1.0, 512, endpoint=False))
-    return max(float(np.max(s)) for s in (np.abs(f - pts), np.abs(p - 1.0) + np.abs(q), np.abs(lift)))
+    delta = boundary_displacement(bundle, np.arange(D_BOUNDARY) / D_BOUNDARY)
+    return max(float(np.max(s)) for s in (np.abs(f - pts), np.abs(p - 1.0) + np.abs(q), np.abs(delta)))
 
 
 def _d0_reach(pts):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
-from diskcal.calabi import _action_averages, _checked_area_residual, _pullback_integrand, gauss_legendre
+from diskcal.calabi import _action_averages, _checked_area_residual, _pullback_integrand
 from diskcal.circle import DEFAULT_LIFT_SAMPLES, LiftedCircleMap, invariant_measure
 from diskcal.fields import HamiltonianField
 from diskcal.flow import FieldIsotopy
@@ -128,7 +129,7 @@ def encloses(est, target):
 
 def _segment_nodes(edges_lo, edges_hi, m: int):
     """GL-m nodes/weights on per-point segments [lo, hi] (vectorized)."""
-    x, w = gauss_legendre(m)
+    x, w = leggauss(m)
     half = (edges_hi - edges_lo)[..., None] / 2.0
     mid = (edges_hi + edges_lo)[..., None] / 2.0
     return mid + half * x, half * w

@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from diskcal.calabi import (
     cal2_tilde,
     cal3_tilde,
     composite_gauss_radii,
-    gauss_legendre,
     verify_link,
 )
 from diskcal.circle import BoundaryMeasure, invariant_measure, rotation_number
@@ -52,7 +52,7 @@ def a0_along_polyline(action, z):
     """``action.a0`` recomputed along 0 -> (u, 0) -> (u, v), for path-independence checks."""
     z = complex(z)
     total = 0.0
-    x, w = gauss_legendre(POLYLINE_NODES)
+    x, w = leggauss(POLYLINE_NODES)
     for a, b in [(0j, complex(z.real, 0.0)), (complex(z.real, 0.0), z)]:
         if abs(b - a) == 0.0:
             continue
@@ -501,20 +501,23 @@ class TestCal3:
 
 class TestQuadratureCache:
     @pytest.fixture(autouse=True)
-    def cold_caches(self):
-        gauss_legendre.cache_clear()
+    def cold_cache(self):
         calabi._cached_polar_grid.cache_clear()
 
+    def test_the_polar_grid_is_the_one_cache(self):
+        assert not hasattr(calabi, "gauss_legendre") and not hasattr(calabi, "GAUSS_RULE_CACHE_SIZE")
+
     def test_cached_arrays_are_read_only(self):
-        for a in gauss_legendre(16) + calabi._polar_grid((32, 64), (0.25,)):
+        for a in calabi._polar_grid((32, 64), (0.25,)):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0.0
 
     @pytest.mark.parametrize("n", [8, 16, 48, 64, 96, 128])
-    def test_rules_are_numpy_rules_bytewise(self, n):
-        x, w = gauss_legendre(n)
-        fresh_x, fresh_w = leggauss(n)
-        assert x.tobytes() == fresh_x.tobytes() and w.tobytes() == fresh_w.tobytes()
+    def test_composite_rules_are_numpy_rules_bytewise(self, n):
+        # without kinks the radial rule is numpy's rule mapped to [0, 1]
+        x, w = leggauss(n)
+        r, wr = composite_gauss_radii(n)
+        assert r.tobytes() == ((x + 1.0) / 2.0).tobytes() and wr.tobytes() == (w / 2.0).tobytes()
         # the composite radial rule concatenates its segments unsorted: numpy's
         # nodes ascend and the segments come from np.unique, so the radii must
         # already increase strictly, and the weights integrate 1 on [0, 1]
@@ -573,6 +576,54 @@ class TestCmu:
         lhs = c_mu_tilde(tw, pts)
         rhs = c_mu_tilde(conj_bundle, conj_bundle.pair.h.flow(1.0, pts))
         assert rhs == pytest.approx(lhs, abs=1e-6)
+
+    # pairs with |x| = |y| exactly: conjugation, negation and a quarter turn
+    # keep the modulus bit for bit
+    TIES = (np.conj, np.negative, lambda z: 1j * z, lambda z: -np.conj(z))
+
+    @pytest.mark.parametrize("make", [
+        lambda: quadratic_twist(0.3),
+        lambda: bump(4),
+        lambda: compose(quadratic_twist(0.3), rotation(0.2)),
+        lambda: conjugated_rotation(GOLDEN, off_center_conjugator(0.5), 0.5),
+        lambda: FieldIsotopy(off_center_conjugator(0.5), 0.5),
+        lambda: FieldIsotopy(boundary_shear_conjugator(0.3), 0.5),
+    ], ids=["radial", "bump4", "concat", "conjugated", "field_leaf", "shear_leaf"])
+    def test_a_chord_winds_to_the_same_bits_both_ways(self, make):
+        # c_mu winds each unordered pair once: Ang(x, y) = Ang(y, x) bit for bit
+        ties = interior_points(28, seed=68)
+        x = np.concatenate([interior_points(200, seed=66)] + [ties] * len(self.TIES))
+        y = np.concatenate([interior_points(200, seed=67)] + [tie(ties) for tie in self.TIES])
+        assert np.count_nonzero(np.abs(x) == np.abs(y)) == 28 * len(self.TIES)
+        bundle = make()
+        forward = chord_windings(bundle, x, y, raise_on_fail=False)
+        backward = chord_windings(bundle, y, x, raise_on_fail=False)
+        assert all(map(_same_bits, forward, backward))
+        assert forward[1].all()
+
+    @pytest.mark.parametrize("distinct", [40, 41])
+    def test_c_mu_winds_each_unordered_pair_once(self, monkeypatch, distinct):
+        # n (n - 1) / 2 pairs less the coincident ones, over several blocks,
+        # for an even and an odd n
+        points = interior_points(distinct, seed=69)
+        points = np.concatenate([points, points[:3]])  # 3 coincident pairs
+        n = points.size
+        wound = []
+        original = calabi.chord_windings
+        monkeypatch.setattr(calabi, "chord_windings",
+                            lambda f, x, y: wound.append((x, y)) or original(f, x, y))
+        monkeypatch.setattr(flow, "STEP_BLOCK", TestBlocks.ODD_BLOCK)
+        c_mu_tilde(quadratic_twist(0.3), points)
+        assert len(wound) == len(list(flow.blocks(n * (n - 1) // 2))) > 1
+        x, y = (np.concatenate(side) for side in zip(*wound))
+        assert x.size == n * (n - 1) // 2 - 3
+
+        def unordered(a, b):
+            return tuple(sorted([(a.real, a.imag), (b.real, b.imag)]))
+
+        expected = Counter(unordered(points[i], points[j]) for i in range(n) for j in range(i + 1, n)
+                           if abs(points[i] - points[j]) >= 1e-12)
+        assert Counter(map(unordered, x, y)) == expected
 
 
 class TestBirkhoff:
@@ -813,21 +864,31 @@ class TestBlocks:
         monkeypatch.setattr(flow, "STEP_BLOCK", self.ODD_BLOCK)
         assert all(map(_same_bits, default, iso.flow_wirtinger(1.0, z)))
 
-    def test_c_mu_sums_the_row_major_off_diagonal_pairs(self, monkeypatch):
-        # the reference builds every pair at once from the n x n index grid
+    def test_c_mu_sums_the_unordered_pairs_by_offset(self, monkeypatch):
+        # the reference builds every pair at once, offset m = 1, 2, ... from
+        # each i (the last offset n/2, for even n, from i < n/2 only), each
+        # winding weighed 2/n^2; the ordered double sum over i != j at 1/n^2
+        # agrees to rounding
         bundle = compose(quadratic_twist(0.3), rotation(0.2))
         points = interior_points(40, seed=64)
         points = np.concatenate([points, points[:2]])
         n = points.size
+        i, j = np.array([(i, (i + m) % n) for m in range(1, n // 2 + 1)
+                         for i in range(n // 2 if 2 * m == n else n)]).T
+        x, y = points[i], points[j]
+        keep = np.abs(x - y) >= 1e-12
+        assert np.count_nonzero(~keep) == 2
+        vals, _ = chord_windings(bundle, x[keep], y[keep])
+        reference = float(np.sum((2.0 * (1.0 / n) * (1.0 / n)) * vals))
         ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
         off = ii != jj
         x, y = points[ii[off]], points[jj[off]]
         keep = np.abs(x - y) >= 1e-12
-        assert np.count_nonzero(~keep) == 4
-        vals, _ = chord_windings(bundle, x[keep], y[keep])
-        reference = float(np.sum(((1.0 / n) * (1.0 / n)) * vals))
+        ordered, _ = chord_windings(bundle, x[keep], y[keep])
         monkeypatch.setattr(flow, "STEP_BLOCK", self.ODD_BLOCK)
-        assert c_mu_tilde(bundle, points) == reference
+        value = c_mu_tilde(bundle, points)
+        assert value == reference
+        assert abs(value - float(np.sum(((1.0 / n) * (1.0 / n)) * ordered))) <= 2e-16
 
     def test_an_empty_pair_set_gives_two_empty_arrays(self):
         empty = np.array([], dtype=complex)
@@ -849,7 +910,8 @@ def _traced_peak(run):
 
 class TestWorkingSet:
     # with every pair wound at once these calls peaked at 22.3 MiB (c-mu)
-    # and 19.9 MiB (cal2); one block at a time they peak at 2.9 and 8.4 MiB
+    # and 19.9 MiB (cal2); one block at a time they peak at 2.9 and 8.4 MiB,
+    # and c-mu at 2.6 MiB once it winds each unordered pair once
     def test_c_mu_of_the_readme_map(self):
         bundle = compose(quadratic_twist(0.3), rotation(0.2))
         points = uniform_disk_points(300, np.random.default_rng(7 + 17))

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from diskcal import cli
+from diskcal import calabi, cli
 from diskcal.calabi import PairSampler, cal2_tilde
 from diskcal.cli import main
 from diskcal.zoo import from_spec
@@ -167,15 +167,18 @@ class TestCompute:
         (["cal3"], {"grid": [64, 2**45]}),
         (["verify-link"], {"seed": 7, "pairs": 2**45}),
     ], ids=["cal2_pairs", "c_mu_points", "c_mu_value_row", "cal3_grid", "verify_link_pairs"])
-    def test_budgets_no_memory_holds_are_config_errors(self, tmp_path, capsys, wanted, budgets):
+    def test_budgets_no_memory_holds_are_config_errors(self, tmp_path, capsys, monkeypatch, wanted, budgets):
         # 2^45 samples are 256 TiB of floats, more than the user address
         # space holds, so the allocation is refused at once and nothing runs.
-        # 2^20 c-mu points fit in 16 MiB, but their row of 2^20 (2^20 - 1)
-        # pair windings (8.8 TB) is allocated before the first winding
+        # 2^20 c-mu points fit in 16 MiB, but their row of 2^20 (2^20 - 1) / 2
+        # pair windings (4.4 TB) is allocated before the first winding
+        wound = []
+        monkeypatch.setattr(calabi, "chord_windings", lambda *args, **kw: wound.append(args))
         cfg = write_config(tmp_path, {"map": {"family": "rotation", "alpha": 0.3}, "compute": wanted,
                                       "budgets": budgets})
         out = tmp_path / "x"
         assert main(["--out", str(out), "compute", "--config", cfg]) == 2
+        assert wound == []
         assert "MemoryError" in capsys.readouterr().err
         assert not (out / "report.json").exists()
 

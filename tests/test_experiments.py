@@ -12,6 +12,7 @@ from diskcal.cli import main
 from diskcal.circle import invariant_measure
 from diskcal.errors import QMaxExceeded, ScaleTooLarge
 from diskcal.experiments import (
+    D_BOUNDARY,
     D_GRID,
     RIGIDITY_D_GRID,
     exp_c0_discontinuity,
@@ -122,6 +123,26 @@ class TestSupDistance:
         flowed = self._counting_flow(bundle)
         assert sup_distance_to_identity(bundle, order=0) == pytest.approx(2.0, abs=1e-12)
         assert 0 < flowed[0] <= STEP_BLOCK
+
+    @pytest.mark.parametrize("make", [
+        lambda: conjugated_rotation(GOLDEN, boundary_shear_conjugator(0.3), 0.5),
+        lambda: radial_twist(0.04 * np.array([0.3, -0.6, 0.3])),
+    ], ids=["shear", "c1_twist"])
+    def test_d1_winds_its_boundary_points_and_builds_no_lift(self, monkeypatch, make):
+        # the boundary term winds the D_BOUNDARY angles themselves: the bits
+        # of a d1 that read them off the cached 4096-sample lift, whose nodes
+        # include those angles, and no lift is built or cached
+        bundle = make()
+        built = []
+        lift_from_isotopy = diskcal.circle.lift_from_isotopy
+        monkeypatch.setattr(diskcal.circle, "lift_from_isotopy",
+                            lambda iso: built.append(iso) or lift_from_isotopy(iso))
+        d1 = sup_distance_to_identity(bundle, order=1, grid=(32, 32))
+        assert built == [] and bundle._lift is None
+        pts = diskcal.experiments._sample_points((32, 32))
+        f, p, q = bundle.flow_wirtinger(1.0, pts)
+        lift = bundle.boundary_lift().delta(np.arange(D_BOUNDARY) / D_BOUNDARY)
+        assert d1 == max(float(np.max(s)) for s in (np.abs(f - pts), np.abs(p - 1.0) + np.abs(q), np.abs(lift)))
 
     def test_lift_term_counts_whole_turns(self):
         # the map of a full turn is the identity, its lift is the +1 translation,
