@@ -437,22 +437,23 @@ ROUTES = ("cal1", "cal2", "cal3", "rho")  # the routes a report can be asked for
 
 def route_report(bundle: MapBundle, routes, sampler: PairSampler, *, grid, rho_iterates: int) -> CalabiReport:
     """The fields and ``diagnostics`` of each of ``ROUTES`` named in ``routes``,
-    run in this order: rho on the bundle's cached boundary lift; cal1 with
-    that lift's orbit measure mu (``area_residual``, ``mu_periodic``, the
-    grid); cal2 on ``sampler`` (its pair counts and ``strategy``); cal3 (the
-    grid).  Every report records the sampler's ``seed``, and ``workers`` = 1:
+    run in this order: rho on the bundle's boundary lift; cal1 with the same
+    lift's orbit measure mu (``area_residual``, ``mu_periodic``, the grid);
+    cal2 on ``sampler`` (its pair counts and ``strategy``); cal3 (the grid).
+    Every report records the sampler's ``seed``, and ``workers`` = 1:
     one thread winds every pair (the CLI records its --workers there)."""
     report = CalabiReport(map_name=bundle.name)
     diag = report.diagnostics
     diag.update(seed=sampler.seed, workers=1)
+    lift = bundle.boundary_lift() if "rho" in routes or "cal1" in routes else None
     if "rho" in routes:
-        rho = rotation_number(bundle.boundary_lift(), n=rho_iterates)
+        rho = rotation_number(lift, n=rho_iterates)
         report.rho, report.rho_halfwidth = rho.value, rho.rigorous_halfwidth
         report.rho_iterates = rho.iterates_used
     if "cal1" in routes or "cal3" in routes:
         diag.update(grid_r=grid[0], grid_theta=grid[1])
     if "cal1" in routes:
-        mu = invariant_measure(bundle.boundary_lift())
+        mu = invariant_measure(lift)
         c1 = cal1(bundle, mu=mu, grid=grid)
         report.cal1, report.cal1_richardson = c1.value, c1.richardson_delta
         diag.update(area_residual=c1.area_residual, mu_periodic=mu.periodic)

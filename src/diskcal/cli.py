@@ -30,7 +30,6 @@ from .zoo import config_number, entries, from_spec, read_object
 
 COUNT = partial(config_number, minimum=1, integer=True)
 COUNT2 = partial(config_number, minimum=2, integer=True)  # a standard error needs two samples; bump(n) n >= 2
-NONNEGATIVE = partial(config_number, minimum=0.0)
 
 BUDGETS = {  # key -> (rule, default) of a compute config's budgets
     "seed": (partial(config_number, minimum=0, integer=True), None),
@@ -40,7 +39,7 @@ BUDGETS = {  # key -> (rule, default) of a compute config's budgets
     "rho_iterates": (COUNT, 100_000),
     "c_mu_points": (COUNT2, 300),
     "strategy": (lambda value, what: value, "uniform"),  # PairSampler checks it
-    "quad_budget": (NONNEGATIVE, 1e-4),
+    "quad_budget": (partial(config_number, minimum=0.0), 1e-4),
 }
 # the budgets an experiment object, and the --seed and --workers flags, set too
 RUN_RULES = {key: BUDGETS[key][0] for key in ("seed", "workers")}
@@ -54,8 +53,7 @@ COMPUTATIONS = ROUTES + ("verify-link", "c-mu")
 EXPERIMENT_PARAMS = {
     "c1-continuity": (lambda p, seed: exp_c1_continuity(**p, seed=seed),
                       {"scales": entries(config_number), "pairs": COUNT2}),
-    "c0-discontinuity": (lambda p, seed: exp_c0_discontinuity(**p),
-                         {"ns": entries(COUNT2), "cal_budget": NONNEGATIVE}),
+    "c0-discontinuity": (lambda p, seed: exp_c0_discontinuity(**p), {"ns": entries(COUNT2)}),
     "rigidity": (lambda p, seed: exp_rigidity(**p, seed=seed),
                  {"alpha": config_number, "depth": COUNT, "tau": config_number, "q_max": COUNT,
                   "far_pairs": COUNT}),

@@ -27,7 +27,7 @@ from .zoo import bump, conjugated_rotation, iterate, off_center_conjugator, radi
 D_GRID = (256, 256)
 D_BOUNDARY = 512
 C1_TWIST = (0.3, -0.6, 0.3)  # the twist exp_c1_continuity scales
-C0_D0_TARGET = 0.05  # d0 the last bump of exp_c0_discontinuity must reach
+C0_CAL_BUDGET = 1e-3  # allowance of each exp_c0_discontinuity cal3 against 2/pi
 RIGIDITY_CAL_BUDGET = 1e-4  # per-iterate allowance of exp_rigidity's cal1 drift
 RIGIDITY_CONJUGATOR = off_center_conjugator(0.5)  # the h of exp_rigidity's h R_alpha h^-1
 RIGIDITY_CAL_GRID = (64, 128)  # the grid of exp_rigidity's cal1
@@ -162,12 +162,13 @@ def exp_c1_continuity(
 # C0 discontinuity: constant invariant on shrinking supports
 
 
-def exp_c0_discontinuity(ns=(2, 4, 8, 16), *, cal_budget: float = 1e-3) -> ExperimentResult:
+def exp_c0_discontinuity(ns=(2, 4, 8, 16)) -> ExperimentResult:
     """Bump maps: invariant pinned at 2/pi while displacement shrinks like 2/n.
 
-    PASS requires every invariant within ``cal_budget`` of 2/pi, every measured
-    d0 below its 2/n bound, a decreasing d0 column, and a final d0 at most
-    ``max(C0_D0_TARGET, 2/max(ns))``.
+    PASS requires every invariant within ``C0_CAL_BUDGET`` of 2/pi, every
+    measured d0 below its 2/n bound and a decreasing d0 column.  The last d0
+    is then at most 2/max(ns): the first row at n = max(ns) is within that
+    bound, and every later d0 is smaller.
     """
     if not ns:
         raise ValueError("exp_c0_discontinuity needs at least one n")
@@ -177,16 +178,14 @@ def exp_c0_discontinuity(ns=(2, 4, 8, 16), *, cal_budget: float = 1e-3) -> Exper
         bundle = bump(n)
         c3 = cal3_tilde(bundle)
         d0 = sup_distance_to_identity(bundle, order=0)
-        ok = bool(abs(c3 - target) <= cal_budget and d0 <= 2.0 / n + 1e-9)
+        ok = bool(abs(c3 - target) <= C0_CAL_BUDGET and d0 <= 2.0 / n + 1e-9)
         rows.append({"n": int(n), "cal3": c3, "cal_error": abs(c3 - target),
                      "d0": d0, "d0_bound": 2.0 / n, "pass": ok})
     d0s = [r["d0"] for r in rows]
     decreasing = all(b < a for a, b in zip(d0s[:-1], d0s[1:]))
-    reached = d0s[-1] <= max(C0_D0_TARGET, 2.0 / max(ns)) + 1e-9
-    passed = all(r["pass"] for r in rows) and decreasing and reached
+    passed = all(r["pass"] for r in rows) and decreasing
     return ExperimentResult("c0-discontinuity", rows, passed,
-                            meta={"target": target, "cal_budget": cal_budget,
-                                  "d0_decreasing": decreasing, "d0_reached": reached})
+                            meta={"target": target, "cal_budget": C0_CAL_BUDGET, "d0_decreasing": decreasing})
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +218,7 @@ def exp_rigidity(
     *,
     q_max: int = 200,
     far_pairs: int = 1000,
-    seed: int = 3,
+    seed: int = 7,
 ) -> ExperimentResult:
     """Iterates of a conjugated rotation (by default of the golden rotation
     number (sqrt 5 - 1)/2) along approximation denominators.
@@ -265,7 +264,8 @@ def exp_rigidity(
         dev = float(np.max(np.abs(w - k)))
         lemma_applies = bool(eps <= 1.0 / 16.0)
         lemma_bound = 2.0 * eps ** 0.25 / np.pi
-        lemma_ok = (not lemma_applies) or (k_consistent and dev <= lemma_bound)
+        # eps <= 1/16 gives lemma_bound <= 1/pi < 1/2: dev <= lemma_bound implies k_consistent
+        lemma_ok = (not lemma_applies) or dev <= lemma_bound
         kq_res = abs(k / q - rho.value)
         kq_bound = 1.0 / q + lemma_bound
         row_pass = bool(lemma_ok and kq_res <= kq_bound and drift <= drift_budget)

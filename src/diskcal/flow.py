@@ -8,7 +8,7 @@ push-forward of tangent vectors, ``flow_tangent(t, z, v) = (f_t(z), Df_t(z)
 v)``; the Wirtinger pair of ``Df_t`` (``flow_wirtinger``) is the push-forward
 of the frame ``(1, i)``, or a radial leaf's closed form.  Every map is such a
 node, whose time-1 map it is: ``MapBundle``, the base class, also carries the
-map's name and its cached boundary lift.  Four realizations cover the package:
+map's name and builds its boundary lift.  Four realizations cover the package:
 
 * ``FieldIsotopy``     -- fixed-step 8th-order Dormand-Prince (DOP853)
                           integration of a generator field, with the
@@ -231,7 +231,7 @@ class MapBundle:
     """An area-preserving disk map ``f_1`` (``__call__``), carried as its isotopy from the identity.
 
     Subclasses provide trajectories and Jacobians.  The boundary lift is built
-    from the isotopy once, at the sample count ``circle`` chooses, and cached.
+    from the isotopy at the sample count ``circle`` chooses, on each call.
     """
 
     name = "map"
@@ -239,7 +239,6 @@ class MapBundle:
     # radii where z -> f_t(z) may kink: a leaf's own, the union over the pieces
     # of a concatenation, none under a conjugation (h^-1 moves them off circles)
     radial_breakpoints: tuple = ()
-    _lift = None
 
     def __call__(self, z):
         return self.flow(1.0, z)
@@ -247,9 +246,7 @@ class MapBundle:
     def boundary_lift(self):
         from .circle import lift_from_isotopy
 
-        if self._lift is None:
-            self._lift = lift_from_isotopy(self)
-        return self._lift
+        return lift_from_isotopy(self)
 
     def flow(self, t, z):
         pts = _as_points(z)
@@ -421,11 +418,8 @@ class FieldIsotopy(MapBundle):
             yield y
 
     def _fixed(self, z):
-        """The mask of the points of S^1 this flow leaves in place, or None if there are none."""
-        if not self.fixes_circle:
-            return None
-        fixed = np.abs(1.0 - (z.real * z.real + z.imag * z.imag)) <= FIXED_CIRCLE_TOL
-        return fixed if fixed.any() else None
+        """The mask of the points of S^1 this flow leaves in place."""
+        return self.fixes_circle & (np.abs(1.0 - (z.real * z.real + z.imag * z.imag)) <= FIXED_CIRCLE_TOL)
 
     def trajectory(self, z, times):
         """Positions at the given times; the moved points are flowed in blocks
@@ -433,10 +427,8 @@ class FieldIsotopy(MapBundle):
         z, times = _as_points(z), _forward_times(times)
         out = np.empty((times.size, z.size), dtype=complex)
         fixed = self._fixed(z)
-        moving = np.arange(z.size)
-        if fixed is not None:
-            out[:, fixed] = z[fixed]
-            moving = moving[~fixed]
+        out[:, fixed] = z[fixed]
+        moving = np.flatnonzero(~fixed)
         parts = out.view(float).reshape(out.shape + (2,))  # (Re, Im) of each entry
         for block in blocks(moving.size):
             sel = moving[block]
@@ -455,8 +447,7 @@ class FieldIsotopy(MapBundle):
             n = z[sl].size
             out[:, sl].real, out[:, sl].imag = y[0::2, :n], y[1::2, :n]
         fixed = self._fixed(z)
-        if fixed is not None:
-            out[0, fixed] = z[fixed]
+        out[0, fixed] = z[fixed]
         return out[0], out[1:].reshape(v.shape)
 
     flow_wirtinger = _pushed_frame

@@ -15,7 +15,7 @@ A leaf flows its unit generator for a signed time tau, so the inverse of a
 leaf and the iterate of a radial leaf change only that time.
 Every family returns the map as a fresh ``flow.MapBundle`` isotopy node named
 for it (``conjugate`` at tau = 0 returns its map), so the maps a derived map
-is built from keep their names and cached boundary lifts.
+is built from keep their names.
 """
 
 from __future__ import annotations

@@ -34,16 +34,22 @@ EXPERIMENTS = "src/diskcal/experiments.py"
 CALABI = "src/diskcal/calabi.py"
 ROW_PASS = "        row_pass = bool(lemma_ok and kq_res <= kq_bound and drift <= drift_budget)"
 MUTANTS = [
-    (EXPERIMENTS, "        lemma_ok = (not lemma_applies) or (k_consistent and dev <= lemma_bound)",
+    (EXPERIMENTS, "        lemma_ok = (not lemma_applies) or dev <= lemma_bound",
      "        lemma_ok = True"),
     (EXPERIMENTS, ROW_PASS, "        row_pass = bool(lemma_ok and drift <= drift_budget)"),
     (EXPERIMENTS, ROW_PASS, "        row_pass = bool(lemma_ok and kq_res <= kq_bound)"),
     (EXPERIMENTS, "        lemma_applies = bool(eps <= 1.0 / 16.0)",
      "        lemma_applies = bool(eps <= 1.0 / 4.0)"),
-    (EXPERIMENTS, "        ok = bool(abs(c3 - target) <= cal_budget and d0 <= 2.0 / n + 1e-9)",
-     "        ok = bool(abs(c3 - target) <= cal_budget)"),
+    (EXPERIMENTS, "        ok = bool(abs(c3 - target) <= C0_CAL_BUDGET and d0 <= 2.0 / n + 1e-9)",
+     "        ok = bool(abs(c3 - target) <= C0_CAL_BUDGET)"),
+    (EXPERIMENTS, '    passed = all(r["pass"] for r in rows) and decreasing',
+     '    passed = all(r["pass"] for r in rows)'),
+    (EXPERIMENTS, '    passed = all(r["pass"] for r in rows) and abs(cal_f) <= RIGIDITY_CAL_BUDGET',
+     '    passed = all(r["pass"] for r in rows)'),
     (EXPERIMENTS, "        bound = np.sqrt(2.0 * eps) / np.pi + 3.0 * c2.stderr",
      "        bound = 2.0 * np.sqrt(2.0 * eps) / np.pi + 3.0 * c2.stderr"),
+    (EXPERIMENTS, '            "cal3": c3, "bound": float(bound), "pass": bool(abs(c2.value) <= bound),',
+     '            "cal3": c3, "bound": float(bound), "pass": True,'),
     (CALABI, "    report.pass_23 = bool(report.residual_23 <= report.budget)",
      "    report.pass_23 = True"),
     (CALABI, "    report.budget = 3.0 * report.cal2_stderr + quad_budget",

@@ -4,12 +4,15 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import diskcal.calabi
+import diskcal.experiments
 from diskcal.circle import LiftedCircleMap
 from diskcal.zoo import quadratic_twist
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+GOLDEN = 0.6180339887498949
 
 
 def _tracer_module():
@@ -45,3 +48,34 @@ def test_rho_iterates_counts_the_iterates_used():
         assert t.take_counts()["circle.rho_iterates"] == 1
     finally:
         t.uninstall()
+
+
+@pytest.fixture(scope="module")
+def traced_rigidity():
+    # the tracer's record of the rigidity experiment at the CI config (q <= 2)
+    t = _tracer_module().Tracer()
+    try:
+        t.install()
+        diskcal.experiments.exp_rigidity(GOLDEN, depth=10, tau=0.5, q_max=2, far_pairs=50, seed=3)
+        return {s[1] for s in t.spans}, t.take_counts()
+    finally:
+        t.uninstall()
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: the tracer wraps invariant_measure only where "
+                   "calabi binds it, and exp_rigidity calls its own binding")
+def test_rigidity_records_its_invariant_measure(traced_rigidity):
+    assert "circle.invariant_measure" in traced_rigidity[0]
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: circle.lift_calls counts position_windings "
+                   "calls, three for the one lift of the base map")
+def test_rigidity_counts_one_lift(traced_rigidity):
+    assert traced_rigidity[1]["circle.lift_calls"] == 1
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: flow.wirtinger_points counts flow_wirtinger "
+                   "calls only, and cal1 pushes its nodes through flow_tangent")
+def test_rigidity_counts_cal1s_pushed_nodes(traced_rigidity):
+    # each of the two cal1 pushes its 8,192 nodes of the (64, 128) grid
+    assert traced_rigidity[1]["flow.wirtinger_points"] >= 2 * 64 * 128

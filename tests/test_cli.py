@@ -1,12 +1,15 @@
 import csv
+import inspect
 import io
 import json
 
 import pytest
 
+import diskcal.experiments
 from diskcal import calabi, cli
-from diskcal.calabi import PairSampler, cal2_tilde
+from diskcal.calabi import PairSampler, cal1, cal2_tilde, cal3_tilde, verify_link
 from diskcal.cli import main
+from diskcal.experiments import exp_rigidity
 from diskcal.zoo import from_spec
 
 
@@ -246,9 +249,10 @@ class TestExperimentCommand:
         ("c1-continuity", {"seed": -1}),
         ("c0-discontinuity", {"ns": [1]}),
         ("c0-discontinuity", {"ns": []}),
-        ("c0-discontinuity", {"cal_budget": float("nan")}),
+        # c0's cal allowance is the constant C0_CAL_BUDGET, not a key
+        ("c0-discontinuity", {"cal_budget": 1e-3}),
     ], ids=["depth_str", "far_pairs_fraction", "alpha_nan", "tau_inf", "pairs0", "pairs1", "scale_nan",
-            "seed_negative", "ns1", "ns_empty", "cal_budget_nan"])
+            "seed_negative", "ns1", "ns_empty", "cal_budget_unknown"])
     def test_degenerate_parameters_are_config_errors(self, tmp_path, capsys, name, params):
         cfg = write_config(tmp_path, {"experiment": params})
         out = tmp_path / "exp"
@@ -265,10 +269,30 @@ class TestExperimentCommand:
         csv_lines = (out / "c0-discontinuity.csv").read_text().splitlines()
         assert len(csv_lines) == 3
 
+    def test_rigidity_seed_defaults_alike_in_the_library_and_the_cli(self, tmp_path):
+        # a config without a seed runs the library's default seed, bit for bit
+        params = {"depth": 10, "tau": 0.5, "q_max": 2, "far_pairs": 50}
+        out = tmp_path / "exp"
+        cfg = write_config(tmp_path, {"experiment": params})
+        assert main(["--out", str(out), "--format", "json", "experiment", "rigidity", "--config", cfg]) == 0
+        library = exp_rigidity(**params)
+        assert library.meta["seed"] == 7
+        assert (out / "rigidity.json").read_text() == cli._json_text(library.to_json_dict())
+
     def test_unknown_experiment_rejected(self, tmp_path):
         code = main(["--out", str(tmp_path), "experiment", "c1-continuity", "--config",
                      str(tmp_path / "missing.json")])
         assert code == 2
+
+
+def test_budget_defaults_are_the_librarys():
+    # the CLI's defaults of a compute config are verify_link's, and its grid
+    # is cal1's and cal3's as well
+    library = {key: p.default for key, p in inspect.signature(verify_link).parameters.items()}
+    for key in ("pairs", "grid", "rho_iterates", "quad_budget", "strategy"):
+        assert cli.BUDGETS[key][1] == library[key], key
+    for route in (cal1, cal3_tilde):
+        assert inspect.signature(route).parameters["grid"].default == cli.BUDGETS["grid"][1]
 
 
 class TestConfigShape:
@@ -316,7 +340,7 @@ class TestConfigShape:
         (["compute"], dict(BASE_CFG, compute=["cal3"], map={"family": "rotation", "alpha": True})),
         (["compute"], dict(BASE_CFG, compute=["cal3"], map={"family": "radial_twist",
                                                             "coeffs": [True, -1.0]})),
-        (["experiment", "c0-discontinuity"], {"experiment": {"ns": [2], "cal_budget": True}}),
+        (["experiment", "rigidity"], {"experiment": {"depth": 10, "q_max": 2, "far_pairs": True}}),
         # nor are numeric strings: each of these ran on the number it spells
         (["compute"], dict(BASE_CFG, compute=["cal3"], map={"family": "rotation", "alpha": "0.3"})),
         (["compute"], dict(BASE_CFG, compute=["cal3"], map={"family": "radial_twist",
@@ -333,7 +357,7 @@ class TestConfigShape:
             "conjugator_unknown_key", "nested_map_unknown_key", "experiment_unknown_key",
             "experiment_outside_its_object", "rigidity_unknown_key", "conjugator_without_tau",
             "tau_without_conjugator", "pairs_true", "seed_false", "quad_budget_true",
-            "iterate_n_true", "alpha_true", "coeffs_true", "cal_budget_true", "alpha_str",
+            "iterate_n_true", "alpha_true", "coeffs_true", "far_pairs_true", "alpha_str",
             "coeffs_entry_str", "beta_str", "quad_budget_str", "tau_str", "scales_entry_str"])
     def test_malformed_config_trees_are_config_errors(self, tmp_path, capsys, command, cfg):
         path = write_config(tmp_path, cfg)
@@ -415,9 +439,11 @@ class TestCsvOutputs:
         assert any(None in row.values() for row in rows)
         assert (out / "cf.csv").read_text() == self._expected_csv(list(rows[0]), rows)
 
-    def test_experiment_csv_is_the_json_rows(self, tmp_path):
-        # an experiment CSV writes its bools as true/false (the report keeps True/False)
-        cfg = write_config(tmp_path, {"experiment": {"ns": [2, 4], "cal_budget": 0.0}})
+    def test_experiment_csv_is_the_json_rows(self, tmp_path, monkeypatch):
+        # an experiment CSV writes its bools as true/false (the report keeps
+        # True/False); a cal3 of 0 fails every c0 row
+        monkeypatch.setattr(diskcal.experiments, "cal3_tilde", lambda bundle: 0.0)
+        cfg = write_config(tmp_path, {"experiment": {"ns": [2, 4]}})
         out = tmp_path / "exp"
         assert main(["--out", str(out), "experiment", "c0-discontinuity", "--config", cfg]) == 0
         data = json.loads((out / "c0-discontinuity.json").read_text())

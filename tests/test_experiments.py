@@ -7,13 +7,14 @@ import pytest
 import diskcal.calabi
 import diskcal.circle
 import diskcal.experiments
-from diskcal.calabi import cal1
+from diskcal.calabi import cal1, cal2_tilde
 from diskcal.cli import main
 from diskcal.circle import invariant_measure
 from diskcal.errors import QMaxExceeded, ScaleTooLarge
 from diskcal.experiments import (
     D_BOUNDARY,
     D_GRID,
+    RIGIDITY_CAL_BUDGET,
     RIGIDITY_D_GRID,
     exp_c0_discontinuity,
     exp_c1_continuity,
@@ -130,15 +131,15 @@ class TestSupDistance:
     ], ids=["shear", "c1_twist"])
     def test_d1_winds_its_boundary_points_and_builds_no_lift(self, monkeypatch, make):
         # the boundary term winds the D_BOUNDARY angles themselves: the bits
-        # of a d1 that read them off the cached 4096-sample lift, whose nodes
-        # include those angles, and no lift is built or cached
+        # of a d1 that read them off the 4096-sample lift, whose nodes
+        # include those angles, and no lift is built
         bundle = make()
         built = []
         lift_from_isotopy = diskcal.circle.lift_from_isotopy
         monkeypatch.setattr(diskcal.circle, "lift_from_isotopy",
                             lambda iso: built.append(iso) or lift_from_isotopy(iso))
         d1 = sup_distance_to_identity(bundle, order=1, grid=(32, 32))
-        assert built == [] and bundle._lift is None
+        assert built == []
         pts = diskcal.experiments._sample_points((32, 32))
         f, p, q = bundle.flow_wirtinger(1.0, pts)
         lift = bundle.boundary_lift().delta(np.arange(D_BOUNDARY) / D_BOUNDARY)
@@ -160,6 +161,16 @@ class TestC1Continuity:
         # invariant scales linearly with the generator
         cal3s = {r["tau"]: r["cal3"] for r in res.rows}
         assert cal3s[0.02] == pytest.approx(2 * cal3s[0.01], abs=1e-9)
+
+    def test_a_shifted_cal2_fails_every_row(self, monkeypatch):
+        # negative control: cal2 one turn off is far outside sqrt(2 eps)/pi
+        def shifted(*args, **kwargs):
+            out = cal2_tilde(*args, **kwargs)
+            return dataclasses.replace(out, value=out.value + 1.0)
+
+        monkeypatch.setattr(diskcal.experiments, "cal2_tilde", shifted)
+        res = exp_c1_continuity([0.02, 0.01], pairs=1500, seed=5)
+        assert [r["pass"] for r in res.rows] == [False, False] and not res.passed
 
     def test_large_scale_rejected(self):
         with pytest.raises(ScaleTooLarge):
@@ -190,14 +201,21 @@ class TestC0Discontinuity:
         assert len(res.rows) == 1 and res.rows[0]["pass"]
 
     def test_a_d0_above_its_bound_fails_only_its_row(self, monkeypatch):
-        # negative control: d0(bump(4)) = 2/4 + 1e-6 keeps the column
-        # decreasing and the last d0 reached
+        # negative control: d0(bump(4)) = 2/4 + 1e-6 keeps the column decreasing
         d0 = diskcal.experiments.sup_distance_to_identity
         monkeypatch.setattr(diskcal.experiments, "sup_distance_to_identity",
                             lambda b, **k: 0.5 + 1e-6 if b.name == bump(4).name else d0(b, **k))
         res = exp_c0_discontinuity([2, 4, 8])
         assert [r["pass"] for r in res.rows] == [True, False, True]
-        assert res.meta["d0_decreasing"] and res.meta["d0_reached"] and not res.passed
+        assert res.meta["d0_decreasing"] and not res.passed
+
+    def test_a_d0_column_that_rises_fails_the_table_only(self, monkeypatch):
+        # negative control: every d0 within its 2/n bound, but bump(8)'s above bump(4)'s
+        d0s = {bump(n).name: d0 for n, d0 in ((2, 0.9), (4, 0.2), (8, 0.24))}
+        monkeypatch.setattr(diskcal.experiments, "sup_distance_to_identity", lambda b, **k: d0s[b.name])
+        res = exp_c0_discontinuity([2, 4, 8])
+        assert all(r["pass"] for r in res.rows)
+        assert not res.meta["d0_decreasing"] and not res.passed
 
 
 @pytest.mark.parametrize("run", [exp_c1_continuity, exp_c0_discontinuity], ids=["c1", "c0"])
@@ -352,6 +370,18 @@ class TestRigidity:
 
         monkeypatch.setattr(diskcal.experiments, "cal1", shifted)
         assert self._failing(self._control_run()) == {2: ["drift"]}
+
+    def test_a_base_cal1_off_zero_fails_the_table_only(self, monkeypatch):
+        # every cal1 shifted by 0.01 q keeps each row's drift and moves the
+        # base map's cal1 beyond RIGIDITY_CAL_BUDGET
+        def shifted(bundle, **kwargs):
+            out = cal1(bundle, **kwargs)
+            return dataclasses.replace(out, value=out.value + (0.02 if bundle.name.endswith("^2") else 0.01))
+
+        monkeypatch.setattr(diskcal.experiments, "cal1", shifted)
+        res = self._control_run()
+        assert all(r["pass"] for r in res.rows)
+        assert abs(res.meta["cal1_base"]) > RIGIDITY_CAL_BUDGET and not res.passed
 
     def test_budget_exhausted_raises(self):
         with pytest.raises(QMaxExceeded):

@@ -818,12 +818,11 @@ class TestFixedCircle:
         assert est.rigorous_halfwidth <= 2 * np.spacing(alpha)
 
 
-class TestBoundaryLiftCache:
-    def test_cached_per_sample_count(self):
-        # one sample count, chosen by circle.lift_from_isotopy: one cached lift
+class TestBoundaryLift:
+    def test_is_the_lift_from_the_isotopy(self):
+        # one sample count, chosen by circle.lift_from_isotopy
         bundle = conjugate(rotation(0.5), boundary_shear_conjugator(0.3), 0.4)
         lift = bundle.boundary_lift()
-        assert bundle.boundary_lift() is lift
         xs = (np.arange(64) + 0.3) / 64
         direct = lift_from_isotopy(bundle)
         assert np.array_equal(lift.delta(xs), direct.delta(xs))
