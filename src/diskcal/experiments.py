@@ -4,10 +4,9 @@ Every PASS/FAIL column derives from an explicitly quoted bound plus stated
 numerical budgets; the sup-distances d0/d1 are measured on dense sample grids
 and therefore reported as lower bounds.  They flow the map only, since
 ``sup |f^-1(p) - p| = sup |f(x) - x|`` and, for ``det Df = 1``, the inverse's
-Wirtinger pair at ``f(x)`` is ``(conj(p), -q)`` of the same d1 norm.  d0
-visits its sample set rim first and stops once no point left has the a-priori
-bound ``1 + TOL_BOUNDARY + |x|`` to beat the running max, which leaves its
-value unchanged (``sup_distance_to_identity``).
+Wirtinger pair at ``f(x)`` is ``(conj(p), -q)`` of the same d1 norm.  The
+rigidity rows ``h R_theta h^-1`` take d0 from one flow of ``h`` by a Fourier
+shift (``_rotation_d0s``).
 """
 
 from __future__ import annotations
@@ -21,8 +20,8 @@ from .calabi import PairSampler, cal1, cal2_tilde, cal3_tilde
 from .circle import boundary_displacement, invariant_measure, rotation_number
 from .errors import QMaxExceeded, ScaleTooLarge
 from .flow import MapBundle, blocks, chord_windings
-from .geometry import TOL_BOUNDARY, uniform_disk_points
-from .zoo import bump, conjugated_rotation, iterate, off_center_conjugator, radial_twist
+from .geometry import uniform_disk_points
+from .zoo import bump, conjugated_rotation, identity, iterate, off_center_conjugator, radial_twist
 
 D_GRID = (256, 256)
 D_BOUNDARY = 512
@@ -32,72 +31,59 @@ RIGIDITY_CAL_BUDGET = 1e-4  # per-iterate allowance of exp_rigidity's cal1 drift
 RIGIDITY_CONJUGATOR = off_center_conjugator(0.5)  # the h of exp_rigidity's h R_alpha h^-1
 RIGIDITY_CAL_GRID = (64, 128)  # the grid of exp_rigidity's cal1
 RIGIDITY_D_GRID = (192, 256)  # the grid of exp_rigidity's d0
-# relative margin of _d0_reach for rounding: a computed |f(x) - x| is at most
-# (|f(x)| + |x|)(1 + 3 ulp) (two rounded differences, then hypot), and a
-# computed |x| is within 1 ulp of the exact one; eight ulp cover both
-D0_ROUNDING = 8.0 * np.finfo(float).eps
 
 
 def _sample_points(grid):
-    """The sample set of a sup distance, rim first: the ``D_BOUNDARY`` points
-    of S^1, then the grid's rings by descending radius, so ``|x|`` never
-    increases along it."""
+    """The sample set of a sup distance: the ``D_BOUNDARY`` points of S^1,
+    then the grid's ``nr`` rings of ``nt`` equally spaced angles each."""
     nr, nt = grid
-    radii = (np.arange(nr)[::-1] + 0.5) / nr
+    radii = (np.arange(nr) + 0.5) / nr
     angles = np.exp(2j * np.pi * (np.arange(nt) + 0.5) / nt)
     circle = np.exp(2j * np.pi * np.arange(D_BOUNDARY) / D_BOUNDARY)
     return np.concatenate([circle, (radii[:, None] * angles[None, :]).ravel()])
 
 
-def sup_distance_to_identity(
-    bundle: MapBundle,
-    order: int = 0,
-    grid=D_GRID,
-) -> float:
+def sup_distance_to_identity(bundle: MapBundle, order: int = 0, grid=D_GRID) -> float:
     """Sampled d0 (order=0) or lifted d1 (order=1) distance between the bundle and id.
 
-    The sup over the sample points of ``|f(x) - x|``, and for d1 also of
-    ``|p - 1| + |q|`` for the Wirtinger pair ``(p, q)`` of Df and of the
-    boundary lift's displacement at the ``D_BOUNDARY`` angles of S^1, which
-    are wound directly (``boundary_displacement``; no lift is built).  The
-    inverse's sups are the same: ``f^-1`` moves ``f(x)`` by ``|f(x) - x|``,
-    and for ``det Df = 1`` its pair at ``f(x)`` is ``(conj(p), -q)``.  d1 is
-    the lifted-pair distance, for which the near-identity angle bound is
-    stated: an iterate whose lift has drifted by an integer is far from the
-    identity lift even if the map is close.
-
-    The sample points are S^1's and the grid's rings, visited rim first
-    (``_sample_points``).  d0 flows them one ``blocks`` block at a time and
-    stops before a block from which on no point's a-priori bound
-    (``_d0_reach``) reaches the running max.  Every bundle maps the closed
-    disk into itself within ``TOL_BOUNDARY`` (field flows project onto it or
-    raise PointOutsideDisk, radial flows rotate each point), so ``|f(x) - x|
-    <= 1 + TOL_BOUNDARY + |x|`` and no point left unflowed can beat the max:
-    the value is the max over the whole sample set, bit for bit.  d1 has no
-    such bound and flows every point.
+    d0 is the max of ``|f(x) - x|`` over the ``blocks`` of the sample set
+    (``_sample_points``).  d1 is the lifted-pair distance, for which the
+    near-identity angle bound is stated: the sup also of ``|p - 1| + |q|``
+    for the Wirtinger pair ``(p, q)`` of Df, and of the boundary lift's
+    displacement at the ``D_BOUNDARY`` angles of S^1, wound directly
+    (``boundary_displacement``; no lift is built), so a lift that has
+    drifted by an integer is far from the identity's.  The inverse's sups
+    are the same: ``f^-1`` moves ``f(x)`` by ``|f(x) - x|``, and for
+    ``det Df = 1`` its pair at ``f(x)`` is ``(conj(p), -q)``.
     """
     pts = _sample_points(grid)
     if order == 0:
-        reach = _d0_reach(pts)
-        best = 0.0
-        for sl in blocks(pts.size):
-            if reach[sl.start] < best:
-                break
-            best = max(best, float(np.max(np.abs(bundle.flow(1.0, pts[sl]) - pts[sl]))))
-        return best
+        return max(float(np.max(np.abs(bundle.flow(1.0, pts[sl]) - pts[sl]))) for sl in blocks(pts.size))
     # operator norm of a real-linear Wirtinger pair (p, q) is |p| + |q|
     f, p, q = bundle.flow_wirtinger(1.0, pts)
     delta = boundary_displacement(bundle, np.arange(D_BOUNDARY) / D_BOUNDARY)
     return max(float(np.max(s)) for s in (np.abs(f - pts), np.abs(p - 1.0) + np.abs(q), np.abs(delta)))
 
 
-def _d0_reach(pts):
-    """At each index, an upper bound of the computed ``|f(x) - x|`` over that
-    point and every later one, for any map of the closed disk: the suffix max
-    of ``1 + TOL_BOUNDARY + |x|``, raised by ``D0_ROUNDING`` for the rounding
-    of the difference and of both moduli."""
-    bound = (1.0 + TOL_BOUNDARY + np.abs(pts)) * (1.0 + D0_ROUNDING)
-    return np.maximum.accumulate(bound[::-1])[::-1]
+def _rotation_d0s(h: MapBundle, thetas, grid) -> list:
+    """Sampled d0 of ``h R_theta h^-1`` for each angle theta (in turns), from one flow of ``h``.
+
+    With ``w = h^-1 z`` the sup is ``sup_w |h(R_theta w) - h(w)|``, over w in
+    ``_sample_points``, which ``h`` maps once (a field flow, in ``blocks``).
+    On each ring of w, ``h(R_theta w)`` is the ring's trigonometric
+    interpolant shifted by theta, its FFT times ``e^{2 pi i k theta}``
+    (Trefethen, Spectral Methods in MATLAB, ch. 3).  The samples are ``h``
+    of the grid: a lower bound of the same sup as a direct d0, not its bits.
+    """
+    hw = h.flow(1.0, _sample_points(grid))
+    d0s = np.zeros(len(thetas))
+    for ring in (hw[:D_BOUNDARY].reshape(1, -1), hw[D_BOUNDARY:].reshape(grid)):
+        n = ring.shape[1]
+        coeffs, k = np.fft.fft(ring), np.fft.fftfreq(n, 1.0 / n)
+        for i, theta in enumerate(thetas):
+            shifted = np.fft.ifft(coeffs * np.exp(2j * np.pi * k * theta))
+            d0s[i] = max(d0s[i], np.max(np.abs(shifted - ring)))
+    return d0s.tolist()
 
 
 @dataclass
@@ -227,14 +213,14 @@ def exp_rigidity(
     ``RIGIDITY_CONJUGATOR``, the off-center generator at beta = 0.5.  For each
     denominator q the iterate is ``iterate(base, q)``, the conjugate of the
     rotation by q*alpha on the base map's conjugator pair (``h^-1`` is
-    calibrated once).  Its d0 is sampled on ``RIGIDITY_D_GRID`` (192, 256) and
-    its cal1 taken on ``RIGIDITY_CAL_GRID`` (64, 128).  The rows check that far
-    pairs wind by nearly the same integer k, that k/q tracks the rotation
-    number within 1/q + 2 eps^(1/4)/pi, and that the action average grows like
-    q times a value pinned at 0.  Every ``cal1`` is normalized by the base
-    map's invariant boundary measure mu: an f-invariant mu is f^q-invariant,
-    so iterates build no lift or orbit; each winds mu's atoms for its own
-    boundary displacement.
+    calibrated once).  Every d0 is one flow of ``h`` on ``RIGIDITY_D_GRID``
+    shifted by ``q*alpha mod 1`` (``_rotation_d0s``); cal1 is taken on
+    ``RIGIDITY_CAL_GRID``.  The rows check that far pairs wind by nearly the
+    same integer k, that k/q tracks the rotation number within 1/q + 2
+    eps^(1/4)/pi, and that the action average grows like q times a value
+    pinned at 0.  Every ``cal1`` is normalized by the base map's invariant
+    boundary measure mu: an f-invariant mu is f^q-invariant, so iterates
+    build no lift or orbit; each winds mu's atoms for its own displacement.
     """
     cf = continued_fraction(alpha, depth)
     qs = sorted({q for q in cf.q if 1 <= q <= q_max})
@@ -246,11 +232,13 @@ def exp_rigidity(
     mu = invariant_measure(lift)
     cal_f = cal1(base, mu=mu, grid=RIGIDITY_CAL_GRID, richardson=False).value
     rng = np.random.default_rng(seed)
+    # base is h R_alpha h^-1, or R_alpha itself at tau = 0 (h = id)
+    h = base.pair.h if tau else identity()
+    d0s = _rotation_d0s(h, np.mod(np.multiply(qs, alpha), 1.0), RIGIDITY_D_GRID)
 
     rows = []
-    for q in qs:
+    for q, eps in zip(qs, d0s):
         it = iterate(base, q)
-        eps = sup_distance_to_identity(it, order=0, grid=RIGIDITY_D_GRID)
         # the q = 1 iterate is the base map on the same conjugator pair
         c1 = cal_f if q == 1 else cal1(it, mu=mu, grid=RIGIDITY_CAL_GRID, richardson=False).value
         drift = abs(c1 - q * cal_f)

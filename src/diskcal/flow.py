@@ -84,18 +84,14 @@ MAX_TRAJ_ELEMENTS = 4_000_000
 # from 22.3 to 2.9 MiB, of cal2 at 100k stratified pairs from 19.9 to 8.4 MiB
 STEP_BLOCK = 8192
 AREA_PROBES = 100  # points of area_residual's determinant check
-# h^-1 images kept per conjugator by its functools.lru_cache.  d0 looks up
-# its sample set one block at a time (experiments.sup_distance_to_identity),
-# so exp_rigidity reuses ten point sets per iterate: the seven blocks of the
-# 49,664-point d0 grid, the 100 area probes with the frame, mu's 1,000 atoms
-# with the 128 theta nodes and the 8,192 cal1 nodes with their directions;
-# the S^1 lift samples and two fresh far-pair sets per iterate miss.  At seed
-# 3 the acceptance run (q <= 144) makes 121 lookups; from 12 entries on it
-# hits 88, every reuse, and took 1.2 s on a 2-vCPU Xeon, where at 8 entries
-# the blocks evict each other, it hits 7 and took 2.2 s.  Sixteen leave room
-# for a few more sets.  A rigidity pass at q <= 2 makes 15 lookups and hits 4;
-# a conjugated_link pass makes 7 and hits none
-H_INVERSE_MEMO_SIZE = 16
+# h^-1 images kept per conjugator by its functools.lru_cache.  Each iterate
+# of exp_rigidity reuses three point sets (the area probes, mu's atoms and
+# cal1's nodes, with their vectors) and looks up two fresh far-pair sets; its
+# d0 maps nothing through h^-1.  At seed 3 the acceptance run (q <= 144)
+# hits all 30 reuses in 56 lookups from 5 entries on, and none at 4; eight
+# leave room for a few more sets.  A rigidity pass at q <= 2 makes 11 lookups
+# and hits 3; a conjugated_link pass makes 7 and hits none
+H_INVERSE_MEMO_SIZE = 8
 # |1 - |z|^2| up to which a flow that fixes S^1 leaves z in place: four ulp of
 # 1, twice the rounding of |z|^2 at a point of S^1 computed as exp(2 pi i x)
 # and rotated once more (measured: at most 1 and 2 ulp)

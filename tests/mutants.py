@@ -1,8 +1,9 @@
 """Mutants of the verdict code, each of which the tests must kill.
 
 Each entry of ``MUTANTS`` is ``(file, exact line, replacement)``: one
-comparison of a verdict (a PASS flag, a bound or a budget), written as it
-stands in ``src/``, and a one-line fault in it.  The script copies the tree
+comparison of a verdict (a PASS flag, a bound or a budget) or a line of a
+measurement it reads (rigidity's d0 shift), written as it stands in
+``src/``, and a one-line fault in it.  The script copies the tree
 into a temporary directory; for each mutant it replaces the line there, runs
 ``pytest -x`` over ``TEST_FILES`` and restores the line.  A mutant survives
 when those tests pass.  Before the mutants, the unmutated copy must pass the
@@ -38,6 +39,8 @@ MUTANTS = [
      "        lemma_ok = True"),
     (EXPERIMENTS, ROW_PASS, "        row_pass = bool(lemma_ok and drift <= drift_budget)"),
     (EXPERIMENTS, ROW_PASS, "        row_pass = bool(lemma_ok and kq_res <= kq_bound)"),
+    (EXPERIMENTS, "            shifted = np.fft.ifft(coeffs * np.exp(2j * np.pi * k * theta))",
+     "            shifted = np.fft.ifft(coeffs * np.exp(-2j * np.pi * k * theta))"),
     (EXPERIMENTS, "        lemma_applies = bool(eps <= 1.0 / 16.0)",
      "        lemma_applies = bool(eps <= 1.0 / 4.0)"),
     (EXPERIMENTS, "        ok = bool(abs(c3 - target) <= C0_CAL_BUDGET and d0 <= 2.0 / n + 1e-9)",

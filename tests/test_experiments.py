@@ -21,7 +21,7 @@ from diskcal.experiments import (
     exp_rigidity,
     sup_distance_to_identity,
 )
-from diskcal.flow import STEP_BLOCK, FieldIsotopy
+from diskcal.flow import FieldIsotopy
 from diskcal.zoo import (
     boundary_shear_conjugator,
     bump,
@@ -41,10 +41,12 @@ class TestSupDistance:
     def test_identity_is_at_zero(self):
         assert sup_distance_to_identity(rotation(0.0), order=1, grid=(32, 32)) < 1e-12
 
-    def test_rotation_d0_matches_chord_formula(self):
-        alpha = 0.1
+    @pytest.mark.parametrize("alpha", [0.1, 0.5])
+    def test_rotation_d0_matches_chord_formula(self, alpha):
+        # the chord 2 sin(pi alpha) is reached on S^1, which is sampled; the
+        # half turn moves every point of S^1 to its antipode, d0 = 2
         d0 = sup_distance_to_identity(rotation(alpha), order=0, grid=(64, 64))
-        assert d0 == pytest.approx(2.0 * np.sin(np.pi * alpha), abs=1e-3)
+        assert d0 == pytest.approx(2.0 * np.sin(np.pi * alpha), abs=1e-12)
 
     @staticmethod
     def _grid_points(grid):
@@ -85,45 +87,21 @@ class TestSupDistance:
         one = sup_distance_to_identity(bundle, order=order, grid=(64, 64))
         assert abs(one - ref) <= 1e-12 * ref
 
-    @staticmethod
-    def _counting_flow(bundle):
-        """Count, in the returned list, the points that reach ``bundle.flow``."""
-        flowed = [0]
-        flow = bundle.flow
-
-        def counted(t, z):
-            flowed[0] += np.size(z)
-            return flow(t, z)
-
-        bundle.flow = counted
-        return flowed
-
-    @pytest.mark.parametrize("make, grid, stops", [
-        (lambda: rotation(0.5), D_GRID, True),
-        (lambda: conjugated_rotation(GOLDEN, off_center_conjugator(0.5), 0.5), RIGIDITY_D_GRID, True),
-        (lambda: iterate(conjugated_rotation(GOLDEN, off_center_conjugator(0.5), 0.5), 2),
-         RIGIDITY_D_GRID, True),
-        (lambda: quadratic_twist(0.3), D_GRID, True),  # d0 = 1.155 skips only |x| < 0.155
-        (lambda: quadratic_twist(0.1), D_GRID, False),  # d0 = 0.470 < 1 flows every point
-        (lambda: bump(4), D_GRID, False),
+    @pytest.mark.parametrize("make, grid", [
+        (lambda: rotation(0.5), D_GRID),
+        (lambda: conjugated_rotation(GOLDEN, off_center_conjugator(0.5), 0.5), RIGIDITY_D_GRID),
+        (lambda: iterate(conjugated_rotation(GOLDEN, off_center_conjugator(0.5), 0.5), 2), RIGIDITY_D_GRID),
+        (lambda: quadratic_twist(0.3), D_GRID),
+        (lambda: quadratic_twist(0.1), D_GRID),
+        (lambda: bump(4), D_GRID),
     ], ids=["rotation_half", "offcenter", "offcenter_second_iterate", "twist", "twist_weak", "bump4"])
-    def test_rim_first_d0_is_the_max_over_every_point(self, make, grid, stops):
-        # the early stop skips only points that cannot beat the max: the value
-        # is the brute-force max over the whole sample set, bit for bit
+    def test_d0_is_the_max_over_every_point(self, make, grid):
+        # d0 flows its sample set one block at a time: the value is the
+        # brute-force max over the whole sample set, bit for bit
         bundle = make()
         pts = self._grid_points(grid)
         brute = float(np.max(np.abs(bundle.flow(1.0, pts) - pts)))
-        flowed = self._counting_flow(bundle)
         assert sup_distance_to_identity(bundle, order=0, grid=grid) == brute
-        assert (flowed[0] < pts.size) == stops
-
-    def test_rotation_by_half_flows_one_block(self):
-        # d0 = 2 is reached on S^1, the first block; every later point has
-        # |x| < 0.9, so |f(x) - x| < 1.9 there and no later block is flowed
-        bundle = rotation(0.5)
-        flowed = self._counting_flow(bundle)
-        assert sup_distance_to_identity(bundle, order=0) == pytest.approx(2.0, abs=1e-12)
-        assert 0 < flowed[0] <= STEP_BLOCK
 
     @pytest.mark.parametrize("make", [
         lambda: conjugated_rotation(GOLDEN, boundary_shear_conjugator(0.3), 0.5),
@@ -271,13 +249,13 @@ class TestRigidity:
         return res, counts
 
     def test_iterates_reuse_the_inverse_images(self, counted_run):
-        # the q = 2 iterate maps four point sets through h^-1 that the base map
-        # mapped already (the first block of the d0 grid, the area probes with
-        # the frame, mu's atoms with the theta nodes, cal1's nodes with their
-        # directions); the lift samples, each iterate's far pairs and the two
-        # further d0 blocks the q = 2 row flows (eps_d0 = 1.667 < 1.9) are fresh
+        # the q = 2 iterate maps three point sets through h^-1 that the base
+        # map mapped already (the area probes with the frame, mu's atoms with
+        # the theta nodes, cal1's nodes with their directions); the lift
+        # samples and each iterate's two far-pair sets are fresh, and d0 maps
+        # nothing through h^-1
         memo = counted_run[1]["memo"]
-        assert (memo.hits, memo.misses) == (4, 11)
+        assert (memo.hits, memo.misses) == (3, 8)
 
     def test_iterates_share_the_conjugator(self, counted_run):
         # h and h^-1 of the base map serve every iterate and its inverse
@@ -319,10 +297,15 @@ class TestRigidity:
         # R_alpha after a twist that fixes S^1 with zero Calabi invariant: cal3
         # = rho = alpha and cal1 = 0 as for a rigid map, but f^q is the rotation
         # by q alpha after a twist q times as strong, so no iterate nears the
-        # identity (eps_d0 reads 1.35 to 1.96 on every row)
+        # identity (eps_d0 reads 1.35 to 1.96 on every row).  No h conjugates
+        # it to a rotation, so each iterate's d0 is measured directly, and the
+        # run takes tau = 0, which asks for no conjugator
         twisted = compose(rotation(GOLDEN), radial_twist(0.3 * np.array([1.0, -6.0, 9.0, -4.0])))
+        qs = [1, 2, 3, 5, 8, 13]
         monkeypatch.setattr(diskcal.experiments, "conjugated_rotation", lambda *args, **kwargs: twisted)
-        res = exp_rigidity(GOLDEN, depth=12, q_max=13, far_pairs=1000, seed=3)
+        monkeypatch.setattr(diskcal.experiments, "_rotation_d0s", lambda h, thetas, grid: [
+            sup_distance_to_identity(iterate(twisted, q), grid=grid) for q in qs])
+        res = exp_rigidity(GOLDEN, depth=12, tau=0.0, q_max=13, far_pairs=1000, seed=3)
         assert not res.passed
 
     # negative controls: one fault injected into the CI config (q <= 2) fails
@@ -348,7 +331,7 @@ class TestRigidity:
     def test_the_lemma_applies_below_one_sixteenth(self, monkeypatch, eps, applies):
         # far pairs at separation sqrt(eps) wind apart by up to 0.93 turns,
         # beyond the lemma's 2 eps^(1/4)/pi once it applies
-        monkeypatch.setattr(diskcal.experiments, "sup_distance_to_identity", lambda *a, **k: eps)
+        monkeypatch.setattr(diskcal.experiments, "_rotation_d0s", lambda h, thetas, grid: [eps] * len(thetas))
         res = self._control_run()
         assert [r["lemma_applies"] for r in res.rows] == [applies, applies]
         assert self._failing(res) == ({1: ["lemma"], 2: ["lemma"]} if applies else {})
@@ -388,7 +371,44 @@ class TestRigidity:
             exp_rigidity(GOLDEN, depth=6, q_max=0)
 
     def test_plain_rotation_rows_exact(self):
+        # at tau = 0 the base map is the rotation itself and h = id: the
+        # shifted rings are the rotated samples, so each d0 is the rotation's
         res = exp_rigidity(GOLDEN, depth=6, tau=0.0, q_max=3, far_pairs=100, seed=1)
         assert res.passed
         for row in res.rows:
             assert abs(row["cal1_iter"]) < 1e-9
+            direct = sup_distance_to_identity(rotation(row["q"] * GOLDEN), order=0, grid=RIGIDITY_D_GRID)
+            assert abs(row["eps_d0"] - direct) <= 1e-14
+
+    def test_deeper_rows_reach_the_lemma(self):
+        # d0 by shift costs a few FFTs a row, so q <= 987 runs in tier-1: the
+        # lemma applies from q = 89 on, and k is the Fibonacci numerator
+        res = exp_rigidity(GOLDEN, depth=16, q_max=987, far_pairs=1000, seed=3)
+        qs = [r["q"] for r in res.rows]
+        assert qs == [1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987]
+        assert res.passed and all(r["pass"] for r in res.rows)
+        assert [r["q"] for r in res.rows if r["lemma_applies"]] == qs[9:]
+        assert [r["k"] for r in res.rows if r["q"] >= 3] == qs[1:-1]
+
+
+class TestRotationD0s:
+    """d0 of ``h R_theta h^-1`` from one flow of h, shifted on each ring."""
+
+    @pytest.mark.parametrize("q", [1, 13, 144])
+    @pytest.mark.parametrize("make", [
+        lambda: conjugated_rotation(GOLDEN, off_center_conjugator(0.5), 0.5).pair.h,
+        lambda: compose(quadratic_twist(0.3), FieldIsotopy(off_center_conjugator(0.5), 0.5)),
+    ], ids=["offcenter", "twisted_offcenter"])
+    def test_shift_matches_h_flowed_at_the_rotated_points(self, make, q):
+        # the max over w of |h(R_theta w) - h(w)| with h flowed at R_theta w
+        # itself: the shifted rings agree with it to rounding.  The off-center
+        # h commutes with z -> -conj(z) and is reversed by z -> conj(z), and
+        # the sample set is symmetric under both, so its d0 at -theta is the
+        # same max; after a twist that max moves by 1.7e-6 to 2.3e-5, so a
+        # shift the wrong way fails
+        h = make()
+        theta = q * GOLDEN % 1.0
+        w = diskcal.experiments._sample_points(RIGIDITY_D_GRID)
+        direct = float(np.max(np.abs(h.flow(1.0, np.exp(2j * np.pi * theta) * w) - h.flow(1.0, w))))
+        (d0,) = diskcal.experiments._rotation_d0s(h, [theta], RIGIDITY_D_GRID)
+        assert abs(d0 - direct) <= 1e-13
