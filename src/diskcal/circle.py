@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StepTooCoarse
 from .flow import position_windings
 
 DEFAULT_LIFT_SAMPLES = 4096
@@ -94,13 +93,10 @@ def boundary_displacement(isotopy, xs) -> np.ndarray:
     """The displacement ``delta`` of the boundary lift at the angles ``xs``.
 
     Follows ``t -> f_t(e^{2 pi i x})`` by continuous argument tracking; the
-    total argument variation is the displacement at x.
+    total argument variation is the displacement at x.  An unresolved
+    winding raises StepTooCoarse (from ``position_windings``).
     """
-    pts = np.exp(2j * np.pi * np.asarray(xs, dtype=float))
-    turns, ok = position_windings(isotopy, pts, raise_on_fail=False)
-    if not np.all(ok):
-        raise StepTooCoarse("boundary rotation exceeds a quarter turn per step")
-    return turns
+    return position_windings(isotopy, np.exp(2j * np.pi * np.asarray(xs, dtype=float)))[0]
 
 
 def lift_from_isotopy(isotopy) -> LiftedCircleMap:

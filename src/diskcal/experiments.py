@@ -151,16 +151,16 @@ def exp_c1_continuity(
 def exp_c0_discontinuity(ns=(2, 4, 8, 16)) -> ExperimentResult:
     """Bump maps: invariant pinned at 2/pi while displacement shrinks like 2/n.
 
-    PASS requires every invariant within ``C0_CAL_BUDGET`` of 2/pi, every
-    measured d0 below its 2/n bound and a decreasing d0 column.  The last d0
-    is then at most 2/max(ns): the first row at n = max(ns) is within that
-    bound, and every later d0 is smaller.
+    One row per distinct n, in increasing order, whatever the order of
+    ``ns``.  PASS requires every invariant within ``C0_CAL_BUDGET`` of 2/pi,
+    every measured d0 below its 2/n bound and a strictly decreasing d0
+    column, which then ends at most 2/max(ns).
     """
     if not ns:
         raise ValueError("exp_c0_discontinuity needs at least one n")
     target = 2.0 / np.pi
     rows = []
-    for n in ns:
+    for n in sorted(set(ns)):
         bundle = bump(n)
         c3 = cal3_tilde(bundle)
         d0 = sup_distance_to_identity(bundle, order=0)

@@ -84,14 +84,12 @@ MAX_TRAJ_ELEMENTS = 4_000_000
 # from 22.3 to 2.9 MiB, of cal2 at 100k stratified pairs from 19.9 to 8.4 MiB
 STEP_BLOCK = 8192
 AREA_PROBES = 100  # points of area_residual's determinant check
-# h^-1 images kept per conjugator by its functools.lru_cache.  Each iterate
-# of exp_rigidity reuses three point sets (the area probes, mu's atoms and
-# cal1's nodes, with their vectors) and looks up two fresh far-pair sets; its
-# d0 maps nothing through h^-1.  At seed 3 the acceptance run (q <= 144)
-# hits all 30 reuses in 56 lookups from 5 entries on, and none at 4; eight
-# leave room for a few more sets.  A rigidity pass at q <= 2 makes 11 lookups
-# and hits 3; a conjugated_link pass makes 7 and hits none
-H_INVERSE_MEMO_SIZE = 8
+# h^-1 tangent pushes kept per conjugator by its functools.lru_cache.  Every
+# iterate of exp_rigidity pushes the same two sets (the area probes with the
+# frame, cal1's nodes with their directions), which hit from the second
+# iterate on: (hits, misses) reads (2, 2) at q <= 2, (20, 2) at q <= 144 and
+# (28, 2) at q <= 987
+H_INVERSE_MEMO_SIZE = 2
 # |1 - |z|^2| up to which a flow that fixes S^1 leaves z in place: four ulp of
 # 1, twice the rounding of |z|^2 at a point of S^1 computed as exp(2 pi i x)
 # and rotated once more (measured: at most 1 and 2 ulp)
@@ -592,17 +590,21 @@ class ConcatIsotopy(MapBundle):
 
 
 class ConjugatorPair:
-    """A conjugator ``h``, its inverse, and a memo of ``h^-1`` images.
+    """A conjugator ``h``, its inverse, and a memo of ``h^-1`` tangent pushes.
 
     Every conjugation by one ``h`` shares one pair (a conjugation and its
     inverse, the iterates of a conjugated rotation), so ``h^-1`` is calibrated
-    once, and a point set it has mapped before is not flowed again.  The memo
-    is a ``functools.lru_cache`` of ``H_INVERSE_MEMO_SIZE`` entries keyed by
-    the exact bytes of the points, and of the vectors with their shape for a
-    tangent push-forward; its arrays are read-only, and ``cache_info()``
-    reports its traffic.  The cache's own lock keeps it thread-safe.  It
-    closes over ``h^-1`` alone, so a pair holds no reference cycle and is
-    freed with its last reference.
+    once, and a point set whose tangent vectors it has pushed before is not
+    flowed again.  The memo is a ``functools.lru_cache`` of
+    ``H_INVERSE_MEMO_SIZE`` entries keyed by the exact bytes of the points
+    and of the vectors, with their shape; its arrays are read-only, and
+    ``cache_info()`` reports its traffic.  The cache's own lock keeps it
+    thread-safe.  It closes over ``h^-1`` alone, so a pair holds no reference
+    cycle and is freed with its last reference.  Positions are not memoized:
+    the only ones a run maps through ``h^-1`` twice are mu's atoms on S^1,
+    which a conjugator that fixes S^1 leaves in place without a flow.  One
+    that moves S^1 flows them again for each iterate (about 4 ms for 1,128
+    points under shear(0.3) at tau = 0.5 on a 2-vCPU Xeon).
     """
 
     def __init__(self, h: MapBundle):
@@ -610,29 +612,22 @@ class ConjugatorPair:
         self.h_inverse = h_inverse = h.inverse()
 
         @functools.lru_cache(maxsize=H_INVERSE_MEMO_SIZE)
-        def images(points, vectors=None, shape=None):
-            z = np.frombuffer(points, dtype=complex)
-            if vectors is None:
-                out = (h_inverse.flow(1.0, z),)
-            else:
-                out = h_inverse.flow_tangent(1.0, z, np.frombuffer(vectors, dtype=complex).reshape(shape))
+        def tangents(points, vectors, shape):
+            out = h_inverse.flow_tangent(1.0, np.frombuffer(points, dtype=complex),
+                                         np.frombuffer(vectors, dtype=complex).reshape(shape))
             for arr in out:
                 arr.setflags(write=False)
             return out
 
-        self._images = images
-        self.cache_info = images.cache_info
-
-    def inverse_images(self, z):
-        """``h^-1(z)`` pointwise, for a 1-d array of points."""
-        return self._images(np.asarray(z, dtype=complex).tobytes())[0]
+        self._tangents = tangents
+        self.cache_info = tangents.cache_info
 
     def inverse_tangents(self, z, v):
         """``h_inverse.flow_tangent(1, z, v)``, keyed by the points and by the
         vectors as given (the frame (1, i) before broadcasting), since a
         points-only key would return a stale ``Dh^-1 v``."""
         v = np.asarray(v, dtype=complex)
-        return self._images(_as_points(z).tobytes(), v.tobytes(), v.shape)
+        return self._tangents(_as_points(z).tobytes(), v.tobytes(), v.shape)
 
 
 class ConjugatedIsotopy(MapBundle):
@@ -651,7 +646,7 @@ class ConjugatedIsotopy(MapBundle):
 
     def trajectory(self, z, times):
         pts = _as_points(z)
-        inner = self.inner.trajectory(self.pair.inverse_images(pts), times)
+        inner = self.inner.trajectory(self.pair.h_inverse.flow(1.0, pts), times)
         out = self.pair.h.flow(1.0, inner.ravel()).reshape(inner.shape)
         out[np.asarray(times) == 0.0] = pts  # f_0 = id exactly, not h(h^-1 z)
         return out
@@ -675,8 +670,8 @@ class ConjugatedIsotopy(MapBundle):
         # only positions on S^1 are wound.
         if y is None and np.any(np.abs(np.abs(x) - 1.0) > TOL_BOUNDARY):
             raise ValueError("a conjugated map winds positions only on S^1")
-        wx = self.pair.inverse_images(x)
-        wy = None if y is None else self.pair.inverse_images(y)
+        wx = self.pair.h_inverse.flow(1.0, x)
+        wy = None if y is None else self.pair.h_inverse.flow(1.0, y)
         fx = self.inner.flow(1.0, wx)
         fy = None if y is None else self.inner.flow(1.0, wy)
         return _summed_windings([
@@ -779,9 +774,10 @@ def chord_windings(isotopy, x, y, *, raise_on_fail: bool = True):
     return values, ok
 
 
-def position_windings(isotopy, x, **kw):
-    """Winding of trajectories ``t -> f_t(x)`` around the origin, in turns."""
-    return chord_windings(isotopy, x, None, **kw)
+def position_windings(isotopy, x):
+    """Winding of trajectories ``t -> f_t(x)`` around the origin, in turns;
+    an unresolved position raises StepTooCoarse."""
+    return chord_windings(isotopy, x, None)
 
 
 def area_residual(bundle: MapBundle, seed: int = 0) -> float:

@@ -19,7 +19,7 @@ from diskcal.calabi import (
 )
 from diskcal.circle import BoundaryMeasure, invariant_measure, rotation_number
 from diskcal.errors import BoundaryNotConstant, NotAreaPreserving, StepTooCoarse
-from diskcal.flow import ConjugatorPair, FieldIsotopy, chord_windings
+from diskcal.flow import FieldIsotopy, chord_windings
 from diskcal.geometry import uniform_disk_points
 from diskcal.zoo import (
     boundary_shear_conjugator,
@@ -456,8 +456,8 @@ class TestCal3:
         for conjugator in (off_center_conjugator(0.5), boundary_shear_conjugator(0.3)):
             bundle = conjugated_rotation(0.3, conjugator, 0.5)
             inner, pair = bundle.inner, bundle.pair
-            k_circle = inner.field.value(pair.inverse_images(circle))
-            k = inner.field.value(pair.inverse_images(grid)) - np.mean(k_circle)
+            k_circle = inner.field.value(pair.h_inverse.flow(1.0, circle))
+            k = inner.field.value(pair.h_inverse.flow(1.0, grid)) - np.mean(k_circle)
             direct = 2.0 * float(np.sum(w * 2.0 * r * np.mean(k.reshape(r.size, units.size), axis=1)))
             assert direct == pytest.approx(0.3, abs=1e-6), conjugator.name
             assert abs(cal3_tilde(bundle, grid=(64, 128)) - direct) <= 1e-12, conjugator.name
@@ -469,15 +469,18 @@ class TestCal3:
         assert cal3_tilde(conjugate(f, conjugator, 0.5)) == cal3_tilde(f)
 
     def test_conjugation_never_maps_points_through_h_inverse(self, monkeypatch):
-        # patched before the bundle is built, so a bound method taken then counts too
+        # patched on the class before the bundle is built, so a bound method
+        # taken then counts too; every flow of h^-1 is its trajectory or its
+        # tangent push
         calls = []
-        original = ConjugatorPair.inverse_images
-        monkeypatch.setattr(ConjugatorPair, "inverse_images",
-                            lambda pair, z: calls.append(1) or original(pair, z))
+        for name in ("trajectory", "flow_tangent"):
+            original = getattr(FieldIsotopy, name)
+            monkeypatch.setattr(FieldIsotopy, name,
+                                lambda iso, *a, original=original: calls.append(iso) or original(iso, *a))
         bundle = conjugated_rotation(GOLDEN, off_center_conjugator(0.5), 0.5)
         calls.clear()
         cal3_tilde(bundle, grid=(64, 128))
-        assert not calls
+        assert all(iso is not bundle.pair.h_inverse for iso in calls)
 
     @pytest.mark.parametrize("f", [bump(4), conjugated_rotation(GOLDEN, off_center_conjugator(0.5), 0.5)],
                              ids=["bump4", "conjugated"])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from diskcal.calabi import cal1
 from diskcal.circle import (
     DEFAULT_LIFT_SAMPLES,
     LiftedCircleMap,
@@ -11,6 +12,7 @@ from diskcal.circle import (
     lift_from_isotopy,
     rotation_number,
 )
+from diskcal.errors import StepTooCoarse
 from diskcal.zoo import (
     boundary_shear_conjugator,
     bump,
@@ -61,6 +63,19 @@ class TestLifts:
         assert np.min(np.diff(sin_lift(0.05, 0.1)(xs))) > 0.0
         lift = lift_from_isotopy(conjugate(rotation(0.5), boundary_shear_conjugator(0.3), 0.4))
         assert np.min(np.diff(lift(xs))) > 0.0
+
+    def test_an_unresolved_boundary_winding_raises(self, monkeypatch):
+        # position_windings raises on a winding reported unresolved, and the
+        # lift and cal1's boundary displacement pass it on
+        bundle = quadratic_twist(0.3)
+        mu = invariant_measure(bundle.boundary_lift())
+        windings = type(bundle).windings
+        monkeypatch.setattr(type(bundle), "windings",
+                            lambda iso, x, y: (windings(iso, x, y)[0], np.full(x.size, y is not None)))
+        with pytest.raises(StepTooCoarse):
+            bundle.boundary_lift()
+        with pytest.raises(StepTooCoarse):
+            cal1(bundle, mu=mu, grid=(32, 64), richardson=False)
 
 
 class TestRotationNumber:

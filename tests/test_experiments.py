@@ -177,6 +177,9 @@ class TestC0Discontinuity:
     def test_single_row_degenerate(self):
         res = exp_c0_discontinuity([4])
         assert len(res.rows) == 1 and res.rows[0]["pass"]
+        # a repeated n is one row, not a d0 column that fails to decrease
+        repeated = exp_c0_discontinuity([4, 4])
+        assert repeated.rows == res.rows and repeated.passed
 
     def test_a_d0_above_its_bound_fails_only_its_row(self, monkeypatch):
         # negative control: d0(bump(4)) = 2/4 + 1e-6 keeps the column decreasing
@@ -194,6 +197,14 @@ class TestC0Discontinuity:
         res = exp_c0_discontinuity([2, 4, 8])
         assert all(r["pass"] for r in res.rows)
         assert not res.meta["d0_decreasing"] and not res.passed
+
+    @pytest.mark.parametrize("ns", [(8, 4), (4, 8, 4)], ids=["descending", "repeated"])
+    def test_rows_do_not_depend_on_the_order_of_ns(self, ns):
+        # each distinct n once, in increasing order: the same rows and PASS as (4, 8)
+        res = exp_c0_discontinuity(ns)
+        want = exp_c0_discontinuity((4, 8))
+        assert res.rows == want.rows and res.meta == want.meta
+        assert [r["n"] for r in res.rows] == [4, 8] and res.passed
 
 
 @pytest.mark.parametrize("run", [exp_c1_continuity, exp_c0_discontinuity], ids=["c1", "c0"])
@@ -248,14 +259,12 @@ class TestRigidity:
         counts["memo"] = base.pair.cache_info()
         return res, counts
 
-    def test_iterates_reuse_the_inverse_images(self, counted_run):
-        # the q = 2 iterate maps three point sets through h^-1 that the base
-        # map mapped already (the area probes with the frame, mu's atoms with
-        # the theta nodes, cal1's nodes with their directions); the lift
-        # samples and each iterate's two far-pair sets are fresh, and d0 maps
-        # nothing through h^-1
+    def test_iterates_reuse_the_tangent_pushes(self, counted_run):
+        # the q = 2 iterate pushes the two tangent sets of the base map through
+        # h^-1 again (the area probes with the frame, cal1's nodes with their
+        # directions); positions flow h^-1 directly and never reach the memo
         memo = counted_run[1]["memo"]
-        assert (memo.hits, memo.misses) == (3, 8)
+        assert (memo.hits, memo.misses) == (2, 2)
 
     def test_iterates_share_the_conjugator(self, counted_run):
         # h and h^-1 of the base map serve every iterate and its inverse
@@ -380,10 +389,18 @@ class TestRigidity:
             direct = sup_distance_to_identity(rotation(row["q"] * GOLDEN), order=0, grid=RIGIDITY_D_GRID)
             assert abs(row["eps_d0"] - direct) <= 1e-14
 
-    def test_deeper_rows_reach_the_lemma(self):
+    def test_deeper_rows_reach_the_lemma(self, monkeypatch):
         # d0 by shift costs a few FFTs a row, so q <= 987 runs in tier-1: the
-        # lemma applies from q = 89 on, and k is the Fibonacci numerator
+        # lemma applies from q = 89 on, and k is the Fibonacci numerator.  The
+        # 14 iterates after the base map push its two tangent sets through
+        # the shared h^-1 memo, and every push hits
+        bases = []
+        monkeypatch.setattr(diskcal.experiments, "conjugated_rotation",
+                            lambda *a, **k: bases.append(conjugated_rotation(*a, **k)) or bases[-1])
         res = exp_rigidity(GOLDEN, depth=16, q_max=987, far_pairs=1000, seed=3)
+        (base,) = bases
+        memo = base.pair.cache_info()
+        assert (memo.hits, memo.misses) == (28, 2)
         qs = [r["q"] for r in res.rows]
         assert qs == [1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987]
         assert res.passed and all(r["pass"] for r in res.rows)

@@ -829,8 +829,8 @@ class TestBoundaryLift:
 
 
 class TestConjugatorPair:
-    # every conjugation by one h shares h, h^-1 and the memo of h^-1 images;
-    # a memo hit must return exactly what the flow computes
+    # every conjugation by one h shares h, h^-1 and the memo of h^-1 tangent
+    # pushes; a memo hit must return exactly what the flow computes
     @staticmethod
     def _conjugated():
         return conjugate(rotation(0.3), off_center_conjugator(0.5), 0.5)
@@ -850,20 +850,32 @@ class TestConjugatorPair:
             "chord_windings": lambda iso: list(chord_windings(iso, pts.copy(), other.copy())),
             "position_windings": lambda iso: list(position_windings(iso, circle.copy())),
             "inner_field_value": lambda iso: [
-                iso.inner.field.value(iso.pair.inverse_images(pts.copy()))],
+                iso.inner.field.value(iso.pair.h_inverse.flow(1.0, pts.copy()))],
         }
         for name, call in calls.items():
             iso = self._conjugated()
             cold, warm = call(iso), call(iso)
             assert all(np.array_equal(a, b) for a, b in zip(cold, warm)), name
-        # warm calls are served by the memo, which holds what h^-1 computes
+        # a warm tangent push is served by the memo, which holds what h^-1 computes
         pair = self._conjugated().pair
-        assert pair.inverse_images(pts.copy()) is pair.inverse_images(pts)
         assert pair.inverse_tangents(pts.copy(), other.copy()) is pair.inverse_tangents(pts, other)
         for x in (pts, other, circle):
-            assert np.array_equal(pair.inverse_images(x), pair.h_inverse.flow(1.0, x))
             for got, want in zip(pair.inverse_tangents(x, _FRAME), pair.h_inverse.flow_tangent(1.0, x, _FRAME)):
                 assert np.array_equal(got, want)
+
+    def test_positions_bypass_the_memo(self):
+        # only tangent pushes are memoized: flows, trajectories and windings
+        # of a conjugated map flow h^-1 directly and leave the memo untouched
+        iso = self._conjugated()
+        pts = interior_points(20, seed=35)
+        other = interior_points(20, seed=36)
+        circle = np.exp(2j * np.pi * (np.arange(16) + 0.5) / 16)
+        before = iso.pair.cache_info()
+        iso.flow(1.0, pts)
+        iso.trajectory(pts, np.linspace(0.0, 1.0, 5))
+        chord_windings(iso, pts, other)
+        position_windings(iso, circle)
+        assert iso.pair.cache_info() == before
 
     def test_other_vectors_at_the_same_points_miss_the_memo(self):
         # a points-only key would hand back the pushed vectors of the first call
@@ -879,7 +891,7 @@ class TestConjugatorPair:
     def test_cached_arrays_are_read_only(self):
         pair = self._conjugated().pair
         pts = interior_points(10, seed=33)
-        for arr in (pair.inverse_images(pts), *pair.inverse_tangents(pts, _FRAME)):
+        for arr in pair.inverse_tangents(pts, _FRAME):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
 
@@ -888,7 +900,6 @@ class TestConjugatorPair:
         # lookups, inserts and evictions interleave; a short flow keeps misses cheap
         pair = ConjugatorPair(FieldIsotopy(off_center_conjugator(0.5), 0.1))
         sets = [interior_points(16, seed=40 + k) for k in range(H_INVERSE_MEMO_SIZE + 4)]
-        images = [pair.h_inverse.flow(1.0, x) for x in sets]
         jacobians = [pair.h_inverse.flow_tangent(1.0, x, _FRAME) for x in sets]
         errors = []
 
@@ -896,11 +907,8 @@ class TestConjugatorPair:
             try:
                 for i in range(40):
                     k = (offset + 5 * i) % len(sets)
-                    same = np.array_equal(pair.inverse_images(sets[k].copy()), images[k]) and all(
-                        np.array_equal(a, b)
-                        for a, b in zip(pair.inverse_tangents(sets[k].copy(), _FRAME), jacobians[k])
-                    )
-                    if not same:
+                    got = pair.inverse_tangents(sets[k].copy(), _FRAME)
+                    if not all(np.array_equal(a, b) for a, b in zip(got, jacobians[k])):
                         errors.append(k)
             except Exception as exc:  # a thread's exception is lost unless recorded
                 errors.append(exc)
@@ -923,7 +931,7 @@ class TestConjugatorPair:
         # the memo closes over h^-1 alone: a cache of a bound method would
         # hold the pair in a cycle, freed only by the cyclic collector
         pair = ConjugatorPair(FieldIsotopy(off_center_conjugator(0.5), 0.1))
-        pair.inverse_images(interior_points(16, seed=50))
+        pair.inverse_tangents(interior_points(16, seed=50), _FRAME)
         pair.inverse_tangents(interior_points(16, seed=51), _FRAME)
         assert pair.cache_info().currsize == 2
         ref = weakref.ref(pair)
