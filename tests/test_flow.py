@@ -877,6 +877,23 @@ class TestConjugatorPair:
         position_windings(iso, circle)
         assert iso.pair.cache_info() == before
 
+    def test_a_composition_flows_h_inverse_once(self, monkeypatch):
+        # a conjugated first piece hands the next piece h f W, reusing the f W
+        # of its own summands: h^-1 flows x and y once, and the chords wind as
+        # the pieces do from where the previous piece left them
+        conj = self._conjugated()
+        pts = interior_points(20, seed=37)
+        other = interior_points(20, seed=38)
+        want = (conj.windings(pts, other)[0]
+                + rotation(0.2).windings(conj.flow(1.0, pts), conj.flow(1.0, other))[0])
+        flowed = []
+        h_inverse = conj.pair.h_inverse
+        trajectory = h_inverse.trajectory
+        monkeypatch.setattr(h_inverse, "trajectory", lambda z, times: flowed.append(z.size) or trajectory(z, times))
+        got, ok = compose(rotation(0.2), conj).windings(pts, other)
+        assert ok.all() and flowed == [20, 20]
+        assert np.array_equal(got, want)
+
     def test_other_vectors_at_the_same_points_miss_the_memo(self):
         # a points-only key would hand back the pushed vectors of the first call
         pair = self._conjugated().pair
